@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ClosureTooLarge
 from .linalg import solve_fraction, solve_general
+from .memo import per_field
 from .numfield import FieldMorphism, NumberField
 from .ratfactor import factor_rational_poly
 from .unipoly import UniPoly
@@ -333,9 +334,9 @@ class SplittingData:
         self.inv = [next(t for t in range(size) if self.mult[s][t] == 0) for s in range(size)]
         self.identity = 0
         # the closure is Galois: its automorphisms are exactly these, so seed
-        # its cache rather than re-running closure construction on L itself
-        if not hasattr(self.closure, "_automorphisms"):
-            self.closure._automorphisms = list(self.autos)
+        # the memo (never over an entry computed earlier) rather than
+        # re-running closure construction on L itself
+        per_field("automorphisms", self.closure, lambda: list(self.autos))
 
     def stabilizer_of_point(self, root_index):
         """Indices of automorphisms fixing the given root (i.e. Gal(L/that copy of K))."""
@@ -373,10 +374,8 @@ def _match_to_canonical(L, roots, K):
 
 
 def splitting_data(field):
-    """Cached Galois closure with tracked roots and automorphism group."""
-    if not hasattr(field, "_splitting_data"):
-        field._splitting_data = SplittingData(field)
-    return field._splitting_data
+    """Memoized Galois closure with tracked roots and automorphism group."""
+    return per_field("splitting_data", field, lambda: SplittingData(field))
 
 
 def nf_automorphisms(K):
@@ -385,8 +384,10 @@ def nf_automorphisms(K):
     Computed from the closure: embeddings whose image lies in the reference
     copy of K descend to automorphisms.
     """
-    if hasattr(K, "_automorphisms"):
-        return K._automorphisms
+    return per_field("automorphisms", K, lambda: _automorphisms(K))
+
+
+def _automorphisms(K):
     sd = splitting_data(K)
     j0 = sd.embeddings[0]
     out = []
@@ -395,7 +396,6 @@ def nf_automorphisms(K):
         if pre is not None:
             out.append(FieldMorphism(K, K, pre, check=False))
     assert out, "identity automorphism missing"
-    K._automorphisms = out
     return out
 
 
@@ -412,17 +412,16 @@ def complex_conjugation(K):
     CM fields, and None when no automorphism satisfies phi.sigma = conj(phi)
     for every certified embedding phi.
     """
-    if hasattr(K, "_conj_auto"):
-        return K._conj_auto
+    return per_field("complex_conjugation", K, lambda: _complex_conjugation(K))
+
+
+def _complex_conjugation(K):
     from .embeddings import certified_embeddings, locate_among
 
     embs = certified_embeddings(K)
-    found = None
     for sigma in nf_automorphisms(K):
         if all(
             locate_among(e, sigma.image_of_generator, K) == e.conj_index() for e in embs
         ):
-            found = sigma
-            break
-    K._conj_auto = found
-    return found
+            return sigma
+    return None

@@ -19,6 +19,7 @@ from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, RootNotExact
 from .ideals import FracIdeal, factor_ideal, prime_split
 from .linalg import right_kernel_fraction
+from .memo import per_field
 from .numfield import FieldMorphism, NumberField
 from .orders import maximal_order
 from .unipoly import sturm_real_root_count
@@ -280,13 +281,8 @@ def _exact_ideal_root(a, d):
 
 
 def reflex_field(cmtype):
-    """ReflexData for a CM-pair (cached per type on the CM field object)."""
-    cache = getattr(cmtype.cmfield.field, "_reflex_cache", None)
-    if cache is None:
-        cache = cmtype.cmfield.field._reflex_cache = {}
-    if cmtype.phi not in cache:
-        cache[cmtype.phi] = ReflexData(cmtype)
-    return cache[cmtype.phi]
+    """ReflexData for a CM-pair (memoized per field value and type)."""
+    return per_field("reflex", cmtype.cmfield.field, lambda: ReflexData(cmtype), cmtype.phi)
 
 
 def _require_closure(cmtype, k):
@@ -330,7 +326,7 @@ def _prime_pullback(sd, i, P_k, order_E, order_k):
     cache = getattr(P_k, "_pullbacks", None)
     if cache is None:
         cache = P_k._pullbacks = {}
-    key = (id(sd), i)
+    key = (sd.field.min_poly, i)
     if key in cache:
         return cache[key]
     for q in prime_split(P_k.p, order_E):

@@ -3,9 +3,10 @@
 mpmath supplies root approximations only; every certificate is exact rational
 arithmetic. A disk of radius |f(z)|^(1/n) around an approximation z contains
 at least one root of the monic degree-n polynomial f, so n pairwise disjoint
-disks contain exactly one root each. Refinement re-runs the finder at higher
-precision and matches disks by intersection with the canonical base disks, so
-an embedding index never changes meaning.
+disks contain exactly one root each. The disk radius uses the exact floor
+k-th root of an integer (intutil.iroot), rounded up. Refinement re-runs the
+finder at higher precision and matches disks by intersection with the
+canonical base disks, so an embedding index never changes meaning.
 """
 
 import math
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .intutil import iroot
+from .intutil import root_upper
+from .memo import per_field
 
 _BASE_BITS = 64
 _MAX_BITS = 1 << 22
@@ -113,15 +115,6 @@ def _abs_upper(re, im):
     return Fraction(r + 1, den)
 
 
-def _root_upper(x, k):
-    """Rational upper bound for x^(1/k), x a nonnegative Fraction."""
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    r = iroot(num * den ** (k - 1), k)
-    return Fraction(r + 1, den)
-
-
 def _eval_exact(poly, re, im):
     """Exact complex Horner evaluation of a rational UniPoly at re + i*im."""
     cre, cim = Fraction(0), Fraction(0)
@@ -214,7 +207,7 @@ def _find_disks(field, bits):
         re = Fraction(round(re * scale), scale)
         im = Fraction(round(im * scale), scale)
         vre, vim = _eval_exact(f, re, im)
-        rad = _root_upper(_abs_upper(vre, vim), n)
+        rad = root_upper(_abs_upper(vre, vim), n)
         disks.append(Ball(re, im, rad))
     for i in range(n):
         for j in range(i + 1, n):
@@ -289,8 +282,10 @@ def _canonical_order(disks):
 
 
 def _base_certification(field):
-    if hasattr(field, "_certified_base"):
-        return field._certified_base
+    return per_field("certified_base", field, lambda: _certify_base(field))
+
+
+def _certify_base(field):
     bits = _BASE_BITS
     while True:
         disks = _find_disks(field, bits)
@@ -304,8 +299,7 @@ def _base_certification(field):
         bits *= 2
         if bits > _MAX_BITS:
             raise RuntimeError("root certification budget exceeded")
-    field._certified_base = (bits, disks, pair)
-    return field._certified_base
+    return bits, disks, pair
 
 
 def _pairing(field):
@@ -316,15 +310,18 @@ def certified_embeddings(field, bits=_BASE_BITS):
     """Certified embeddings in the canonical order, at >= the requested precision.
 
     Conjugate pairs are identified (see Embedding.conj_index) and results are
-    cached per precision level on the field object.
+    memoized per field value and precision level.
     """
     base_bits, base_disks, _ = _base_certification(field)
-    cache = field._embedding_cache
     level = base_bits
     while level < bits:
         level *= 2
-    if level in cache:
-        return cache[level]
+    return per_field(
+        "embeddings", field, lambda: _embeddings_at(field, level, base_bits, base_disks), level
+    )
+
+
+def _embeddings_at(field, level, base_bits, base_disks):
     if level == base_bits:
         disks = base_disks
     else:
@@ -339,9 +336,7 @@ def certified_embeddings(field, bits=_BASE_BITS):
             b *= 2
             if b > _MAX_BITS:
                 raise RuntimeError("root refinement budget exceeded")
-    embs = [Embedding(field, i, d, level) for i, d in enumerate(disks)]
-    cache[level] = embs
-    return embs
+    return [Embedding(field, i, d, level) for i, d in enumerate(disks)]
 
 
 def _match_disks(raw, base):

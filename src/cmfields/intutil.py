@@ -15,20 +15,30 @@ def isqrt_exact(n):
 
 
 def iroot(n, k):
-    """Floor of the k-th root of n >= 0."""
+    """Floor of the k-th root of n >= 0, by integer Newton iteration.
+
+    The start 2^ceil(bitlen/k) is at least the root; from above the iterates
+    decrease strictly until they reach the floor (Cohen 1993, §1.7).
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n < 2:
         return n
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def root_upper(x, k):
+    """Rational upper bound for x^(1/k), x a nonnegative Fraction."""
+    if x == 0:
+        return Fraction(0)
+    num, den = x.numerator, x.denominator
+    r = iroot(num * den ** (k - 1), k)
+    return Fraction(r + 1, den)
 
 
 def iroot_exact(n, k):
@@ -172,22 +182,3 @@ def sqrt_mod(a, p):
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def frac_floor_sqrt(x):
-    """Largest integer-free lower bound helper: floor(sqrt(x)) for x = Fraction >= 0."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    num, den = x.numerator, x.denominator
-    return Fraction(math.isqrt(num * den), den)
-
-
-def frac_ceil_sqrt(x):
-    """A Fraction upper bound on sqrt(x), tight to within 1/denominator scale."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    num, den = x.numerator, x.denominator
-    r = math.isqrt(num * den)
-    if r * r < num * den:
-        r += 1
-    return Fraction(r, den)

@@ -37,7 +37,6 @@ class NumberField:
             top = cur[-1]
             cur = [s + top * r for s, r in zip(shifted, self._red[0])]
             self._red.append(tuple(cur))
-        self._embedding_cache = {}
 
     def __repr__(self):
         return f"NumberField({self.min_poly!r})"

@@ -19,6 +19,7 @@ from .linalg import (
     mat_vec,
     transpose,
 )
+from .memo import per_field
 
 
 class Order:
@@ -276,9 +277,11 @@ def _multiplier_ring(order, rad_cols):
 
 
 def maximal_order(field):
-    """The maximal order, by p-maximalizing the equation order (cached)."""
-    if hasattr(field, "_maximal_order"):
-        return field._maximal_order
+    """The maximal order, by p-maximalizing the equation order (memoized)."""
+    return per_field("maximal_order", field, lambda: _maximal_order(field))
+
+
+def _maximal_order(field):
     n = field.degree
     D, g = integral_presentation(field)
     from .unipoly import poly_discriminant
@@ -308,5 +311,4 @@ def maximal_order(field):
     final.equation_index = index
     final.equation_gen = field.gen() * D
     final.equation_poly = g
-    field._maximal_order = final
     return final

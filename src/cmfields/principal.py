@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .closure import complex_conjugation
 from .errors import EnumerationBoundExceeded
+from .intutil import root_upper
 from .unipoly import sturm_real_root_count
 
 
@@ -117,9 +118,7 @@ def is_principal(a, budget_doublings=10):
         return g / a.den
 
     g_half = n // 2
-    from .embeddings import _root_upper
-
-    floor_bound = 2 * g_half * _root_upper(Fraction(target) ** 2, n)
+    floor_bound = 2 * g_half * root_upper(Fraction(target) ** 2, n)
     bound = floor_bound + 1
     for _ in range(budget_doublings):
         g = generator_from(fincke_pohst(G, bound))

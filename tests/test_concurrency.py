@@ -2,7 +2,10 @@
 
 import concurrent.futures
 import random
+import sys
+import threading
 
+from cmfields.closure import complex_conjugation
 from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_norm_elem
 from cmfields.embeddings import certified_embeddings
 from cmfields.ideals import FracIdeal, prime_split
@@ -59,3 +62,40 @@ def test_parallel_isogeny_class_enumeration_is_order_independent():
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         runs = list(pool.map(lambda _: [m.lattice for m in isogeny_classes(cmf, t)], range(6)))
     assert all(r == runs[0] for r in runs)
+
+
+def test_fresh_equal_fields_agree_across_threads():
+    # six threads, each with its own field object for the same polynomial,
+    # race through the per-field memo: all must get one stored result
+    coeffs = [11, 0, 7, 0, 1]
+    start = threading.Barrier(6)
+
+    def work(_):
+        K = NumberField(UniPoly(coeffs))
+        start.wait(timeout=60)
+        embs = certified_embeddings(K, 128)
+        conj = complex_conjugation(K)
+        return (
+            K,
+            embs,
+            tuple(e.root_index for e in embs),
+            tuple(e.conj_index() for e in embs),
+            conj.image_of_generator.coords,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, i) for i in range(6)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(K) for K, *_ in results}) == 6
+    assert all(r[1] is results[0][1] for r in results)
+    assert len({r[2:] for r in results}) == 1
+    _, _, indices, conj_indices, conj_coords = results[0]
+    assert indices == (0, 1, 2, 3)
+    for i in indices:
+        assert conj_indices[i] != i and conj_indices[conj_indices[i]] == i
+    assert conj_coords != (0, 1, 0, 0)

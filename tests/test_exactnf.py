@@ -14,6 +14,7 @@ from cmfields.exactnf import (
     factor_rational_poly,
     galois_closure,
     nf_automorphisms,
+    splitting_data,
     sturm_real_root_count,
 )
 
@@ -208,3 +209,17 @@ class TestCertifiedEmbeddings:
                 ball = e.eval(img)
                 hits = [f for f in embs if not ball.is_disjoint(f.ball)]
                 assert len(hits) == 1
+
+
+class TestPerFieldMemo:
+    def test_equal_fields_share_results(self):
+        # distinct but equal field objects get the very results built for
+        # the first one: per-field work is keyed by the minimal polynomial
+        K1, K2 = field(7, 0, 5, 0, 1), field(7, 0, 5, 0, 1)
+        assert K1 is not K2 and K1 == K2
+        assert splitting_data(K1) is splitting_data(K2)
+        assert certified_embeddings(K1, 256) is certified_embeddings(K2, 256)
+        assert certified_embeddings(K1) is certified_embeddings(K2)
+        assert splitting_data(K2).closure.degree == 8
+        assert certified_embeddings(K1) is not certified_embeddings(K1, 256)
+        assert splitting_data(K1) is not splitting_data(field(7, 0, 6, 0, 1))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmfields import modpoly
 from cmfields.intutil import (
@@ -15,6 +17,7 @@ from cmfields.intutil import (
     isqrt_exact,
     next_prime,
     primes_up_to,
+    root_upper,
     sqrt_mod,
     xgcd,
 )
@@ -50,6 +53,33 @@ class TestIntUtil:
         assert isqrt_exact(144) == 12 and isqrt_exact(145) is None
         assert iroot(1000, 3) == 10 and iroot(999, 3) == 9
         assert iroot_exact(32, 5) == 2 and iroot_exact(33, 5) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 1 << 20000))
+    def test_iroot_is_the_floor(self, k, n):
+        r = iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 1 << (20000 // 16)))
+    def test_iroot_near_exact_powers(self, k, r):
+        assert iroot(r**k, k) == r
+        for n in (r**k - 1, r**k + 1):
+            if n >= 0:
+                s = iroot(n, k)
+                assert s**k <= n < (s + 1) ** k
+
+    def test_iroot_rejects_negative(self):
+        with pytest.raises(ValueError):
+            iroot(-1, 3)
+
+    def test_root_upper_bounds_the_root(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            k = rng.randint(1, 8)
+            x = Fraction(rng.randint(0, 10**40), rng.randint(1, 10**20))
+            u = root_upper(x, k)
+            assert u >= 0 and u**k >= x
 
     def test_crt_xgcd(self):
         assert crt_pair(2, 3, 3, 5) % 15 == 8
