@@ -432,7 +432,6 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
     # ideals: all primes of norm < norm_bound whose residue p splits in every
     # order the suite touches (index primes are refused by prime_split and
     # reported rather than silently mis-factored)
-    from .errors import IndexDivisible
     from .intutil import primes_up_to
 
     skipped = []

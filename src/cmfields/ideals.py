@@ -1,10 +1,11 @@
-"""Exact fractional-ideal arithmetic in maximal orders.
+"""Exact fractional-ideal arithmetic in orders.
 
 A FracIdeal is (1/den) times the lattice spanned by the columns of an integer
 matrix in column Hermite normal form, coordinates taken in the order basis.
 The HNF with minimal denominator is a canonical representative, so equality
-is matrix equality. Products, sums, colon ideals (via lattice duality),
-Dedekind splitting, valuations, and the coprime-scaling lemma live here.
+is matrix equality. Products, sums, colon ideals (via lattice duality; the
+multiplier ring of `orders` is one), Dedekind splitting in the maximal order,
+valuations, and the coprime-scaling lemma live here.
 """
 
 import math
@@ -16,6 +17,7 @@ from .intutil import factorize
 from .linalg import (
     hnf_columns,
     hnf_with_transform,
+    lattice_hnf,
     mat_inverse_fraction,
     mat_mul,
     transpose,
@@ -23,17 +25,16 @@ from .linalg import (
 
 
 class FracIdeal:
-    """A nonzero fractional ideal of a maximal order."""
+    """A nonzero fractional ideal of an order."""
 
     __slots__ = ("order", "den", "hnf", "_norm")
 
-    def __init__(self, order, den, hnf, normalize=True):
+    def __init__(self, order, den, hnf):
         self.order = order
         self.den = den
         self.hnf = hnf
         self._norm = None
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     def _normalize(self):
         g = self.den
@@ -54,21 +55,13 @@ class FracIdeal:
         elems = [e for e in elems if not e.is_zero()]
         if not elems:
             raise ZeroIdeal("no nonzero generators")
-        n = order.degree
+        coords = [order.coords_of(e) for e in elems]
+        den = math.lcm(*(c.denominator for v in coords for c in v))
         cols = []
-        for e in elems:
-            coords = order.coords_of(e)
-            for j in range(n):
-                unit = [0] * n
-                unit[j] = 1
-                cols.append(_mult_rational(order, coords, unit))
-        den = 1
-        for col in cols:
-            for x in col:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        mat = [[int(cols[j][i] * den) for j in range(len(cols))] for i in range(n)]
-        h = hnf_columns(mat)
-        if len(h[0]) != n:
+        for v in coords:
+            cols.extend(transpose(order.mult_matrix_coords([int(c * den) for c in v])))
+        den, h = lattice_hnf(cols, den)
+        if len(h[0]) != order.degree:
             raise ZeroIdeal("generators do not span a full lattice")
         return FracIdeal(order, den, h)
 
@@ -139,10 +132,8 @@ class FracIdeal:
 
     def __add__(self, other):
         self._check(other)
-        da, db = self.den, other.den
-        l = db // math.gcd(da, db)
-        common = da * l
-        fa, fb = common // da, common // db
+        common = math.lcm(self.den, other.den)
+        fa, fb = common // self.den, common // other.den
         n = self.order.degree
         mat = [
             [self.hnf[i][j] * fa for j in range(n)] + [other.hnf[i][j] * fb for j in range(n)]
@@ -207,34 +198,9 @@ class FracIdeal:
         if not isinstance(other, FracIdeal) or other.order != self.order:
             raise OrderMismatch("ideals of different orders")
 
-    def image_under(self, morphism, target_order):
-        """The ideal of the target order generated by the images of a generating set."""
-        gens = self.two_element_like_generators()
-        return FracIdeal.from_generators(target_order, [morphism(g) for g in gens])
-
     def two_element_like_generators(self):
         """A small generating set (all basis elements; primes override with two)."""
         return self.basis_elements()
-
-
-def _mult_rational(order, a, b):
-    """Product of rational order-coordinate vectors, in order coordinates."""
-    n = order.degree
-    out = [Fraction(0)] * n
-    for i in range(n):
-        ai = Fraction(a[i])
-        if not ai:
-            continue
-        for j in range(n):
-            bj = Fraction(b[j])
-            if not bj:
-                continue
-            row = order._mult[(i, j) if i <= j else (j, i)]
-            f = ai * bj
-            for k in range(n):
-                if row[k]:
-                    out[k] += f * row[k]
-    return out
 
 
 def _ord_p(n, p):
@@ -245,52 +211,23 @@ def _ord_p(n, p):
     return v
 
 
-def ideal_product(a, b):
-    """Product of two fractional ideals of the same maximal order."""
-    return a * b
-
-
-def ideal_inverse(a):
-    """Inverse fractional ideal: a * ideal_inverse(a) = (1)."""
-    return a.inverse()
-
-
-def numerical_norm(a):
-    """(O : a) for integral a, extended multiplicatively to fractional ideals."""
-    return a.norm()
-
-
 def colon_ideal(b, a):
     """The colon ideal (b : a) = {x in E : x*a <= b}, via lattice duality."""
     if a.order != b.order:
         raise OrderMismatch("ideals of different orders")
     order = a.order
-    n = order.degree
-    b_cols = [[Fraction(b.hnf[i][j], b.den) for j in range(n)] for i in range(n)]
-    b_inv_t = transpose(mat_inverse_fraction(b_cols))
-    duals = []
+    # (b : a) is the intersection of the lattices M_v^{-1} b over a basis v of
+    # a: the dual of the sum of their duals, whose basis columns are the rows
+    # of b^{-1} M_v
+    b_inv = mat_inverse_fraction([[Fraction(x, b.den) for x in row] for row in b.hnf])
+    cols = []
     for col in a.basis_columns():
         Mv = order.mult_matrix_coords([Fraction(c, a.den) for c in col])
-        duals.append(mat_mul(transpose(Mv), b_inv_t))
-    # sum of the dual lattices, then dual back
-    cols = []
-    for D in duals:
-        for j in range(n):
-            cols.append([D[i][j] for i in range(n)])
-    den = 1
-    for col in cols:
-        for x in col:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    mat = [[int(cols[j][i] * den) for j in range(len(cols))] for i in range(n)]
-    h = hnf_columns(mat)
-    hs = [[Fraction(h[i][j], den) for j in range(n)] for i in range(n)]
-    res_cols = transpose(mat_inverse_fraction(hs))
-    rden = 1
-    for row in res_cols:
-        for x in row:
-            rden = rden * x.denominator // math.gcd(rden, x.denominator)
-    mat2 = [[int(res_cols[i][j] * rden) for j in range(n)] for i in range(n)]
-    return FracIdeal(order, rden, hnf_columns(mat2))
+        cols.extend(mat_mul(b_inv, Mv))
+    den, h = lattice_hnf(cols)
+    # the sum is h/den; its dual has the rows of den * h^{-1} as columns
+    dual = [[den * x for x in row] for row in mat_inverse_fraction(h)]
+    return FracIdeal(order, *lattice_hnf(dual))
 
 
 class PrimeIdeal(FracIdeal):

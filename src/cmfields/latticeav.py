@@ -230,16 +230,6 @@ class TorsionModule:
         n = len(v)
         return [sum(A[i][j] * v[j] for j in range(n)) % self.m for i in range(n)]
 
-    def act_element_coords(self, r, v):
-        """Action of an order element (integer order-coordinates) on a coset."""
-        n = len(v)
-        out = [0] * n
-        for t, rt in enumerate(r):
-            if rt % self.m:
-                w = self._act(t, v)
-                out = [(o + rt * x) % self.m for o, x in zip(out, w)]
-        return out
-
     def is_generator(self, v):
         M = self._matrix_of(v)
         return math.gcd(_det_mod(M, self.m), self.m) == 1

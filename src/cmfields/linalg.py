@@ -1,25 +1,22 @@
-"""Exact linear algebra over Q and Z: Gauss, column HNF, Smith normal form.
+"""Exact linear algebra over Q, F_p and Z: Gauss-Jordan, column HNF, SNF.
 
 Matrices are lists of rows. Sizes in this package stay at or below 16x~256,
-so plain Fraction Gaussian elimination and textbook HNF/SNF are adequate.
+so plain Fraction elimination and textbook HNF/SNF are adequate.
+
+One Gauss-Jordan reduction over Q (`_gauss_jordan`) serves solving, inverting
+and kernels; `kernel_mod_p` is the one elimination over F_p. A rational
+lattice is carried as a canonical (den, integer HNF) pair built by
+`lattice_hnf`.
 """
 
+import math
 from fractions import Fraction
 
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
+from .intutil import xgcd
 
 
-def identity_matrix(n, one=1):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -31,10 +28,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def mat_frac(A):
-    return [[Fraction(x) for x in row] for row in A]
 
 
 def transpose(A):
@@ -62,90 +55,130 @@ def det_fraction(A):
     return det
 
 
+def _gauss_jordan(M, ncols):
+    """Reduce the Fraction rows M in place to reduced row echelon form.
+
+    Pivots are sought in the first ncols columns only (later columns are an
+    augmented right-hand side); returns the pivot columns, row r having its
+    pivot 1 in column pivots[r].
+    """
+    n = len(M)
+    pivots = []
+    for c in range(ncols):
+        row = len(pivots)
+        if row == n:
+            break
+        piv = next((r for r in range(row, n) if M[r][c] != 0), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = 1 / M[row][c]
+        M[row] = [x * inv for x in M[row]]
+        for r in range(n):
+            if r != row and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
+        pivots.append(c)
+    return pivots
+
+
+def _augmented(A, B):
+    return [list(map(Fraction, row)) + list(map(Fraction, extra)) for row, extra in zip(A, B)]
+
+
 def solve_fraction(A, b):
     """Solve A x = b for square invertible A over Q. Raises ValueError if singular."""
     n = len(A)
-    M = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(A, b)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [M[r][n] for r in range(n)]
+    M = _augmented(A, [[bv] for bv in b])
+    if len(_gauss_jordan(M, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n] for row in M]
 
 
 def solve_general(A, b):
     """Any rational solution x of A x = b (A is n x m), or None if inconsistent."""
-    n, m = len(A), len(A[0])
-    M = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(A, b)]
-    pivots = []
-    row = 0
-    for c in range(m):
-        piv = next((r for r in range(row, n) if M[r][c] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][c]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(n):
-            if r != row and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots.append(c)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if M[r][m] != 0:
-            return None
+    m = len(A[0])
+    M = _augmented(A, [[bv] for bv in b])
+    pivots = _gauss_jordan(M, m)
+    if any(row[m] != 0 for row in M[len(pivots):]):
+        return None
     x = [Fraction(0)] * m
-    for r, c in enumerate(pivots):
-        x[c] = M[r][m]
+    for row, c in zip(M, pivots):
+        x[c] = row[m]
     return x
 
 
 def mat_inverse_fraction(A):
+    """Inverse over Q, by reducing [A | I]. Raises ValueError if singular."""
     n = len(A)
-    cols = [solve_fraction(A, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return transpose(cols)
+    M = _augmented(A, identity_matrix(n))
+    if len(_gauss_jordan(M, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in M]
 
 
 def right_kernel_fraction(A):
     """Basis of {x : A x = 0} over Q."""
-    n, m = len(A), len(A[0])
+    m = len(A[0])
     M = [list(map(Fraction, row)) for row in A]
+    pivots = _gauss_jordan(M, m)
+    basis = []
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for row, pc in zip(M, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def kernel_mod_p(A, p):
+    """Basis vectors of the right kernel of the integer matrix A over F_p."""
+    n, m = len(A), len(A[0])
+    M = [[x % p for x in row] for row in A]
     pivots = []
-    row = 0
     for c in range(m):
-        piv = next((r for r in range(row, n) if M[r][c] != 0), None)
+        row = len(pivots)
+        piv = next((r for r in range(row, n) if M[r][c]), None)
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][c]
-        M[row] = [x * inv for x in M[row]]
+        inv = pow(M[row][c], -1, p)
+        M[row] = [x * inv % p for x in M[row]]
         for r in range(n):
-            if r != row and M[r][c] != 0:
+            if r != row and M[r][c]:
                 f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
+                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[row])]
         pivots.append(c)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis
+    out = []
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = [0] * m
+        v[fc] = 1
+        for row, pc in zip(M, pivots):
+            v[pc] = -row[fc] % p
+        out.append(v)
+    return out
+
+
+def lattice_hnf(cols, den=1):
+    """Canonical (den, H) for the lattice spanned by the rational columns over den.
+
+    H is the integer column HNF of the columns scaled by the lcm of their
+    denominators, and the pair is reduced by its content, so two lattices are
+    equal exactly when their pairs are.
+    """
+    scale = math.lcm(*(x.denominator for col in cols for x in col))
+    h = hnf_columns([[int(col[i] * scale) for col in cols] for i in range(len(cols[0]))])
+    den *= scale
+    g = math.gcd(den, *(x for row in h for x in row))
+    if g > 1:
+        h = [[x // g for x in row] for row in h]
+        den //= g
+    return den, h
 
 
 def _swap_cols(M, i, j):
@@ -225,7 +258,7 @@ def hnf_with_transform(A, want_transform=True):
             if b % a == 0:
                 colop_addmul(j, piv, -(b // a))
             else:
-                g, x, y = _xgcd(a, b)
+                g, x, y = xgcd(a, b)
                 colop_gcd(piv, j, x, y, -(b // g), a // g)
         if M[i][piv] < 0:
             colop_neg(piv)

@@ -203,14 +203,3 @@ def is_irreducible(f, p):
         return False
     dd = distinct_degree(monic(f, p), p)
     return len(dd) == 1 and dd[0][1] == n
-
-
-def from_rational(poly, p):
-    """Reduce a UniPoly with p-integral coefficients mod p."""
-    out = []
-    for c in poly.coeffs:
-        den = c.denominator % p
-        if den == 0:
-            raise ValueError(f"coefficient denominator divisible by {p}")
-        out.append(c.numerator % p * pow(den, -1, p) % p)
-    return trim(out)

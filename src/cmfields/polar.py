@@ -21,10 +21,6 @@ def _certified_im_sign(emb, elem):
     return emb.eval_refining(elem, lambda ball: ball.im_sign())
 
 
-def _certified_re_sign(emb, elem):
-    return emb.eval_refining(elem, lambda ball: ball.re_sign())
-
-
 def _imaginary_sign_pattern(cmtype, alpha):
     """signs[i] = certified sign of Im(phi_i(alpha)) for i in the type."""
     E = cmtype.cmfield.field

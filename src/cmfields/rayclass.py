@@ -323,9 +323,6 @@ class RayClassGroup:
         else:
             alpha = is_principal(work)
             assert alpha is not None, "nontrivial class in a trivial class group"
-        # alpha generates an ideal coprime to m only after a coprime scaling
-        from .ideals import coprime_scale
-
         alpha_ideal = FracIdeal.principal(self.order, alpha)
         if (
             math.gcd(int(alpha_ideal.scaled(alpha_ideal.den).norm()), m_norm) != 1
@@ -354,9 +351,7 @@ class RayClassGroup:
     def _residue_dlog_of_alpha(self, alpha):
         """dlog of a possibly non-integral alpha coprime to m: split num/den."""
         coords = self.order.coords_of(alpha)
-        den = 1
-        for c in coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in coords))
         num = self.order.element_from_coords([c * den for c in coords])
         dl_num = self._residue_dlog_of_element(num)
         if den == 1:

@@ -23,10 +23,6 @@ class UniPoly:
     def x(n=1):
         return UniPoly([0] * n + [1])
 
-    @staticmethod
-    def const(c):
-        return UniPoly([c])
-
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
@@ -166,10 +162,7 @@ class UniPoly:
         return all(c == 0 for c in self.coeffs[1::2])
 
     def denominator_lcm(self):
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return math.lcm(*(c.denominator for c in self.coeffs))
 
     def int_coeffs(self):
         """Integer coefficient list after clearing denominators (primitive not enforced)."""

@@ -96,19 +96,6 @@ def parse_quadruple(record):
     return TypeQuadruple(cmtype, ideal, t)
 
 
-def latticeav_to_wire(av):
-    return {
-        "cmtype": cmtype_to_wire(av.cmtype),
-        "lattice": ideal_to_wire(av.lattice),
-    }
-
-
-def amult_to_wire(lam):
-    out = latticeav_to_wire(lam.source)
-    out["ideal"] = ideal_to_wire(lam.ideal)
-    return out
-
-
 def group_report(group):
     return {
         "order": group.order_count,

@@ -124,8 +124,6 @@ class TestFinckePohst:
     def test_against_naive_box(self):
         # random positive definite Gram matrices: the enumerator must return
         # exactly the vectors a brute-force box search finds
-        import itertools
-
         from cmfields.principal import fincke_pohst
 
         rng = random.Random(31)
@@ -151,13 +149,31 @@ class TestFinckePohst:
             for i in range(n):
                 cap = bound * Ginv[i][i]
                 boxes.append(_math.isqrt(cap.numerator // cap.denominator) + 1)
-            naive = set()
-            for v in itertools.product(*[range(-b, b + 1) for b in boxes]):
-                if any(v):
-                    q = sum(G[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-                    if q <= bound:
-                        naive.add(v)
-            assert mine == naive, (G, bound)
+            assert mine == _naive_box(G, bound, boxes), (G, bound)
+
+
+def _naive_box(G, bound, boxes):
+    """Every nonzero v in the box with v^T G v <= bound, by exact int64 numpy.
+
+    The box is swept one value of the first coordinate at a time, so memory
+    stays at one slice of the remaining coordinates.
+    """
+    import numpy as np
+
+    # |v^T G v| stays far below 2^63, so the int64 sums are exact
+    assert sum(abs(g) for row in G for g in row) * max(boxes) ** 2 < 2**62
+    Gm = np.array(G, dtype=np.int64)
+    rest = np.zeros((1, 0), dtype=np.int64)  # the other coordinates, one row each
+    for b in boxes[1:]:
+        axis = np.arange(-b, b + 1, dtype=np.int64)
+        rest = np.hstack([np.repeat(rest, len(axis), axis=0), np.tile(axis, len(rest))[:, None]])
+    found = set()
+    for v0 in range(-boxes[0], boxes[0] + 1):
+        V = np.hstack([np.full((len(rest), 1), v0, dtype=np.int64), rest])
+        q = ((V @ Gm) * V).sum(axis=1)
+        hits = V[(q <= bound) & V.any(axis=1)]
+        found.update(tuple(int(x) for x in v) for v in hits)
+    return found
 
 
 class TestUniPoly:

@@ -5,13 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.polys.numberfields.basis import round_two
 
 from cmfields.closure import complex_conjugation
-from cmfields.errors import IndexDivisible, OrderMismatch
+from cmfields.errors import CMFieldsError, IndexDivisible, OrderMismatch
 from cmfields.ideals import FracIdeal, coprime_scale, colon_ideal, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
-from cmfields.orders import maximal_order
+from cmfields.orders import Order, maximal_order
 from cmfields.principal import is_principal, torsion_units
 from cmfields.unipoly import UniPoly
 
@@ -118,6 +122,41 @@ class TestNorms:
             if e.is_zero():
                 continue
             assert FracIdeal.principal(O, e).norm() == abs(e.norm())
+
+
+@st.composite
+def cm_biquadratic_coeffs(draw):
+    """(a, b) with a^2 > 4b > 0: every root of x^4+ax^2+b is purely imaginary."""
+    a = draw(st.integers(3, 40))
+    return a, draw(st.integers(1, (a * a - 1) // 4))
+
+
+class TestMaximalOrder:
+    # p-maximalization (the multiplier ring as a colon ideal) against sympy's
+    # independent Round Two on irreducible CM quartics x^4+ax^2+b
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(cm_biquadratic_coeffs())
+    @example((5, 1)).via("index 4")
+    @example((6, 1)).via("index 8")
+    @example((7, 1)).via("index 9")
+    @example((6, 3)).via("corpus quartic")
+    def test_discriminant_matches_round_two(self, ab):
+        a, b = ab
+        x = symbols("x")
+        f = Poly(x**4 + a * x**2 + b, x)
+        assume(f.is_irreducible)
+        O = maximal_order(NumberField(UniPoly([b, 0, a, 0, 1])))
+        _, dK = round_two(f)
+        assert O.disc() == dK
+
+    def test_order_rejects_a_basis_that_is_not_a_ring(self, gauss):
+        # 2Z + Zi misses 1; Z + Z(i/2) is not closed, (i/2)^2 = -1/4
+        for basis, reason in (
+            ([[2, 0], [0, 1]], "1 is not"),
+            ([[1, 0], [0, Fraction(1, 2)]], "closed"),
+        ):
+            with pytest.raises(CMFieldsError, match=reason):
+                Order(gauss, basis)
 
 
 class TestPrimeSplit:

@@ -1,16 +1,23 @@
 """Randomized validation of the exact linear algebra kernel."""
 
 import random
+from fractions import Fraction
+
+import pytest
+from sympy import GF, Matrix
+from sympy.polys.matrices import DomainMatrix
 
 from cmfields.linalg import (
     det_fraction,
     hnf_columns,
     hnf_with_transform,
+    kernel_mod_p,
     mat_inverse_fraction,
     mat_mul,
     right_kernel_fraction,
     snf_with_transform,
     solve_fraction,
+    solve_general,
 )
 
 
@@ -92,5 +99,46 @@ def test_kernel():
     for _ in range(100):
         n, m = rng.randint(1, 4), rng.randint(1, 6)
         A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        for v in right_kernel_fraction(A):
+        kernel = right_kernel_fraction(A)
+        assert len(kernel) == m - Matrix(A).rank()
+        for v in kernel:
             assert all(sum(A[i][j] * v[j] for j in range(m)) == 0 for i in range(n))
+
+
+def test_kernel_mod_p():
+    rng = random.Random(8)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5, 7])
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        kernel = kernel_mod_p(A, p)
+        assert len(kernel) == m - DomainMatrix.from_list(A, GF(p)).rank()
+        for v in kernel:
+            assert all(sum(A[i][j] * v[j] for j in range(m)) % p == 0 for i in range(n))
+
+
+def test_solve_general_underdetermined_and_inconsistent():
+    rng = random.Random(7)
+    for _ in range(100):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        A = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        # b in the column space: a solution exists and is returned
+        x0 = [rng.randint(-3, 3) for _ in range(m)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        x = solve_general(A, b)
+        assert [sum(a * xj for a, xj in zip(row, x)) for row in A] == b
+        # with y^T A = 0 and y != 0, y^T (b + y) = |y|^2 > 0: b + y has no solution
+        if Matrix(A).rank() < n:
+            y = [Fraction(int(c.p), int(c.q)) for c in Matrix(A).T.nullspace()[0]]
+            assert solve_general(A, [bi + yi for bi, yi in zip(b, y)]) is None
+    # a wide system: x + y = 1 has the solution with the free variable at 0
+    assert solve_general([[1, 1]], [1]) == [1, 0]
+    assert solve_general([[1, 2], [2, 4]], [1, 3]) is None
+
+
+def test_singular_matrix_raises():
+    for A in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError):
+            solve_fraction(A, [1] * len(A))
+        with pytest.raises(ValueError):
+            mat_inverse_fraction(A)

@@ -17,7 +17,6 @@ from cmfields.wire import (
     field_to_wire,
     group_report,
     ideal_to_wire,
-    latticeav_to_wire,
     parse_cmtype,
     parse_field,
     parse_ideal,
@@ -123,13 +122,20 @@ class TestCLI:
              "8f7d35a807c773b06df723dda2dd06a0943bfab326a188786e7bcad60e33dd90"),
             ("reflex-verify", [1, 0, 1], ["--samples", "5"],
              "b134578b9dedcf7c7142b9ad32c7e65b2329d9eb00da38181e9dec3110cc11c9"),
+            ("st", None, ["5", "300"],
+             "b4600f3a4b652b671094bdf7f4bba3ad732fb2f6b485fb36f34df233507e8f26"),
+            ("reflex-verify", [3, 0, 6, 0, 1], ["--samples", "3"],
+             "2f4dce232c0a9a6b04af5644e3fdd3c3504a3b40b630f554c4418ca780727b36"),
         ],
-        ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss"],
+        ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss", "st-default",
+             "reflex-verify-quartic"],
     )
     def test_golden_record_stream(self, field_file, capsys, command, coeffs, extra, digest):
         # SHA-256 of the whole stdout record stream, fixed for these inputs,
-        # seed and version: a refactor or speed-up must leave it unchanged
-        code = main(["--seed", "9", command, field_file(coeffs)] + extra)
+        # seed and version: a refactor or speed-up must leave it unchanged;
+        # coeffs None stands for the built-in corpus
+        target = "default" if coeffs is None else field_file(coeffs)
+        code = main(["--seed", "9", command, target] + extra)
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
