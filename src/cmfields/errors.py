@@ -33,6 +33,10 @@ class ConjugatesMissing(CMFieldsError):
     """The given field does not contain all conjugates of E."""
 
 
+class InvariantViolated(CMFieldsError):
+    """An identity the algorithms guarantee failed to hold; indicates an implementation bug."""
+
+
 class RootNotExact(CMFieldsError):
     """The ideal to be rooted is not an exact power; indicates an implementation bug."""
 

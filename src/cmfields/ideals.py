@@ -3,24 +3,31 @@
 A FracIdeal is (1/den) times the lattice spanned by the columns of an integer
 matrix in column Hermite normal form, coordinates taken in the order basis.
 The HNF with minimal denominator is a canonical representative, so equality
-is matrix equality. Products, sums, colon ideals (via lattice duality; the
-multiplier ring of `orders` is one), Dedekind splitting in the maximal order,
-valuations, and the coprime-scaling lemma live here.
+is matrix equality. Products, sums, colon ideals, Dedekind splitting in the
+maximal order, valuations, and the coprime-scaling lemma live here.
+
+Both hot paths run on integers only. A colon ideal is a lattice dual taken
+with integer adjugates of triangular HNFs (the multiplier ring of `orders`
+is one). A valuation at a prime P uses the anti-uniformizer that
+`prime_split` stores with P, an integral beta with v_P(beta/p) = -1 (Cohen
+1993, Alg. 4.8.17), so no prime inverse is ever built.
 """
 
 import math
 from fractions import Fraction
 
 from . import modpoly
-from .errors import IndexDivisible, OrderMismatch, ZeroIdeal
+from .errors import IndexDivisible, InvariantViolated, OrderMismatch, ZeroIdeal
 from .intutil import factorize
 from .linalg import (
     hnf_columns,
     hnf_with_transform,
+    kernel_mod_p,
     lattice_hnf,
-    mat_inverse_fraction,
     mat_mul,
+    mat_vec,
     transpose,
+    triangular_adjugate,
 )
 
 
@@ -179,20 +186,28 @@ class FracIdeal:
         return self * FracIdeal.principal(self.order, elem)
 
     def valuation(self, prime):
-        """Exact valuation of this fractional ideal at a prime ideal."""
+        """Exact valuation of this fractional ideal at a prime of the maximal order.
+
+        With beta the prime's anti-uniformizer, an integral x lies in P exactly
+        when beta*x/p is integral, and beta*x/p is again integral with v_P one
+        less (Cohen 1993, Alg. 4.8.17). So v_P of the integer lattice is the
+        number of times every HNF column c stays integral under c -> B c / p,
+        B the matrix of beta; v_P(den) is e * ord_p(den).
+        """
         if prime.order != self.order:
             raise OrderMismatch("prime of a different order")
-        v_den = prime.e * _ord_p(self.den, prime.p)
-        num = self.scaled(self.den)
-        pinv = prime.cached_inverse()
+        p, B = prime.p, prime.beta_matrix
+        cols = self.basis_columns()
         v = 0
         while True:
-            nxt = num * pinv
-            if not nxt.is_integral():
-                break
-            num = nxt
+            nxt = []
+            for c in cols:
+                y = mat_vec(B, c)
+                if any(x % p for x in y):
+                    return v - prime.e * _ord_p(self.den, p)
+                nxt.append([x // p for x in y])
+            cols = nxt
             v += 1
-        return v - v_den
 
     def _check(self, other):
         if not isinstance(other, FracIdeal) or other.order != self.order:
@@ -212,28 +227,42 @@ def _ord_p(n, p):
 
 
 def colon_ideal(b, a):
-    """The colon ideal (b : a) = {x in E : x*a <= b}, via lattice duality."""
+    """The colon ideal (b : a) = {x in E : x*a <= b}, via lattice duality.
+
+    (b : a) is the intersection of the lattices M_v^{-1} b over a basis v of
+    a: the dual of the sum of their duals, whose basis columns are the rows of
+    b^{-1} M_v (Cohen 1993, §4.8.3). Every inverse is of a triangular HNF,
+    H^{-1} = adj(H) / det(H), so the work is on integer matrices throughout.
+    """
     if a.order != b.order:
         raise OrderMismatch("ideals of different orders")
     order = a.order
-    # (b : a) is the intersection of the lattices M_v^{-1} b over a basis v of
-    # a: the dual of the sum of their duals, whose basis columns are the rows
-    # of b^{-1} M_v
-    b_inv = mat_inverse_fraction([[Fraction(x, b.den) for x in row] for row in b.hnf])
+    # b^{-1} = b.den adj(H_b) / det(H_b) and v = col / a.den, so the rows of
+    # b^{-1} M_v are the integer rows of (b.den adj(H_b)) M_col over det(H_b) a.den
+    det_b, adj_b = triangular_adjugate(b.hnf)
+    adj_b = [[b.den * x for x in row] for row in adj_b]
     cols = []
     for col in a.basis_columns():
-        Mv = order.mult_matrix_coords([Fraction(c, a.den) for c in col])
-        cols.extend(mat_mul(b_inv, Mv))
-    den, h = lattice_hnf(cols)
-    # the sum is h/den; its dual has the rows of den * h^{-1} as columns
-    dual = [[den * x for x in row] for row in mat_inverse_fraction(h)]
-    return FracIdeal(order, *lattice_hnf(dual))
+        cols.extend(mat_mul(adj_b, order.mult_matrix_coords(col)))
+    den, h = lattice_hnf(cols, det_b * a.den)
+    # the sum is h/den; its dual has the rows of den h^{-1} = den adj(h) / det(h)
+    # as columns
+    det_h, adj_h = triangular_adjugate(h)
+    dual = [[den * x for x in row] for row in adj_h]
+    return FracIdeal(order, *lattice_hnf(dual, det_h))
 
 
 class PrimeIdeal(FracIdeal):
-    """A prime ideal with its splitting data and a two-element representation."""
+    """A prime P = pO + second_gen*O of the maximal order, with its anti-uniformizer.
 
-    __slots__ = ("p", "e", "f", "second_gen", "_inv", "_pullbacks")
+    beta is the first vector of the kernel mod p of multiplication by
+    second_gen, so beta*P <= pO while beta is not in pO: beta/p lies in P^{-1}
+    but not in O, so v_P(beta/p) = -1 and beta/p is integral at every other
+    prime. For an inert prime second_gen is in pO and beta is the first basis
+    element. beta_matrix is the integer matrix of multiplication by beta.
+    """
+
+    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix", "_pullbacks")
 
     def __init__(self, order, den, hnf, p, e, f, second_gen):
         super().__init__(order, den, hnf)
@@ -241,16 +270,13 @@ class PrimeIdeal(FracIdeal):
         self.e = e
         self.f = f
         self.second_gen = second_gen
-        self._inv = None
+        gen = [int(c) for c in order.coords_of(second_gen)]
+        beta = kernel_mod_p(order.mult_matrix_coords(gen), p)[0]
+        self.beta_matrix = order.mult_matrix_coords(beta)
         self._pullbacks = None
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
-
-    def cached_inverse(self):
-        if self._inv is None:
-            self._inv = self.inverse()
-        return self._inv
 
     def two_element_like_generators(self):
         return [self.order.field.one() * self.p, self.second_gen]
@@ -289,15 +315,18 @@ def prime_split(p, order):
             power = power * theta
         ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
         out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, f_deg, gi_elem))
-    assert sum(P.e * P.f for P in out) == n, "Dedekind splitting incomplete"
+    if sum(P.e * P.f for P in out) != n:
+        raise InvariantViolated(f"Dedekind splitting of {p} incomplete")
     for P in out:
-        assert P.norm() == Fraction(p) ** P.f
+        if P.norm() != Fraction(p) ** P.f:
+            raise InvariantViolated(f"a prime above {p} has norm {P.norm()}, not {p}^{P.f}")
     if p < 100000:
         # full product verification is quadratic in log(p); spot-checked above that
         prod = FracIdeal.unit_ideal(order)
         for P in out:
             prod = prod * P**P.e
-        assert prod == FracIdeal.principal(order, field.one() * p), "prime product mismatch"
+        if prod != FracIdeal.principal(order, field.one() * p):
+            raise InvariantViolated(f"the primes above {p} do not multiply to {p}O")
     out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
     cache[p] = out
     return out
@@ -311,7 +340,7 @@ def factor_ideal(a):
     """
     order = a.order
     if isinstance(a, PrimeIdeal):
-        # return the cached instance so valuation caches are shared
+        # return the instance of prime_split's cache, so per-prime caches are shared
         for P in prime_split(a.p, order):
             if P == a:
                 return {P: 1}
@@ -339,7 +368,8 @@ def coprime_scale(a, m):
     # c in a: the last basis element (any nonzero element of a works)
     c = a.basis_elements()[-1]
     cofactor = FracIdeal.principal(order, c) * a.inverse()
-    assert cofactor.is_integral()
+    if not cofactor.is_integral():
+        raise InvariantViolated("c/a is not integral for c in a")
     support = set() if cofactor.norm() == 1 else set(factorize(int(cofactor.norm())).keys())
     if m > 1:
         support |= set(factorize(m).keys())
@@ -371,9 +401,10 @@ def coprime_scale(a, m):
         a_star = a_star + x * t
     scalar = a_star / c
     b = a.mult_by_element(scalar)
-    assert b.is_integral()
-    if m > 1:
-        assert math.gcd(int(b.norm()), m) == 1, "coprime scaling failed"
+    if not b.is_integral():
+        raise InvariantViolated("the scaled ideal is not integral")
+    if m > 1 and math.gcd(int(b.norm()), m) != 1:
+        raise InvariantViolated(f"coprime scaling failed: norm {b.norm()} meets {m}")
     return scalar, b
 
 
@@ -389,11 +420,13 @@ def _split_one(I, J):
     # express 1 in terms of the HNF columns (triangular solve), then pull back
     target = [Fraction(c) for c in order.one_coords]
     r = len(H[0])
-    assert r == n, "ideals do not span"
+    if r != n:
+        raise InvariantViolated("ideals do not span")
     y = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         q = target[i] / H[i][i]
-        assert q.denominator == 1, "1 not in I + J: ideals not coprime"
+        if q.denominator != 1:
+            raise InvariantViolated("1 not in I + J: ideals not coprime")
         y[i] = q
         for k in range(i + 1):
             target[k] -= q * H[k][i]
@@ -410,7 +443,8 @@ def _split_one(I, J):
             for i in range(n):
                 t_coords[i] += w * Fraction(J.hnf[i][j])
     t = order.element_from_coords(t_coords)
-    assert J.contains(t)
-    one = order.field.one()
-    assert I.contains(one - t)
+    if not J.contains(t):
+        raise InvariantViolated("the CRT element is not in J")
+    if not I.contains(order.field.one() - t):
+        raise InvariantViolated("the CRT element is not 1 mod I")
     return t

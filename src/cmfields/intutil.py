@@ -92,17 +92,37 @@ def next_prime(n):
 
 
 def _pollard_rho(n, seed=1):
+    """A nontrivial factor of the odd composite n, or None for this seed.
+
+    Brent's variant of Pollard rho (Brent 1980): the walk y -> y^2 + seed is
+    compared with the saved point x at power-of-two distances, and the
+    differences are multiplied together so that one gcd covers 100 steps.
+    When a batch gcd is n, the batch is replayed one gcd per step.
+    """
     if n % 2 == 0:
         return 2
-    x = y = 2
+    batch = 100
     c = seed
-    d = 1
-    while d == 1:
-        x = (x * x + c) % n
-        y = (y * y + c) % n
-        y = (y * y + c) % n
-        d = math.gcd(abs(x - y), n)
-    return d if d != n else None
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(batch, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += batch
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g if g != n else None
 
 
 def factorize(n):

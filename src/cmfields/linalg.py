@@ -6,7 +6,8 @@ so plain Fraction elimination and textbook HNF/SNF are adequate.
 One Gauss-Jordan reduction over Q (`_gauss_jordan`) serves solving, inverting
 and kernels; `kernel_mod_p` is the one elimination over F_p. A rational
 lattice is carried as a canonical (den, integer HNF) pair built by
-`lattice_hnf`.
+`lattice_hnf`, and the inverse of such an HNF is its integer adjugate over
+its determinant (`triangular_adjugate`), with no Fraction arithmetic.
 """
 
 import math
@@ -162,6 +163,23 @@ def kernel_mod_p(A, p):
             v[pc] = -row[fc] % p
         out.append(v)
     return out
+
+
+def triangular_adjugate(H):
+    """(det, adj) of a square upper-triangular integer H with nonzero diagonal.
+
+    adj = det * H^-1 is upper triangular; it is found column by column by
+    back-substitution, and every division is exact because adj is integral.
+    """
+    n = len(H)
+    det = math.prod(H[i][i] for i in range(n))
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = det // H[j][j]
+        for i in range(j - 1, -1, -1):
+            s = sum(H[i][k] * adj[k][j] for k in range(i + 1, j + 1))
+            adj[i][j] = -s // H[i][i]
+    return det, adj
 
 
 def lattice_hnf(cols, den=1):

@@ -1,11 +1,13 @@
 """Integer utilities, mod-p polynomial factorization, and polynomial basics."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, nextprime
 
 from cmfields import modpoly
 from cmfields.intutil import (
@@ -48,6 +50,20 @@ class TestIntUtil:
                 assert is_prime(p)
                 prod *= p**e
             assert prod == n
+
+    # Pollard rho against sympy on products of 2-3 primes of 16-40 bits and on
+    # prime powers; every prime is below 2^40 + 2^16
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.integers(1 << 15, 1 << 40), min_size=2, max_size=3),
+        st.tuples(st.integers(1 << 15, 1 << 40), st.integers(2, 4)).map(
+            lambda t: [t[0]] * t[1]),
+    ))
+    def test_factorize_matches_sympy(self, starts):
+        n = math.prod(nextprime(s) for s in starts)
+        fac = factorize(n)
+        assert list(fac) == sorted(fac)
+        assert fac == factorint(n)
 
     def test_roots(self):
         assert isqrt_exact(144) == 12 and isqrt_exact(145) is None

@@ -1,21 +1,28 @@
 """Fractional-ideal arithmetic: worked examples, invariants, oracle agreement."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, symbols
+from sympy import Matrix, Poly, factorint, ilcm, multiplicity, symbols
+from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.numberfields.basis import round_two
 
-from cmfields.closure import complex_conjugation
+from cmfields import ideals
+from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.errors import CMFieldsError, IndexDivisible, OrderMismatch
 from cmfields.ideals import FracIdeal, coprime_scale, colon_ideal, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
-from cmfields.orders import Order, maximal_order
+from cmfields.orders import Order, _p_radical_lattice, equation_order, maximal_order
 from cmfields.principal import is_principal, torsion_units
 from cmfields.unipoly import UniPoly
 
@@ -30,6 +37,70 @@ def random_ideal(order, rng, prime_bound=40, factors=2):
         P = rng.choice(prime_split(p, order))
         out = out * P ** rng.choice([1, 1, 2, -1])
     return out
+
+
+def closure_order(field):
+    return maximal_order(splitting_data(field).closure)
+
+
+def primes_below(order, bound):
+    """Every prime of the maximal order above p < bound, p prime to the index."""
+    return [
+        P for p in primes_up_to(bound - 1) if order.equation_index % p
+        for P in prime_split(p, order)
+    ]
+
+
+def inverse_by_products(P):
+    """P^-1 = (1/p) P^(e-1) prod_{Q != P} Q^e_Q over the primes Q above p: no colon ideal."""
+    out = P ** (P.e - 1)
+    for Q in prime_split(P.p, P.order):
+        if Q != P:
+            out = out * Q**Q.e
+    return out.scaled(Fraction(1, P.p))
+
+
+def valuation_by_containment(I, P):
+    """v_P(I) as the largest k with I X <= P^k, from `contains_ideal` and products.
+
+    X is an integral ideal prime to P that clears the denominators of I at the
+    other primes (v_Q(I) >= -e_Q ord_q(den) for Q above q), so I X <= P^k
+    exactly when v_P(I) >= k; the search starts at k = -e ord_p(den), which
+    always holds.
+    """
+    order = I.order
+    X = FracIdeal.unit_ideal(order)
+    for q, m in factorint(I.den).items():
+        for Q in prime_split(q, order):
+            if Q != P:
+                X = X * Q ** (Q.e * m)
+    J = I * X
+    k = -P.e * multiplicity(P.p, I.den)
+    power = inverse_by_products(P) ** -k
+    assert power.contains_ideal(J)
+    while (power * P).contains_ideal(J):
+        power = power * P
+        k += 1
+    return k
+
+
+def colon_by_fraction_duality(b, a):
+    """Basis columns of (b : a) by the Fraction formula, in sympy: the dual of
+    the lattice spanned by the rows of b^{-1} M_v over the basis v of a."""
+    order = a.order
+    b_inv = (Matrix(b.hnf) / b.den).inv()
+    rows = []
+    for col in a.basis_columns():
+        N = b_inv * Matrix(order.mult_matrix_coords(col)) / a.den
+        rows.extend(N.row(i) for i in range(order.degree))
+    G = Matrix.vstack(*rows).T
+    d = ilcm(*[x.q for x in G])
+    S = hermite_normal_form((G * d).applyfunc(int)) / d
+    return S.T.inv()
+
+
+def same_lattice(A, B):
+    return all(x.is_integer for x in A.inv() * B) and all(x.is_integer for x in B.inv() * A)
 
 
 class TestProducts:
@@ -87,6 +158,41 @@ class TestInverse:
         for _ in range(15):
             a, b = random_ideal(O, rng), random_ideal(O, rng)
             assert colon_ideal(b, a) == b * a.inverse()
+
+    def test_colon_is_the_quotient_by_containment_and_norm(self, zeta5, quartic):
+        # in a Dedekind domain (b : a) = b a^-1: c a <= b forces c <= b a^-1,
+        # and equal norms then force equality
+        for O, seed, count in ((maximal_order(zeta5), 17, 20), (closure_order(quartic), 18, 6)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                a, b = random_ideal(O, rng), random_ideal(O, rng)
+                c = colon_ideal(b, a)
+                assert b.contains_ideal(c * a)
+                assert c.norm() == b.norm() / a.norm()
+
+    def test_colon_matches_fraction_duality_on_a_non_maximal_order(self):
+        # x^4+5x^2+1 has equation-order index 4; p-maximalization at 2 takes
+        # the colon ideal (R : R) of the 2-radical R of Z[theta]
+        K = NumberField(UniPoly([1, 0, 5, 0, 1]))
+        O = equation_order(K)
+        theta = K.gen()
+        rad = FracIdeal(O, 1, _p_radical_lattice(O, 2))
+        cases = [
+            rad,
+            rad * rad,
+            FracIdeal.unit_ideal(O),
+            FracIdeal.from_generators(O, [K.one() * 3, theta + 1]),
+            FracIdeal.principal(O, (theta * theta + theta * 3) / 2),
+        ]
+        for a in cases:
+            for b in cases:
+                c = colon_ideal(b, a)
+                assert same_lattice(Matrix(c.hnf) / c.den, colon_by_fraction_duality(b, a))
+        # the multiplier ring of R holds Z[theta] with index 4: one step of
+        # p-maximalization reaches the index of the maximal order
+        ring = colon_ideal(rad, rad)
+        assert ring.contains_ideal(FracIdeal.unit_ideal(O)) and ring.norm() == Fraction(1, 4)
+        assert maximal_order(K).equation_order_index() == 4
 
 
 class TestNorms:
@@ -146,7 +252,14 @@ class TestMaximalOrder:
         f = Poly(x**4 + a * x**2 + b, x)
         assume(f.is_irreducible)
         O = maximal_order(NumberField(UniPoly([b, 0, a, 0, 1])))
+        # disc(f) = [O_K : Z[theta]]^2 d_K holds for the true d_K
+        disc_f = int(f.discriminant())
+        assert disc_f == O.disc() * O.equation_order_index() ** 2
         _, dK = round_two(f)
+        # sympy's round_two breaks that identity on some inputs, so it is no
+        # oracle there: on x^4+16x^2+45 its basis holds 1/3 and dK = 51342 does
+        # not divide 4158720 (it gives 462080 on x^4+1620x^2+40500, the same field)
+        assume(dK != 0 and disc_f % dK == 0 and math.isqrt(disc_f // dK) ** 2 == disc_f // dK)
         assert O.disc() == dK
 
     def test_order_rejects_a_basis_that_is_not_a_ring(self, gauss):
@@ -191,6 +304,91 @@ class TestPrimeSplit:
         assert OL.equation_index % 3 == 0
         with pytest.raises(IndexDivisible):
             prime_split(3, OL)
+
+    def test_valuations_match_containment(self, zeta5, quartic):
+        # every prime above p < 30, against the largest k with I X <= P^k
+        kinds = set()
+        for O, seed in ((maximal_order(zeta5), 23), (closure_order(quartic), 24)):
+            rng = random.Random(seed)
+            primes = primes_below(O, 30)
+            kinds |= {(P.e > 1, P.f == O.degree, P.e == P.f == 1) for P in primes}
+            P, Q = primes[0], primes[-1]
+            cases = [
+                P**2 * Q,
+                P * Q**3,
+                (P**2).scaled(Fraction(1, P.p * Q.p)),
+                random_ideal(O, rng, prime_bound=30),
+                random_ideal(O, rng, prime_bound=30).scaled(Fraction(Q.p, P.p**2)),
+                FracIdeal.principal(O, O.field.element([rng.randint(-4, 4) for _ in range(O.degree)])
+                                    + O.field.one() * 7),
+            ]
+            for I in cases:
+                for R in primes:
+                    assert I.valuation(R) == valuation_by_containment(I, R), (I, R)
+        # ramified, inert and unramified degree-one primes all occur
+        assert any(k[0] for k in kinds) and any(k[1] for k in kinds) and any(k[2] for k in kinds)
+
+    def test_factor_ideal_builds_no_prime_inverse(self, zeta5, quartic, monkeypatch):
+        # valuations use the prime's anti-uniformizer; with the colon ideal and
+        # the inverse made to raise, factoring still works, new primes included
+        cases = []
+        orders = [maximal_order(zeta5), closure_order(quartic)]
+        for O, seed in zip(orders, (41, 42)):
+            rng = random.Random(seed)
+            primes = primes_below(O, 40)
+            for _ in range(4):
+                exps = {}
+                for _ in range(2):
+                    P = rng.choice(primes)
+                    exps[P] = exps.get(P, 0) + rng.choice([1, 2, -1])
+                I = FracIdeal.unit_ideal(O)
+                for P, k in exps.items():
+                    I = I * P**k
+                cases.append((I, {P: k for P, k in exps.items() if k}))
+
+        def refuse(*args):
+            raise AssertionError("an ideal inverse was built")
+
+        monkeypatch.setattr(ideals, "colon_ideal", refuse)
+        monkeypatch.setattr(FracIdeal, "inverse", refuse)
+        for I, expected in cases:
+            assert factor_ideal(I) == expected
+        for O, q in zip(orders, (59, 61)):
+            # drop any cached split so prime_split builds the primes here
+            O._prime_cache.pop(q, None)
+            split = prime_split(q, O)
+            for P in split:
+                expected = {Q: -Q.e for Q in split}
+                expected[P] += 3
+                expected = {Q: k for Q, k in expected.items() if k}
+                assert factor_ideal((P**3).scaled(Fraction(1, q))) == expected
+
+    def test_prime_split_checks_survive_optimize(self):
+        # the splitting identities are real checks: under python -O, a
+        # factorization mod p that lost a factor still raises InvariantViolated
+        code = textwrap.dedent("""
+            from cmfields import modpoly
+            from cmfields.errors import InvariantViolated
+            from cmfields.ideals import prime_split
+            from cmfields.numfield import NumberField
+            from cmfields.orders import maximal_order
+            from cmfields.unipoly import UniPoly
+
+            O = maximal_order(NumberField(UniPoly([1, 1, 1, 1, 1])))
+            factor = modpoly.factor
+            modpoly.factor = lambda g, p: factor(g, p)[1:]
+            print("debug", __debug__)
+            try:
+                prime_split(11, O)
+            except InvariantViolated as exc:
+                print("raised", exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "debug False", "raised Dedekind splitting of 11 incomplete"]
 
     def test_valuations(self, sqrt5):
         O = maximal_order(sqrt5)

@@ -1,9 +1,12 @@
 """Randomized validation of the exact linear algebra kernel."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
@@ -18,6 +21,7 @@ from cmfields.linalg import (
     snf_with_transform,
     solve_fraction,
     solve_general,
+    triangular_adjugate,
 )
 
 
@@ -142,3 +146,25 @@ def test_singular_matrix_raises():
             solve_fraction(A, [1] * len(A))
         with pytest.raises(ValueError):
             mat_inverse_fraction(A)
+
+
+@st.composite
+def upper_triangular_hnfs(draw):
+    """Square column HNFs: positive diagonal, entries right of a pivot in [0, pivot)."""
+    n = draw(st.integers(1, 8))
+    diag = [draw(st.integers(1, 60)) for _ in range(n)]
+    return [
+        [diag[i] if j == i else draw(st.integers(0, diag[i] - 1)) if j > i else 0
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(upper_triangular_hnfs())
+def test_triangular_adjugate(H):
+    n = len(H)
+    det, adj = triangular_adjugate(H)
+    assert det == math.prod(H[i][i] for i in range(n))
+    # det != 0, so H adj = det I determines adj
+    assert mat_mul(H, adj) == [[det if i == j else 0 for j in range(n)] for i in range(n)]
