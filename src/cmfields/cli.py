@@ -3,7 +3,8 @@
 Machine-readable records (one JSON object per line, sorted keys) go to
 stdout; the human summary goes to stderr. Output is byte-identical for
 identical inputs, seed, and version. Exit codes: 0 success, 1 identity or
-verification failure, 2 usage/parse error, 3 closure too large.
+verification failure, 2 usage/parse error or a refused curve corpus, 3 closure
+too large.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from .cmreflex import (
     reflex_field,
     verify_reflex_identities,
 )
-from .errors import ClosureTooLarge, Supersingular
+from .errors import BadCorpus, ClosureTooLarge, Supersingular
 from .intutil import primes_up_to
 from .stverify import (
     DEFAULT_CORPUS,
@@ -161,8 +162,12 @@ def cmd_st(args):
         corpus = list(DEFAULT_CORPUS)
     else:
         corpus = _load_json(args.corpus_file)
+    try:
+        curves = [load_curve(rec) for rec in corpus]
+    except BadCorpus as exc:
+        print(f"corpus refused: {exc}", file=sys.stderr)
+        return 2
     _emit(args, _config_header(args, "st"))
-    curves = [load_curve(rec) for rec in corpus]
     all_ok = True
     rows = []
     for ci, curve in enumerate(curves):

@@ -73,6 +73,10 @@ class Supersingular(CMFieldsError):
     """The reduction is supersingular; no commutative CM Frobenius lift."""
 
 
+class BadCorpus(CMFieldsError):
+    """A curve record is refused: its field is not CM, or its discriminant or CM endomorphism data do not fit the field."""
+
+
 class IdentificationFailed(CMFieldsError):
     """Frobenius endomorphism matching failed; model and CM data are inconsistent."""
 

@@ -1,32 +1,48 @@
 """Shimura-Taniyama verification on CM elliptic curves over prime fields.
 
-Point counts are exact brute-force enumeration; the Frobenius element pi in
-O_E is pinned down by matching the q-power Frobenius against r + s*(CM endo)
-on random points over F_{p^2}, with the CM embedding into F_p fixed by the
-tangent (invariant differential) action. The ideal identity, the valuation
+Point counts are exact: Shanks-Mestre baby-step giant-step on the curve and
+its quadratic twist for p > 229, a count over every x below that. The
+Frobenius element pi in O_E is pinned down by matching the p-power Frobenius
+against r + s*(CM endo) on random points over F_{p^2}, with the CM embedding
+into F_p fixed by the tangent (invariant differential) action; the tangent
+root and every square root in F_p and F_{p^2} come from Tonelli-Shanks, so
+no step above p = 229 scans all of F_p. The ideal identity, the valuation
 identities, and the reflex-norm form of the Frobenius class are then exact
 ideal computations.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from .closure import splitting_data
-from .cmreflex import CMType, cm_check, conjugate_ideal, reflex_field, reflex_norm_ideal
+from .cmreflex import (
+    CMField,
+    CMType,
+    cm_check,
+    conjugate_ideal,
+    reflex_field,
+    reflex_norm_ideal,
+)
 from .errors import (
+    BadCorpus,
     BudgetExceeded,
     IdentificationFailed,
+    InvariantViolated,
     RamifiedPrime,
     Supersingular,
 )
 from .ideals import FracIdeal, prime_split
-from .intutil import is_prime, isqrt_exact
+from .intutil import factorize, is_prime, isqrt_exact, sqrt_mod
 from .numfield import NumberField
 from .orders import maximal_order
 from .unipoly import UniPoly
 
 POINT_BUDGET = 10**6
 MATCH_POINTS = 20
+# Mestre: above this prime the curve or its twist has a point whose order
+# has exactly one multiple in the Hasse interval
+MESTRE_BOUND = 229
 
 
 class CurveFp:
@@ -48,18 +64,87 @@ class CurveFp:
 
 
 def count_points(curve, budget=POINT_BUDGET):
-    """#C(F_p) including the point at infinity, by exact enumeration."""
+    """#C(F_p) including the point at infinity, exactly.
+
+    For p <= 229, by counting the square roots of x^3 + a4 x + a6 for every
+    x. Above that, by Shanks-Mestre (Cohen 1993, §7.4): scanning
+    x = 0, 1, ..., each x gives a point of C, or, when x^3 + a4 x + a6 is not
+    a square, a point (d x, d sqrt(d (x^3 + a4 x + a6))) of the twist
+    C': y^2 = x^3 + d^2 a4 x + d^3 a6 by the field's non-residue d, and
+    #C + #C' = 2p + 2. The exact order of each point (baby-step giant-step
+    over the Hasse interval, then factorize) divides #C, respectively
+    2p + 2 - #C, which filters the candidates in
+    [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)].
+
+    The scan ends: it visits at most p values of x, and these give every
+    point of C and of C' up to sign (a root of the cubic gives a point of
+    order 2 on both, and 2 | #C exactly when 2 | #C'). For p > 229, Mestre's
+    theorem gives C or C' a point whose order has exactly one multiple in the
+    Hasse interval, so one candidate is left at the latest when that point is
+    reached; usually one or two points suffice. Any other outcome raises
+    InvariantViolated.
+    """
     p = curve.p
     if p >= budget:
-        raise BudgetExceeded(f"p = {p} exceeds the naive counting budget {budget}")
-    counts = [0] * p
-    for y in range(p):
-        counts[y * y % p] += 1
+        raise BudgetExceeded(f"p = {p} exceeds the point-count budget {budget}")
     a4, a6 = curve.a4, curve.a6
-    total = 1
+    if p <= MESTRE_BOUND:
+        counts = [0] * p
+        for y in range(p):
+            counts[y * y % p] += 1
+        total = 1
+        for x in range(p):
+            total += counts[(x * x % p * x + a4 * x + a6) % p]
+        return total
+    F = _GF2(p)
+    d = F.ns
+    twist_a4 = d * d * a4 % p
+    h = math.isqrt(4 * p)
+    lo, hi = p + 1 - h, p + 1 + h
+    candidates = list(range(lo, hi + 1))
     for x in range(p):
-        total += counts[(x * x % p * x + a4 * x + a6) % p]
-    return total
+        fx = (x * x % p * x + a4 * x + a6) % p
+        y = sqrt_mod(fx, p)
+        if y is not None:
+            m = _point_order(F, a4, (x, 0, y, 0), lo, hi)
+            candidates = [n for n in candidates if n % m == 0]
+        else:
+            y = d * sqrt_mod(d * fx, p) % p
+            m = _point_order(F, twist_a4, (d * x % p, 0, y, 0), lo, hi)
+            candidates = [n for n in candidates if (2 * p + 2 - n) % m == 0]
+        if len(candidates) <= 1:
+            break
+    if len(candidates) != 1:
+        raise InvariantViolated(f"{len(candidates)} point counts left at p = {p}")
+    return candidates[0]
+
+
+def _point_order(F, a4, P, lo, hi):
+    """The exact order of P, given that its curve's order lies in [lo, hi].
+
+    Baby steps j P (0 <= j < m) and giant steps (lo + i m) P with m^2 > hi - lo
+    find one multiple n of the order in [lo, hi]; dividing n by each of its
+    primes while the quotient still kills P leaves the order.
+    """
+    m = math.isqrt(hi - lo) + 1
+    baby = {}
+    R = None
+    for j in range(m):
+        baby.setdefault(R, j)
+        R = _ec_add(F, a4, R, P)
+    Q = _ec_mul(F, a4, lo, P)
+    for i in range(m):
+        j = baby.get(_ec_neg(F, Q))
+        if j is not None:
+            break
+        Q = _ec_add(F, a4, Q, R)
+    else:
+        raise InvariantViolated(f"no multiple of a point order in [{lo}, {hi}]")
+    n = lo + i * m + j
+    for q in factorize(n):
+        while n % q == 0 and _ec_mul(F, a4, n // q, P) is None:
+            n //= q
+    return n
 
 
 class CMCurveQ:
@@ -76,7 +161,8 @@ class CMCurveQ:
         self.cmfield = cmfield
         self.tangent = tangent
         mp = tangent.min_poly_over_q()
-        assert mp.degree == 2, "tangent multiplier must generate E"
+        if mp.degree != 2:
+            raise BadCorpus("tangent multiplier must generate E")
         self.tangent_min_poly = mp
 
     def __repr__(self):
@@ -97,20 +183,19 @@ class CMCurveQ:
         mp = self.tangent_min_poly
         for p in sample_primes:
             try:
-                data = _reduction_data(self, p)
+                F, red, c, scale = _reduction_data(self, p)
             except (Supersingular, RamifiedPrime, ValueError):
                 continue
-            F, curve, c = data
             for _ in range(5):
-                P = _random_point(F, curve, rng)
-                if not _on_curve(F, curve, _endo(F, c, P)):
+                P = _random_point(F, red, rng)
+                if not _on_curve(F, red, _endo(F, scale, P)):
                     return False
                 acc = None
                 power = P
                 for coeff in mp.coeffs:
                     k = int(coeff)
-                    acc = _ec_add(F, curve, acc, _ec_mul(F, curve, k, power))
-                    power = _endo(F, c, power)
+                    acc = _ec_add(F, red[0], acc, _ec_mul(F, red[0], k, power))
+                    power = _endo(F, scale, power)
                 if acc is not None:
                     return False
         return True
@@ -131,7 +216,12 @@ class FrobeniusData:
 
 
 class _GF2:
-    """F_{p^2} = F_p[t]/(t^2 - ns), elements as (a, b) pairs."""
+    """F_{p^2} = F_p[t]/(t^2 - ns), elements as (a, b) pairs.
+
+    A point of a curve with a4, a6 in F_p is the flat tuple (x0, x1, y0, y1)
+    of x = x0 + x1 t and y = y0 + y1 t, or None at infinity; F_p points are
+    the ones with x1 = y1 = 0.
+    """
 
     def __init__(self, p):
         self.p = p
@@ -140,171 +230,148 @@ class _GF2:
             ns += 1
         self.ns = ns
 
-    def make(self, a, b=0):
-        return (a % self.p, b % self.p)
-
-    def add(self, x, y):
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
-
     def mul(self, x, y):
         a, b = x
         c, d = y
         return ((a * c + b * d * self.ns) % self.p, (a * d + b * c) % self.p)
 
-    def inv(self, x):
-        a, b = x
-        den = pow((a * a - b * b * self.ns) % self.p, -1, self.p)
-        return (a * den % self.p, -b * den % self.p)
+    def sqrt(self, s):
+        """A square root of s, or None, with square roots in F_p only.
 
-    def neg(self, x):
-        return (-x[0] % self.p, -x[1] % self.p)
-
-    def pow(self, x, e):
-        out = (1, 0)
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
-
-    def frob(self, x):
-        # (a + bt)^p = a - bt since t^(p-1) = ns^((p-1)/2) = -1
-        return (x[0], -x[1] % self.p)
-
-    def is_zero(self, x):
-        return x == (0, 0)
-
-    def sqrt(self, s, rng):
-        """Tonelli-Shanks in F_{p^2}; None if s is not a square."""
-        if self.is_zero(s):
-            return (0, 0)
-        q = self.p * self.p - 1
-        if self.pow(s, q // 2) != (1, 0):
+        s is a square exactly when its norm n^2 = a^2 - ns b^2 is one in F_p.
+        For b != 0, exactly one of (a + n)/2 and (a - n)/2 is a square c^2
+        (their product ns b^2/4 is not), and (c + (b/2c) t)^2 = a + b t.
+        """
+        p = self.p
+        a, b = s
+        if b == 0:
+            r = sqrt_mod(a, p)
+            if r is not None:
+                return (r, 0)
+            return (0, sqrt_mod(a * pow(self.ns, -1, p), p))
+        n = sqrt_mod((a * a - self.ns * b * b) % p, p)
+        if n is None:
             return None
-        Q, S = q, 0
-        while Q % 2 == 0:
-            Q //= 2
-            S += 1
-        while True:
-            z = self.make(rng.randrange(self.p), rng.randrange(self.p))
-            if not self.is_zero(z) and self.pow(z, q // 2) == (self.p - 1, 0):
-                break
-        M, c, t, r = S, self.pow(z, Q), self.pow(s, Q), self.pow(s, (Q + 1) // 2)
-        while t != (1, 0):
-            t2, i = self.mul(t, t), 1
-            while t2 != (1, 0):
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (M - i - 1))
-            M, c = i, self.mul(b, b)
-            t, r = self.mul(t, c), self.mul(r, b)
-        return r
+        half = (p + 1) // 2
+        c = sqrt_mod((a + n) * half, p)
+        if c is None:
+            c = sqrt_mod((a - n) * half, p)
+        return (c, b * pow(2 * c, -1, p) % p)
 
 
-def _ec_add(F, curve, P, Q):
-    a4 = curve[0]
+def _ec_add(F, a4, P, Q):
+    """P + Q on y^2 = x^3 + a4 x + a6 (a4 in F_p), points as flat tuples.
+
+    The slope is num * conj(den) / N(den), one inverse in F_p per addition.
+    """
     if P is None:
         return Q
     if Q is None:
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if F.is_zero(F.add(y1, y2)):
+    p, ns = F.p, F.ns
+    x0, x1, y0, y1 = P
+    u0, u1, v0, v1 = Q
+    if x0 == u0 and x1 == u1:
+        if (y0 + v0) % p == 0 and (y1 + v1) % p == 0:
             return None
-        num = F.add(F.mul(F.make(3), F.mul(x1, x1)), a4)
-        den = F.mul(F.make(2), y1)
+        n0, n1 = 3 * (x0 * x0 + ns * x1 * x1) + a4, 6 * x0 * x1
+        d0, d1 = 2 * y0, 2 * y1
     else:
-        num = F.sub(y2, y1)
-        den = F.sub(x2, x1)
-    lam = F.mul(num, F.inv(den))
-    x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
-    y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
-    return (x3, y3)
+        n0, n1 = v0 - y0, v1 - y1
+        d0, d1 = u0 - x0, u1 - x1
+    inv = pow((d0 * d0 - ns * d1 * d1) % p, -1, p)
+    l0 = (n0 * d0 - ns * n1 * d1) * inv % p
+    l1 = (n1 * d0 - n0 * d1) * inv % p
+    s0 = (l0 * l0 + ns * l1 * l1 - x0 - u0) % p
+    s1 = (2 * l0 * l1 - x1 - u1) % p
+    e0, e1 = x0 - s0, x1 - s1
+    return (s0, s1, (l0 * e0 + ns * l1 * e1 - y0) % p, (l0 * e1 + l1 * e0 - y1) % p)
 
 
 def _ec_neg(F, P):
     if P is None:
         return None
-    return (P[0], F.neg(P[1]))
+    return (P[0], P[1], -P[2] % F.p, -P[3] % F.p)
 
 
-def _ec_mul(F, curve, k, P):
+def _ec_mul(F, a4, k, P):
     if k < 0:
-        return _ec_mul(F, curve, -k, _ec_neg(F, P))
+        return _ec_mul(F, a4, -k, _ec_neg(F, P))
     out = None
     while k:
         if k & 1:
-            out = _ec_add(F, curve, out, P)
-        P = _ec_add(F, curve, P, P)
+            out = _ec_add(F, a4, out, P)
+        P = _ec_add(F, a4, P, P)
         k >>= 1
     return out
 
 
-def _endo(F, c, P):
-    """(x, y) -> (c^-2 x, c^-3 y) with c in F_p (the tangent multiplier mod p)."""
+def _endo(F, scale, P):
+    """(x, y) -> (c^-2 x, c^-3 y), scale = (c^-2, c^-3) in F_p."""
     if P is None:
         return None
-    ci = F.inv(F.make(c))
-    c2 = F.mul(ci, ci)
-    c3 = F.mul(c2, ci)
-    return (F.mul(c2, P[0]), F.mul(c3, P[1]))
+    c2, c3 = scale
+    p = F.p
+    return (c2 * P[0] % p, c2 * P[1] % p, c3 * P[2] % p, c3 * P[3] % p)
 
 
 def _frob_point(F, P):
+    # (a + bt)^p = a - bt since t^(p-1) = ns^((p-1)/2) = -1
     if P is None:
         return None
-    return (F.frob(P[0]), F.frob(P[1]))
+    return (P[0], -P[1] % F.p, P[2], -P[3] % F.p)
+
+
+def _curve_rhs(F, curve, x):
+    """x^3 + a4 x + a6 for x in F_{p^2}."""
+    a4, a6 = curve
+    x3 = F.mul(F.mul(x, x), x)
+    return ((x3[0] + a4 * x[0] + a6) % F.p, (x3[1] + a4 * x[1]) % F.p)
 
 
 def _on_curve(F, curve, P):
     if P is None:
         return True
-    a4, a6 = curve
-    x, y = P
-    lhs = F.mul(y, y)
-    rhs = F.add(F.mul(F.mul(x, x), x), F.add(F.mul(a4, x), a6))
-    return lhs == rhs
+    y = (P[2], P[3])
+    return F.mul(y, y) == _curve_rhs(F, curve, (P[0], P[1]))
 
 
 def _random_point(F, curve, rng):
-    a4, a6 = curve
     while True:
-        x = F.make(rng.randrange(F.p), rng.randrange(F.p))
-        rhs = F.add(F.mul(F.mul(x, x), x), F.add(F.mul(a4, x), a6))
-        y = F.sqrt(rhs, rng)
+        x = (rng.randrange(F.p), rng.randrange(F.p))
+        y = F.sqrt(_curve_rhs(F, curve, x))
         if y is not None:
-            return (x, y)
+            return x + y
 
 
 def _reduction_data(curve, p):
-    """(F_{p^2} context, (a4, a6) lifted, chosen tangent root c mod p)."""
+    """(F_{p^2}, (a4, a6) mod p, the tangent root c mod p, (c^-2, c^-3) mod p).
+
+    c is the smaller root of the monic tangent minimal polynomial
+    x^2 + b x + e mod p, (-b +- sqrt(b^2 - 4e))/2.
+    """
     if p <= 3:
         raise ValueError("p too small")
     disc = -16 * (4 * curve.a4**3 + 27 * curve.a6**2)
     if disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
-    mp = curve.tangent_min_poly
-    ints = [int(c) % p for c in mp.coeffs]
-    # roots of the tangent minimal polynomial mod p
-    roots = [r for r in range(p) if (ints[0] + ints[1] * r + ints[2] * r * r) % p == 0]
-    if not roots:
+    e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+    r = sqrt_mod(b * b - 4 * e, p)
+    if r is None:
         raise Supersingular(f"tangent field is inert at {p}")
-    c = min(roots)
-    F = _GF2(p)
-    return F, (F.make(curve.a4), F.make(curve.a6)), c
+    half = (p + 1) // 2
+    c = min((-b + r) * half % p, (-b - r) * half % p)
+    ci = pow(c, -1, p)
+    return _GF2(p), (curve.a4 % p, curve.a6 % p), c, (ci * ci % p, ci * ci * ci % p)
 
 
 def frobenius_element(curve, p, seed=1729):
     """Identify the Frobenius element at a prime of good ordinary reduction."""
-    F, red, c = _reduction_data(curve, p)
+    F, red, c, scale = _reduction_data(curve, p)
     count = count_points(CurveFp(p, curve.a4, curve.a6))
     a_p = p + 1 - count
-    assert a_p * a_p <= 4 * p, "Hasse bound violated"
+    if a_p * a_p > 4 * p:
+        raise InvariantViolated(f"Hasse bound violated at {p}: a_p = {a_p}")
     if a_p % p == 0:
         raise Supersingular(f"a_p = 0 at {p}")
     E = curve.cmfield.field
@@ -313,18 +380,23 @@ def frobenius_element(curve, p, seed=1729):
     b, cc = int(E.min_poly.coeffs[1]), int(E.min_poly.coeffs[0])
     dpoly = b * b - 4 * cc
     target = a_p * a_p - 4 * p
-    assert target % dpoly == 0 and target // dpoly >= 0
-    t = isqrt_exact(target // dpoly)
-    assert t is not None, "a_p^2 - 4p is not disc * square"
+    t = isqrt_exact(target // dpoly) if target % dpoly == 0 else None
+    if t is None:
+        raise IdentificationFailed(
+            f"a_p^2 - 4p = {target} is not disc(E) = {dpoly} times a square at {p}"
+        )
     gen = E.gen()
     s = (gen * 2 + b) * t
     candidates = [(E.element([a_p]) + s) / 2, (E.element([a_p]) - s) / 2]
     for cand in candidates:
-        assert order.contains(cand), "Frobenius candidate not integral"
-        assert cand * curve.cmfield.conj(cand) == E.element([p])
+        if not order.contains(cand):
+            raise InvariantViolated(f"Frobenius candidate {cand} not integral at {p}")
+        if cand * curve.cmfield.conj(cand) != E.element([p]):
+            raise InvariantViolated(f"Frobenius candidate {cand} has norm != {p}")
     # match against Frobenius on sampled points of C(F_{p^2})
     rng = random.Random(f"{seed}:{p}")
     points = [_random_point(F, red, rng) for _ in range(MATCH_POINTS)]
+    a4 = red[0]
 
     def matches(pi):
         # pi = r0 + r1*gen acts as [r0] + [r1] . endo (integer power-basis coords)
@@ -335,9 +407,9 @@ def frobenius_element(curve, p, seed=1729):
             lhs = _frob_point(F, P)
             rhs = _ec_add(
                 F,
-                red,
-                _ec_mul(F, red, int(r0), P),
-                _ec_mul(F, red, int(r1), _endo(F, c, P)),
+                a4,
+                _ec_mul(F, a4, int(r0), P),
+                _ec_mul(F, a4, int(r1), _endo(F, scale, P)),
             )
             if lhs != rhs:
                 return False
@@ -352,7 +424,8 @@ def frobenius_element(curve, p, seed=1729):
     # the prime of E above p fixed by the tangent embedding: gen = c mod P
     ps = prime_split(p, order)
     below = [P for P in ps if P.contains(gen - E.element([c]))]
-    assert len(below) == 1
+    if len(below) != 1:
+        raise InvariantViolated(f"{len(below)} primes above {p} contain gen - {c}")
     return FrobeniusData(pi, p, a_p, below[0], curve.identity_type())
 
 
@@ -370,9 +443,11 @@ def st_rhs(cmtype, k, prime):
     out = reflex_norm_ideal(cmtype, k, prime)
     q = int(prime.norm())
     g = E.g
-    assert out.norm() == Fraction(q) ** g, "norm sanity identity failed"
+    if out.norm() != Fraction(q) ** g:
+        raise InvariantViolated("norm sanity identity failed")
     qid = FracIdeal.principal(order_E, E.field.one() * q)
-    assert out * conjugate_ideal(E, out) == qid, "conjugate sanity identity failed"
+    if out * conjugate_ideal(E, out) != qid:
+        raise InvariantViolated("conjugate sanity identity failed")
     return out
 
 
@@ -449,7 +524,8 @@ def frobenius_class_check(curve, p, m=1):
         raise ValueError("m must be coprime to p and the isogeny degree")
     cmtype = frob.cmtype
     rd = reflex_field(cmtype)
-    assert rd.reflex_field.degree == 2
+    if rd.reflex_field.degree != 2:
+        raise InvariantViolated("the reflex field of a g = 1 type is not quadratic")
     # realize P inside the reflex field: E* = E here, via the inclusion map
     order_E = maximal_order(cmtype.cmfield.field)
     OStar = maximal_order(rd.reflex_field)
@@ -480,11 +556,12 @@ def load_curve(record):
     """Build a CMCurveQ from a corpus record (see DEFAULT_CORPUS for the schema)."""
     E = NumberField(UniPoly(list(record["min_poly"])))
     cmf = cm_check(E)
-    from .cmreflex import CMField
-
-    assert isinstance(cmf, CMField), "curve field is not CM"
-    order = maximal_order(E)
-    assert order.disc() == record["cm_disc"], "cm_disc does not match the field"
-    assert record["cm_endo"]["kind"] == "unit-scaling"
+    if not isinstance(cmf, CMField):
+        raise BadCorpus(f"curve field {list(record['min_poly'])} is not CM: {cmf.reason}")
+    disc = maximal_order(E).disc()
+    if disc != record["cm_disc"]:
+        raise BadCorpus(f"cm_disc {record['cm_disc']} does not match the field's {disc}")
+    if record["cm_endo"]["kind"] != "unit-scaling":
+        raise BadCorpus(f"unknown cm_endo kind {record['cm_endo']['kind']!r}")
     tangent = E.element(list(record["cm_endo"]["tangent"]))
     return CMCurveQ(record["a4"], record["a6"], cmf, tangent)

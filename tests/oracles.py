@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own code paths: class numbers come
 from reduced binary quadratic forms, lattice indexes from coset enumeration,
-point counts from a second counting method, and principality from naive box
+point counts from a double loop and from a Legendre sum, and principality from naive box
 search. They exist so the main implementations are checked against something
 that cannot share their bugs.
 """
@@ -160,3 +160,14 @@ def ideal_form_is_principal(ideal, conj):
     fa, fb, fc = int(fa), int(fb), int(fc)
     disc = fb * fb - 4 * fa * fc
     return reduce_form(fa, fb, fc) == principal_form(disc)
+
+
+def count_points_legendre(p, a4, a6):
+    """Third point count: p + 1 + sum over x of the Legendre symbol of the cubic."""
+    squares = {y * y % p for y in range(1, p)}
+    total = p + 1
+    for x in range(p):
+        rhs = (x * x * x + a4 * x + a6) % p
+        if rhs:
+            total += 1 if rhs in squares else -1
+    return total

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,9 +130,11 @@ class TestCLI:
              "b4600f3a4b652b671094bdf7f4bba3ad732fb2f6b485fb36f34df233507e8f26"),
             ("reflex-verify", [3, 0, 6, 0, 1], ["--samples", "3"],
              "2f4dce232c0a9a6b04af5644e3fdd3c3504a3b40b630f554c4418ca780727b36"),
+            ("st", None, ["19000", "19200"],
+             "c762ece85dbe7900571c873af4e4cb13225b34a3e93c95d3355c1e719c9f002d"),
         ],
         ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss", "st-default",
-             "reflex-verify-quartic"],
+             "reflex-verify-quartic", "st-window"],
     )
     def test_golden_record_stream(self, field_file, capsys, command, coeffs, extra, digest):
         # SHA-256 of the whole stdout record stream, fixed for these inputs,
@@ -205,6 +211,34 @@ class TestCLI:
         rows = [r for r in (json.loads(l) for l in out.splitlines()) if r["record"] == "st"]
         assert all(r["a6"] == 1 for r in rows)
         assert any(r["status"] == "ordinary" for r in rows)
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ({"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 0, 1],
+              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "cm_disc"),
+            ({"a4": -1, "a6": 0, "cm_disc": 8, "min_poly": [-2, 0, 1],
+              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "not CM"),
+            ({"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+              "cm_endo": {"kind": "isogeny", "tangent": [0, 1]}}, "kind"),
+            ({"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+              "cm_endo": {"kind": "unit-scaling", "tangent": [-1, 0]}}, "generate"),
+        ],
+        ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q"],
+    )
+    def test_st_refuses_a_bad_corpus_under_optimize(self, tmp_path, record, reason):
+        # the corpus checks are real checks: under python -O a bad record is
+        # still refused with one stderr line, exit 2 and no records
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([record]))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "cmfields.cli", "st", str(path), "5", "40"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and reason in run.stderr, run.stderr
 
     def test_config_header_embedded(self, field_file, capsys):
         main(["--seed", "123", "--bits", "128", "cm", field_file([1, 0, 1])])
