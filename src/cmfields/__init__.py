@@ -1,7 +1,11 @@
 """cmfields: exact arithmetic for the finite objects of complex multiplication.
 
 Layers (one module per subsystem):
-  exactnf    - rationals, polynomials, number fields, closures, certified embeddings
+  unipoly    - rational polynomials (ratfactor, modpoly: factoring over Q, F_p)
+  linalg     - exact linear algebra over Q, F_p and Z (Gauss-Jordan, HNF, SNF)
+  numfield   - number fields, elements, morphisms, the primitive-element search
+  closure    - automorphisms and Galois closures
+  embeddings - certified complex embeddings
   ideals     - maximal orders (orders.py) and fractional-ideal HNF calculus
   cmreflex   - CM-types, reflex fields, reflex norms and their identity suite
   polar      - Riemann-form elements and type quadruples

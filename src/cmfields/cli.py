@@ -3,8 +3,11 @@
 Machine-readable records (one JSON object per line, sorted keys) go to
 stdout; the human summary goes to stderr. Output is byte-identical for
 identical inputs, seed, and version. Exit codes: 0 success, 1 identity or
-verification failure, 2 usage/parse error or a refused curve corpus, 3 closure
-too large.
+verification failure (an `st` row whose computation raised is a failure: it
+is emitted with status "error" and a witness, and the sweep goes on), 2
+usage/parse error or a refused curve corpus, 3 closure too large, 4 internal
+invariant failed (any other typed cmfields error; one stderr line, after
+whatever records were already written).
 """
 
 import argparse
@@ -21,7 +24,7 @@ from .cmreflex import (
     reflex_field,
     verify_reflex_identities,
 )
-from .errors import BadCorpus, ClosureTooLarge, Supersingular
+from .errors import BadCorpus, ClosureTooLarge, CMFieldsError, Supersingular
 from .intutil import primes_up_to
 from .stverify import (
     DEFAULT_CORPUS,
@@ -181,12 +184,17 @@ def cmd_st(args):
             row = {"record": "st", "curve": ci, "a4": curve.a4, "a6": curve.a6, "p": p}
             try:
                 frob = frobenius_element(curve, p, seed=args.seed)
+                ideal_ok = st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
+                val_rep = st_check_valuations(frob, frob.cmtype, E, frob.prime_above)
             except Supersingular:
                 row.update({"status": "supersingular"})
                 rows.append(row)
                 continue
-            ideal_ok = st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
-            val_rep = st_check_valuations(frob, frob.cmtype, E, frob.prime_above)
+            except CMFieldsError as exc:
+                row.update({"status": "error", "witness": f"{type(exc).__name__}: {exc}"})
+                rows.append(row)
+                all_ok = False
+                continue
             row.update(
                 {
                     "status": "ordinary",
@@ -201,14 +209,15 @@ def cmd_st(args):
             rows.append(row)
     for row in rows:
         _emit(args, row)
-    ordinary = [r for r in rows if r["status"] == "ordinary"]
+    ordinary = sum(r["status"] == "ordinary" for r in rows)
+    skipped = sum(r["status"] == "supersingular" for r in rows)
     _emit(
         args,
-        {"record": "summary", "ok": all_ok, "ordinary_rows": len(ordinary),
-         "skipped_rows": len(rows) - len(ordinary)},
+        {"record": "summary", "ok": all_ok, "ordinary_rows": ordinary,
+         "skipped_rows": skipped},
         human=(
-            f"st: {len(ordinary)} ordinary rows, "
-            f"{len(rows) - len(ordinary)} skipped, {'PASS' if all_ok else 'FAIL'}"
+            f"st: {ordinary} ordinary rows, {skipped} skipped, "
+            f"{len(rows) - ordinary - skipped} errors, {'PASS' if all_ok else 'FAIL'}"
         ),
     )
     return 0 if all_ok else 1
@@ -253,7 +262,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CMFieldsError as exc:
+        print(f"internal invariant failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

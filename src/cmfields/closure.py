@@ -1,9 +1,11 @@
 """Galois closures by iterated root adjunction, with full root tracking.
 
 The closure of K = Q[x]/(f) is built by repeatedly adjoining a root of the
-unsplit part R of f. Each round forms the etale algebra A = L[y]/(R), finds a
-primitive element g = y + c*theta by linear algebra on its powers (no
-resultants), factors the degree-(dim A) minimal polynomial over Q, and reads
+unsplit part R of f. Each round forms the etale algebra A = L[y]/(R), takes
+the primitive element g = y + c*theta that numfield.primitive_element finds
+in the span [y, theta] (the minimal polynomial of each candidate is the first
+dependency among its powers; no resultants), factors the degree-(dim A)
+minimal polynomial of g over Q, and reads
 off one component per factor: degree-[L:Q] components yield roots already in
 L, a larger component becomes the new L. Because only roots of f are ever
 adjoined, the final primitive element is a known integer combination of
@@ -11,11 +13,12 @@ tracked roots, which makes the automorphism group a finite search.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
-from .errors import ClosureTooLarge
-from .linalg import solve_fraction, solve_general
+from .errors import ClosureTooLarge, InvariantViolated
+from .linalg import first_dependency, solve_fraction, transpose
 from .memo import per_field
-from .numfield import FieldMorphism, NumberField
+from .numfield import FieldMorphism, NumberField, primitive_element
 from .ratfactor import factor_rational_poly
 from .unipoly import UniPoly
 
@@ -71,7 +74,7 @@ def _lpoly_from_rational(field, poly):
 
 
 class _Algebra:
-    """L[y]/(R) with R monic squarefree over L; elements are y-coefficient lists."""
+    """L[y]/(R) with R monic squarefree over L, a Q-algebra of dimension dim."""
 
     def __init__(self, field, rel):
         self.field = field
@@ -80,53 +83,47 @@ class _Algebra:
         self.dim = field.degree * self.deg
 
     def theta(self):
-        return [self.field.gen()]
+        return _AlgebraElement(self, [self.field.gen()])
 
     def y(self):
-        return [self.field.zero(), self.field.one()]
+        return _AlgebraElement(self, [self.field.zero(), self.field.one()])
 
-    def add(self, a, b):
-        out = []
-        for i in range(max(len(a), len(b))):
-            ca = a[i] if i < len(a) else self.field.zero()
-            cb = b[i] if i < len(b) else self.field.zero()
-            out.append(ca + cb)
-        return _lpoly_trim(out)
+    def power_vectors(self, w, count):
+        """Coordinate vectors of w^0, ..., w^(count - 1)."""
+        cur = _AlgebraElement(self, [self.field.one()])
+        out = [cur.vector()]
+        while len(out) < count:
+            cur = cur * w
+            out.append(cur.vector())
+        return out
 
-    def mul(self, a, b):
-        return _lpoly_divmod_monic(_lpoly_mul(a, b), self.rel)[1]
-
-    def scal(self, a, q):
-        return _lpoly_trim([c * q for c in a])
-
-    def vector(self, a):
-        n = self.field.degree
-        out = []
-        for b in range(self.deg):
-            coeffs = a[b].coords if b < len(a) else (Fraction(0),) * n
-            out.extend(coeffs)
-        return list(out)
+    def min_poly(self, w):
+        coeffs = first_dependency(self.power_vectors(w, self.dim + 1))
+        return UniPoly([-c for c in coeffs] + [1])
 
 
-def _primitive_minpoly(alg, gamma):
-    """Powers of gamma and its monic minimal polynomial; None if not primitive."""
-    D = alg.dim
-    powers = [[alg.field.one()]]
-    vecs = [alg.vector(powers[0])]
-    cur = powers[0]
-    for k in range(1, D + 1):
-        cur = alg.mul(cur, gamma)
-        A = [[vecs[j][i] for j in range(k)] for i in range(D)]
-        target = alg.vector(cur)
-        sol = solve_general(A, target)
-        if sol is not None:
-            if k < D:
-                return None, None, None
-            h = UniPoly([-c for c in sol] + [1])
-            return h, powers, vecs
-        powers.append(cur)
-        vecs.append(target)
-    raise AssertionError("no dependency at full dimension")
+class _AlgebraElement:
+    """An element of L[y]/(R), as its list of y-coefficients."""
+
+    __slots__ = ("alg", "coeffs")
+
+    def __init__(self, alg, coeffs):
+        self.alg = alg
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.alg.field.zero())
+        return _AlgebraElement(self.alg, _lpoly_trim([a + b for a, b in pairs]))
+
+    def __mul__(self, other):
+        if isinstance(other, _AlgebraElement):
+            prod = _lpoly_mul(self.coeffs, other.coeffs)
+            return _AlgebraElement(self.alg, _lpoly_divmod_monic(prod, self.alg.rel)[1])
+        return _AlgebraElement(self.alg, _lpoly_trim([c * other for c in self.coeffs]))
+
+    def vector(self):
+        pad = [self.alg.field.zero()] * (self.alg.deg - len(self.coeffs))
+        return [x for c in self.coeffs + pad for x in c.coords]
 
 
 def _round_adjoin(field, roots, rel, gen_combo):
@@ -136,29 +133,23 @@ def _round_adjoin(field, roots, rel, gen_combo):
         raise ClosureTooLarge(
             f"splitting algebra dimension {alg.dim} exceeds cap {CLOSURE_DEGREE_CAP}"
         )
-    h = None
-    for c in range(1, 50):
-        gamma = alg.add(alg.y(), alg.scal(alg.theta(), Fraction(c)))
-        h, powers, vecs = _primitive_minpoly(alg, gamma)
-        if h is not None:
-            shift = Fraction(c)
-            break
-    if h is None:
-        raise AssertionError("no primitive element found")
+    # gamma = a*y + shift*theta; the span [y, theta] makes it y + c*theta
+    gamma, h, (a, shift) = primitive_element([alg.y(), alg.theta()], alg.dim, alg.min_poly)
     _, factors = factor_rational_poly(h)
-    assert all(m == 1 for _, m in factors), "splitting algebra not etale"
+    if any(m != 1 for _, m in factors):
+        raise InvariantViolated("splitting algebra is not etale")
 
-    D = alg.dim
-    pw_matrix = [[vecs[j][i] for j in range(D)] for i in range(D)]
-    w_theta = solve_fraction(pw_matrix, alg.vector(alg.theta()))
-    w_y = solve_fraction(pw_matrix, alg.vector(alg.y()))
+    pw_matrix = transpose(alg.power_vectors(gamma, alg.dim))
+    w_theta = solve_fraction(pw_matrix, alg.theta().vector())
+    w_y = solve_fraction(pw_matrix, alg.y().vector())
 
     comps = []
     for h_t, _ in factors:
         L_t = NumberField(h_t, check=False)
         theta_img = L_t.from_poly(UniPoly(w_theta))
         y_img = L_t.from_poly(UniPoly(w_y))
-        assert field.min_poly(theta_img).is_zero()
+        if not field.min_poly(theta_img).is_zero():
+            raise InvariantViolated("theta does not map to a root of its minimal polynomial")
         comps.append((h_t.degree, L_t, theta_img, y_img))
 
     n = field.degree
@@ -169,7 +160,8 @@ def _round_adjoin(field, roots, rel, gen_combo):
     for _, L_t, theta_img, y_img in in_field:
         iota_t = FieldMorphism(field, L_t, theta_img, check=False)
         r = iota_t.preimage(y_img)
-        assert r is not None
+        if r is None:
+            raise InvariantViolated("a degree-[L:Q] component gives no root in L")
         peeled.append(r)
 
     if not growing:
@@ -185,7 +177,7 @@ def _round_adjoin(field, roots, rel, gen_combo):
     iota = FieldMorphism(field, L_new, theta_img, check=False)
     roots = [iota(r) for r in roots]
     rel = [iota(c) for c in rel]
-    new_combo = [(len(roots), Fraction(1))] + [(i, shift * w) for i, w in gen_combo]
+    new_combo = [(len(roots), Fraction(a))] + [(i, shift * w) for i, w in gen_combo]
     roots.append(y_img)
     rel = _lpoly_divmod_monic(rel, [-y_img, L_new.one()])[0]
     for r in peeled:
@@ -258,12 +250,14 @@ class SplittingData:
                 break
             L, roots, rel, gen_combo, _ = _round_adjoin(L, roots, rel, gen_combo)
 
-        assert len(roots) == field.degree
+        if len(roots) != field.degree:
+            raise InvariantViolated(f"{len(roots)} roots tracked for degree {field.degree}")
         check = _lpoly_from_rational(L, f)
         prod = [L.one()]
         for r in roots:
             prod = _lpoly_mul(prod, [-r, L.one()])
-        assert all((a - b).is_zero() for a, b in zip(prod, check)), "closure does not split f"
+        if any(not (a - b).is_zero() for a, b in zip(prod, check)):
+            raise InvariantViolated("closure does not split f")
 
         # canonical root order: roots[i] corresponds to K's canonical embedding i
         order = _match_to_canonical(L, roots, field)
@@ -299,7 +293,8 @@ class SplittingData:
                     rec(chosen + [u], used | {u})
 
         rec([], frozenset())
-        assert len(images) == L.degree, f"found {len(images)} automorphisms, expected {L.degree}"
+        if len(images) != L.degree:
+            raise InvariantViolated(f"found {len(images)} automorphisms, expected {L.degree}")
 
         gen = L.gen()
         identity = next(v for v in images if v == gen)
@@ -370,7 +365,7 @@ def _match_to_canonical(L, roots, K):
             return order
         bits *= 2
         if bits > 1 << 20:
-            raise RuntimeError("root matching budget exceeded")
+            raise InvariantViolated("root matching budget exceeded")
 
 
 def splitting_data(field):
@@ -395,7 +390,8 @@ def _automorphisms(K):
         pre = j0.preimage(j.image_of_generator)
         if pre is not None:
             out.append(FieldMorphism(K, K, pre, check=False))
-    assert out, "identity automorphism missing"
+    if not out:
+        raise InvariantViolated("identity automorphism missing")
     return out
 
 

@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from .closure import complex_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
-from .errors import ConjugatesMissing, RootNotExact
+from .errors import ConjugatesMissing, InvariantViolated, RootNotExact
 from .ideals import FracIdeal, factor_ideal, prime_split
-from .linalg import right_kernel_fraction
+from .linalg import right_kernel_fraction, transpose
 from .memo import per_field
-from .numfield import FieldMorphism, NumberField
+from .numfield import FieldMorphism, NumberField, primitive_element
 from .orders import maximal_order
 from .unipoly import sturm_real_root_count
 
@@ -72,32 +72,17 @@ class CMField:
 
 
 def _fixed_subfield(field, sigma):
-    """(subfield F, embedding F -> field) for the fixed field of an involution."""
-    n = field.degree
-    # +1 eigenspace of sigma as a matrix on the power basis
-    cols = []
-    gen_pow = field.one()
-    for j in range(n):
-        img = sigma(gen_pow)
-        cols.append([img.coords[i] - gen_pow.coords[i] for i in range(n)])
-        gen_pow = gen_pow * field.gen()
-    A = [[cols[j][i] for j in range(n)] for i in range(n)]
-    kernel = right_kernel_fraction(A)
-    target_deg = len(kernel)
-    elems = [field.element(v) for v in kernel]
-    # deterministic primitive-element ladder over the eigenspace
-    candidates = list(elems)
-    for a, b in itertools.combinations(elems, 2):
-        candidates.append(a + b)
-        candidates.append(a + b * 2)
-        candidates.append(a + b * 3)
-    for w in candidates:
-        mp = w.min_poly_over_q()
-        if mp.degree == target_deg:
-            F = NumberField(mp, check=False)
-            emb = FieldMorphism(F, field, w, check=True)
-            return F, emb
-    raise AssertionError("no primitive element for the fixed field")
+    """(subfield F, embedding F -> field) for the fixed field of an automorphism.
+
+    F is the kernel of sigma - 1 on the power basis; its primitive element is
+    the one numfield.primitive_element finds in the kernel basis (each basis
+    vector alone first, so the first one of full degree when there is one).
+    """
+    basis = [field.gen() ** j for j in range(field.degree)]
+    kernel = right_kernel_fraction(transpose([(sigma(b) - b).coords for b in basis]))
+    w, mp, _ = primitive_element([field.element(v) for v in kernel], len(kernel))
+    F = NumberField(mp, check=False)
+    return F, FieldMorphism(F, field, w, check=True)
 
 
 def cm_check(K):
@@ -130,9 +115,11 @@ class CMType:
         self.phi = frozenset(phi)
         pairs = cmfield.conjugate_pairs()
         chosen = set(self.phi)
-        assert len(chosen) == len(pairs), "CM-type has the wrong size"
+        if len(chosen) != len(pairs):
+            raise ValueError("CM-type has the wrong size")
         for a, b in pairs:
-            assert (a in chosen) != (b in chosen), "CM-type must pick one per pair"
+            if (a in chosen) == (b in chosen):
+                raise ValueError("CM-type must pick one per pair")
 
     def __repr__(self):
         return f"CMType({sorted(self.phi)})"
@@ -167,6 +154,10 @@ def enumerate_cm_types(E):
 class ReflexData:
     """Reflex field and reflex type of a CM-pair, realized in the closure L.
 
+    E* is the fixed field of the stabilizer H of Phi in Gal(L/Q), generated
+    by the first candidate of numfield.primitive_element over the span
+    Tr_H(gen), Tr_H(gen^2), ..., Tr_H(gen^[L:Q]).
+
     Attributes:
       cmtype:            the input CM-type (E, Phi)
       closure:           L (Galois over Q), containing all conjugates of E
@@ -189,33 +180,18 @@ class ReflexData:
         stab = [s for s in range(size) if {sd.perm[s][i] for i in phi} == phi]
         self.stabilizer = stab
 
-        # primitive element of the fixed field of the stabilizer
+        # the Tr_H(gen^j) span L^H: the gen^j are a basis of L (gen != 0) and
+        # Tr_H maps L onto L^H
         L = sd.closure
-        gen = L.gen()
-        candidates = [gen, gen * gen, gen * gen * gen, gen * gen + gen]
-        c = 1
-        target = size // len(stab)
-        found = None
-        while found is None:
-            for u in candidates:
-                w = L.zero()
-                for s in stab:
-                    w = w + sd.autos[s](u)
-                mp = w.min_poly_over_q()
-                if mp.degree == target:
-                    found = (w, mp)
-                    break
-            if found is None:
-                c += 1
-                candidates = [gen * c + gen * gen, (gen + c) * (gen + c) * (gen + c)]
-                if c > 40:
-                    raise AssertionError("no primitive element for the reflex field")
-        w, mp = found
+        powers = [L.gen() ** j for j in range(1, L.degree + 1)]
+        span = [sum((sd.autos[s](u) for s in stab), L.zero()) for u in powers]
+        w, mp, _ = primitive_element(span, size // len(stab))
         self.reflex_field = NumberField(mp, check=False)
         self.reflex_inclusion = FieldMorphism(self.reflex_field, L, w, check=True)
 
         rc = cm_check(self.reflex_field)
-        assert isinstance(rc, CMField), "reflex field is not CM"
+        if not isinstance(rc, CMField):
+            raise InvariantViolated(f"reflex field is not CM: {rc.reason}")
         self.reflex_cmfield = rc
 
         # Psi: decompose {s : s maps the reference root into Phi}^(-1) into
@@ -232,7 +208,8 @@ class ReflexData:
             reps.append(s)
             coset = {sd.mult[s][t] for t in stab}
             covered |= coset
-        assert len(covered) == len(inverted) and set(inverted) == covered
+        if len(covered) != len(inverted) or set(inverted) != covered:
+            raise InvariantViolated("the inverted lift is not a union of stabilizer cosets")
         self.psi_reps = reps
 
         psi_indices = set()
@@ -240,7 +217,8 @@ class ReflexData:
             v = sd.autos[s](w)
             idx = locate_among(certified_embeddings(L)[0], v, self.reflex_field)
             psi_indices.add(idx)
-        assert len(psi_indices) == len(reps), "coset representatives collide"
+        if len(psi_indices) != len(reps):
+            raise InvariantViolated("coset representatives collide")
         self.reflex_type = CMType(rc, psi_indices)
 
     def reflex_norm_element(self, b):
@@ -253,7 +231,8 @@ class ReflexData:
         for s in self.psi_reps:
             prod = prod * sd.autos[s](bL)
         out = sd.embeddings[self.j0].preimage(prod)
-        assert out is not None, "reflex norm did not land in E"
+        if out is None:
+            raise InvariantViolated("reflex norm did not land in E")
         return out
 
     def reflex_norm_ideal(self, b_ideal):
@@ -313,7 +292,8 @@ def reflex_norm_elem(cmtype, k, a):
         for s in fixes:
             rel_norm = rel_norm * sd.autos[s](a)
         pre = sd.embeddings[i].preimage(rel_norm)
-        assert pre is not None, "relative norm not in phi(E)"
+        if pre is None:
+            raise InvariantViolated("relative norm not in phi(E)")
         out = out * pre
     return out
 
@@ -334,10 +314,11 @@ def _prime_pullback(sd, i, P_k, order_E, order_k):
             order_k, [sd.embeddings[i](g) for g in q.two_element_like_generators()]
         )
         if P_k.contains_ideal(img):
-            assert P_k.f % q.f == 0
+            if P_k.f % q.f:
+                raise InvariantViolated(f"residue degree {q.f} does not divide {P_k.f}")
             cache[key] = (q, P_k.f // q.f)
             return cache[key]
-    raise AssertionError("no pullback prime found")
+    raise InvariantViolated("no pullback prime found")
 
 
 def reflex_norm_ideal(cmtype, k, a):
@@ -524,7 +505,9 @@ def _relative_norm_ideal(a, incl, order_down):
             if P.contains_ideal(img):
                 down = q
                 break
-        assert down is not None
-        assert P.f % down.f == 0
+        if down is None:
+            raise InvariantViolated("no prime below found")
+        if P.f % down.f:
+            raise InvariantViolated(f"residue degree {down.f} does not divide {P.f}")
         out = out * down ** (v * (P.f // down.f))
     return out

@@ -3,11 +3,12 @@
 Matrices are lists of rows. Sizes in this package stay at or below 16x~256,
 so plain Fraction elimination and textbook HNF/SNF are adequate.
 
-One Gauss-Jordan reduction over Q (`_gauss_jordan`) serves solving, inverting
-and kernels; `kernel_mod_p` is the one elimination over F_p. A rational
-lattice is carried as a canonical (den, integer HNF) pair built by
-`lattice_hnf`, and the inverse of such an HNF is its integer adjugate over
-its determinant (`triangular_adjugate`), with no Fraction arithmetic.
+One Gauss-Jordan reduction over Q (`_gauss_jordan`) serves solving, inverting,
+kernels and minimal polynomials (`first_dependency`); `kernel_mod_p` is the
+one elimination over F_p. A rational lattice is carried as a canonical (den,
+integer HNF) pair built by `lattice_hnf`, and the inverse of such an HNF is
+its integer adjugate over its determinant (`triangular_adjugate`), with no
+Fraction arithmetic.
 """
 
 import math
@@ -22,7 +23,8 @@ def identity_matrix(n):
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise ValueError(f"cannot multiply: {len(A[0])} columns against {k} rows")
     Bt = list(zip(*B))
     return [[sum(ai * bj for ai, bj in zip(row, col)) for col in Bt] for row in A]
 
@@ -107,6 +109,22 @@ def solve_general(A, b):
     for row, c in zip(M, pivots):
         x[c] = row[m]
     return x
+
+
+def first_dependency(vectors):
+    """The first vector that depends on the ones before it, as a combination.
+
+    Returns [a_0, ..., a_{j-1}] with v_j = sum a_i v_i for the least such j,
+    or None when the vectors are independent. One reduction of the matrix
+    whose columns are the vectors: the columns before the first non-pivot
+    column are pivots 0..j-1, so its entries are the coefficients.
+    """
+    M = [list(map(Fraction, row)) for row in zip(*vectors)]
+    pivots = _gauss_jordan(M, len(vectors))
+    j = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+    if j == len(vectors):
+        return None
+    return [M[r][j] for r in range(j)]
 
 
 def mat_inverse_fraction(A):

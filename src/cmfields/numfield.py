@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from .linalg import det_fraction, solve_general
+from .errors import InvariantViolated
+from .linalg import det_fraction, first_dependency, solve_general
 from .unipoly import UniPoly, poly_discriminant, poly_xgcd
 
 
@@ -150,7 +151,8 @@ class NFElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         g, s, _ = poly_xgcd(self.poly(), self.field.min_poly)
-        assert g.degree == 0
+        if g.degree != 0:
+            raise InvariantViolated("element and min_poly share a factor: min_poly is reducible")
         inv = s * (1 / g.coeffs[0])
         return self.field.from_poly(inv)
 
@@ -194,20 +196,49 @@ class NFElement:
 
     def min_poly_over_q(self):
         """Monic minimal polynomial of this element over Q."""
-        n = self.field.degree
-        rows = []
-        cur = self.field.one()
-        powers = [cur]
-        for _ in range(n):
-            cur = cur * self
-            powers.append(cur)
-        # find the first linear dependency among 1, a, a^2, ...
-        for d in range(1, n + 1):
-            A = [[powers[j].coords[i] for j in range(d)] for i in range(n)]
-            sol = solve_general(A, list(powers[d].coords))
-            if sol is not None:
-                return UniPoly([-c for c in sol] + [1])
-        raise AssertionError("no dependency found below field degree")
+        powers = [self.field.one()]
+        for _ in range(self.field.degree):
+            powers.append(powers[-1] * self)
+        coeffs = first_dependency([p.coords for p in powers])
+        return UniPoly([-c for c in coeffs] + [1])
+
+
+def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q):
+    """A generator w of the Q-algebra A spanned by span = [s_0, ..., s_{m-1}].
+
+    A has dimension `degree`; span elements support + and multiplication by
+    an integer, and min_poly(w) is the monic minimal polynomial of w over Q,
+    of degree `degree` exactly when w generates A. The candidates are each
+    s_k alone, in order, then w_c = sum_k c^k s_k for c = 1, 2, ....
+    Returns (w, min_poly(w), a) with w = sum_k a_k s_k.
+
+    Termination: A is a field or a product of fields, so it has `degree`
+    distinct Q-algebra maps to C, and w generates A exactly when their
+    values at w are distinct. Two distinct maps t, t' differ at w_c by
+    sum_k c^k (t(s_k) - t'(s_k)), a polynomial in c of degree < m that is
+    nonzero because the s_k span A; it vanishes for at most m - 1 values
+    of c. The degree(degree - 1)/2 pairs of maps rule out at most m - 1
+    values each, so some c <= (m - 1) degree(degree - 1)/2 + 1 works, and
+    failing past that bound is an InvariantViolated.
+    """
+    m = len(span)
+    for k, s in enumerate(span):
+        h = min_poly(s)
+        if h.degree == degree:
+            return s, h, tuple(int(i == k) for i in range(m))
+    bound = (m - 1) * degree * (degree - 1) // 2 + 1 if m > 1 else 0
+    for c in range(1, bound + 1):
+        coeffs = tuple(c**k for k in range(m))
+        w = span[0]
+        for a, s in zip(coeffs[1:], span[1:]):
+            w = w + s * a
+        h = min_poly(w)
+        if h.degree == degree:
+            return w, h, coeffs
+    raise InvariantViolated(
+        f"no primitive element of degree {degree} among {m} span elements and "
+        f"{bound} combinations"
+    )
 
 
 def _coerce(field, value):

@@ -1,10 +1,15 @@
 """CM recognition, reflex construction, and the reflex-norm identity suite."""
 
+import cmath
+import math
 import random
 
 import pytest
+from sympy import CRootOf, Poly, cyclotomic_poly, symbols
+from sympy.polys.numberfields.subfield import field_isomorphism
 
 from cmfields.closure import splitting_data
+from cmfields.embeddings import certified_embeddings
 from cmfields.cmreflex import (
     CMField,
     CMType,
@@ -202,6 +207,38 @@ class TestBeyondTheQuarticCorpus:
         t0 = enumerate_cm_types(cmf)[0]
         rep = verify_reflex_identities(t0, z8, 20, seed=3, norm_bound=60)
         assert rep["ok"], rep
+
+    @pytest.mark.parametrize("m", [16, 24])
+    def test_cyclotomic_reflex_degree_is_the_type_stabilizer_index(self, m):
+        # Q(zeta_m) is abelian: embedding i sends zeta to zeta^(k_i), a type
+        # is a set Phi of units mod m, and E* is the fixed field of
+        # {u : u Phi = Phi}, of degree phi(m) / |{u : u Phi = Phi}|; E* must
+        # also embed into Q(zeta_m), which sympy's field_isomorphism decides
+        x = symbols("x")
+        cyclo = Poly(cyclotomic_poly(m, x), x)
+        E = NumberField(UniPoly([int(c) for c in reversed(cyclo.all_coeffs())]))
+        cmf = cm_check(E)
+        assert isinstance(cmf, CMField)
+        k = [round(cmath.phase(complex(float(e.ball.re), float(e.ball.im))) * m / (2 * math.pi)) % m
+             for e in certified_embeddings(E)]
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        assert sorted(k) == units
+        types = enumerate_cm_types(cmf)
+        assert len(types) == 16
+        embeds = {}
+        for t in types:
+            phi = {k[i] for i in t.phi}
+            stab = sum({u * a % m for a in phi} == phi for u in units)
+            rd = reflex_field(t)
+            assert rd.reflex_field.degree == len(units) // stab, sorted(phi)
+            assert isinstance(rd.reflex_cmfield, CMField)
+            assert len(rd.reflex_type.indices()) == rd.reflex_field.degree // 2
+            mp = rd.reflex_field.min_poly
+            if mp not in embeds:
+                star = Poly([int(c) for c in reversed(mp.coeffs)], x)
+                embeds[mp] = field_isomorphism(CRootOf(star, 0), CRootOf(cyclo, 0))
+            assert embeds[mp] is not None, mp
+        assert {mp.degree for mp in embeds} == {2, 8} | ({4} if m == 16 else set())
 
     def test_zeta7_dimension_three(self):
         # sextic cyclotomic, g = 3: two Galois-coset types reflex to

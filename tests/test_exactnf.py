@@ -6,17 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from cmfields.exactnf import (
-    ClosureTooLarge,
-    NumberField,
-    UniPoly,
-    certified_embeddings,
-    factor_rational_poly,
-    galois_closure,
-    nf_automorphisms,
-    splitting_data,
-    sturm_real_root_count,
-)
+from cmfields.closure import galois_closure, nf_automorphisms, splitting_data
+from cmfields.embeddings import certified_embeddings
+from cmfields.errors import ClosureTooLarge
+from cmfields.numfield import NumberField
+from cmfields.ratfactor import factor_rational_poly
+from cmfields.unipoly import UniPoly, sturm_real_root_count
 
 
 def P(*coeffs):
@@ -29,18 +24,18 @@ def field(*coeffs):
 
 class TestFactorRationalPoly:
     def test_difference_of_squares(self):
-        factors = factor_rational_poly(P(-1, 0, 1))
+        _, factors = factor_rational_poly(P(-1, 0, 1))
         assert factors == [(P(-1, 1), 1), (P(1, 1), 1)]
 
     def test_x2_plus_1_irreducible(self):
-        assert factor_rational_poly(P(1, 0, 1)) == [(P(1, 0, 1), 1)]
+        assert factor_rational_poly(P(1, 0, 1)) == (1, [(P(1, 0, 1), 1)])
 
     def test_quartic_eisenstein_at_3(self):
         f = P(3, 0, 6, 0, 1)
         # independent Eisenstein check at 3: 3 | a0,a2, 9 does not divide a0
         assert all(int(c) % 3 == 0 for c in f.coeffs[:-1])
         assert int(f.coeffs[0]) % 9 != 0
-        assert factor_rational_poly(f) == [(f, 1)]
+        assert factor_rational_poly(f) == (1, [(f, 1)])
 
     def test_roundtrip_random_products(self):
         rng = random.Random(424242)
@@ -53,8 +48,9 @@ class TestFactorRationalPoly:
                     continue
                 c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(deg)]
                 f = f * UniPoly(c + [Fraction(1)]) ** mult
-            factors = factor_rational_poly(f)
-            prod = UniPoly([f.lc()])
+            unit, factors = factor_rational_poly(f)
+            assert unit == f.lc()
+            prod = UniPoly([unit])
             for g, m in factors:
                 assert g.lc() == 1
                 prod = prod * g**m

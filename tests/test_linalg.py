@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, Matrix
+from sympy import GF, Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
 
 from cmfields.linalg import (
     det_fraction,
+    first_dependency,
     hnf_columns,
     hnf_with_transform,
     kernel_mod_p,
@@ -138,6 +139,42 @@ def test_solve_general_underdetermined_and_inconsistent():
     # a wide system: x + y = 1 has the solution with the free variable at 0
     assert solve_general([[1, 1]], [1]) == [1, 0]
     assert solve_general([[1, 2], [2, 4]], [1, 3]) is None
+
+
+def _sympy_first_dependency(vectors):
+    # the least j whose first j + 1 vectors have a nullspace; that nullspace
+    # is a line, and scaling its last entry to -1 gives the coefficients
+    for j in range(len(vectors)):
+        null = Matrix([list(map(Rational, v)) for v in vectors[: j + 1]]).T.nullspace()
+        if null:
+            (n,) = null
+            return [-n[i] / n[j] for i in range(j)]
+    return None
+
+
+def test_first_dependency_matches_sympy_nullspace():
+    # power vectors v, Av, A^2 v, ... of random integer matrices of random
+    # rank, so the first dependency falls anywhere from v itself (v = 0) to
+    # the (n + 1)-th vector
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(60):
+        n, r = rng.randint(1, 6), rng.randint(0, 6)
+        B = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        C = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        A = mat_mul(B, C) if r else [[0] * n for _ in range(n)]
+        v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        vectors = [v]
+        for _ in range(rng.randint(0, n)):
+            vectors.append([sum(a * x for a, x in zip(row, vectors[-1])) for row in A])
+        ours = first_dependency(vectors)
+        expected = _sympy_first_dependency(vectors)
+        if expected is None:
+            assert ours is None
+        else:
+            assert [Rational(c.numerator, c.denominator) for c in ours] == expected
+        seen.add(None if ours is None else len(ours))
+    assert None in seen and 0 in seen and len(seen) >= 5
 
 
 def test_singular_matrix_raises():

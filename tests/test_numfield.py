@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmfields.errors import EnumerationBoundExceeded
-from cmfields.numfield import FieldMorphism, NumberField
+from cmfields.errors import EnumerationBoundExceeded, InvariantViolated
+from cmfields.numfield import FieldMorphism, NumberField, primitive_element
 from cmfields.unipoly import UniPoly
 
 
@@ -53,6 +53,55 @@ class TestElements:
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):
             NumberField(UniPoly([1, 0, 2]))
+
+
+class TestPrimitiveElement:
+    @staticmethod
+    def recording(min_poly):
+        tried = []
+
+        def wrapped(w):
+            tried.append(w)
+            return min_poly(w)
+
+        return tried, wrapped
+
+    def test_candidate_order(self):
+        # integers stand in for algebra elements; the fake minimal polynomial
+        # has degree 2 only at 21, so the search must walk s_0, s_1 and then
+        # w_c = s_0 + c*s_1 for c = 1, 2
+        tried, min_poly = self.recording(lambda w: UniPoly([0, 0, 1] if w == 21 else [0, 1]))
+        w, h, coeffs = primitive_element([1, 10], 2, min_poly)
+        assert tried == [1, 10, 11, 21]
+        assert (w, h, coeffs) == (21, UniPoly([0, 0, 1]), (1, 2))
+
+    def test_first_span_element_of_full_degree_wins(self, zeta5):
+        z = zeta5.gen()
+        span = [zeta5.one(), z + z.inverse(), z, z * z]
+        w, h, coeffs = primitive_element(span, 4)
+        assert (w, coeffs) == (z, (0, 0, 1, 0))
+        assert h == zeta5.min_poly
+
+    def test_combination_when_no_span_element_generates(self):
+        # Q(zeta8) = Q(i, sqrt 2): 1, i, sqrt 2, i sqrt 2 each lie in a proper
+        # subfield, and w_1 = (1 + i)(1 + sqrt 2) has four distinct conjugates
+        K = NumberField(UniPoly([1, 0, 0, 0, 1]))
+        z = K.gen()
+        i, r2 = z * z, z - z**3
+        span = [K.one(), i, r2, i * r2]
+        w, h, coeffs = primitive_element(span, 4)
+        assert coeffs == (1, 1, 1, 1)
+        assert w == (1 + i) * (1 + r2)
+        assert h == w.min_poly_over_q() and h.degree == 4
+
+    def test_span_of_a_subfield_raises_after_the_bound(self, zeta5):
+        # 1 and zeta + zeta^-1 span Q(sqrt 5) only: every candidate fails, and
+        # the search stops after m + (m - 1) D (D - 1) / 2 + 1 of them
+        z = zeta5.gen()
+        tried, min_poly = self.recording(lambda w: w.min_poly_over_q())
+        with pytest.raises(InvariantViolated):
+            primitive_element([zeta5.one(), z + z.inverse()], 4, min_poly)
+        assert len(tried) == 2 + 1 * 4 * 3 // 2 + 1
 
 
 class TestMorphisms:

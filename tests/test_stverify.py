@@ -261,7 +261,7 @@ class TestModelConsistency:
     def test_mistyped_phi_rejected(self, gauss_cm):
         from cmfields.cmreflex import CMType
 
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             CMType(gauss_cm, {0, 1})  # both members of one conjugate pair
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from sympy import Poly, cyclotomic_poly, symbols, totient
 
 from cmfields.cli import main
 from cmfields.cmreflex import enumerate_cm_types
@@ -67,6 +68,33 @@ class TestWire:
         assert rec["order"] == 4 and rec["elementary_divisors"] == [4]
 
 
+def _cyclotomic(m):
+    x = symbols("x")
+    return [int(c) for c in reversed(Poly(cyclotomic_poly(m, x), x).all_coeffs())]
+
+
+def _cm_quartics(count=40):
+    # x^4 + a x^2 + b with a <= 11, b < 30, a^2 > 4b (all four roots on the
+    # imaginary axis) and irreducible: the first `count` in (a, b) order
+    x = symbols("x")
+    return [
+        [b, 0, a, 0, 1]
+        for a in range(1, 12)
+        for b in range(1, 30)
+        if a * a > 4 * b and Poly(x**4 + a * x**2 + b, x).is_irreducible
+    ][:count]
+
+
+CM_QUARTICS = _cm_quartics()
+# every cyclotomic field of degree <= 8, once each (m not 2 mod 4)
+CYCLOTOMICS = [_cyclotomic(m) for m in range(3, 31) if totient(m) <= 8 and m % 4 != 2]
+SURVEY_FIELDS = [
+    [1, 0, 1], [1, 1, 1], [5, 0, 1], [1, 1, 1, 1, 1], [1, 0, 5, 0, 1], [3, 0, 6, 0, 1],
+    [1, 1, 1, 1, 1, 1, 1], [1, -1, 0, 1, -1, 1, 0, -1, 1],
+]
+CM_DIGEST_FIELDS = SURVEY_FIELDS + [_cyclotomic(m) for m in (8, 9, 12, 20)] + CM_QUARTICS
+
+
 @pytest.fixture
 def field_file(tmp_path):
     def write(coeffs, name="field.json"):
@@ -118,33 +146,61 @@ class TestCLI:
         assert first == second
 
     @pytest.mark.parametrize(
-        "command, coeffs, extra, digest",
+        "command, fields, extra, digest",
         [
-            ("cm", [1, -1, 0, 1, -1, 1, 0, -1, 1], [],
+            ("cm", [[1, -1, 0, 1, -1, 1, 0, -1, 1]], [],
              "2eba33079968f89dbc07a5681064ebcb90d0095b743fcfd957793878b8ec89a4"),
-            ("cm", [3, 0, 6, 0, 1], [],
+            ("cm", [[3, 0, 6, 0, 1]], [],
              "8f7d35a807c773b06df723dda2dd06a0943bfab326a188786e7bcad60e33dd90"),
-            ("reflex-verify", [1, 0, 1], ["--samples", "5"],
+            ("reflex-verify", [[1, 0, 1]], ["--samples", "5"],
              "b134578b9dedcf7c7142b9ad32c7e65b2329d9eb00da38181e9dec3110cc11c9"),
             ("st", None, ["5", "300"],
              "b4600f3a4b652b671094bdf7f4bba3ad732fb2f6b485fb36f34df233507e8f26"),
-            ("reflex-verify", [3, 0, 6, 0, 1], ["--samples", "3"],
+            ("reflex-verify", [[3, 0, 6, 0, 1]], ["--samples", "3"],
              "2f4dce232c0a9a6b04af5644e3fdd3c3504a3b40b630f554c4418ca780727b36"),
             ("st", None, ["19000", "19200"],
              "c762ece85dbe7900571c873af4e4cb13225b34a3e93c95d3355c1e719c9f002d"),
+            ("cm", CM_DIGEST_FIELDS, [],
+             "b16c2d13cfd77933b301ea7e567c9602afd2d2030ecc2a7b9895b6108a40d7d4"),
         ],
         ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss", "st-default",
-             "reflex-verify-quartic", "st-window"],
+             "reflex-verify-quartic", "st-window", "cm-52-fields"],
     )
-    def test_golden_record_stream(self, field_file, capsys, command, coeffs, extra, digest):
+    def test_golden_record_stream(self, field_file, capsys, command, fields, extra, digest):
         # SHA-256 of the whole stdout record stream, fixed for these inputs,
         # seed and version: a refactor or speed-up must leave it unchanged;
-        # coeffs None stands for the built-in corpus
-        target = "default" if coeffs is None else field_file(coeffs)
-        code = main(["--seed", "9", command, target] + extra)
-        out = capsys.readouterr().out
-        assert code == 0
+        # the streams of several fields are concatenated in order, and
+        # fields None stands for the built-in corpus
+        if fields is None:
+            targets = ["default"]
+        else:
+            targets = [field_file(c, f"field{i}.json") for i, c in enumerate(fields)]
+        out = ""
+        for target in targets:
+            code = main(["--seed", "9", command, target] + extra)
+            out += capsys.readouterr().out
+            assert code == 0, target
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_within_caps_inputs_succeed_or_are_refused(self, field_file, capsys):
+        # inside the desk-scale caps every input succeeds or is refused with
+        # a documented code (2 bad input, 3 closure too large): no exception
+        # escapes main, and no run ends in an internal-invariant exit
+        runs = [["cm", field_file(c, f"cm{i}.json")]
+                for i, c in enumerate(CYCLOTOMICS + CM_QUARTICS)]
+        runs += [["reflex-verify", "--samples", "0", field_file(c, f"rv{i}.json")]
+                 for i, c in enumerate([[1, 0, 5, 0, 1], [3, 0, 6, 0, 1], [1, 0, 0, 0, 1]])]
+        for argv in runs:
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 2, 3), argv
+
+    @pytest.mark.parametrize("m", [16, 24])
+    def test_cm_cyclotomic_16_and_24(self, field_file, capsys, m):
+        code = main(["cm", field_file(_cyclotomic(m))])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert sum(r["record"] == "cm_type" for r in records) == 16
 
     def test_reflex_verify_pass_and_inject(self, field_file, capsys):
         path = field_file([1, 0, 1])
@@ -239,6 +295,40 @@ class TestCLI:
         assert run.returncode == 2
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1 and reason in run.stderr, run.stderr
+
+    def test_st_row_error_is_a_failed_row(self, tmp_path, capsys):
+        # y^2 = x^3 - x with Q(zeta3) data passes every corpus check, but its
+        # Frobenius at p = 13 is not in Q(zeta3): that row fails with a
+        # witness, the sweep goes on, and the run exits 1
+        corpus = [{"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 1, 1],
+                   "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        code = main(["st", str(path), "5", "60"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        rows = [r for r in records if r["record"] == "st"]
+        errors = [r for r in rows if r["status"] == "error"]
+        assert [r["p"] for r in errors] == [13, 37]
+        assert all(r["witness"].startswith("IdentificationFailed: ") for r in errors)
+        assert rows[-1]["p"] == 59
+        assert records[-1]["record"] == "summary" and records[-1]["ok"] is False
+
+    def test_failed_invariant_exits_4_under_optimize(self, field_file):
+        # with locate_among patched to answer 0, the two coset representatives
+        # of a type on Q(zeta5) land on one embedding; the check is a raise,
+        # not an assert, so python -O still stops with exit 4 and one line
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        script = ("import sys; import cmfields.cmreflex as c; c.locate_among = lambda *a: 0; "
+                  "from cmfields.cli import main; sys.exit(main(['cm', sys.argv[1]]))")
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script, field_file([1, 1, 1, 1, 1])],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 4
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == (
+            "internal invariant failed: InvariantViolated: coset representatives collide")
 
     def test_config_header_embedded(self, field_file, capsys):
         main(["--seed", "123", "--bits", "128", "cm", field_file([1, 0, 1])])
