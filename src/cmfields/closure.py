@@ -3,10 +3,10 @@
 The closure of K = Q[x]/(f) is built by repeatedly adjoining a root of the
 unsplit part R of f. Each round forms the etale algebra A = L[y]/(R), takes
 the primitive element g = y + c*theta that numfield.primitive_element finds
-in the span [y, theta] (the minimal polynomial of each candidate is the first
-dependency among its powers; no resultants), factors the degree-(dim A)
-minimal polynomial of g over Q, and reads
-off one component per factor: degree-[L:Q] components yield roots already in
+among the combinations of y and theta (the minimal polynomial of each
+candidate is the first dependency among its powers; no resultants), factors
+the degree-(dim A) minimal polynomial of g over Q, and reads off one
+component per factor: degree-[L:Q] components yield roots already in
 L, a larger component becomes the new L. Because only roots of f are ever
 adjoined, the final primitive element is a known integer combination of
 tracked roots, which makes the automorphism group a finite search.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import ClosureTooLarge, InvariantViolated
-from .linalg import first_dependency, solve_fraction, transpose
+from .linalg import first_dependency, linear_solver, transpose
 from .memo import per_field
 from .numfield import FieldMorphism, NumberField, primitive_element
 from .ratfactor import factor_rational_poly
@@ -98,7 +98,9 @@ class _Algebra:
         return out
 
     def min_poly(self, w):
-        coeffs = first_dependency(self.power_vectors(w, self.dim + 1))
+        """The minimal polynomial of w; its power vectors are kept as self.powers."""
+        self.powers = self.power_vectors(w, self.dim + 1)
+        coeffs = first_dependency(self.powers)
         return UniPoly([-c for c in coeffs] + [1])
 
 
@@ -133,15 +135,19 @@ def _round_adjoin(field, roots, rel, gen_combo):
         raise ClosureTooLarge(
             f"splitting algebra dimension {alg.dim} exceeds cap {CLOSURE_DEGREE_CAP}"
         )
-    # gamma = a*y + shift*theta; the span [y, theta] makes it y + c*theta
-    gamma, h, (a, shift) = primitive_element([alg.y(), alg.theta()], alg.dim, alg.min_poly)
+    # gamma = a*y + shift*theta = y + c*theta. Neither y nor theta alone can
+    # generate: they take at most deg R and [L:Q] values, both < dim.
+    gamma, h, (a, shift) = primitive_element(
+        [alg.y(), alg.theta()], alg.dim, alg.min_poly, singles=False
+    )
     _, factors = factor_rational_poly(h)
     if any(m != 1 for _, m in factors):
         raise InvariantViolated("splitting algebra is not etale")
 
-    pw_matrix = transpose(alg.power_vectors(gamma, alg.dim))
-    w_theta = solve_fraction(pw_matrix, alg.theta().vector())
-    w_y = solve_fraction(pw_matrix, alg.y().vector())
+    # gamma was the last element asked for, so alg.powers are its powers
+    solve = linear_solver(transpose(alg.powers[: alg.dim]))
+    w_theta = solve(alg.theta().vector())
+    w_y = solve(alg.y().vector())
 
     comps = []
     for h_t, _ in factors:

@@ -29,6 +29,7 @@ from .linalg import (
     transpose,
     triangular_adjugate,
 )
+from .numfield import binary_power
 
 
 class FracIdeal:
@@ -62,11 +63,11 @@ class FracIdeal:
         elems = [e for e in elems if not e.is_zero()]
         if not elems:
             raise ZeroIdeal("no nonzero generators")
-        coords = [order.coords_of(e) for e in elems]
-        den = math.lcm(*(c.denominator for v in coords for c in v))
+        coords = [order.coords_num(e) for e in elems]
+        den = math.lcm(*(d for _, d in coords))
         cols = []
-        for v in coords:
-            cols.extend(transpose(order.mult_matrix_coords([int(c * den) for c in v])))
+        for v, d in coords:
+            cols.extend(transpose(order.mult_matrix_coords([x * (den // d) for x in v])))
         den, h = lattice_hnf(cols, den)
         if len(h[0]) != order.degree:
             raise ZeroIdeal("generators do not span a full lattice")
@@ -123,15 +124,15 @@ class FracIdeal:
 
     def contains(self, elem):
         """Exact membership test for a field element."""
-        coords = [Fraction(c) * self.den for c in self.order.coords_of(elem)]
-        n = self.order.degree
-        # back-substitute against the upper-triangular columns
-        for i in range(n - 1, -1, -1):
-            q = coords[i] / self.hnf[i][i]
-            if q.denominator != 1:
+        v, d = self.order.coords_num(elem)
+        v = [x * self.den for x in v]
+        # back-substitute d*z = v against the upper-triangular columns
+        for i in range(self.order.degree - 1, -1, -1):
+            q, r = divmod(v[i], d * self.hnf[i][i])
+            if r:
                 return False
             for k in range(i + 1):
-                coords[k] -= q * self.hnf[k][i]
+                v[k] -= q * d * self.hnf[k][i]
         return True
 
     def contains_ideal(self, other):
@@ -148,26 +149,24 @@ class FracIdeal:
         ]
         return FracIdeal(self.order, common, hnf_columns(mat))
 
+    def is_unit(self):
+        """True for the order itself: the integral ideal of norm 1."""
+        return self.den == 1 and self.norm() == 1
+
     def __mul__(self, other):
         self._check(other)
-        n = self.order.degree
-        ca = self.basis_columns()
+        if self.is_unit():
+            return other
+        if other.is_unit():
+            return self
         cb = other.basis_columns()
-        cols = [self.order.mult_coords(a, b) for a in ca for b in cb]
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        return FracIdeal(self.order, self.den * other.den, hnf_columns(mat))
+        cols = [self.order.mult_coords(a, b) for a in self.basis_columns() for b in cb]
+        return FracIdeal(self.order, self.den * other.den, hnf_columns(transpose(cols)))
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = FracIdeal.unit_ideal(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, FracIdeal.unit_ideal(self.order))
 
     def inverse(self):
         return colon_ideal(FracIdeal.unit_ideal(self.order), self)
@@ -270,7 +269,7 @@ class PrimeIdeal(FracIdeal):
         self.e = e
         self.f = f
         self.second_gen = second_gen
-        gen = [int(c) for c in order.coords_of(second_gen)]
+        gen = order.integral_coords(second_gen)
         beta = kernel_mod_p(order.mult_matrix_coords(gen), p)[0]
         self.beta_matrix = order.mult_matrix_coords(beta)
         self._pullbacks = None
@@ -412,37 +411,13 @@ def _split_one(I, J):
     """For coprime integral ideals I + J = O, an element t in J with t = 1 mod I."""
     order = I.order
     n = order.degree
-    mat = [
-        [I.hnf[i][j] for j in range(n)] + [J.hnf[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    H, U = hnf_with_transform(mat)
-    # express 1 in terms of the HNF columns (triangular solve), then pull back
-    target = [Fraction(c) for c in order.one_coords]
-    r = len(H[0])
-    if r != n:
-        raise InvariantViolated("ideals do not span")
-    y = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        q = target[i] / H[i][i]
-        if q.denominator != 1:
-            raise InvariantViolated("1 not in I + J: ideals not coprime")
-        y[i] = q
-        for k in range(i + 1):
-            target[k] -= q * H[k][i]
-    # columns of [I | J] * U: last r columns are H; combination vector:
-    full = [Fraction(0)] * (2 * n)
-    for j in range(n):
-        col = 2 * n - n + j
-        for k in range(2 * n):
-            full[k] += y[j] * U[k][col]
-    t_coords = [Fraction(0)] * n
-    for j in range(n):
-        w = full[n + j]
-        if w:
-            for i in range(n):
-                t_coords[i] += w * Fraction(J.hnf[i][j])
-    t = order.element_from_coords(t_coords)
+    H, U = hnf_with_transform([I.hnf[i] + J.hnf[i] for i in range(n)])
+    # I + J = O exactly when the HNF of [I | J] is the identity; then the last
+    # n columns of U combine the generators of I and J into the order basis
+    if H != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise InvariantViolated("1 not in I + J: ideals not coprime")
+    x = mat_vec([row[n:] for row in U[n:]], order.one_coords)
+    t = order.element_from_coords(mat_vec(J.hnf, x))
     if not J.contains(t):
         raise InvariantViolated("the CRT element is not in J")
     if not I.contains(order.field.one() - t):

@@ -1,14 +1,13 @@
 """Exact linear algebra over Q, F_p and Z: Gauss-Jordan, column HNF, SNF.
 
-Matrices are lists of rows. Sizes in this package stay at or below 16x~256,
-so plain Fraction elimination and textbook HNF/SNF are adequate.
-
-One Gauss-Jordan reduction over Q (`_gauss_jordan`) serves solving, inverting,
-kernels and minimal polynomials (`first_dependency`); `kernel_mod_p` is the
-one elimination over F_p. A rational lattice is carried as a canonical (den,
-integer HNF) pair built by `lattice_hnf`, and the inverse of such an HNF is
-its integer adjugate over its determinant (`triangular_adjugate`), with no
-Fraction arithmetic.
+Matrices are lists of rows. Sizes in this package stay at or below 16x~256.
+Over Q, one Gauss-Jordan reduction (`_gauss_jordan`) serves solving, kernels
+and minimal polynomials (`first_dependency`), and `linear_solver` reduces a
+matrix once for many right-hand sides; `kernel_mod_p` is the one elimination
+over F_p. Lattices and orders are integer: a rational lattice is a canonical
+(den, integer HNF) pair from `lattice_hnf`, the inverse of a triangular basis
+is its integer adjugate over its determinant (`triangular_adjugate`), and
+HNF and SNF are textbook integer column and row operations.
 """
 
 import math
@@ -98,17 +97,34 @@ def solve_fraction(A, b):
     return [row[n] for row in M]
 
 
-def solve_general(A, b):
-    """Any rational solution x of A x = b (A is n x m), or None if inconsistent."""
-    m = len(A[0])
-    M = _augmented(A, [[bv] for bv in b])
+def linear_solver(A):
+    """A function b -> some rational x with A x = b (A is n x m), or None if inconsistent.
+
+    [A | I] is reduced once to [R | T] with T A = R, and T is kept as an
+    integer matrix over one denominator, so each solve is one integer
+    matrix-vector product: x takes the entries of T b on the pivot columns
+    (free variables 0), and T b must vanish past the rank.
+    """
+    n, m = len(A), len(A[0])
+    M = _augmented(A, identity_matrix(n))
     pivots = _gauss_jordan(M, m)
-    if any(row[m] != 0 for row in M[len(pivots):]):
-        return None
-    x = [Fraction(0)] * m
-    for row, c in zip(M, pivots):
-        x[c] = row[m]
-    return x
+    den = math.lcm(*(x.denominator for row in M for x in row[m:]))
+    T = [[int(x * den) for x in row[m:]] for row in M]
+    rank = len(pivots)
+
+    def solve(b):
+        b = [Fraction(x) for x in b]
+        d = math.lcm(*(x.denominator for x in b))
+        w = [x.numerator * (d // x.denominator) for x in b]
+        y = [sum(t * x for t, x in zip(row, w)) for row in T]
+        if any(y[rank:]):
+            return None
+        x = [Fraction(0)] * m
+        for c, v in zip(pivots, y):
+            x[c] = Fraction(v, den * d)
+        return x
+
+    return solve
 
 
 def first_dependency(vectors):
@@ -125,15 +141,6 @@ def first_dependency(vectors):
     if j == len(vectors):
         return None
     return [M[r][j] for r in range(j)]
-
-
-def mat_inverse_fraction(A):
-    """Inverse over Q, by reducing [A | I]. Raises ValueError if singular."""
-    n = len(A)
-    M = _augmented(A, identity_matrix(n))
-    if len(_gauss_jordan(M, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n:] for row in M]
 
 
 def right_kernel_fraction(A):
@@ -201,15 +208,12 @@ def triangular_adjugate(H):
 
 
 def lattice_hnf(cols, den=1):
-    """Canonical (den, H) for the lattice spanned by the rational columns over den.
+    """Canonical (den, H) for the lattice spanned by the integer columns over den.
 
-    H is the integer column HNF of the columns scaled by the lcm of their
-    denominators, and the pair is reduced by its content, so two lattices are
-    equal exactly when their pairs are.
+    H is the column HNF of the columns, and the pair is reduced by its
+    content, so two lattices are equal exactly when their pairs are.
     """
-    scale = math.lcm(*(x.denominator for col in cols for x in col))
-    h = hnf_columns([[int(col[i] * scale) for col in cols] for i in range(len(cols[0]))])
-    den *= scale
+    h = hnf_columns(list(zip(*cols)))
     g = math.gcd(den, *(x for row in h for x in row))
     if g > 1:
         h = [[x // g for x in row] for row in h]
@@ -250,97 +254,62 @@ def hnf_with_transform(A, want_transform=True):
     """Column HNF with unimodular U such that (A U) = [zero-cols | H].
 
     Returns (H, U) where H keeps only the nonzero echelon columns. If
-    want_transform is False, U is None.
+    want_transform is False, U is None. The column operations run on A with
+    the identity stacked below it, so the lower block ends as U.
     """
     n = len(A)
     m = len(A[0]) if n else 0
-    M = [list(map(int, row)) for row in A]
-    U = identity_matrix(m) if want_transform else None
-
-    def colop_addmul(dst, src, q):
-        _addmul_col(M, dst, src, q)
-        if U is not None:
-            _addmul_col(U, dst, src, q)
-
-    def colop_swap(i, j):
-        _swap_cols(M, i, j)
-        if U is not None:
-            _swap_cols(U, i, j)
-
-    def colop_neg(j):
-        _neg_col(M, j)
-        if U is not None:
-            _neg_col(U, j)
-
-    def colop_gcd(piv, j, x, y, mv, u):
-        # (col_piv, col_j) <- (x*col_piv + y*col_j, u*col_j + mv*col_piv)
-        for mat in (M, U) if U is not None else (M,):
-            for row in mat:
-                a, b = row[piv], row[j]
-                row[piv] = x * a + y * b
-                row[j] = mv * a + u * b
-
+    M = [list(map(int, row)) for row in A] + (identity_matrix(m) if want_transform else [])
     # Eliminate bottom-up; pivot columns accumulate at the right end.
     last = m  # columns >= last are finished pivots
+    pivot_rows = []
     for i in range(n - 1, -1, -1):
-        nz = [j for j in range(last) if M[i][j] != 0]
+        row_i = M[i]
+        nz = [j for j in range(last) if row_i[j] != 0]
         if not nz:
             continue
-        piv = min(nz, key=lambda j: abs(M[i][j]))
+        piv = min(nz, key=lambda j: abs(row_i[j]))
         for j in nz:
             if j == piv:
                 continue
-            a, b = M[i][piv], M[i][j]
+            a, b = row_i[piv], row_i[j]
             if b % a == 0:
-                colop_addmul(j, piv, -(b // a))
+                _addmul_col(M, j, piv, -(b // a))
             else:
+                # (col_piv, col_j) <- (x*col_piv + y*col_j, u*col_j + mv*col_piv)
                 g, x, y = xgcd(a, b)
-                colop_gcd(piv, j, x, y, -(b // g), a // g)
-        if M[i][piv] < 0:
-            colop_neg(piv)
-        colop_swap(piv, last - 1)
+                mv, u = -(b // g), a // g
+                for row in M:
+                    row[piv], row[j] = x * row[piv] + y * row[j], mv * row[piv] + u * row[j]
+        if row_i[piv] < 0:
+            _neg_col(M, piv)
+        _swap_cols(M, piv, last - 1)
         last -= 1
-    # Reduce entries to the right of each pivot (pivot = bottom-most nonzero).
-    pivot_rows = {}
-    for j in range(last, m):
-        i = next(r for r in range(n - 1, -1, -1) if M[r][j] != 0)
-        pivot_rows[j] = i
-    for j in sorted(pivot_rows, key=lambda c: pivot_rows[c], reverse=True):
-        i = pivot_rows[j]
+        pivot_rows.append(i)
+    # Reduce entries to the right of each pivot, bottom pivot row first; the
+    # pivot of column m - 1 - t is in row pivot_rows[t].
+    for t, i in enumerate(pivot_rows):
+        j = m - 1 - t
         for k in range(j + 1, m):
-            q = M[i][k] // M[i][j]
-            colop_addmul(k, j, -q)
-    H = [row[last:] for row in M]
-    return H, U
+            _addmul_col(M, k, j, -(M[i][k] // M[i][j]))
+    H = [row[last:] for row in M[:n]]
+    return H, (M[n:] if want_transform else None)
 
 
 def snf_with_transform(A):
-    """Smith normal form: returns (D, U, V) with U A V = D, U and V unimodular."""
+    """Smith normal form: returns (D, U, V) with U A V = D, U and V unimodular.
+
+    The operations run on the block matrix [[A, I_n], [I_m, 0]]: row
+    operations on its top n rows, column operations on its left m columns,
+    so the blocks end as [[D, U], [V, 0]].
+    """
     n = len(A)
     m = len(A[0]) if n else 0
-    M = [list(map(int, row)) for row in A]
-    U = identity_matrix(n)
-    V = identity_matrix(m)
+    M = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    M += [[int(i == j) for j in range(m)] + [0] * n for i in range(m)]
 
     def row_addmul(dst, src, q):
         M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def row_swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_neg(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
-    def col_addmul(dst, src, q):
-        _addmul_col(M, dst, src, q)
-        _addmul_col(V, dst, src, q)
-
-    def col_swap(i, j):
-        _swap_cols(M, i, j)
-        _swap_cols(V, i, j)
 
     k = 0
     while k < min(n, m):
@@ -351,8 +320,8 @@ def snf_with_transform(A):
                     piv = (i, j)
         if piv is None:
             break
-        row_swap(k, piv[0])
-        col_swap(k, piv[1])
+        M[k], M[piv[0]] = M[piv[0]], M[k]
+        _swap_cols(M, k, piv[1])
         while True:
             dirty = False
             for i in range(k + 1, n):
@@ -360,31 +329,25 @@ def snf_with_transform(A):
                     q = M[i][k] // M[k][k]
                     row_addmul(i, k, -q)
                     if M[i][k] != 0:
-                        row_swap(i, k)
+                        M[i], M[k] = M[k], M[i]
                         dirty = True
             for j in range(k + 1, m):
                 if M[k][j] != 0:
                     q = M[k][j] // M[k][k]
-                    col_addmul(j, k, -q)
+                    _addmul_col(M, j, k, -q)
                     if M[k][j] != 0:
-                        col_swap(j, k)
+                        _swap_cols(M, j, k)
                         dirty = True
             if not dirty:
                 break
         # pivot must divide every remaining entry; if not, fold the bad row in
-        bad = None
-        for i in range(k + 1, n):
-            for j in range(k + 1, m):
-                if M[i][j] % M[k][k] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next(
+            (i for i in range(k + 1, n) if any(M[i][j] % M[k][k] for j in range(k + 1, m))), None
+        )
         if bad is not None:
             row_addmul(k, bad, 1)
             continue
         if M[k][k] < 0:
-            row_neg(k)
+            M[k] = [-a for a in M[k]]
         k += 1
-    D = M
-    return D, U, V
+    return [row[:m] for row in M[:n]], [row[m:] for row in M[:n]], [row[:m] for row in M[n:]]

@@ -1,9 +1,11 @@
 """Number fields Q[x]/(f), exact element arithmetic, and field morphisms."""
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import InvariantViolated
-from .linalg import det_fraction, first_dependency, solve_general
+from .linalg import det_fraction, first_dependency, linear_solver, transpose
 from .unipoly import UniPoly, poly_discriminant, poly_xgcd
 
 
@@ -29,15 +31,17 @@ class NumberField:
         self.degree = min_poly.degree
         self.disc = poly_discriminant(min_poly)
         n = self.degree
-        # reduction table: x^(n+k) mod min_poly for k = 0..n-2
-        self._red = []
+        # reduction table: x^(n+k) mod min_poly for k = 0..n-2, kept as the
+        # integer rows of red_den times it (red_den is 1 for integral min_poly)
+        red = []
         cur = [-c for c in min_poly.coeffs[:-1]]
-        self._red.append(tuple(cur))
+        red.append(cur)
         for _ in range(n - 2):
-            shifted = [Fraction(0)] + cur[:-1]
             top = cur[-1]
-            cur = [s + top * r for s, r in zip(shifted, self._red[0])]
-            self._red.append(tuple(cur))
+            cur = [s + top * r for s, r in zip([Fraction(0)] + cur[:-1], red[0])]
+            red.append(cur)
+        self._red_den = math.lcm(*(c.denominator for row in red for c in row))
+        self._red = [tuple(int(c * self._red_den) for c in row) for row in red]
 
     def __repr__(self):
         return f"NumberField({self.min_poly!r})"
@@ -78,11 +82,21 @@ class NumberField:
 
 
 class NFElement:
-    __slots__ = ("field", "coords")
+    """A field element: coords is the tuple of its Fraction power-basis coordinates."""
 
-    def __init__(self, field, coords):
+    __slots__ = ("field", "coords", "_num")
+
+    def __init__(self, field, coords, num=None):
         self.field = field
         self.coords = coords
+        self._num = num
+
+    def numerators(self):
+        """(d, w): the coordinates are w/d with w integer and d the least such."""
+        if self._num is None:
+            d = math.lcm(*(c.denominator for c in self.coords))
+            self._num = (d, [c.numerator * (d // c.denominator) for c in self.coords])
+        return self._num
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
@@ -126,24 +140,30 @@ class NFElement:
             return NFElement(self.field, tuple(a * other for a in self.coords))
         if not isinstance(other, NFElement) or other.field != self.field:
             return NotImplemented
-        n = self.field.degree
-        a, b = self.coords, other.coords
-        conv = [Fraction(0)] * (2 * n - 1)
+        field = self.field
+        n = field.degree
+        da, a = self.numerators()
+        db, b = other.numerators()
+        conv = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         conv[i + j] += ca * cb
-        out = list(conv[:n])
-        red = self.field._red
-        for k in range(n - 1):
-            c = conv[n + k]
+        den = field._red_den
+        out = conv[:n] if den == 1 else [den * c for c in conv[:n]]
+        for c, row in zip(conv[n:], field._red):
             if c:
-                row = red[k]
                 for i in range(n):
                     if row[i]:
                         out[i] += c * row[i]
-        return NFElement(self.field, tuple(out))
+        den *= da * db
+        g = math.gcd(den, *out)
+        if g > 1:
+            den //= g
+            out = [c // g for c in out]
+        coords = tuple(Fraction(c, den) for c in out) if den > 1 else tuple(map(Fraction, out))
+        return NFElement(field, coords, (den, out))
 
     __rmul__ = __mul__
 
@@ -167,14 +187,7 @@ class NFElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, self.field.one())
 
     def mult_matrix(self):
         """Matrix of multiplication by self on the power basis (columns = images)."""
@@ -203,13 +216,14 @@ class NFElement:
         return UniPoly([-c for c in coeffs] + [1])
 
 
-def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q):
+def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q, singles=True):
     """A generator w of the Q-algebra A spanned by span = [s_0, ..., s_{m-1}].
 
     A has dimension `degree`; span elements support + and multiplication by
     an integer, and min_poly(w) is the monic minimal polynomial of w over Q,
     of degree `degree` exactly when w generates A. The candidates are each
-    s_k alone, in order, then w_c = sum_k c^k s_k for c = 1, 2, ....
+    s_k alone, in order (skipped when singles is False, for a caller that
+    knows none of them generates), then w_c = sum_k c^k s_k for c = 1, 2, ....
     Returns (w, min_poly(w), a) with w = sum_k a_k s_k.
 
     Termination: A is a field or a product of fields, so it has `degree`
@@ -222,7 +236,7 @@ def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q):
     failing past that bound is an InvariantViolated.
     """
     m = len(span)
-    for k, s in enumerate(span):
+    for k, s in enumerate(span if singles else []):
         h = min_poly(s)
         if h.degree == degree:
             return s, h, tuple(int(i == k) for i in range(m))
@@ -241,6 +255,18 @@ def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q):
     )
 
 
+def binary_power(base, k, one, mul=operator.mul):
+    """base**k for k >= 0: no product with one, no squaring past the top bit."""
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return one if out is None else out
+
+
 def _coerce(field, value):
     if isinstance(value, NFElement):
         if value.field != field:
@@ -254,7 +280,7 @@ def _coerce(field, value):
 class FieldMorphism:
     """A Q-algebra homomorphism between number fields, given by the generator image."""
 
-    __slots__ = ("source", "target", "image_of_generator", "_powers")
+    __slots__ = ("source", "target", "image_of_generator", "_powers", "_solver")
 
     def __init__(self, source, target, image_of_generator, check=True):
         self.source = source
@@ -267,6 +293,7 @@ class FieldMorphism:
         for _ in range(source.degree - 1):
             powers.append(powers[-1] * image_of_generator)
         self._powers = powers
+        self._solver = None
 
     def __repr__(self):
         return f"FieldMorphism({self.image_of_generator!r})"
@@ -304,9 +331,9 @@ class FieldMorphism:
         """The unique preimage of elem under this morphism, or None."""
         if elem.field != self.target:
             raise ValueError("element not in the target field")
-        A = [[self._powers[j].coords[i] for j in range(self.source.degree)]
-             for i in range(self.target.degree)]
-        sol = solve_general(A, list(elem.coords))
+        if self._solver is None:
+            self._solver = linear_solver(transpose([p.coords for p in self._powers]))
+        sol = self._solver(elem.coords)
         if sol is None:
             return None
         return self.source.element(sol)

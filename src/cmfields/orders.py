@@ -1,16 +1,18 @@
 """Orders in number fields and maximal-order computation (Pohst-Zassenhaus).
 
-An Order stores a basis matrix W (columns = basis elements in the power
-basis). The maximal order is obtained by p-maximalizing the equation order at
-every prime whose square divides disc(min_poly): the p-radical R of O/pO is
-the kernel of the iterated Frobenius, and the multiplier ring of R, which is
-the colon ideal (R : R) of `ideals`, strictly contains O exactly when O is
-not p-maximal.
+An Order keeps its basis as an integer upper-triangular matrix over one
+denominator; coordinates come from its integer adjugate, with no Fraction
+elimination. The maximal order p-maximalizes the equation order at every
+prime whose square divides disc(min_poly): the p-radical R of O/pO is the
+kernel of the iterated Frobenius, and the multiplier ring of R, the colon
+ideal (R : R) of `ideals`, strictly contains O exactly when O is not
+p-maximal.
 """
 
+import math
 from fractions import Fraction
 
-from .errors import CMFieldsError
+from .errors import CMFieldsError, InvariantViolated
 from .ideals import FracIdeal, colon_ideal
 from .intutil import factorize
 from .linalg import (
@@ -18,37 +20,57 @@ from .linalg import (
     hnf_columns,
     kernel_mod_p,
     lattice_hnf,
-    mat_inverse_fraction,
     mat_mul,
     mat_vec,
     transpose,
+    triangular_adjugate,
 )
 from .memo import per_field
+from .numfield import binary_power
 
 
 class Order:
-    """A (full-rank) order in a number field, given by a column basis matrix."""
+    """A full-rank order in a number field, with basis columns basis/den.
+
+    self.basis is an integer upper-triangular matrix with nonzero diagonal,
+    and (den, basis) is reduced by its content; the constructor takes the
+    rational basis matrix (columns = basis elements in the power basis).
+    """
 
     def __init__(self, field, basis):
         self.field = field
         n = field.degree
-        self.basis = [[Fraction(x) for x in row] for row in basis]
-        self.basis_inv = mat_inverse_fraction(self.basis)
+        basis = [[Fraction(x) for x in row] for row in basis]
+        scale = math.lcm(*(x.denominator for row in basis for x in row))
+        H = [[int(x * scale) for x in row] for row in basis]
+        if len(H) != n or any(len(row) != n for row in H) or any(
+            H[i][j] for i in range(n) for j in range(i)
+        ) or not all(H[i][i] for i in range(n)):
+            raise CMFieldsError("order basis is not an upper-triangular full-rank n x n matrix")
+        g = math.gcd(scale, *(x for row in H for x in row))
+        self.den = scale // g
+        self.basis = [[x // g for x in row] for row in H]
+        # coordinates of w/d are den adj(basis) w / (det(basis) d); adj is
+        # upper triangular, so row i is kept from column i on
+        det, adj = triangular_adjugate(self.basis)
+        self._det = det
+        self._adj = [[self.den * x for x in row[i:]] for i, row in enumerate(adj)]
         self.elements = [
-            field.element([self.basis[i][j] for i in range(n)]) for j in range(n)
+            field.element([Fraction(self.basis[i][j], self.den) for i in range(n)])
+            for j in range(n)
         ]
-        one = self.coords_of(field.one())
-        if any(c.denominator != 1 for c in one):
+        one = self.integral_coords(field.one())
+        if one is None:
             raise CMFieldsError("1 is not in the order")
-        self.one_coords = tuple(int(c) for c in one)
+        self.one_coords = tuple(one)
         # multiplication table: w_i * w_j in order coordinates (must be integral)
-        self._mult = {}
+        self._mult = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                coords = self.coords_of(self.elements[i] * self.elements[j])
-                if any(c.denominator != 1 for c in coords):
+                coords = self.integral_coords(self.elements[i] * self.elements[j])
+                if coords is None:
                     raise CMFieldsError("order basis is not closed under multiplication")
-                self._mult[(i, j)] = tuple(int(c) for c in coords)
+                self._mult[i][j] = self._mult[j][i] = coords
         self.index_in_maximal = None  # 1 once maximal_order has proved it maximal
         self._disc = None
 
@@ -59,41 +81,51 @@ class Order:
         return (
             isinstance(other, Order)
             and self.field == other.field
+            and self.den == other.den
             and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.basis)))
+        return hash((self.field, self.den, tuple(tuple(r) for r in self.basis)))
 
     @property
     def degree(self):
         return self.field.degree
 
+    def coords_num(self, elem):
+        """(v, d) with v integer and d > 0: elem has coordinates v/d in the order basis."""
+        d, w = elem.numerators()
+        v = [sum(a * x for a, x in zip(row, w[i:])) for i, row in enumerate(self._adj)]
+        d *= self._det
+        g = math.gcd(d, *v) if d > 0 else -math.gcd(d, *v)
+        return [x // g for x in v], d // g
+
     def coords_of(self, elem):
         """Coordinates of a field element in the order basis (rational in general)."""
-        return mat_vec(self.basis_inv, list(elem.coords))
+        v, d = self.coords_num(elem)
+        return [Fraction(x, d) for x in v]
+
+    def integral_coords(self, elem):
+        """The integer coordinates of elem, or None when elem is not in the order."""
+        v, d = self.coords_num(elem)
+        return v if d == 1 else None
 
     def element_from_coords(self, coords):
-        n = self.degree
-        power = mat_vec(self.basis, [Fraction(c) for c in coords])
-        return self.field.element(power)
+        return self.field.element([Fraction(x) / self.den for x in mat_vec(self.basis, coords)])
 
     def contains(self, elem):
-        return all(c.denominator == 1 for c in self.coords_of(elem))
+        return self.coords_num(elem)[1] == 1
 
     def mult_coords(self, a, b):
         """Product of two order-coordinate vectors, in order coordinates."""
         n = self.degree
         out = [0] * n
-        for i in range(n):
-            ai = a[i]
+        for ai, table in zip(a, self._mult):
             if not ai:
                 continue
-            for j in range(n):
-                bj = b[j]
+            for bj, row in zip(b, table):
                 if not bj:
                     continue
-                row = self._mult[(i, j) if i <= j else (j, i)]
                 f = ai * bj
                 for k in range(n):
                     if row[k]:
@@ -119,7 +151,8 @@ class Order:
                 for i in range(n)
             ]
             d = det_fraction(traces)
-            assert d.denominator == 1
+            if d.denominator != 1:
+                raise InvariantViolated(f"order discriminant {d} is not an integer")
             self._disc = int(d)
         return self._disc
 
@@ -127,9 +160,9 @@ class Order:
         """[O : Z[D*theta]] (an integer for orders containing the equation order)."""
         D, _ = integral_presentation(self.field)
         n = self.degree
-        eq_det = Fraction(D) ** (n * (n - 1) // 2)
-        ind = eq_det / abs(det_fraction(self.basis))
-        assert ind.denominator == 1
+        ind = Fraction(D ** (n * (n - 1) // 2) * self.den**n, abs(self._det))
+        if ind.denominator != 1:
+            raise CMFieldsError("the order does not contain the equation order")
         return int(ind)
 
 
@@ -141,7 +174,8 @@ def integral_presentation(field):
     D = f.denominator_lcm()
     n = f.degree
     g = UniPoly([c * Fraction(D) ** (n - i) for i, c in enumerate(f.coeffs)])
-    assert all(c.denominator == 1 for c in g.coeffs) and g.lc() == 1
+    if any(c.denominator != 1 for c in g.coeffs) or g.lc() != 1:
+        raise InvariantViolated(f"D^n f(x/D) is not integer monic for D = {D}")
     return D, g
 
 
@@ -149,10 +183,7 @@ def equation_order(field):
     """Z[D*theta] as an order, D clearing the min_poly denominators."""
     n = field.degree
     D, _ = integral_presentation(field)
-    return Order(
-        field,
-        [[Fraction(D) ** j if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-    )
+    return Order(field, [[D**j if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def _p_radical_lattice(order, p):
@@ -164,33 +195,20 @@ def _p_radical_lattice(order, p):
     while q < n:
         q *= p
         k += 1
+
+    def mult(x, y):
+        return [c % p for c in order.mult_coords(x, y)]
+
     cols = []
     for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        acc = unit
+        acc = [int(i == j) for j in range(n)]
         for _ in range(k):
-            # acc := acc^p via repeated squaring in coords mod p
-            acc = _coords_pow(order, acc, p, p)
-        cols.append([c % p for c in acc])
-    A = [[cols[j][i] for j in range(n)] for i in range(n)]
-    kernel = kernel_mod_p(A, p)
-    gens = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    gens = [list(col) for col in zip(*gens)]  # columns of p*I
-    gens.extend(kernel)
-    mat = [[gens[j][i] for j in range(len(gens))] for i in range(n)]
-    return hnf_columns(mat)
-
-
-def _coords_pow(order, a, e, p):
-    out = list(order.one_coords)
-    base = [c % p for c in a]
-    while e:
-        if e & 1:
-            out = [c % p for c in order.mult_coords(out, base)]
-        base = [c % p for c in order.mult_coords(base, base)]
-        e >>= 1
-    return out
+            acc = binary_power(acc, p, None, mult)  # acc := acc^p mod p
+        cols.append(acc)
+    # columns p*e_i and the kernel of Frobenius mod p
+    gens = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    gens.extend(kernel_mod_p(transpose(cols), p))
+    return hnf_columns(transpose(gens))
 
 
 def maximal_order(field):
@@ -203,7 +221,8 @@ def _maximal_order(field):
     from .unipoly import poly_discriminant
 
     disc_eq = poly_discriminant(g)
-    assert disc_eq.denominator == 1
+    if disc_eq.denominator != 1:
+        raise InvariantViolated(f"disc of the integer polynomial {g} is {disc_eq}")
     disc_eq = int(disc_eq)
     if disc_eq == 0:
         raise CMFieldsError("degenerate (non-separable) polynomial")
@@ -216,10 +235,14 @@ def _maximal_order(field):
             ring = colon_ideal(rad, rad)
             if ring.norm() == 1:
                 break
-            den, h = lattice_hnf(transpose(mat_mul(order.basis, ring.hnf)), ring.den)
+            # the ring's columns are basis/den times ring.hnf/ring.den in the power basis
+            den, h = lattice_hnf(transpose(mat_mul(order.basis, ring.hnf)), order.den * ring.den)
             order = Order(field, [[Fraction(x, den) for x in row] for row in h])
     index = order.equation_order_index()
-    assert order.disc() * index * index == disc_eq
+    if order.disc() * index * index != disc_eq:
+        raise InvariantViolated(
+            f"disc(O) [O : Z[D theta]]^2 = {order.disc() * index * index}, not disc(g) = {disc_eq}"
+        )
     order.index_in_maximal = 1
     order.equation_index = index
     order.equation_gen = field.gen() * D

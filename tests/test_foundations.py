@@ -158,13 +158,13 @@ class TestFinckePohst:
             # rigorous per-coordinate box: |v_i| <= sqrt(bound * (G^-1)_ii)
             import math as _math
 
-            from cmfields.linalg import mat_inverse_fraction
+            from sympy import Matrix
 
-            Ginv = mat_inverse_fraction(G)
+            Ginv = Matrix(G).inv()
             boxes = []
             for i in range(n):
-                cap = bound * Ginv[i][i]
-                boxes.append(_math.isqrt(cap.numerator // cap.denominator) + 1)
+                cap = bound * Ginv[i, i]
+                boxes.append(_math.isqrt(int(cap.p) // int(cap.q)) + 1)
             assert mine == _naive_box(G, bound, boxes), (G, bound)
 
 

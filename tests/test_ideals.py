@@ -10,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from sympy import Matrix, Poly, factorint, ilcm, multiplicity, symbols
+from sympy import Matrix, Poly, Rational, factorint, ilcm, multiplicity, symbols
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.numberfields.basis import round_two
+from sympy.polys.numberfields.primes import prime_decomp
 
 from cmfields import ideals
 from cmfields.closure import complex_conjugation, splitting_data
@@ -124,6 +125,27 @@ class TestProducts:
             a, b = random_ideal(O, rng), random_ideal(O, rng)
             assert a * one == a
             assert a * b == b * a
+
+    def test_powers_are_products_with_no_wasted_hnf(self, zeta5, monkeypatch):
+        O = maximal_order(zeta5)
+        one = FracIdeal.unit_ideal(O)
+        I = random_ideal(O, random.Random(7))
+        assert not I.is_unit()
+        products = [one]
+        for _ in range(5):
+            products.append(products[-1] * I)
+        calls = []
+        real = ideals.hnf_columns
+        monkeypatch.setattr(ideals, "hnf_columns", lambda A: calls.append(1) or real(A))
+        counts = []
+        for k in range(6):
+            calls.clear()
+            assert I**k == products[k]
+            counts.append(len(calls))
+        # P**1 costs no HNF and P**2 one; no product by the unit ideal
+        assert counts == [0, 0, 1, 2, 2, 3]
+        calls.clear()
+        assert one * I is I and I * one is I and calls == []
 
     def test_order_mismatch(self, gauss, sqrt5):
         a = FracIdeal.unit_ideal(maximal_order(gauss))
@@ -269,8 +291,56 @@ class TestMaximalOrder:
             with pytest.raises(CMFieldsError, match=reason):
                 Order(gauss, basis)
 
+    def test_order_refuses_a_basis_that_is_not_triangular(self, gauss):
+        # columns 1 + i and i span Z[i], but the basis is refused, not
+        # re-normalised, so order coordinates always mean the given columns
+        with pytest.raises(CMFieldsError, match="upper-triangular"):
+            Order(gauss, [[1, 0], [1, 1]])
+        assert Order(gauss, [[1, 0], [0, 1]]) == equation_order(gauss)
+
+
+SURVEY_POLYS = (
+    (1, 0, 1), (1, 1, 1), (5, 0, 1), (1, 1, 1, 1, 1), (1, 0, 5, 0, 1), (3, 0, 6, 0, 1),
+    (1, 1, 1, 1, 1, 1, 1), (1, -1, 0, 1, -1, 1, 0, -1, 1),
+)
+
+
+class TestOrderCoordinates:
+    @pytest.mark.parametrize("coeffs", SURVEY_POLYS + ("closure",), ids=str)
+    def test_coords_of_matches_sympy_solve(self, coeffs, quartic):
+        field = splitting_data(quartic).closure if coeffs == "closure" else \
+            NumberField(UniPoly(list(coeffs)))
+        O = maximal_order(field)
+        n = field.degree
+        B = Matrix(O.basis) / O.den
+        assert all(O.basis[i][j] == 0 for i in range(n) for j in range(i))
+        rng = random.Random(n)
+        for trial in range(12):
+            height = 1 if trial < 4 else 9
+            e = field.element([Fraction(rng.randint(-height, height), rng.randint(1, 3))
+                               for _ in range(n)])
+            expected = B.solve(Matrix([Rational(c.numerator, c.denominator) for c in e.coords]))
+            ours = O.coords_of(e)
+            assert [Rational(c.numerator, c.denominator) for c in ours] == list(expected)
+            assert O.contains(e) == all(c.is_integer for c in expected)
+            assert O.element_from_coords(ours) == e
+
 
 class TestPrimeSplit:
+    @pytest.mark.parametrize("coeffs", [(3, 0, 6, 0, 1), (1, 0, 5, 0, 1)], ids=str)
+    def test_splitting_types_match_sympy_prime_decomp(self, coeffs):
+        x = symbols("x")
+        T = Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
+        O = maximal_order(NumberField(UniPoly(list(coeffs))))
+        checked = 0
+        for p in primes_up_to(49):
+            if O.equation_index % p == 0:
+                continue
+            ours = sorted((P.e, P.f) for P in prime_split(p, O))
+            assert ours == sorted((Q.e, Q.f) for Q in prime_decomp(p, T=T)), p
+            checked += 1
+        assert checked >= 12
+
     def test_gauss_splitting_patterns(self, gauss):
         O = maximal_order(gauss)
         s5 = prime_split(5, O)

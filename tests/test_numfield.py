@@ -2,12 +2,50 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, Matrix, Poly, Rational, rem, symbols
 
+from cmfields import linalg
 from cmfields.errors import EnumerationBoundExceeded, InvariantViolated
-from cmfields.numfield import FieldMorphism, NumberField, primitive_element
+from cmfields.numfield import FieldMorphism, NFElement, NumberField, primitive_element
 from cmfields.unipoly import UniPoly
+
+X = symbols("x")
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def sympy_poly(coeffs):
+    """The sympy polynomial with the given low-to-high rational coefficients."""
+    return Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)], X, domain=QQ)
+
+
+def sympy_coords(poly, n):
+    """Low-to-high coefficients of a sympy polynomial, padded to n."""
+    coeffs = list(reversed(poly.all_coeffs())) if not poly.is_zero else []
+    return [Fraction(int(c.p), int(c.q)) for c in coeffs] + [Fraction(0)] * (n - len(coeffs))
+
+
+@st.composite
+def fields_and_elements(draw):
+    """A monic f of degree 1..6 with rational coefficients, and three elements of Q[x]/(f)."""
+    n = draw(st.integers(1, 6))
+    f = [draw(RATIONALS) for _ in range(n)] + [Fraction(1)]
+    elems = [[draw(RATIONALS) for _ in range(n)] for _ in range(3)]
+    return f, elems
+
+
+def assert_products_match_sympy(f, elems):
+    K = NumberField(UniPoly(f), check=False)
+    a, b, c = (K.element(e) for e in elems)
+    F = sympy_poly(f)
+    A, B, C = (sympy_poly(e) for e in elems)
+    assert list((a * b).coords) == sympy_coords(rem(A * B, F), K.degree)
+    # a product's cached integer numerators feed the next product
+    assert list((a * b * c).coords) == sympy_coords(rem(A * B * C, F), K.degree)
 
 
 class TestElements:
@@ -41,6 +79,44 @@ class TestElements:
         assert z.norm() == 1
         assert z.trace() == -1
         assert (z + z.inverse()).min_poly_over_q() == UniPoly([-1, 1, 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and_elements())
+    def test_products_match_sympy_rem(self, case):
+        # Q[x]/(f) multiplication is defined for any monic f, so the draws
+        # need not be irreducible; most have non-integral coefficients
+        assert_products_match_sympy(*case)
+
+    def test_products_with_a_non_integral_min_poly(self):
+        # x^3 + x/2 + 1/3 is irreducible (3-Eisenstein after x -> x/6) and its
+        # reduction table has denominators
+        f = [Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1)]
+        K = NumberField(UniPoly(f))
+        assert K._red_den > 1
+        rng = random.Random(21)
+        for _ in range(30):
+            elems = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)]
+                     for _ in range(3)]
+            assert_products_match_sympy(f, elems)
+
+    def test_pow_does_no_wasted_products(self, zeta5, monkeypatch):
+        a = zeta5.element([1, -2, 0, 3])
+        powers = [reduce(NFElement.__mul__, [a] * k, zeta5.one()) for k in range(6)]
+        calls = []
+        mul = NFElement.__mul__
+
+        def counting(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(NFElement, "__mul__", counting)
+        counts = []
+        for k in range(6):
+            calls.clear()
+            assert a**k == powers[k]
+            counts.append(len(calls))
+        # no product by one and no squaring after the top bit
+        assert counts == [0, 0, 1, 2, 2, 3]
 
     def test_zero_division(self, gauss):
         with pytest.raises(ZeroDivisionError):
@@ -128,6 +204,28 @@ class TestMorphisms:
         assert j0.preimage(j0(x)) == x
         # an element outside the image has no preimage
         assert j0.preimage(sd.closure.gen()) is None
+
+    def test_preimage_reduces_once_and_matches_sympy(self, quartic, monkeypatch):
+        from cmfields.closure import splitting_data
+
+        sd = splitting_data(quartic)
+        j0 = sd.embeddings[0]
+        fresh = FieldMorphism(quartic, sd.closure, j0.image_of_generator, check=False)
+        calls = []
+        real = linalg._gauss_jordan
+        monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(1) or real(*a))
+        A = Matrix([[Rational(c.numerator, c.denominator) for c in row] for row in zip(
+            *(j0(quartic.gen() ** i).coords for i in range(quartic.degree)))])
+        rng = random.Random(8)
+        for _ in range(10):
+            x = quartic.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)])
+            y = j0(x)
+            b = Matrix([Rational(c.numerator, c.denominator) for c in y.coords])
+            expected = A.gauss_jordan_solve(b)[0]
+            assert [Rational(c.numerator, c.denominator) for c in fresh.preimage(y).coords] == \
+                list(expected)
+        assert fresh.preimage(sd.closure.gen()) is None
+        assert len(calls) == 1
 
 
 class TestPrincipalityBudget:

@@ -330,6 +330,25 @@ class TestCLI:
         assert run.stderr.splitlines()[-1] == (
             "internal invariant failed: InvariantViolated: coset representatives collide")
 
+    def test_maximal_order_check_exits_4_under_optimize(self, field_file):
+        # with the equation-order index patched to 2, disc(O) [O : Z[i]]^2
+        # misses disc(x^2 + 1); the check in orders is a raise, so python -O
+        # still stops reflex-verify with exit 4 and one line
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        script = ("import sys; import cmfields.orders as o; "
+                  "o.Order.equation_order_index = lambda self: 2; "
+                  "from cmfields.cli import main; "
+                  "sys.exit(main(['reflex-verify', '--samples', '0', sys.argv[1]]))")
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script, field_file([1, 0, 1])],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 4
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == (
+            "internal invariant failed: InvariantViolated: "
+            "disc(O) [O : Z[D theta]]^2 = -16, not disc(g) = -4")
+
     def test_config_header_embedded(self, field_file, capsys):
         main(["--seed", "123", "--bits", "128", "cm", field_file([1, 0, 1])])
         out = capsys.readouterr().out
