@@ -301,24 +301,20 @@ def reflex_norm_elem(cmtype, k, a):
 def _prime_pullback(sd, i, P_k, order_E, order_k):
     """The prime q of E with phi_i(q) O_k <= P_k, and f(P_k / phi_i q).
 
-    Cached on the k-prime (prime_split returns shared instances).
+    Memoized per field k, keyed by P_k, E and i.
     """
-    cache = getattr(P_k, "_pullbacks", None)
-    if cache is None:
-        cache = P_k._pullbacks = {}
-    key = (sd.field.min_poly, i)
-    if key in cache:
-        return cache[key]
-    for q in prime_split(P_k.p, order_E):
-        img = FracIdeal.from_generators(
-            order_k, [sd.embeddings[i](g) for g in q.two_element_like_generators()]
-        )
-        if P_k.contains_ideal(img):
-            if P_k.f % q.f:
-                raise InvariantViolated(f"residue degree {q.f} does not divide {P_k.f}")
-            cache[key] = (q, P_k.f // q.f)
-            return cache[key]
-    raise InvariantViolated("no pullback prime found")
+    def build():
+        for q in prime_split(P_k.p, order_E):
+            img = FracIdeal.from_generators(
+                order_k, [sd.embeddings[i](g) for g in q.two_element_like_generators()]
+            )
+            if P_k.contains_ideal(img):
+                if P_k.f % q.f:
+                    raise InvariantViolated(f"residue degree {q.f} does not divide {P_k.f}")
+                return q, P_k.f // q.f
+        raise InvariantViolated("no pullback prime found")
+
+    return per_field("prime_pullback", order_k.field, build, P_k, sd.field.min_poly, i)
 
 
 def reflex_norm_ideal(cmtype, k, a):

@@ -22,6 +22,7 @@ from .intutil import factorize
 from .linalg import (
     hnf_columns,
     hnf_with_transform,
+    identity_matrix,
     kernel_mod_p,
     lattice_hnf,
     mat_mul,
@@ -29,7 +30,9 @@ from .linalg import (
     transpose,
     triangular_adjugate,
 )
+from .memo import per_field
 from .numfield import binary_power
+from .unipoly import UniPoly
 
 
 class FracIdeal:
@@ -79,10 +82,8 @@ class FracIdeal:
 
     @staticmethod
     def unit_ideal(order):
-        if not hasattr(order, "_unit_ideal"):
-            one = FracIdeal.from_generators(order, [order.field.one()])
-            order._unit_ideal = one
-        return order._unit_ideal
+        """The order itself: the identity lattice in its own coordinates."""
+        return FracIdeal(order, 1, identity_matrix(order.degree))
 
     def __repr__(self):
         return f"FracIdeal(den={self.den}, hnf={self.hnf})"
@@ -122,9 +123,8 @@ class FracIdeal:
             for col in self.basis_columns()
         ]
 
-    def contains(self, elem):
-        """Exact membership test for a field element."""
-        v, d = self.order.coords_num(elem)
+    def _contains_coords(self, v, d):
+        """True when the order-coordinate vector v/d (v integer, d > 0) lies in the ideal."""
         v = [x * self.den for x in v]
         # back-substitute d*z = v against the upper-triangular columns
         for i in range(self.order.degree - 1, -1, -1):
@@ -135,8 +135,14 @@ class FracIdeal:
                 v[k] -= q * d * self.hnf[k][i]
         return True
 
+    def contains(self, elem):
+        """Exact membership test for a field element."""
+        return self._contains_coords(*self.order.coords_num(elem))
+
     def contains_ideal(self, other):
-        return (self + other) == self
+        """other <= self, tested on other's basis columns: no HNF is built."""
+        self._check(other)
+        return all(self._contains_coords(col, other.den) for col in other.basis_columns())
 
     def __add__(self, other):
         self._check(other)
@@ -261,7 +267,7 @@ class PrimeIdeal(FracIdeal):
     element. beta_matrix is the integer matrix of multiplication by beta.
     """
 
-    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix", "_pullbacks")
+    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix")
 
     def __init__(self, order, den, hnf, p, e, f, second_gen):
         super().__init__(order, den, hnf)
@@ -272,7 +278,6 @@ class PrimeIdeal(FracIdeal):
         gen = order.integral_coords(second_gen)
         beta = kernel_mod_p(order.mult_matrix_coords(gen), p)[0]
         self.beta_matrix = order.mult_matrix_coords(beta)
-        self._pullbacks = None
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
@@ -285,17 +290,14 @@ def prime_split(p, order):
     """Primes of the maximal order above p, by the Dedekind criterion.
 
     Refuses p dividing the index of the equation order with IndexDivisible.
-    Results are cached per order.
+    Results are memoized per field and p; there is one maximal order per field.
     """
     if order.index_in_maximal != 1:
         raise OrderMismatch("prime_split needs the maximal order")
-    if not hasattr(order, "equation_index"):
-        raise OrderMismatch("order lacks equation-order data; use maximal_order()")
-    cache = getattr(order, "_prime_cache", None)
-    if cache is None:
-        cache = order._prime_cache = {}
-    if p in cache:
-        return cache[p]
+    return per_field("prime_split", order.field, lambda: _prime_split(p, order), p)
+
+
+def _prime_split(p, order):
     if order.equation_index % p == 0:
         raise IndexDivisible(f"{p} divides the equation-order index {order.equation_index}")
     g = order.equation_poly
@@ -307,11 +309,7 @@ def prime_split(p, order):
     field = order.field
     for gi, e in factors:
         f_deg = len(gi) - 1
-        gi_elem = field.zero()
-        power = field.one()
-        for c in gi:
-            gi_elem = gi_elem + power * int(c)
-            power = power * theta
+        gi_elem = UniPoly(gi)(theta)
         ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
         out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, f_deg, gi_elem))
     if sum(P.e * P.f for P in out) != n:
@@ -327,7 +325,6 @@ def prime_split(p, order):
         if prod != FracIdeal.principal(order, field.one() * p):
             raise InvariantViolated(f"the primes above {p} do not multiply to {p}O")
     out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
-    cache[p] = out
     return out
 
 
@@ -339,7 +336,7 @@ def factor_ideal(a):
     """
     order = a.order
     if isinstance(a, PrimeIdeal):
-        # return the instance of prime_split's cache, so per-prime caches are shared
+        # a prime of prime_split is its own factorization; no valuation needed
         for P in prime_split(a.p, order):
             if P == a:
                 return {P: 1}

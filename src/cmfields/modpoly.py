@@ -1,7 +1,10 @@
-"""Polynomial arithmetic and factorization over F_p.
+"""Polynomial arithmetic over Z/m, and factorization over F_p.
 
-Polynomials are lists of ints in [0, p), lowest degree first, normalized so
-the last entry is nonzero ([] is the zero polynomial). Factorization is
+Polynomials are lists of ints in [0, m), lowest degree first, normalized so
+the last entry is nonzero ([] is the zero polynomial). The arithmetic (add,
+sub, mul, scal, divmod_) works modulo any m > 1; divmod_ needs only the
+divisor's leading coefficient to be a unit mod m, so Hensel lifting runs on
+it modulo p^k. Everything from gcd on needs m prime. Factorization is
 squarefree + distinct-degree + Cantor-Zassenhaus equal-degree splitting with
 a deterministic seeded element sweep, so results are reproducible.
 """
@@ -15,25 +18,25 @@ def trim(a):
     return a
 
 
-def add(a, b, p):
+def add(a, b, m):
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c
     for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+        out[i] = (out[i] + c) % m
     return trim(out)
 
 
-def sub(a, b, p):
+def sub(a, b, m):
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+        out[i] = (out[i] - c) % m
     return trim(out)
 
 
-def mul(a, b, p):
+def mul(a, b, m):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -41,30 +44,30 @@ def mul(a, b, p):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return trim([c % p for c in out])
+    return trim([c % m for c in out])
 
 
-def scal(a, s, p):
-    s %= p
-    return trim([c * s % p for c in a])
+def scal(a, s, m):
+    s %= m
+    return trim([c * s % m for c in a])
 
 
-def divmod_(a, b, p):
+def divmod_(a, b, m):
     if not b:
         raise ZeroDivisionError
     a = list(a)
     db, lcb = len(b) - 1, b[-1]
-    inv = pow(lcb, -1, p)
+    inv = pow(lcb, -1, m)
     if len(a) - 1 < db:
         return [], a
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + db] % p
+        c = a[k + db] % m
         if c:
-            f = c * inv % p
+            f = c * inv % m
             q[k] = f
             for i, bc in enumerate(b):
-                a[k + i] = (a[k + i] - f * bc) % p
+                a[k + i] = (a[k + i] - f * bc) % m
     return trim(q), trim(a[:db])
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolated
 from .linalg import det_fraction, first_dependency, linear_solver, transpose
-from .unipoly import UniPoly, poly_discriminant, poly_xgcd
+from .unipoly import UniPoly, poly_xgcd
 
 
 class NumberField:
@@ -29,7 +29,6 @@ class NumberField:
                 raise ValueError("min_poly is reducible over Q")
         self.min_poly = min_poly
         self.degree = min_poly.degree
-        self.disc = poly_discriminant(min_poly)
         n = self.degree
         # reduction table: x^(n+k) mod min_poly for k = 0..n-2, kept as the
         # integer rows of red_den times it (red_den is 1 for integral min_poly)

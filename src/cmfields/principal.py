@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 
 from .closure import complex_conjugation
-from .errors import EnumerationBoundExceeded
+from .errors import EnumerationBoundExceeded, OrderMismatch
 from .intutil import root_upper
+from .memo import per_field
 from .unipoly import sturm_real_root_count
 
 
@@ -129,9 +130,16 @@ def is_principal(a, budget_doublings=10):
 
 
 def torsion_units(order):
-    """All roots of unity in the order (exact sphere Tr(x conj x) = degree)."""
-    if hasattr(order, "_torsion_units"):
-        return order._torsion_units
+    """All roots of unity in the maximal order (exact sphere Tr(x conj x) = degree).
+
+    Memoized per field; there is one maximal order per field.
+    """
+    if order.index_in_maximal != 1:
+        raise OrderMismatch("torsion_units needs the maximal order")
+    return per_field("torsion_units", order.field, lambda: _torsion_units(order))
+
+
+def _torsion_units(order):
     field = order.field
     conj = complex_conjugation(field)
     assert conj is not None
@@ -150,5 +158,4 @@ def torsion_units(order):
                 x = x + b * c
         out.append(x)
     assert field.one() in out
-    order._torsion_units = out
     return out

@@ -1,8 +1,10 @@
 """Factorization of rational polynomials by the classical modular method.
 
 Squarefree reduction, factorization modulo a good prime, quadratic Hensel
-lifting past the Mignotte bound, then subset recombination. The package-wide
-degree cap (16) keeps the exponential recombination step trivial.
+lifting past the Mignotte bound, then subset recombination. This module holds
+only the algorithm: arithmetic modulo p and p^k is `modpoly`'s, and exact
+division over Q is `UniPoly`'s. The package-wide degree cap (16) keeps the
+exponential recombination step trivial.
 """
 
 import itertools
@@ -10,24 +12,11 @@ import math
 from fractions import Fraction
 
 from . import modpoly
+from .errors import InvariantViolated
 from .intutil import is_prime
 from .unipoly import UniPoly, poly_gcd
 
 DEGREE_CAP = 16
-
-
-def _int_primitive(f):
-    """(content sign-normalized primitive integer coeff list, rational content)."""
-    den = f.denominator_lcm()
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        return [], Fraction(0)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints], Fraction(g, den)
 
 
 def _mignotte_bound(ints):
@@ -35,55 +24,6 @@ def _mignotte_bound(ints):
     n = len(ints) - 1
     norm2 = math.isqrt(sum(c * c for c in ints)) + 1
     return (1 << n) * norm2 * abs(ints[-1])
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _ipoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ipoly_add(a, b):
-    return _ipoly_trim([x + y for x, y in _pad(list(a), list(b))])
-
-
-def _ipoly_sub(a, b, m=None):
-    out = [x - y for x, y in _pad(list(a), list(b))]
-    if m is not None:
-        out = [c % m for c in out]
-    return _ipoly_trim(out)
-
-
-def _ipoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ipoly_trim(out)
-
-
-def _ipoly_divmod_monic(a, b, m):
-    """Division mod m by monic b."""
-    a = [c % m for c in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _ipoly_trim(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + db] % m
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] = (a[k + i] - c * bc) % m
-    return _ipoly_trim(q), _ipoly_trim(a[:db])
 
 
 def _bezout(g, h, p):
@@ -96,7 +36,8 @@ def _bezout(g, h, p):
         r0, r1 = r1, r
         s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
         t0, t1 = t1, modpoly.sub(t0, modpoly.mul(q, t1, p), p)
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise InvariantViolated(f"Hensel factors share a factor mod {p}")
     inv = pow(r0[0], -1, p)
     return modpoly.scal(s0, inv, p), modpoly.scal(t0, inv, p)
 
@@ -129,27 +70,29 @@ def _lift_factors(f_ints, fac_modp, p, target):
 def _hensel_pair(f, g, h, p, modulus):
     """Quadratic Hensel lift of monic f = g*h (mod p) to the given p^(2^J) modulus.
 
-    f must be exact (integral) or known mod the target modulus.
+    f must be exact (integral) or known mod the target modulus; g and h are
+    monic and reduced mod p. Each step squares m and works in Z/m through
+    `modpoly`, whose division needs only the divisor h to be monic.
     """
     s, t = _bezout(g, h, p)
     m = p
-    g, h = [c % p for c in g], [c % p for c in h]
     while m < modulus:
         m = m * m
-        e = _ipoly_sub([c % m for c in f], _ipoly_mul(g, h), m)
+        e = modpoly.sub([c % m for c in f], modpoly.mul(g, h, m), m)
         # dh = (s*e mod h); dg = t*e + q*g where s*e = q*h + dh
-        q, dh = _ipoly_divmod_monic(_ipoly_mul(s, e), h, m)
-        dg = _ipoly_trim([c % m for c in _ipoly_add(_ipoly_mul(t, e), _ipoly_mul(q, g))])
-        assert len(dg) <= len(g) - 1, "Hensel degree invariant broken"
-        g = _ipoly_trim([c % m for c in _ipoly_add(g, dg)])
-        h = _ipoly_trim([c % m for c in _ipoly_add(h, dh)])
+        q, dh = modpoly.divmod_(modpoly.mul(s, e, m), h, m)
+        dg = modpoly.add(modpoly.mul(t, e, m), modpoly.mul(q, g, m), m)
+        if len(dg) > len(g) - 1:
+            raise InvariantViolated("Hensel degree invariant broken")
+        g = modpoly.add(g, dg, m)
+        h = modpoly.add(h, dh, m)
         if m >= modulus:
             break
         # lift the Bezout cofactors: s*g + t*h = 1 (mod m)
-        b = _ipoly_sub(_ipoly_add(_ipoly_mul(s, g), _ipoly_mul(t, h)), [1], m)
-        c_, d_ = _ipoly_divmod_monic(_ipoly_mul(s, b), h, m)
-        s = _ipoly_sub(s, d_, m)
-        t = _ipoly_sub(t, _ipoly_add(_ipoly_mul(t, b), _ipoly_mul(c_, g)), m)
+        b = modpoly.sub(modpoly.add(modpoly.mul(s, g, m), modpoly.mul(t, h, m), m), [1], m)
+        c_, d_ = modpoly.divmod_(modpoly.mul(s, b, m), h, m)
+        s = modpoly.sub(s, d_, m)
+        t = modpoly.sub(t, modpoly.add(modpoly.mul(t, b, m), modpoly.mul(c_, g, m), m), m)
     return g, h
 
 
@@ -195,7 +138,8 @@ def _zassenhaus_irreducible_factors(ints):
                 d = modpoly.gcd(fp, modpoly.derivative(fp, p), p)
                 if len(d) == 1:
                     fac = modpoly.factor(fp, p)
-                    assert all(m == 1 for _, m in fac)
+                    if any(m != 1 for _, m in fac):
+                        raise InvariantViolated(f"repeated factor mod {p} after a squarefree test")
                     cand = sorted(list(f) for f, _ in fac)
                     if best is None or len(cand) < len(best[1]):
                         best = (p, cand)
@@ -209,9 +153,10 @@ def _zassenhaus_irreducible_factors(ints):
     bound = 2 * _mignotte_bound(ints) + 1
     modulus, lifted = _lift_factors(ints, modular, p, bound)
 
-    # subset recombination over the lifted factors
+    # subset recombination over the lifted factors; a candidate is monic, so
+    # it divides over Z exactly when it divides over Q
     remaining = list(range(len(lifted)))
-    current = list(ints)
+    current = UniPoly(ints)
     out = []
     r = 1
     while 2 * r <= len(remaining):
@@ -219,44 +164,20 @@ def _zassenhaus_irreducible_factors(ints):
         for combo in itertools.combinations(remaining, r):
             prod = [1]
             for idx in combo:
-                prod = _ipoly_mul(prod, lifted[idx])
+                prod = modpoly.mul(prod, lifted[idx], modulus)
             cand = [_centered(c, modulus) for c in prod]
-            q, rem = _int_poly_divmod(current, cand)
-            if rem is not None and not rem:
-                out.append(list(cand))
+            q, rem = divmod(current, UniPoly(cand))
+            if not rem:
+                out.append(cand)
                 current = q
                 remaining = [i for i in remaining if i not in combo]
                 found = True
                 break
         if not found:
             r += 1
-    if len(current) > 1:
-        out.append(current)
+    if current.degree > 0:
+        out.append([c.numerator for c in current.coeffs])
     return out
-
-
-def _int_poly_divmod(a, b):
-    """Exact integer polynomial division attempt; returns (q, []) or (None, None)."""
-    if not b:
-        return None, None
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return None, None
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + db]
-        if c % b[-1] != 0:
-            return None, None
-        f = c // b[-1]
-        q[k] = f
-        if f:
-            for i, bc in enumerate(b):
-                a[k + i] -= f * bc
-    rem = _ipoly_trim(a[:db])
-    if rem:
-        return None, None
-    return q, rem
 
 
 def factor_rational_poly(f):
@@ -282,8 +203,7 @@ def factor_rational_poly(f):
         y = poly_gcd(w, g)
         z = w // y
         if z.degree > 0:
-            ints, _ = _int_primitive(z)
-            for fac in _zassenhaus_irreducible_factors(ints):
+            for fac in _zassenhaus_irreducible_factors(_primitive_part(z.int_coeffs()[0])):
                 poly = UniPoly([Fraction(c, fac[-1]) for c in fac])
                 out[poly] = out.get(poly, 0) + mult
         w = y

@@ -1,17 +1,27 @@
 """Tests for the exact number-field layer: factorization, automorphisms,
 closures, certified embeddings, and their structural invariants."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from sympy import QQ, Poly, Rational, symbols
 
+from cmfields import modpoly, ratfactor
 from cmfields.closure import galois_closure, nf_automorphisms, splitting_data
 from cmfields.embeddings import certified_embeddings
 from cmfields.errors import ClosureTooLarge
 from cmfields.numfield import NumberField
 from cmfields.ratfactor import factor_rational_poly
 from cmfields.unipoly import UniPoly, sturm_real_root_count
+
+
+X = symbols("x")
 
 
 def P(*coeffs):
@@ -59,6 +69,105 @@ class TestFactorRationalPoly:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             factor_rational_poly(UniPoly([1] + [0] * 16 + [1]))
+
+    @staticmethod
+    def sympy_factors(f):
+        """sympy's irreducible factors of f over Q, made monic, with multiplicities."""
+        poly = Poly([Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], X,
+                    domain=QQ)
+        out = []
+        for g, m in poly.factor_list()[1]:
+            g = g.monic()
+            out.append((UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]),
+                        m))
+        return sorted(out, key=lambda kv: (kv[0].degree, kv[0].coeffs))
+
+    def test_matches_sympy_factor_list(self):
+        # seeded products of degree <= 16 with non-monic integer factors, powers
+        # and a rational unit
+        rng = random.Random(8080)
+        degrees = set()
+        for _ in range(60):
+            f = UniPoly([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))])
+            for _ in range(rng.randint(1, 4)):
+                deg, mult = rng.randint(1, 5), rng.randint(1, 3)
+                if f.degree + deg * mult > 16:
+                    continue
+                c = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([1, 1, 2, 3, -4])]
+                f = f * UniPoly(c) ** mult
+            unit, factors = factor_rational_poly(f)
+            assert unit == f.lc()
+            assert factors == self.sympy_factors(f), f
+            degrees.add(f.degree)
+        assert max(degrees) >= 14
+
+    def test_recombination_when_f_splits_mod_every_prime(self):
+        # x^4 - 10x^2 + 1 is irreducible but splits into factors of degree <= 2
+        # mod every prime, so the lifted factors must be recombined
+        f = P(1, 0, -10, 0, 1)
+        g = P(4, 0, -16, 0, 1)
+        for h in (f, f * g, f * g * P(-3, 0, 2)):
+            assert factor_rational_poly(h)[1] == self.sympy_factors(h)
+        assert factor_rational_poly(f) == (1, [(f, 1)])
+
+    def test_lift_factors(self):
+        # the lifted factors are monic, reduce to the factors mod p, and
+        # multiply to f modulo the returned modulus
+        rng = random.Random(77)
+        polys = [[1, 0, -10, 0, 1]]
+        for _ in range(4):
+            f = [1]
+            for _ in range(3):
+                f = modpoly.mul(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1],
+                                1 << 64)
+            polys.append([c - (1 << 64) if c > 1 << 63 else c for c in f])
+        for f in polys:
+            for p in (3, 5, 7, 11, 13):
+                fp = modpoly.trim([c % p for c in f])
+                facs = modpoly.factor(fp, p)
+                if len(fp) != len(f) or any(m > 1 for _, m in facs):
+                    continue
+                modular = [list(g) for g, _ in facs]
+                modulus, lifted = ratfactor._lift_factors(f, modular, p, 10**40)
+                k = 0
+                while p**k < modulus:
+                    k += 1
+                assert p**k == modulus and modulus >= 10**40
+                prod = [1]
+                for g, g0 in zip(lifted, modular):
+                    assert g[-1] == 1 and len(g) == len(g0)
+                    assert modpoly.trim([c % p for c in g]) == g0
+                    prod = modpoly.mul(prod, g, modulus)
+                assert prod == [c % modulus for c in f]
+
+    def test_a_repeated_modular_factor_raises_under_optimize(self):
+        # a factorization mod p that repeats a factor of a polynomial found
+        # squarefree mod p raises InvariantViolated, also under python -O
+        code = textwrap.dedent("""
+            from cmfields import modpoly
+            from cmfields.errors import InvariantViolated
+            from cmfields.ratfactor import factor_rational_poly
+            from cmfields.unipoly import UniPoly
+
+            factor = modpoly.factor
+
+            def doubled(g, p):
+                (f, m), *rest = factor(g, p)
+                return [(f, 2 * m)] + rest
+
+            modpoly.factor = doubled
+            print("debug", __debug__)
+            try:
+                factor_rational_poly(UniPoly([1, 0, 1]))
+            except InvariantViolated as exc:
+                print("raised", exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "debug False", "raised repeated factor mod 3 after a squarefree test"]
 
 
 class TestAutomorphisms:

@@ -15,7 +15,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from cmfields import ideals
+from cmfields import ideals, memo
 from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.errors import CMFieldsError, IndexDivisible, OrderMismatch
 from cmfields.ideals import FracIdeal, coprime_scale, colon_ideal, factor_ideal, prime_split
@@ -152,6 +152,36 @@ class TestProducts:
         b = FracIdeal.unit_ideal(maximal_order(sqrt5))
         with pytest.raises(OrderMismatch):
             a * b
+        with pytest.raises(OrderMismatch):
+            a.contains_ideal(b)
+
+    def test_unit_ideal_is_generated_by_one(self, gauss, sqrt5, zeta5, quartic):
+        # the identity lattice is the ideal 1*O, also for an equation order and a
+        # field whose minimal polynomial is not integral
+        fields = [gauss, sqrt5, zeta5, quartic, splitting_data(quartic).closure,
+                  NumberField(UniPoly([Fraction(1, 3), Fraction(1, 2), 0, 1]))]
+        for K in fields:
+            for O in (maximal_order(K), equation_order(K)):
+                assert FracIdeal.unit_ideal(O) == FracIdeal.from_generators(O, [K.one()])
+
+
+class TestContainment:
+    def test_contains_ideal_matches_the_sum_definition(self, zeta5, quartic):
+        # b <= a exactly when a + b == a, on integral and fractional pairs
+        outcomes = set()
+        for O, seed in ((maximal_order(zeta5), 61), (closure_order(quartic), 62)):
+            rng = random.Random(seed)
+            primes = primes_below(O, 20)
+            for _ in range(6):
+                a = random_ideal(O, rng, prime_bound=20)
+                c = rng.choice(primes) ** rng.randint(1, 2)
+                b = random_ideal(O, rng, prime_bound=20)
+                for x, y in ((a, a * c), (a * c, a), (a, b), (c, a * c), (a, a.scaled(3)),
+                             (a.scaled(Fraction(1, 2)), a), (a, a)):
+                    expected = (x + y) == x
+                    assert x.contains_ideal(y) == expected, (x, y)
+                    outcomes.add((expected, x.is_integral() and y.is_integral()))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestInverse:
@@ -423,7 +453,7 @@ class TestPrimeSplit:
             assert factor_ideal(I) == expected
         for O, q in zip(orders, (59, 61)):
             # drop any cached split so prime_split builds the primes here
-            O._prime_cache.pop(q, None)
+            memo._store.pop(("prime_split", O.field.min_poly, q), None)
             split = prime_split(q, O)
             for P in split:
                 expected = {Q: -Q.e for Q in split}
@@ -543,6 +573,9 @@ class TestPrincipality:
         assert len(torsion_units(maximal_order(eisenstein))) == 6
         assert len(torsion_units(maximal_order(sqrt5))) == 2
         assert len(torsion_units(maximal_order(zeta5))) == 10
+        # memoized per field, so only the maximal order is accepted
+        with pytest.raises(OrderMismatch):
+            torsion_units(equation_order(zeta5))
 
 
 def _quadratic_field(d):
