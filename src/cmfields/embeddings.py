@@ -9,7 +9,6 @@ finder at higher precision and matches disks by intersection with the
 canonical base disks, so an embedding index never changes meaning.
 """
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -107,12 +106,7 @@ class Ball:
 
 def _abs_upper(re, im):
     """Rational upper bound for sqrt(re^2 + im^2)."""
-    s = re * re + im * im
-    if s == 0:
-        return Fraction(0)
-    num, den = s.numerator, s.denominator
-    r = math.isqrt(num * den)
-    return Fraction(r + 1, den)
+    return root_upper(re * re + im * im, 2)
 
 
 def _eval_exact(poly, re, im):

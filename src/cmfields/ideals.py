@@ -13,6 +13,7 @@ is one). A valuation at a prime P uses the anti-uniformizer that
 1993, Alg. 4.8.17), so no prime inverse is ever built.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -123,26 +124,31 @@ class FracIdeal:
             for col in self.basis_columns()
         ]
 
-    def _contains_coords(self, v, d):
-        """True when the order-coordinate vector v/d (v integer, d > 0) lies in the ideal."""
+    def lattice_coords(self, v, d=1):
+        """Integer coordinates of the order-coordinate vector v/d (v integer, d > 0)
+        in the basis columns over den, or None when v/d is not in the ideal."""
         v = [x * self.den for x in v]
-        # back-substitute d*z = v against the upper-triangular columns
-        for i in range(self.order.degree - 1, -1, -1):
+        n = self.order.degree
+        z = [0] * n
+        # back-substitute d*H*z = den*v against the upper-triangular columns
+        for i in range(n - 1, -1, -1):
             q, r = divmod(v[i], d * self.hnf[i][i])
             if r:
-                return False
+                return None
+            z[i] = q
             for k in range(i + 1):
                 v[k] -= q * d * self.hnf[k][i]
-        return True
+        return z
 
     def contains(self, elem):
         """Exact membership test for a field element."""
-        return self._contains_coords(*self.order.coords_num(elem))
+        return self.lattice_coords(*self.order.coords_num(elem)) is not None
 
     def contains_ideal(self, other):
         """other <= self, tested on other's basis columns: no HNF is built."""
         self._check(other)
-        return all(self._contains_coords(col, other.den) for col in other.basis_columns())
+        return all(self.lattice_coords(col, other.den) is not None
+                   for col in other.basis_columns())
 
     def __add__(self, other):
         self._check(other)
@@ -349,6 +355,35 @@ def factor_ideal(a):
             v = a.valuation(P)
             if v:
                 out[P] = v
+    return out
+
+
+def integral_ideals_of_norm(order, norm):
+    """Every integral ideal of the given norm, sorted by HNF rows.
+
+    The candidates are the upper-triangular column HNFs of determinant norm:
+    a diagonal d_0, ..., d_{n-1} with that product and the entries right of
+    each pivot in [0, d_i), so prod d_i^(n-1-i) matrices per diagonal. A
+    candidate is an ideal exactly when its lattice is closed under
+    multiplication by every order basis element. No prime is split.
+    """
+    n = order.degree
+    mults = [order.mult_matrix_coords([int(i == t) for i in range(n)]) for t in range(n)]
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    divisors = [d for d in range(1, norm + 1) if norm % d == 0]
+    for diag in itertools.product(divisors, repeat=n):
+        if math.prod(diag) != norm:
+            continue
+        for entries in itertools.product(*(range(diag[i]) for i, _ in slots)):
+            H = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), x in zip(slots, entries):
+                H[i][j] = x
+            a = FracIdeal(order, 1, H)
+            if all(a.lattice_coords(mat_vec(M, col)) is not None
+                   for M in mults for col in a.basis_columns()):
+                out.append(a)
+    out.sort(key=lambda a: a.hnf)
     return out
 
 

@@ -18,12 +18,15 @@ def iroot(n, k):
     """Floor of the k-th root of n >= 0, by integer Newton iteration.
 
     The start 2^ceil(bitlen/k) is at least the root; from above the iterates
-    decrease strictly until they reach the floor (Cohen 1993, §1.7).
+    decrease strictly until they reach the floor (Cohen 1993, §1.7). Square
+    roots are math.isqrt.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n < 2:
         return n
+    if k == 2:
+        return math.isqrt(n)
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

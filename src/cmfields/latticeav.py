@@ -5,23 +5,27 @@ with its O_E-action. Morphisms between models with the same CM-pair are
 multiplier elements of E; an a-multiplication is the distinguished isogeny
 whose target has lattice a^{-1} * source lattice. Degrees, composition,
 Hom-modules, torsion modules, and the ideal-class / isogeny-class bijection
-all reduce to exact ideal arithmetic.
+all reduce to exact ideal arithmetic: the isogeny classes are the ideal
+classes of `principal.class_representatives`, and torsion and induced maps
+read integer lattice coordinates off `FracIdeal.lattice_coords`.
 """
 
+import itertools
 import math
-from fractions import Fraction
 
 from .errors import (
     CompositionMismatch,
+    InvariantViolated,
     NonIntegralIdeal,
     OrderMismatch,
     PairMismatch,
     SourceMismatch,
     ZeroElement,
 )
-from .ideals import FracIdeal, colon_ideal, prime_split
-from .linalg import solve_fraction
-from .principal import is_principal
+from .ideals import colon_ideal
+from .linalg import det_fraction, mat_vec
+from .orders import maximal_order
+from .principal import class_representatives
 
 
 class LatticeAV:
@@ -64,7 +68,8 @@ class AMult:
 
     def degree(self):
         n = self.ideal.norm()
-        assert n.denominator == 1
+        if n.denominator != 1:
+            raise InvariantViolated(f"an a-multiplication ideal has norm {n}")
         return int(n)
 
 
@@ -82,7 +87,8 @@ def amul_degree(lam):
     """deg = numerical norm of the ideal; cross-checked against the lattice index."""
     deg = lam.degree()
     index = lam.source.lattice.norm() / lam.target.lattice.norm()
-    assert index == deg, "degree does not match the lattice index"
+    if index != deg:
+        raise InvariantViolated("degree does not match the lattice index")
     return deg
 
 
@@ -94,7 +100,8 @@ def elem_degree(av, alpha):
     if alpha.is_zero():
         raise ZeroElement("zero element is not an isogeny")
     n = abs(alpha.norm())
-    assert n.denominator == 1
+    if n.denominator != 1:
+        raise NonIntegralIdeal(f"an isogeny needs an integral element, not norm {n}")
     return int(n)
 
 
@@ -113,7 +120,8 @@ def hom_ideal(av_a, av_b):
     if av_a.cmtype != av_b.cmtype:
         raise PairMismatch("different CM-pairs")
     out = colon_ideal(av_b.lattice, av_a.lattice)
-    assert out == av_b.lattice * av_a.lattice.inverse(), "colon and quotient disagree"
+    if out != av_b.lattice * av_a.lattice.inverse():
+        raise InvariantViolated("colon and quotient disagree")
     return out
 
 
@@ -127,64 +135,15 @@ def factor_through(lam, mu):
     return lam.ideal.contains_ideal(mu.ideal)
 
 
-def _minkowski_norm_cap(disc):
-    """An integer >= (2/pi)^s * sqrt(|disc|) for an imaginary quadratic field."""
-    return math.isqrt(abs(disc) * 4053 // 10000) + 1
-
-
-def _integral_ideals_up_to(order, bound):
-    """All integral ideals of norm <= bound (including the unit ideal)."""
-    from .errors import IndexDivisible
-
-    primes = []
-    for p in range(2, bound + 1):
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            try:
-                primes.extend(P for P in prime_split(p, order) if P.norm() <= bound)
-            except IndexDivisible:
-                continue
-    out = [FracIdeal.unit_ideal(order)]
-    for P in primes:
-        new = []
-        for a in out:
-            power = a
-            while True:
-                power = power * P
-                if power.norm() > bound:
-                    break
-                new.append(power)
-        out.extend(new)
-    return [a for a in out if a.norm() <= bound]
-
-
 def isogeny_classes(cmfield, cmtype):
     """One LatticeAV per ideal class; the unit-ideal model comes first.
 
-    Representatives are pairwise non-isomorphic; the count is the class
-    number. Requires principality testing to be decisive at the norms that
-    occur (always true for imaginary quadratic fields).
+    The lattices are `principal.class_representatives`: pairwise
+    non-isomorphic, and as many as the class number. Requires principality
+    testing to be decisive at the norms that occur (always true for imaginary
+    quadratic fields).
     """
-    order = _maximal(cmfield)
-    disc = order.disc()
-    bound = _minkowski_norm_cap(disc)
-    candidates = _integral_ideals_up_to(order, bound)
-    candidates.sort(key=lambda a: (a.norm(), a.den, tuple(tuple(r) for r in a.hnf)))
-    reps = []
-    for a in candidates:
-        klass = None
-        for r in reps:
-            if is_principal(a * r.inverse()) is not None:
-                klass = r
-                break
-        if klass is None:
-            reps.append(a)
-    return [LatticeAV(cmtype, r) for r in reps]
-
-
-def _maximal(cmfield):
-    from .orders import maximal_order
-
-    return maximal_order(cmfield.field)
+    return [LatticeAV(cmtype, r) for r in class_representatives(maximal_order(cmfield.field))]
 
 
 class TorsionModule:
@@ -199,20 +158,18 @@ class TorsionModule:
             raise ValueError("m must be positive")
         self.av = av
         self.m = m
-        order = av.lattice.order
+        lattice = av.lattice
+        order = lattice.order
         n = order.degree
-        lat_cols = [[Fraction(x, av.lattice.den) for x in col] for col in av.lattice.basis_columns()]
-        lat_matrix = [[lat_cols[j][i] for j in range(n)] for i in range(n)]
         self.action = []
         for t in range(n):
-            unit = [0] * n
-            unit[t] = 1
+            M = order.mult_matrix_coords([int(i == t) for i in range(n)])
             cols = []
-            for j in range(n):
-                prod = order.mult_coords(unit, [c for c in lat_cols[j]])
-                sol = solve_fraction(lat_matrix, prod)
-                assert all(c.denominator == 1 for c in sol), "lattice is not an O-module"
-                cols.append([int(c) % m if m > 1 else 0 for c in sol])
+            for col in lattice.basis_columns():
+                z = lattice.lattice_coords(mat_vec(M, col), lattice.den)
+                if z is None:
+                    raise InvariantViolated("lattice is not an O-module")
+                cols.append([c % m for c in z])
             self.action.append([[cols[j][i] for j in range(n)] for i in range(n)])
         self.generator = self._find_generator() if m > 1 else [0] * n
 
@@ -235,24 +192,25 @@ class TorsionModule:
         return math.gcd(_det_mod(M, self.m), self.m) == 1
 
     def _find_generator(self):
-        n = self.av.lattice.order.degree
-        import itertools
+        """The first generator in boxes [0, radius]^n of radius 1, 2, ..., m - 1.
 
-        for radius in (1, 2, 3):
+        The search ends: a lattice of the maximal order is invertible, so
+        L/mL is isomorphic to O/mO as an O-module and has a generator in
+        (Z/m)^n, which the box of radius m - 1 covers. Each box tests only
+        the points it adds to the one before.
+        """
+        n = self.av.lattice.order.degree
+        for radius in range(1, self.m):
             for coords in itertools.product(range(radius + 1), repeat=n):
-                if all(c == 0 for c in coords):
-                    continue
-                if self.is_generator(list(coords)):
+                if max(coords) == radius and self.is_generator(list(coords)):
                     return list(coords)
-        raise AssertionError("no cyclic generator found (non-invertible module?)")
+        raise InvariantViolated(f"L/{self.m}L has no generator: the lattice is not invertible")
 
 
 def _det_mod(M, m):
-    n = len(M)
-    from .linalg import det_fraction
-
     d = det_fraction(M)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InvariantViolated(f"an integer matrix has determinant {d}")
     return int(d) % m
 
 
@@ -269,14 +227,12 @@ def induced_torsion_matrix(lam, m):
     n = lam.source.lattice.order.degree
     src = lam.source.lattice
     tgt = lam.target.lattice
-    tgt_cols = [[Fraction(x, tgt.den) for x in col] for col in tgt.basis_columns()]
-    tgt_matrix = [[tgt_cols[j][i] for j in range(n)] for i in range(n)]
     out_cols = []
     for col in src.basis_columns():
-        vec = [Fraction(x, src.den) for x in col]
-        sol = solve_fraction(tgt_matrix, vec)
-        assert all(c.denominator == 1 for c in sol), "source not inside target"
-        out_cols.append([int(c) % m for c in sol])
+        z = tgt.lattice_coords(col, src.den)
+        if z is None:
+            raise InvariantViolated("source not inside target")
+        out_cols.append([c % m for c in z])
     M = [[out_cols[j][i] for j in range(n)] for i in range(n)]
     bijective = math.gcd(_det_mod(M, m), m) == 1
     return M, bijective

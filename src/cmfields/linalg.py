@@ -84,19 +84,6 @@ def _gauss_jordan(M, ncols):
     return pivots
 
 
-def _augmented(A, B):
-    return [list(map(Fraction, row)) + list(map(Fraction, extra)) for row, extra in zip(A, B)]
-
-
-def solve_fraction(A, b):
-    """Solve A x = b for square invertible A over Q. Raises ValueError if singular."""
-    n = len(A)
-    M = _augmented(A, [[bv] for bv in b])
-    if len(_gauss_jordan(M, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n] for row in M]
-
-
 def linear_solver(A):
     """A function b -> some rational x with A x = b (A is n x m), or None if inconsistent.
 
@@ -106,7 +93,8 @@ def linear_solver(A):
     (free variables 0), and T b must vanish past the rank.
     """
     n, m = len(A), len(A[0])
-    M = _augmented(A, identity_matrix(n))
+    M = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
     pivots = _gauss_jordan(M, m)
     den = math.lcm(*(x.denominator for row in M for x in row[m:]))
     T = [[int(x * den) for x in row[m:]] for row in M]

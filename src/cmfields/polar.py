@@ -10,7 +10,7 @@ groups) and reported honestly as inconclusive otherwise.
 import itertools
 
 from .embeddings import certified_embeddings, locate_among
-from .errors import PairMismatch, SearchExhausted, UnitSearchInconclusive
+from .errors import InvariantViolated, PairMismatch, SearchExhausted, UnitSearchInconclusive
 from .principal import is_principal, torsion_units
 
 SIGN_SEARCH_CAP = 60
@@ -81,7 +81,8 @@ def find_riemann_element(cmtype):
         alpha0 = gen
     else:
         alpha0 = gen - E.conj(gen)
-        assert not alpha0.is_zero()
+        if alpha0.is_zero():
+            raise InvariantViolated("complex conjugation fixes the field generator")
     signs = _imaginary_sign_pattern(cmtype, alpha0)
     if all(s == 1 for s in signs.values()):
         return RiemannElement(cmtype, alpha0)
@@ -89,7 +90,8 @@ def find_riemann_element(cmtype):
     wanted = {}
     for i, s in signs.items():
         place = _restriction_place(cmtype, i)
-        assert place not in wanted
+        if place in wanted:
+            raise InvariantViolated("two embeddings of the type restrict to one real place")
         wanted[place] = s
     F = E.real_subfield
     degF = F.degree

@@ -1,17 +1,23 @@
-"""Principality testing by short-vector enumeration on the trace form.
+"""Principality testing by short-vector enumeration, and the ideal classes.
 
 The form Q(x) = Tr(x * conj(x)) is positive definite on a totally imaginary
 or totally real field, and an element generates an integral ideal a exactly
 when it lies in a with |Nm| = N(a). For imaginary quadratics Q = 2*Nm makes
 the search sphere exact and the decision complete; otherwise the radius grows
 from the AM-GM floor 2g * N^(1/g) until the budget is exhausted.
+
+`class_representatives` is the one ideal-class computation: every integral
+ideal of norm up to Minkowski's bound, enumerated directly as an HNF, is
+compared with the classes found so far by a principality test. The lattice
+models of `latticeav` and the ray class groups of `rayclass` both use it.
 """
 
 import math
 from fractions import Fraction
 
 from .closure import complex_conjugation
-from .errors import EnumerationBoundExceeded, OrderMismatch
+from .errors import EnumerationBoundExceeded, InvariantViolated, OrderMismatch
+from .ideals import integral_ideals_of_norm
 from .intutil import root_upper
 from .memo import per_field
 from .unipoly import sturm_real_root_count
@@ -31,20 +37,14 @@ def _ldl(G):
     L = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         d[i] = A[i][i]
-        assert d[i] > 0, "form is not positive definite"
+        if d[i] <= 0:
+            raise InvariantViolated("form is not positive definite")
         for j in range(i + 1, n):
             L[i][j] = A[i][j] / d[i]
         for k in range(i + 1, n):
             for l in range(i + 1, n):
                 A[k][l] -= A[k][i] * A[i][l] / A[i][i]
     return d, L
-
-
-def _sqrt_upper(x):
-    if x <= 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    return Fraction(math.isqrt(num * den) + 1, den)
 
 
 def fincke_pohst(G, bound):
@@ -61,7 +61,7 @@ def fincke_pohst(G, bound):
             return
         s = sum(L[i][j] * v[j] for j in range(i + 1, n))
         t = remaining / d[i]
-        r = _sqrt_upper(t)
+        r = root_upper(t, 2)
         lo = math.ceil(-s - r)
         hi = math.floor(-s + r)
         for vi in range(lo, hi + 1):
@@ -95,7 +95,8 @@ def is_principal(a, budget_doublings=10):
         )
     num = a.scaled(a.den)
     target = num.norm()
-    assert target.denominator == 1
+    if target.denominator != 1:
+        raise InvariantViolated(f"an integral ideal has norm {target}")
     target = int(target)
     basis = num.basis_elements()
     G = trace_gram(basis, conj)
@@ -142,7 +143,8 @@ def torsion_units(order):
 def _torsion_units(order):
     field = order.field
     conj = complex_conjugation(field)
-    assert conj is not None
+    if conj is None:
+        raise EnumerationBoundExceeded("torsion units need a totally real or CM field")
     basis = [order.element_from_coords([1 if i == j else 0 for i in range(order.degree)])
              for j in range(order.degree)]
     G = trace_gram(basis, conj)
@@ -157,5 +159,44 @@ def _torsion_units(order):
             if c:
                 x = x + b * c
         out.append(x)
-    assert field.one() in out
+    if field.one() not in out:
+        raise InvariantViolated("1 is missing from the roots of unity")
     return out
+
+
+def class_representatives(order):
+    """One integral ideal per ideal class of the maximal order; the order comes first.
+
+    Every class holds an integral ideal of norm at most Minkowski's bound, so
+    the candidates are all integral ideals up to that norm, in (norm, HNF)
+    order; a candidate opens a new class when no earlier representative r
+    makes a * r^-1 principal. The count is the class number, and the
+    principality test is decisive for imaginary quadratic fields. Memoized
+    per field; there is one maximal order per field.
+    """
+    if order.index_in_maximal != 1:
+        raise OrderMismatch("class_representatives needs the maximal order")
+    return per_field("class_representatives", order.field, lambda: _class_representatives(order))
+
+
+def _class_representatives(order):
+    reps = []
+    for norm in range(1, _minkowski_cap(order) + 1):
+        for a in integral_ideals_of_norm(order, norm):
+            if all(is_principal(a * r.inverse()) is None for r in reps):
+                reps.append(a)
+    return reps
+
+
+def _minkowski_cap(order):
+    """An integer above Minkowski's bound (n!/n^n) (4/pi)^s sqrt|disc|.
+
+    s is the number of complex places, and 16/pi^2 < 4053/2500, so the square
+    of the bound is below X = (n!/n^n)^2 (4053/2500)^s |disc| and isqrt(X) + 1
+    exceeds the bound. For a quadratic field X = |disc| * 4053/10000.
+    """
+    field = order.field
+    n = field.degree
+    s = (n - sturm_real_root_count(field.min_poly)) // 2
+    x = Fraction(math.factorial(n), n**n) ** 2 * Fraction(4053, 2500) ** s * abs(order.disc())
+    return math.isqrt(math.floor(x)) + 1

@@ -4,11 +4,12 @@ The group is assembled from the exact sequence
 units -> (O/m)x -> C_m -> Cl -> 1: the residue group is enumerated with a
 full discrete-log table (the norm cap keeps it small), the unit image is the
 subgroup generated by the torsion units and any supplied fundamental units,
-and the class part comes from Minkowski-bound ideal enumeration. A Smith
-normal form of the combined relation matrix gives the invariants and discrete
-logarithms. The reflex-transport check realizes the ideal-norm side of the
-main theorem: principal reflex-field ideals with ray-congruent generators
-must transport to the trivial class.
+and the class part is `principal.class_representatives` with a generator of
+the (cyclic) class group coprime to m, found among the integral ideals in
+order of norm. A Smith normal form of the combined relation matrix gives the
+invariants and discrete logarithms. The reflex-transport check realizes the
+ideal-norm side of the main theorem: principal reflex-field ideals with
+ray-congruent generators must transport to the trivial class.
 """
 
 import math
@@ -16,18 +17,20 @@ import random
 from .cmreflex import reflex_field
 from .errors import (
     EnumerationBoundExceeded,
+    InvariantViolated,
     ModulusTooLarge,
     NotCoprime,
     UnitsUnavailable,
 )
-from .ideals import FracIdeal, factor_ideal, prime_split
+from .ideals import FracIdeal, factor_ideal, integral_ideals_of_norm, prime_split
 from .intutil import primes_up_to
 from .linalg import snf_with_transform
 from .orders import maximal_order
-from .principal import is_principal, torsion_units
+from .principal import class_representatives, is_principal, torsion_units
 from .unipoly import UniPoly
 
 MODULUS_NORM_CAP = 10**4
+CLASS_GENERATOR_NORM_CAP = 200
 
 
 class Modulus:
@@ -53,7 +56,8 @@ def supplied_fundamental_units(field):
         g = field.gen()
         units = [field.one() + g]
         for u in units:
-            assert abs(u.norm()) == 1, "supplied unit fails the norm check"
+            if abs(u.norm()) != 1:
+                raise InvariantViolated("supplied unit fails the norm check")
         return units
     return None
 
@@ -67,11 +71,8 @@ class _ResidueGroup:
         n = order.degree
         self.hnf = modulus.hnf
         self.diag = [self.hnf[i][i] for i in range(n)]
-        size = 1
-        for d in self.diag:
-            size *= d
-        self.ring_size = size
-        self.prime_divisors = list(factor_ideal(modulus).keys()) if size > 1 else []
+        self.ring_size = math.prod(self.diag)
+        self.prime_divisors = list(factor_ideal(modulus).keys()) if self.ring_size > 1 else []
         self.gens = []
         self.rel_rows = []
         self.table = {}
@@ -163,45 +164,29 @@ class _ResidueGroup:
 
 
 def _class_group_cyclic_data(order, modulus_ideal):
-    """(h, generator prime coprime to modulus, its class order, generator of power).
+    """(h, an integral ideal g coprime to the modulus whose class generates, tau).
 
-    Assumes a cyclic class group (true for every corpus field used here);
-    raises EnumerationBoundExceeded otherwise.
+    g^h = (tau); g and tau are None when h = 1. Assumes a cyclic class group
+    (true for every corpus field used here). Every class holds ideals of norm
+    coprime to the modulus, but with no effective bound, so the search stops
+    at norm CLASS_GENERATOR_NORM_CAP and raises EnumerationBoundExceeded.
     """
-    from .latticeav import _integral_ideals_up_to, _minkowski_norm_cap
-
-    disc = order.disc()
-    bound = _minkowski_norm_cap(disc)
-    candidates = _integral_ideals_up_to(order, bound)
-    candidates.sort(key=lambda a: (a.norm(), a.den, tuple(tuple(r) for r in a.hnf)))
-    reps = []
-    for a in candidates:
-        if not any(is_principal(a * r.inverse()) is not None for r in reps):
-            reps.append(a)
-    h = len(reps)
+    h = len(class_representatives(order))
     if h == 1:
-        return 1, None, 1, None
-    # find a prime coprime to the modulus generating the (cyclic) class group
-    from .errors import IndexDivisible
-
-    for p in primes_up_to(200):
-        try:
-            splits = prime_split(p, order)
-        except IndexDivisible:
+        return 1, None, None
+    m_norm = int(modulus_ideal.norm())
+    for norm in range(2, CLASS_GENERATOR_NORM_CAP + 1):
+        if math.gcd(norm, m_norm) != 1:
             continue
-        for P in splits:
-            if math.gcd(int(P.norm()), int(modulus_ideal.norm())) != 1:
-                continue
-            k = 1
-            power = P
-            while is_principal(power) is None:
-                power = power * P
-                k += 1
-                if k > h:
-                    break
-            if k == h:
+        for g in integral_ideals_of_norm(order, norm):
+            power = g
+            for k in range(1, h + 1):
                 tau = is_principal(power)
-                return h, P, h, tau
+                if tau is not None:
+                    break
+                power = power * g
+            if k == h and tau is not None:
+                return h, g, tau
     raise EnumerationBoundExceeded("no cyclic class-group generator found")
 
 
@@ -228,54 +213,38 @@ class RayClassGroup:
         self.order = order
         self.modulus = modulus
         self.residues = _ResidueGroup(order, m_ideal)
-        h, class_gen, class_order, tau = _class_group_cyclic_data(order, m_ideal)
+        h, class_gen, tau = _class_group_cyclic_data(order, m_ideal)
         self.class_number = h
         self.class_gen = class_gen
 
-        r = len(self.residues.gens)
-        gens_total = (1 if class_gen is not None else 0) + r
-        rows = []
         offset = 1 if class_gen is not None else 0
+        gens_total = offset + len(self.residues.gens)
+        rows = []
         if class_gen is not None:
             # class relation: class_gen^h = (tau)
-            row = [0] * gens_total
-            row[0] = class_order
-            tau_dl = self._residue_dlog_of_element(tau)
-            for j, e in enumerate(tau_dl):
-                row[offset + j] -= e
-            rows.append(row)
+            rows.append([h] + [-e for e in self._residue_dlog_of_alpha(tau)])
         for res_row in self.residues.relation_rows():
             rows.append([0] * offset + res_row)
         # unit relations: (u) is the trivial ideal, so its residue class dies
         for u in units:
-            dl = self._residue_dlog_of_element(u)
+            dl = self._residue_dlog_of_alpha(u)
             rows.append([0] * offset + list(dl))
         if not rows:
             rows = [[0] * gens_total] if gens_total else [[0]]
         D, U, V = snf_with_transform(rows)
         self._snf = (D, U, V)
         self._gens_total = gens_total
-        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-        divisors = []
-        for i in range(gens_total):
-            d = diag[i] if i < len(diag) else 0
-            assert d != 0, "ray class group is not finite (missing relations)"
-            divisors.append(d)
+        divisors = [D[i][i] if i < len(D) else 0 for i in range(gens_total)]
+        if 0 in divisors:
+            raise InvariantViolated("ray class group is not finite (missing relations)")
         self.elementary_divisors = [d for d in divisors if d > 1]
-        self.order_count = 1
-        for d in divisors:
-            self.order_count *= d
+        self.order_count = math.prod(divisors)
         # exact-sequence invariant
         unit_vecs = {self.residues.reduce(order.coords_of(u)) for u in units}
         img = _subgroup_size(unit_vecs, self.residues)
-        assert self.order_count * img == self.residues.unit_count * h, (
-            "exact sequence |C_m| * |im(units)| = |(O/m)x| * h violated"
-        )
+        if self.order_count * img != self.residues.unit_count * h:
+            raise InvariantViolated("exact sequence |C_m| * |im(units)| = |(O/m)x| * h violated")
         self._unit_image_size = img
-
-    def _residue_dlog_of_element(self, elem):
-        vec = self.residues.reduce(self.order.coords_of(elem))
-        return self.residues.dlog(vec)
 
     def _normalize(self, exponents):
         D, U, V = self._snf
@@ -305,64 +274,49 @@ class RayClassGroup:
         a_int = a.scaled(a.den)
         if math.gcd(int(a_int.norm()), m_norm) != 1 or math.gcd(a.den, m_norm) != 1:
             raise NotCoprime("ideal is not coprime to the modulus")
-        offset = 1 if self.class_gen is not None else 0
-        exps = [0] * self._gens_total
+        # the first k with a * class_gen^-k = (alpha), so a = class_gen^k * (alpha)
         work = a
-        if self.class_gen is not None:
-            for k in range(self.class_number):
-                g = is_principal(work)
-                if g is not None:
-                    exps[0] = k
-                    alpha = g
-                    break
-                work = work * self.class_gen.inverse()
-            else:
-                raise AssertionError("class decomposition failed")
-            # work = a * class_gen^-k = (alpha); correct the exponent sign:
-            # a = class_gen^k * (alpha)
-        else:
+        for k in range(self.class_number):
             alpha = is_principal(work)
-            assert alpha is not None, "nontrivial class in a trivial class group"
+            if alpha is not None:
+                break
+            if k + 1 == self.class_number:
+                raise InvariantViolated("class decomposition failed")
+            work = work * self.class_gen.inverse()
         alpha_ideal = FracIdeal.principal(self.order, alpha)
         if (
             math.gcd(int(alpha_ideal.scaled(alpha_ideal.den).norm()), m_norm) != 1
             or math.gcd(alpha_ideal.den, m_norm) != 1
         ):
-            raise AssertionError("decomposition produced a non-coprime generator")
-        dl = self._residue_dlog_of_alpha(alpha)
-        for j, e in enumerate(dl):
-            exps[offset + j] = e
-        return self._normalize(exps)
+            raise InvariantViolated("decomposition produced a non-coprime generator")
+        return self._class_of(k, alpha)
 
     def ray_class_of_element(self, alpha):
         """Class of the principal ideal (alpha) without a principality search."""
         n = abs(alpha.norm())
-        if math.gcd(n.numerator, int(self.modulus.ideal.norm())) != 1 or math.gcd(
-            n.denominator, int(self.modulus.ideal.norm())
-        ) != 1:
+        m_norm = int(self.modulus.ideal.norm())
+        if math.gcd(n.numerator, m_norm) != 1 or math.gcd(n.denominator, m_norm) != 1:
             raise NotCoprime("element norm is not coprime to the modulus")
-        offset = 1 if self.class_gen is not None else 0
-        exps = [0] * self._gens_total
-        dl = self._residue_dlog_of_alpha(alpha)
-        for j, e in enumerate(dl):
-            exps[offset + j] = e
-        return self._normalize(exps)
+        return self._class_of(0, alpha)
+
+    def _class_of(self, k, alpha):
+        """Normalized class of class_gen^k * (alpha), for alpha coprime to m."""
+        exps = [k] if self.class_gen is not None else []
+        return self._normalize(exps + list(self._residue_dlog_of_alpha(alpha)))
 
     def _residue_dlog_of_alpha(self, alpha):
-        """dlog of a possibly non-integral alpha coprime to m: split num/den."""
-        coords = self.order.coords_of(alpha)
-        den = math.lcm(*(c.denominator for c in coords))
-        num = self.order.element_from_coords([c * den for c in coords])
-        dl_num = self._residue_dlog_of_element(num)
+        """dlog(num) - dlog(den) for alpha = num/den coprime to m, num integral.
+
+        It differs from the table dlog of num * den^-1 by a residue relation,
+        which the SNF normalisation of every caller sends to zero.
+        """
+        res = self.residues
+        v, den = self.order.coords_num(alpha)
+        dl_num = res.dlog(res.reduce(v))
         if den == 1:
             return dl_num
-        dl_den = self._residue_dlog_of_element(self.field.one() * den)
-        # subtract: find the inverse class of den via the group table
-        res = self.residues
-        num_vec = res.reduce(self.order.coords_of(num))
-        den_vec = res.reduce(self.order.coords_of(self.field.one() * den))
-        inv_vec = next(v for v, dl in res.table.items() if res._mul(v, den_vec) == res.one)
-        return res.dlog(res._mul(num_vec, inv_vec))
+        dl_den = res.dlog(res.reduce([den * c for c in self.order.one_coords]))
+        return tuple(a - b for a, b in zip(dl_num, dl_den))
 
     def __repr__(self):
         return (

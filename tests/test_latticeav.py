@@ -219,6 +219,15 @@ class TestIsogenyClasses:
         t = enumerate_cm_types(cmf)[0]
         assert len(isogeny_classes(cmf, t)) == 3 == bqf_class_number(-23)
 
+    def test_class_numbers_at_index_primes(self):
+        # x^2 + k has equation-order index 2 for k = 3 mod 4 (x^2 + 31: h = 3),
+        # and the classes of norm 2 count like every other
+        for k in range(1, 200):
+            field = NumberField(UniPoly([k, 0, 1]))
+            cmf = cm_check(field)
+            h = len(isogeny_classes(cmf, enumerate_cm_types(cmf)[0]))
+            assert h == bqf_class_number(maximal_order(field).disc()), k
+
 
 class TestTorsion:
     def test_cardinality_and_generator(self, gauss_cm):
@@ -269,6 +278,15 @@ class TestTorsion:
             T = torsion(LatticeAV(t, P2), m)
             assert T.cardinality() == m**2
             assert T.is_generator(T.generator)
+
+    def test_generator_outside_the_unit_box(self, sqrt5, sqrt5_cm):
+        # m = 138 = 2 * 3 * 23 on the prime above 3: no generator in [0, 3]^2
+        O = maximal_order(sqrt5)
+        P3 = FracIdeal(O, 1, [[3, 2], [0, 1]])
+        assert P3 in prime_split(3, O)
+        T = torsion(LatticeAV(enumerate_cm_types(sqrt5_cm)[0], P3), 138)
+        assert T.is_generator(T.generator)
+        assert T.generator == [1, 4]
 
     def test_prime_to_degree_bijectivity(self, sqrt5, sqrt5_cm):
         O = maximal_order(sqrt5)

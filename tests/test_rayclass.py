@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from cmfields.cmreflex import enumerate_cm_types
+from cmfields.cmreflex import cm_check, enumerate_cm_types
 from cmfields.errors import ModulusTooLarge, NotCoprime, UnitsUnavailable
 from cmfields.ideals import FracIdeal, coprime_scale, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
+from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.rayclass import (
     Modulus,
@@ -16,6 +17,7 @@ from cmfields.rayclass import (
     ray_class_group,
     reflex_transport_check,
 )
+from cmfields.unipoly import UniPoly
 
 from oracles import totient_of_modulus
 from test_ideals import random_ideal
@@ -75,6 +77,23 @@ class TestGroupOrders:
         G = ray_class_group(gauss_cm, Modulus(P2 * P2))
         # (Z[i]/2)x has order 2, torsion unit image is {1, i} -> order 2
         assert G.order_count * G._unit_image_size == G.residues.unit_count
+
+    def test_class_number_at_an_index_prime(self):
+        # x^2 + 31 has equation-order index 2, and h(-31) = 3
+        field = NumberField(UniPoly([31, 0, 1]))
+        O = maximal_order(field)
+        G = ray_class_group(cm_check(field), Modulus(FracIdeal.unit_ideal(O)))
+        assert G.class_number == 3
+        assert G.order_count == 3 and G.elementary_divisors == [3]
+
+    def test_class_generator_has_order_h(self):
+        # h(-56) = 4 and the prime above 2 has class order 2: the generator
+        # must be an ideal of class order 4, or the class relation is wrong
+        field = NumberField(UniPoly([14, 0, 1]))
+        O = maximal_order(field)
+        G = ray_class_group(cm_check(field), Modulus(FracIdeal.unit_ideal(O)))
+        assert G.class_number == 4 and G.class_gen.norm() != 2
+        assert G.order_count == 4 and G.elementary_divisors == [4]
 
     def test_units_unavailable(self, quartic, quartic_cm):
         O = maximal_order(quartic)
