@@ -6,6 +6,23 @@ when it lies in a with |Nm| = N(a). For imaginary quadratics Q = 2*Nm makes
 the search sphere exact and the decision complete; otherwise the radius grows
 from the AM-GM floor 2g * N^(1/g) until the budget is exhausted.
 
+The search runs on integers. On the order basis w the trace form is the
+integer matrix T = Tr(w_i * conj(w_j)), built once per order, and an ideal
+with integer HNF H has the Gram matrix H^T T H. An integral LLL (Cohen 1993,
+Alg. 2.6.7) turns that into R = U^T (H^T T H) U with U unimodular, and
+Fincke-Pohst, itself on integers, enumerates on R, as Fincke and Pohst
+(1985) prescribe: on the HNF basis the search tree grows with the skew of
+H, on a reduced basis it stays small.
+
+The generator returned is the one a search on the HNF basis itself finds
+first. That search visits vectors depth first, last coordinate outermost
+and each level ascending, so its first hit is the generator whose HNF
+coordinates (v_{n-1}, ..., v_0) are lexicographically least among those
+within the bound. y -> U y is a bijection of Z^n that keeps the value of the
+form, so the reduced search finds the same vectors, and the least of them
+mapped back through U is that first hit. The roots of unity are sorted the
+same way.
+
 `class_representatives` is the one ideal-class computation: every integral
 ideal of norm up to Minkowski's bound, enumerated directly as an HNF, is
 compared with the classes found so far by a principality test. The lattice
@@ -19,38 +36,45 @@ from .closure import complex_conjugation
 from .errors import EnumerationBoundExceeded, InvariantViolated, OrderMismatch
 from .ideals import integral_ideals_of_norm
 from .intutil import root_upper
+from .linalg import identity_matrix, mat_mul, mat_vec, transpose
 from .memo import per_field
 from .unipoly import sturm_real_root_count
 
 
-def trace_gram(elements, conj):
-    """Gram matrix Tr(b_i * conj(b_j)) for a list of field elements."""
-    conj_elems = [conj(b) for b in elements]
-    return [[(bi * cj).trace() for cj in conj_elems] for bi in elements]
+def _gram_schmidt_row(G, d, lam, k):
+    """Fill lam[k][:k] and d[k+1] from row k of the integer Gram matrix G.
 
-
-def _ldl(G):
-    """Rational LDL^T data for a positive definite Gram matrix."""
-    n = len(G)
-    A = [[Fraction(x) for x in row] for row in G]
-    d = [Fraction(0)] * n
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = A[i][i]
-        if d[i] <= 0:
-            raise InvariantViolated("form is not positive definite")
-        for j in range(i + 1, n):
-            L[i][j] = A[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                A[k][l] -= A[k][i] * A[i][l] / A[i][i]
-    return d, L
+    d[i] is the determinant of the leading i x i block (d[0] = 1) and
+    lam[k][j] = d[j+1] * mu_kj, both integers, so every division is exact
+    (Cohen 1993, Alg. 2.6.7, step 2).
+    """
+    for j in range(k + 1):
+        u = G[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        else:
+            d[k + 1] = u
+    if d[k + 1] <= 0:
+        raise InvariantViolated("form is not positive definite")
 
 
 def fincke_pohst(G, bound):
-    """All nonzero integer vectors v with v^T G v <= bound (exact, both signs)."""
+    """All nonzero integer vectors v with v^T G v <= bound (exact, both signs).
+
+    G is a positive definite integer matrix. With the data of
+    `_gram_schmidt_row`, v^T G v = sum_i x_i^2 / (d[i] d[i+1]) for the
+    integers x_i = d[i+1] v_i + sum_{j>i} lam[j][i] v_j, so scaled by M =
+    lcm(d[i] d[i+1]) the search runs on integers. Vectors come depth first,
+    last coordinate outermost, each level in ascending order.
+    """
     n = len(G)
-    d, L = _ldl(G)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(G, d, lam, k)
+    M = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    scale = [M // (d[i] * d[i + 1]) for i in range(n)]
     out = []
     v = [0] * n
 
@@ -59,24 +83,129 @@ def fincke_pohst(G, bound):
             if any(v):
                 out.append(list(v))
             return
-        s = sum(L[i][j] * v[j] for j in range(i + 1, n))
-        t = remaining / d[i]
-        r = root_upper(t, 2)
-        lo = math.ceil(-s - r)
-        hi = math.floor(-s + r)
-        for vi in range(lo, hi + 1):
-            term = d[i] * (vi + s) ** 2
-            if term <= remaining:
-                v[i] = vi
-                rec(i - 1, remaining - term)
+        s = sum(lam[j][i] * v[j] for j in range(i + 1, n))
+        r = math.isqrt(remaining // scale[i])
+        di = d[i + 1]
+        for vi in range(-((r + s) // di), (r - s) // di + 1):
+            x = di * vi + s
+            v[i] = vi
+            rec(i - 1, remaining - scale[i] * x * x)
         v[i] = 0
 
-    rec(n - 1, Fraction(bound))
+    if bound >= 0:
+        rec(n - 1, math.floor(Fraction(bound) * M))
     return out
 
 
+def lll_gram(G):
+    """(R, U): R = U^T G U is LLL-reduced (delta = 3/4) and U is unimodular.
+
+    G is a positive definite integer Gram matrix; the columns of U are the
+    reduced basis in the coordinates of G. This is the integral LLL of Cohen
+    (1993, Alg. 2.6.7, after de Weger) on the integer Gram-Schmidt data of
+    `_gram_schmidt_row`, kept for the current basis, so every division is
+    exact and no Fraction is built.
+    """
+    n = len(G)
+    G = [list(row) for row in G]
+    U = identity_matrix(n)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    _gram_schmidt_row(G, d, lam, 0)
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        for row in U:
+            row[k] -= q * row[l]
+        Gk, Gl = G[k], G[l]
+        for i in range(n):
+            Gk[i] -= q * Gl[i]
+        Gk[k] -= q * Gk[l]
+        for i in range(n):
+            G[i][k] = Gk[i]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        for row in U:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        G[k - 1], G[k] = G[k], G[k - 1]
+        for row in G:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            _gram_schmidt_row(G, d, lam, k)
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return G, U
+
+
+def _form(G, v):
+    return sum(G[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def _search_order(v):
+    """The key under which the HNF-basis Fincke-Pohst visits v: (v_{n-1}, ..., v_0)."""
+    return v[::-1]
+
+
+def _trace_form(order):
+    """T[i][j] = Tr(w_i * conj(w_j)) on the order basis w: an integer matrix.
+
+    Tr(x*y) = x^T S y on power-basis coordinates, with S[k][l] =
+    Tr(theta^(k+l)) from the power sums of min_poly (Newton's identities),
+    so T needs the basis and its conjugates but no product of field
+    elements. Memoized per order: a non-maximal order has an entry of its own.
+    """
+    return per_field("trace_form", order.field, lambda: _build_trace_form(order), order)
+
+
+def _build_trace_form(order):
+    field = order.field
+    conj = complex_conjugation(field)
+    if conj is None:
+        raise EnumerationBoundExceeded("the trace form needs a totally real or CM field")
+    n = field.degree
+    c = field.min_poly.coeffs
+    s = [Fraction(n)]
+    for k in range(1, 2 * n - 1):
+        t = -k * c[n - k] if k <= n else 0
+        s.append(t - sum(c[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
+    W = [w.coords for w in order.elements]
+    C = [conj(w).coords for w in order.elements]
+    T = [[sum(x[k] * y[l] * s[k + l] for k in range(n) for l in range(n)) for y in C]
+         for x in W]
+    if any(t.denominator != 1 for row in T for t in row):
+        raise InvariantViolated("the trace form of an order is not integral")
+    return [[int(t) for t in row] for row in T]
+
+
 def _is_imaginary_quadratic(field):
-    return field.degree == 2 and sturm_real_root_count(field.min_poly) == 0
+    """A quadratic a x^2 + b x + c has no real root exactly when b^2 - 4ac < 0."""
+    if field.degree != 2:
+        return False
+    c, b, a = field.min_poly.coeffs
+    return b * b - 4 * a * c < 0
 
 
 def is_principal(a, budget_doublings=10):
@@ -84,48 +213,38 @@ def is_principal(a, budget_doublings=10):
 
     Complete (None is a proof) for imaginary quadratic fields; for other
     totally real/imaginary fields an exhausted search raises
-    EnumerationBoundExceeded with the final bound.
+    EnumerationBoundExceeded with the final bound. The generator is the one
+    whose HNF coordinates come first in `_search_order`, among the
+    generators within the first bound that has one.
     """
     order = a.order
     field = order.field
-    conj = complex_conjugation(field)
-    if conj is None:
-        raise EnumerationBoundExceeded(
-            "principality search needs a totally real or CM field"
-        )
-    num = a.scaled(a.den)
-    target = num.norm()
-    if target.denominator != 1:
-        raise InvariantViolated(f"an integral ideal has norm {target}")
-    target = int(target)
-    basis = num.basis_elements()
-    G = trace_gram(basis, conj)
+    T = _trace_form(order)
+    # a.den * a is the integral ideal with integer HNF H
+    H = a.hnf
     n = field.degree
+    target = abs(math.prod(H[i][i] for i in range(n)))
+    R, U = lll_gram(mat_mul(transpose(H), mat_mul(T, H)))
 
-    def generator_from(vs):
-        for v in vs:
-            x = field.zero()
-            for c, b in zip(v, basis):
-                if c:
-                    x = x + b * c
-            if abs(x.norm()) == target:
-                return x
-        return None
+    def element(v):
+        return order.element_from_coords(mat_vec(H, v))
 
     if _is_imaginary_quadratic(field):
-        sols = fincke_pohst(G, 2 * target)
-        g = generator_from(sols)
-        if g is None:
+        # Q = 2 Nm, and Nm(x) >= N(a) for x in a: the hits are Q(y) = 2 N(a)
+        hits = [mat_vec(U, y) for y in fincke_pohst(R, 2 * target)
+                if _form(R, y) == 2 * target]
+        if not hits:
             return None
-        return g / a.den
+        return element(min(hits, key=_search_order)) / a.den
 
     g_half = n // 2
     floor_bound = 2 * g_half * root_upper(Fraction(target) ** 2, n)
     bound = floor_bound + 1
     for _ in range(budget_doublings):
-        g = generator_from(fincke_pohst(G, bound))
-        if g is not None:
-            return g / a.den
+        for v in sorted((mat_vec(U, y) for y in fincke_pohst(R, bound)), key=_search_order):
+            x = element(v)
+            if abs(x.norm()) == target:
+                return x / a.den
         bound *= 2
     raise EnumerationBoundExceeded(f"no generator within trace-form bound {bound}")
 
@@ -133,7 +252,8 @@ def is_principal(a, budget_doublings=10):
 def torsion_units(order):
     """All roots of unity in the maximal order (exact sphere Tr(x conj x) = degree).
 
-    Memoized per field; there is one maximal order per field.
+    Sorted by `_search_order` of their coordinates. Memoized per field;
+    there is one maximal order per field.
     """
     if order.index_in_maximal != 1:
         raise OrderMismatch("torsion_units needs the maximal order")
@@ -141,25 +261,12 @@ def torsion_units(order):
 
 
 def _torsion_units(order):
-    field = order.field
-    conj = complex_conjugation(field)
-    if conj is None:
-        raise EnumerationBoundExceeded("torsion units need a totally real or CM field")
-    basis = [order.element_from_coords([1 if i == j else 0 for i in range(order.degree)])
-             for j in range(order.degree)]
-    G = trace_gram(basis, conj)
-    n = field.degree
-    out = []
-    for v in fincke_pohst(G, n):
-        q = sum(G[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        if q != n:
-            continue
-        x = field.zero()
-        for c, b in zip(v, basis):
-            if c:
-                x = x + b * c
-        out.append(x)
-    if field.one() not in out:
+    n = order.degree
+    R, U = lll_gram(_trace_form(order))
+    coords = sorted((mat_vec(U, y) for y in fincke_pohst(R, n) if _form(R, y) == n),
+                    key=_search_order)
+    out = [order.element_from_coords(v) for v in coords]
+    if order.field.one() not in out:
         raise InvariantViolated("1 is missing from the roots of unity")
     return out
 
@@ -180,11 +287,12 @@ def class_representatives(order):
 
 
 def _class_representatives(order):
-    reps = []
+    reps, inverses = [], []
     for norm in range(1, _minkowski_cap(order) + 1):
         for a in integral_ideals_of_norm(order, norm):
-            if all(is_principal(a * r.inverse()) is None for r in reps):
+            if all(is_principal(a * r_inv) is None for r_inv in inverses):
                 reps.append(a)
+                inverses.append(a.inverse())
     return reps
 
 

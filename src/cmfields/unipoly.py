@@ -14,10 +14,11 @@ def _trim(coeffs):
 class UniPoly:
     """Immutable rational polynomial. The zero polynomial has no coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         self.coeffs = _trim(Fraction(c) for c in coeffs)
+        self._hash = None
 
     @staticmethod
     def x(n=1):
@@ -38,7 +39,10 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # hashing Fractions is slow, and every memo lookup hashes a min_poly
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __repr__(self):
         if not self.coeffs:

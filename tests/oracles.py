@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: class numbers come
 from reduced binary quadratic forms, lattice indexes from coset enumeration,
 point counts from a double loop and from a Legendre sum, and principality from naive box
-search. They exist so the main implementations are checked against something
+search and from Fincke-Pohst on the unreduced HNF basis. They exist so the main implementations are checked against something
 that cannot share their bugs.
 """
 
@@ -105,6 +105,105 @@ def principal_by_box_search(ideal, conj=None):
             if abs(x.norm()) == target and ideal.contains(x):
                 return x
     return None
+
+
+def fincke_pohst_unreduced(G, bound):
+    """Every nonzero v with v^T G v <= bound, by rational LDL^T.
+
+    Depth first, the last coordinate outermost and every level ascending, so
+    the vectors come sorted by (v_{n-1}, ..., v_0).
+    """
+    n = len(G)
+    A = [[Fraction(x) for x in row] for row in G]
+    d = [Fraction(0)] * n
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = A[i][i]
+        assert d[i] > 0, "form is not positive definite"
+        for j in range(i + 1, n):
+            L[i][j] = A[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(i + 1, n):
+                A[k][l] -= A[k][i] * A[i][l] / A[i][i]
+    out = []
+    v = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            if any(v):
+                out.append(list(v))
+            return
+        s = sum(L[i][j] * v[j] for j in range(i + 1, n))
+        t = remaining / d[i]
+        r = Fraction(math.isqrt(t.numerator * t.denominator) + 1, t.denominator)
+        for vi in range(math.ceil(-s - r), math.floor(-s + r) + 1):
+            term = d[i] * (vi + s) ** 2
+            if term <= remaining:
+                v[i] = vi
+                rec(i - 1, remaining - term)
+        v[i] = 0
+
+    rec(n - 1, Fraction(bound))
+    return out
+
+
+def trace_gram(elements, conj):
+    """Gram matrix Tr(b_i * conj(b_j)) from products of field elements."""
+    conj_elems = [conj(b) for b in elements]
+    return [[(bi * cj).trace() for cj in conj_elems] for bi in elements]
+
+
+def principal_by_unreduced_search(ideal, conj, budget_doublings=10):
+    """The generator that Fincke-Pohst on the ideal's HNF basis finds first, or None.
+
+    The search of `principal.is_principal` before it reduced its basis: the
+    Gram matrix of the basis of den * a from element products, the sphere
+    2 N(a) for an imaginary quadratic field, otherwise the AM-GM floor
+    2g * N^(2/n) (the library's `root_upper`, so the bounds agree) plus one,
+    doubled until a vector of norm N(a) turns up.
+    """
+    from cmfields.intutil import root_upper
+
+    field = ideal.order.field
+    num = ideal.scaled(ideal.den)
+    target = int(num.norm())
+    basis = num.basis_elements()
+    G = trace_gram(basis, conj)
+    n = field.degree
+
+    def first_generator(bound):
+        for v in fincke_pohst_unreduced(G, bound):
+            x = field.zero()
+            for c, b in zip(v, basis):
+                x = x + b * c
+            if abs(x.norm()) == target:
+                return x / ideal.den
+        return None
+
+    if n == 2 and field.min_poly.coeffs[1] ** 2 < 4 * field.min_poly.coeffs[0]:
+        return first_generator(2 * target)
+    bound = 2 * (n // 2) * root_upper(Fraction(target) ** 2, n) + 1
+    for _ in range(budget_doublings):
+        g = first_generator(bound)
+        if g is not None:
+            return g
+        bound *= 2
+    raise AssertionError(f"no generator within trace-form bound {bound}")
+
+
+def torsion_units_by_unreduced_search(order, conj):
+    """The roots of unity, Tr(x conj x) = n, enumerated on the order basis itself."""
+    n = order.degree
+    basis = order.elements
+    G = trace_gram(basis, conj)
+    out = []
+    for v in fincke_pohst_unreduced(G, n):
+        if sum(G[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) == n:
+            x = order.field.zero()
+            for c, b in zip(v, basis):
+                x = x + b * c
+            out.append(x)
+    return out
 
 
 def totient_of_modulus(factored):

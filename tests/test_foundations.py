@@ -5,9 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import factorint, nextprime
+from sympy import Matrix, factorint, nextprime
 
 from cmfields import modpoly
 from cmfields.intutil import (
@@ -23,6 +23,7 @@ from cmfields.intutil import (
     sqrt_mod,
     xgcd,
 )
+from cmfields.principal import fincke_pohst, lll_gram
 from cmfields.unipoly import (
     UniPoly,
     poly_discriminant,
@@ -190,6 +191,43 @@ def _naive_box(G, bound, boxes):
         hits = V[(q <= bound) & V.any(axis=1)]
         found.update(tuple(int(x) for x in v) for v in hits)
     return found
+
+
+def _square_integer_matrices():
+    return st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestLLL:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_square_integer_matrices(), st.integers(0, 6))
+    def test_gram_reduction(self, B, slack):
+        from oracles import fincke_pohst_unreduced
+
+        assume(Matrix(B).det() != 0)
+        n = len(B)
+        G = [[sum(B[k][i] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        R, U = lll_gram(G)
+        assert abs(Matrix(U).det()) == 1
+        assert R == (Matrix(U).T * Matrix(G) * Matrix(U)).tolist()
+        # Gram-Schmidt of R over Q, from scratch
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = (R[i][j] - sum(mu[j][k] * mu[i][k] * norms[k] for k in range(j))) / norms[j]
+            norms.append(R[i][i] - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+        assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+                   for k in range(1, n))
+        # the reduced search, mapped back through U, finds the vectors of the
+        # search on G, and that one visits them as the rational LDL search does
+        bound = R[0][0] + slack
+        on_G = fincke_pohst(G, bound)
+        assert on_G == fincke_pohst_unreduced(G, bound)
+        mapped = {tuple(sum(U[i][j] * y[j] for j in range(n)) for i in range(n))
+                  for y in fincke_pohst(R, bound)}
+        assert mapped == {tuple(v) for v in on_G}
 
 
 class TestUniPoly:

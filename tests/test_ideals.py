@@ -15,17 +15,31 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from cmfields import ideals, memo
+from cmfields import ideals, memo, principal
 from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.errors import CMFieldsError, IndexDivisible, OrderMismatch
-from cmfields.ideals import FracIdeal, coprime_scale, colon_ideal, factor_ideal, prime_split
+from cmfields.ideals import (
+    FracIdeal,
+    colon_ideal,
+    coprime_scale,
+    factor_ideal,
+    integral_ideals_of_norm,
+    prime_split,
+)
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
 from cmfields.orders import Order, _p_radical_lattice, equation_order, maximal_order
 from cmfields.principal import is_principal, torsion_units
 from cmfields.unipoly import UniPoly
 
-from oracles import bqf_class_number, lattice_index_by_cosets, principal_by_box_search
+from oracles import (
+    bqf_class_number,
+    lattice_index_by_cosets,
+    principal_by_box_search,
+    principal_by_unreduced_search,
+    torsion_units_by_unreduced_search,
+    trace_gram,
+)
 
 
 def random_ideal(order, rng, prime_bound=40, factors=2):
@@ -576,6 +590,75 @@ class TestPrincipality:
         # memoized per field, so only the maximal order is accepted
         with pytest.raises(OrderMismatch):
             torsion_units(equation_order(zeta5))
+
+    def test_generators_match_the_unreduced_search_on_quadratics(self):
+        # the reduced search returns the very element the search on the HNF
+        # basis found first, on every integral ideal of norm <= 40 of each
+        # imaginary quadratic field -3 >= d > -100, and on fractional ones
+        for d in _fundamental_discriminants(-100):
+            field = _quadratic_field(d)
+            O = maximal_order(field)
+            conj = complex_conjugation(field)
+            small = []
+            for norm in range(1, 41):
+                for a in integral_ideals_of_norm(O, norm):
+                    assert is_principal(a) == principal_by_unreduced_search(a, conj), (d, a)
+                    if norm <= 6:
+                        small.append(a)
+            for a in small:
+                for b in small[1:]:
+                    q = a * b.inverse()
+                    assert is_principal(q) == principal_by_unreduced_search(q, conj), (d, a, b)
+
+    def test_generators_match_the_unreduced_search_on_zeta5(self, zeta5, monkeypatch):
+        # Q(zeta5) has class number 1 and its search starts at the AM-GM
+        # floor: every integral ideal of norm <= 11 has a generator within
+        # that first bound, and 17 of the 36 quotients a * b^-1 of them need
+        # one doubling (P5^-1 = (1/5) P5^3: Q((1 - zeta)^3) = 100 > 49)
+        O = maximal_order(zeta5)
+        conj = complex_conjugation(zeta5)
+        bounds = []
+        real_fincke_pohst = principal.fincke_pohst
+
+        def counted(G, bound):
+            bounds.append(bound)
+            return real_fincke_pohst(G, bound)
+
+        monkeypatch.setattr(principal, "fincke_pohst", counted)
+        small = [a for norm in range(1, 12) for a in integral_ideals_of_norm(O, norm)]
+        assert sorted(a.norm() for a in small) == [1, 5, 11, 11, 11, 11]
+        doubled = 0
+        for a in small + [a * b.inverse() for a in small for b in small]:
+            del bounds[:]
+            g = is_principal(a)
+            assert g is not None and g == principal_by_unreduced_search(a, conj), a
+            if len(bounds) > 1:
+                assert bounds == [bounds[0], 2 * bounds[0]]
+                doubled += 1
+        assert doubled == 17
+
+    def test_torsion_units_keep_the_unreduced_order(self, gauss, eisenstein, zeta5, quartic):
+        # the list order matters: the reflex suite iterates over it. The last
+        # field is Q(zeta5) generated by 3 zeta^3 + zeta^2, whose reduction
+        # swaps basis vectors, so the reduced search visits the roots in
+        # another order than the unreduced one
+        skewed = NumberField(UniPoly([61, 4, 1, 4, 1]))
+        for field in (gauss, eisenstein, zeta5, splitting_data(quartic).closure, skewed):
+            O = maximal_order(field)
+            units = torsion_units(O)
+            assert units == torsion_units_by_unreduced_search(O, complex_conjugation(field))
+            assert len(units) == {2: 4 if field == gauss else 6, 4: 10, 8: 2}[field.degree]
+
+    def test_non_maximal_order_gets_its_own_trace_form(self):
+        # Z[sqrt -3] has index 2 in Z[zeta3]; both trace forms are memoized
+        field = NumberField(UniPoly([3, 0, 1]))
+        conj = complex_conjugation(field)
+        E, O = equation_order(field), maximal_order(field)
+        assert E != O
+        for order in (E, O, E):
+            assert principal._trace_form(order) == trace_gram(order.elements, conj)
+        two = FracIdeal.from_generators(E, [field.one() * 2, field.gen() + 1])
+        assert is_principal(two) == principal_by_unreduced_search(two, conj)
 
 
 def _quadratic_field(d):
