@@ -183,7 +183,7 @@ def cmd_st(args):
                 continue
             row = {"record": "st", "curve": ci, "a4": curve.a4, "a6": curve.a6, "p": p}
             try:
-                frob = frobenius_element(curve, p, seed=args.seed)
+                frob = frobenius_element(curve, p, seed=args.seed, budget=args.budget)
                 ideal_ok = st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
                 val_rep = st_check_valuations(frob, frob.cmtype, E, frob.prime_above)
             except Supersingular:

@@ -298,23 +298,28 @@ def reflex_norm_elem(cmtype, k, a):
     return out
 
 
+def _prime_below(P, incl, order_down):
+    """(q, f(P / q)) for the prime q of order_down with incl(q) O_L <= P.
+
+    incl(q) O_L lies in P exactly when every generator of q maps into P, so
+    each candidate costs one membership test per generator and no HNF.
+    """
+    for q in prime_split(P.p, order_down):
+        if all(P.contains(incl(g)) for g in q.two_element_like_generators()):
+            if P.f % q.f:
+                raise InvariantViolated(f"residue degree {q.f} does not divide {P.f}")
+            return q, P.f // q.f
+    raise InvariantViolated(f"no prime below {P!r} found")
+
+
 def _prime_pullback(sd, i, P_k, order_E, order_k):
     """The prime q of E with phi_i(q) O_k <= P_k, and f(P_k / phi_i q).
 
     Memoized per field k, keyed by P_k, E and i.
     """
-    def build():
-        for q in prime_split(P_k.p, order_E):
-            img = FracIdeal.from_generators(
-                order_k, [sd.embeddings[i](g) for g in q.two_element_like_generators()]
-            )
-            if P_k.contains_ideal(img):
-                if P_k.f % q.f:
-                    raise InvariantViolated(f"residue degree {q.f} does not divide {P_k.f}")
-                return q, P_k.f // q.f
-        raise InvariantViolated("no pullback prime found")
-
-    return per_field("prime_pullback", order_k.field, build, P_k, sd.field.min_poly, i)
+    return per_field("prime_pullback", order_k.field,
+                     lambda: _prime_below(P_k, sd.embeddings[i], order_E),
+                     P_k, sd.field.min_poly, i)
 
 
 def reflex_norm_ideal(cmtype, k, a):
@@ -490,20 +495,8 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
 
 def _relative_norm_ideal(a, incl, order_down):
     """Nm_{L/F} of a fractional ideal of O_L along an inclusion F -> L."""
-    order_L = a.order
     out = FracIdeal.unit_ideal(order_down)
     for P, v in factor_ideal(a).items():
-        down = None
-        for q in prime_split(P.p, order_down):
-            img = FracIdeal.from_generators(
-                order_L, [incl(g) for g in q.two_element_like_generators()]
-            )
-            if P.contains_ideal(img):
-                down = q
-                break
-        if down is None:
-            raise InvariantViolated("no prime below found")
-        if P.f % down.f:
-            raise InvariantViolated(f"residue degree {down.f} does not divide {P.f}")
-        out = out * down ** (v * (P.f // down.f))
+        down, f_rel = _prime_below(P, incl, order_down)
+        out = out * down ** (v * f_rel)
     return out

@@ -11,6 +11,14 @@ with integer adjugates of triangular HNFs (the multiplier ring of `orders`
 is one). A valuation at a prime P uses the anti-uniformizer that
 `prime_split` stores with P, an integral beta with v_P(beta/p) = -1 (Cohen
 1993, Alg. 4.8.17), so no prime inverse is ever built.
+
+Splitting p (Dedekind, Cohen 1993, §4.8.2) factors g mod p, with a square
+root of the discriminant for a quadratic g. A degree-one prime is the kernel
+of O -> F_p, theta -> r, whose HNF is written down from the values of the
+basis at r; only factors of higher degree build an HNF from generators. The
+split is checked at every p at a cost that does not grow with p: distinct
+primes, sum e f = n, N(P) = p^f and v_P(pO) = e, which by the fundamental
+identity prove that the P^e multiply to pO.
 """
 
 import itertools
@@ -19,7 +27,7 @@ from fractions import Fraction
 
 from . import modpoly
 from .errors import IndexDivisible, InvariantViolated, OrderMismatch, ZeroIdeal
-from .intutil import factorize
+from .intutil import factorize, sqrt_mod
 from .linalg import (
     hnf_columns,
     hnf_with_transform,
@@ -304,34 +312,85 @@ def prime_split(p, order):
 
 
 def _prime_split(p, order):
+    """Dedekind: a factor g_i^e of g mod p gives P = (p, g_i(theta)) with e(P) = e.
+
+    A degree-one factor x - r gives the kernel of O -> F_p, theta -> r, whose
+    column HNF is written down from the values of the basis at r
+    (`_kernel_hnf`); a factor of higher degree takes the HNF of its two
+    generators. The split is then checked at a cost that does not grow with
+    p: the primes are distinct, sum e f = n, N(P) = p^f, and v_P(pO) = e.
+    By the fundamental identity no other prime lies above p, so these prove
+    that the P^e multiply to pO.
+    """
     if order.equation_index % p == 0:
         raise IndexDivisible(f"{p} divides the equation-order index {order.equation_index}")
-    g = order.equation_poly
     theta = order.equation_gen
-    gp = modpoly.trim([int(c) % p for c in g.coeffs])
-    factors = modpoly.factor(gp, p)
-    out = []
-    n = order.degree
     field = order.field
-    for gi, e in factors:
-        f_deg = len(gi) - 1
-        gi_elem = UniPoly(gi)(theta)
-        ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
-        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, f_deg, gi_elem))
+    n = order.degree
+    out = []
+    for gi, e in _factor_mod_p(order.equation_poly, p):
+        if len(gi) == 2:
+            gi_elem = theta + gi[0]
+            hnf = _kernel_hnf(order, -gi[0] % p, p)
+        else:
+            gi_elem = UniPoly(gi)(theta)
+            hnf = FracIdeal.from_generators(order, [field.one() * p, gi_elem]).hnf
+        out.append(PrimeIdeal(order, 1, hnf, p, e, len(gi) - 1, gi_elem))
+    if len(set(out)) != len(out):
+        raise InvariantViolated(f"a prime above {p} is listed twice")
     if sum(P.e * P.f for P in out) != n:
         raise InvariantViolated(f"Dedekind splitting of {p} incomplete")
+    pO = FracIdeal(order, 1, [[p * int(i == j) for j in range(n)] for i in range(n)])
     for P in out:
         if P.norm() != Fraction(p) ** P.f:
             raise InvariantViolated(f"a prime above {p} has norm {P.norm()}, not {p}^{P.f}")
-    if p < 100000:
-        # full product verification is quadratic in log(p); spot-checked above that
-        prod = FracIdeal.unit_ideal(order)
-        for P in out:
-            prod = prod * P**P.e
-        if prod != FracIdeal.principal(order, field.one() * p):
-            raise InvariantViolated(f"the primes above {p} do not multiply to {p}O")
+        v = pO.valuation(P)
+        if v != P.e:
+            raise InvariantViolated(f"v_P({p}) is {v}, not e = {P.e}")
     out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
     return out
+
+
+def _factor_mod_p(g, p):
+    """(monic factor of g mod p, multiplicity) pairs, coefficients lowest first.
+
+    A quadratic at odd p is split by the square root of its discriminant;
+    anything else goes to `modpoly.factor`.
+    """
+    gp = modpoly.trim([int(c) % p for c in g.coeffs])
+    if len(gp) != 3 or p == 2:
+        return modpoly.factor(gp, p)
+    c, b, _ = gp
+    s = sqrt_mod(b * b - 4 * c, p)
+    if s is None:
+        return [(tuple(gp), 1)]
+    half = (p + 1) // 2
+    roots = sorted({(-b + s) * half % p, (-b - s) * half % p})
+    return [((-r % p, 1), 3 - len(roots)) for r in roots]
+
+
+def _kernel_hnf(order, r, p):
+    """Column HNF of the kernel of O -> F_p, theta -> r, for p prime to the index.
+
+    With w_j = sum_i T[i][j] theta^i / t (`orders.maximal_order`), the map
+    sends w_j to lambda_j = w_j(r) mod p, up to the unit t. Its kernel is
+    the identity lattice with column i0, the first with lambda_i0 != 0,
+    replaced by p e_i0, and -lambda_j / lambda_i0 mod p added in row i0 of
+    every later column j.
+    """
+    _, T = order.equation_basis
+    n = order.degree
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * r % p)
+    lam = [sum(T[i][j] * powers[i] for i in range(j + 1)) % p for j in range(n)]
+    i0 = next(j for j, x in enumerate(lam) if x)
+    inv = pow(lam[i0], -1, p)
+    hnf = identity_matrix(n)
+    hnf[i0][i0] = p
+    for j in range(i0 + 1, n):
+        hnf[i0][j] = -lam[j] * inv % p
+    return hnf
 
 
 def factor_ideal(a):

@@ -156,13 +156,7 @@ class NFElement:
                 for i in range(n):
                     if row[i]:
                         out[i] += c * row[i]
-        den *= da * db
-        g = math.gcd(den, *out)
-        if g > 1:
-            den //= g
-            out = [c // g for c in out]
-        coords = tuple(Fraction(c, den) for c in out) if den > 1 else tuple(map(Fraction, out))
-        return NFElement(field, coords, (den, out))
+        return _from_numerators(field, den * da * db, out)
 
     __rmul__ = __mul__
 
@@ -266,6 +260,16 @@ def binary_power(base, k, one, mul=operator.mul):
     return one if out is None else out
 
 
+def _from_numerators(field, den, out):
+    """The element with integer coordinates out over den > 0, in lowest terms."""
+    g = math.gcd(den, *out)
+    if g > 1:
+        den //= g
+        out = [c // g for c in out]
+    coords = tuple(Fraction(c, den) for c in out) if den > 1 else tuple(map(Fraction, out))
+    return NFElement(field, coords, (den, out))
+
+
 def _coerce(field, value):
     if isinstance(value, NFElement):
         if value.field != field:
@@ -277,9 +281,13 @@ def _coerce(field, value):
 
 
 class FieldMorphism:
-    """A Q-algebra homomorphism between number fields, given by the generator image."""
+    """A Q-algebra homomorphism between number fields, given by the generator image.
 
-    __slots__ = ("source", "target", "image_of_generator", "_powers", "_solver")
+    The images of the source power basis are the columns of one integer
+    matrix over one denominator, so an image is one integer mat-vec.
+    """
+
+    __slots__ = ("source", "target", "image_of_generator", "_den", "_matrix", "_solver")
 
     def __init__(self, source, target, image_of_generator, check=True):
         self.source = source
@@ -291,7 +299,9 @@ class FieldMorphism:
         powers = [target.one()]
         for _ in range(source.degree - 1):
             powers.append(powers[-1] * image_of_generator)
-        self._powers = powers
+        nums = [pw.numerators() for pw in powers]
+        self._den = math.lcm(*(d for d, _ in nums))
+        self._matrix = transpose([[x * (self._den // d) for x in w] for d, w in nums])
         self._solver = None
 
     def __repr__(self):
@@ -311,11 +321,9 @@ class FieldMorphism:
     def __call__(self, elem):
         if elem.field != self.source:
             raise ValueError("element not in the source field")
-        out = self.target.zero()
-        for c, pw in zip(elem.coords, self._powers):
-            if c:
-                out = out + pw * c
-        return out
+        d, w = elem.numerators()
+        out = [sum(a * x for a, x in zip(row, w)) for row in self._matrix]
+        return _from_numerators(self.target, d * self._den, out)
 
     def compose(self, other):
         """self after other: (self . other)(x) = self(other(x))."""
@@ -331,8 +339,8 @@ class FieldMorphism:
         if elem.field != self.target:
             raise ValueError("element not in the target field")
         if self._solver is None:
-            self._solver = linear_solver(transpose([p.coords for p in self._powers]))
-        sol = self._solver(elem.coords)
+            self._solver = linear_solver(self._matrix)
+        sol = self._solver([c * self._den for c in elem.coords])
         if sol is None:
             return None
         return self.source.element(sol)

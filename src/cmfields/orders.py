@@ -247,4 +247,13 @@ def _maximal_order(field):
     order.equation_index = index
     order.equation_gen = field.gen() * D
     order.equation_poly = g
+    # the basis in powers of theta = D*gen: w_j = sum_i T[i][j] theta^i / t,
+    # and t divides the index because index*O <= Z[theta]
+    n = order.degree
+    t = order.den * D ** (n - 1)
+    T = [[x * D ** (n - 1 - i) for x in row] for i, row in enumerate(order.basis)]
+    c = math.gcd(t, *(x for row in T for x in row))
+    if index % (t // c):
+        raise InvariantViolated(f"theta-coordinate denominator {t // c} does not divide {index}")
+    order.equation_basis = (t // c, [[x // c for x in row] for row in T])
     return order

@@ -6,9 +6,10 @@ Frobenius element pi in O_E is pinned down by matching the p-power Frobenius
 against r + s*(CM endo) on random points over F_{p^2}, with the CM embedding
 into F_p fixed by the tangent (invariant differential) action; the tangent
 root and every square root in F_p and F_{p^2} come from Tonelli-Shanks, so
-no step above p = 229 scans all of F_p. The ideal identity, the valuation
-identities, and the reflex-norm form of the Frobenius class are then exact
-ideal computations.
+no step above p = 229 scans all of F_p. Each candidate r0 + r1 * gen is
+matched by [r0]P + [r1]endo(P) on one shared doubling chain (Straus-Shamir,
+`_ec_mul2`). The ideal identity, the valuation identities, and the
+reflex-norm form of the Frobenius class are then exact ideal computations.
 """
 
 import math
@@ -306,6 +307,27 @@ def _ec_mul(F, a4, k, P):
     return out
 
 
+def _ec_mul2(F, a4, k, P, l, Q):
+    """[k]P + [l]Q on one shared doubling chain (Straus-Shamir).
+
+    From the top bit down the sum is doubled, then P, Q or P + Q is added
+    as the bits of k and l ask: max(bit lengths) doublings in all, where two
+    separate multiplications would double along both scalars.
+    """
+    if k < 0:
+        k, P = -k, _ec_neg(F, P)
+    if l < 0:
+        l, Q = -l, _ec_neg(F, Q)
+    table = (None, P, Q, _ec_add(F, a4, P, Q))
+    out = None
+    for bit in range(max(k.bit_length(), l.bit_length()) - 1, -1, -1):
+        out = _ec_add(F, a4, out, out)
+        pick = table[(k >> bit & 1) | (l >> bit & 1) << 1]
+        if pick is not None:
+            out = _ec_add(F, a4, out, pick)
+    return out
+
+
 def _endo(F, scale, P):
     """(x, y) -> (c^-2 x, c^-3 y), scale = (c^-2, c^-3) in F_p."""
     if P is None:
@@ -365,10 +387,13 @@ def _reduction_data(curve, p):
     return _GF2(p), (curve.a4 % p, curve.a6 % p), c, (ci * ci % p, ci * ci * ci % p)
 
 
-def frobenius_element(curve, p, seed=1729):
-    """Identify the Frobenius element at a prime of good ordinary reduction."""
+def frobenius_element(curve, p, seed=1729, budget=POINT_BUDGET):
+    """Identify the Frobenius element at a prime of good ordinary reduction.
+
+    budget bounds p for the point count (`count_points`).
+    """
     F, red, c, scale = _reduction_data(curve, p)
-    count = count_points(CurveFp(p, curve.a4, curve.a6))
+    count = count_points(CurveFp(p, curve.a4, curve.a6), budget)
     a_p = p + 1 - count
     if a_p * a_p > 4 * p:
         raise InvariantViolated(f"Hasse bound violated at {p}: a_p = {a_p}")
@@ -404,14 +429,7 @@ def frobenius_element(curve, p, seed=1729):
         if r0.denominator != 1 or r1.denominator != 1:
             return False
         for P in points:
-            lhs = _frob_point(F, P)
-            rhs = _ec_add(
-                F,
-                a4,
-                _ec_mul(F, a4, int(r0), P),
-                _ec_mul(F, a4, int(r1), _endo(F, scale, P)),
-            )
-            if lhs != rhs:
+            if _frob_point(F, P) != _ec_mul2(F, a4, int(r0), P, int(r1), _endo(F, scale, P)):
                 return False
         return True
 
@@ -564,4 +582,12 @@ def load_curve(record):
     if record["cm_endo"]["kind"] != "unit-scaling":
         raise BadCorpus(f"unknown cm_endo kind {record['cm_endo']['kind']!r}")
     tangent = E.element(list(record["cm_endo"]["tangent"]))
-    return CMCurveQ(record["a4"], record["a6"], cmf, tangent)
+    # (x, y) -> (u^-2 x, u^-3 y) maps the curve to itself exactly when
+    # u^4 a4 = a4 and u^6 a6 = a6
+    a4, a6 = record["a4"], record["a6"]
+    if tangent**4 * a4 != E.element([a4]) or tangent**6 * a6 != E.element([a6]):
+        raise BadCorpus(
+            f"the unit scaling by {list(record['cm_endo']['tangent'])} is not an "
+            f"automorphism of y^2 = x^3 + {a4} x + {a6}"
+        )
+    return CMCurveQ(a4, a6, cmf, tangent)

@@ -270,3 +270,43 @@ def count_points_legendre(p, a4, a6):
         if rhs:
             total += 1 if rhs in squares else -1
     return total
+
+
+def prime_split_by_generators(p, order):
+    """The primes above p as `ideals.prime_split` built them before its closed form.
+
+    Every factor g_i^e of g mod p from `modpoly.factor` gives the HNF of the
+    ideal generated by p and g_i(theta), and the split is checked by
+    multiplying the P^e out to pO. Returns a list sorted like prime_split's.
+    """
+    from cmfields import modpoly
+    from cmfields.ideals import FracIdeal, PrimeIdeal
+    from cmfields.unipoly import UniPoly
+
+    field = order.field
+    gp = modpoly.trim([int(c) % p for c in order.equation_poly.coeffs])
+    out = []
+    for gi, e in modpoly.factor(gp, p):
+        gi_elem = UniPoly(gi)(order.equation_gen)
+        ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
+        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, len(gi) - 1, gi_elem))
+    assert sum(P.e * P.f for P in out) == order.degree
+    prod = FracIdeal.unit_ideal(order)
+    for P in out:
+        assert P.norm() == Fraction(p) ** P.f
+        prod = prod * P**P.e
+    assert prod == FracIdeal.principal(order, field.one() * p)
+    out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
+    return out
+
+
+def morphism_by_fractions(morphism, elem):
+    """The image of elem as a sum of Fraction multiples of the generator's powers."""
+    powers = [morphism.target.one()]
+    for _ in range(morphism.source.degree - 1):
+        powers.append(powers[-1] * morphism.image_of_generator)
+    out = morphism.target.zero()
+    for c, pw in zip(elem.coords, powers):
+        if c:
+            out = out + pw * c
+    return out

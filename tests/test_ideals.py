@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,11 +14,12 @@ import pytest
 from sympy import Matrix, Poly, Rational, factorint, ilcm, multiplicity, symbols
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.numberfields.basis import round_two
+from sympy.polys.numberfields.exceptions import ClosureFailure
 from sympy.polys.numberfields.primes import prime_decomp
 
 from cmfields import ideals, memo, principal
 from cmfields.closure import complex_conjugation, splitting_data
-from cmfields.errors import CMFieldsError, IndexDivisible, OrderMismatch
+from cmfields.errors import CMFieldsError, IndexDivisible, InvariantViolated, OrderMismatch
 from cmfields.ideals import (
     FracIdeal,
     colon_ideal,
@@ -35,6 +37,7 @@ from cmfields.unipoly import UniPoly
 from oracles import (
     bqf_class_number,
     lattice_index_by_cosets,
+    prime_split_by_generators,
     principal_by_box_search,
     principal_by_unreduced_search,
     torsion_units_by_unreduced_search,
@@ -687,6 +690,86 @@ def _squarefree(n):
             return False
         q += 1
     return True
+
+
+def _sqrt_field(d):
+    """Q(sqrt d) for a fundamental d: x^2 - d for d = 1 mod 4, whose equation
+    order has index 2, so the basis has denominators in powers of theta, and
+    x^2 - d/4 for d = 0 mod 4, of index 1, so that p = 2 is split too."""
+    if d % 4 == 1:
+        return NumberField(UniPoly([-d, 0, 1]))
+    return NumberField(UniPoly([-d // 4, 0, 1]))
+
+
+def _zeta5():
+    return NumberField(UniPoly([1, 1, 1, 1, 1]))
+
+
+def _quartic_closure():
+    return splitting_data(NumberField(UniPoly([3, 0, 6, 0, 1]))).closure
+
+
+def _sympy_splitting_types(field, primes):
+    """{p: sorted (e, f)} from sympy: prime_decomp, or, where sympy's round_two
+    fails (it raises ClosureFailure on the degree-8 closure), the factors of
+    the defining polynomial mod p, which give (e, f) for p prime to the index
+    (Kummer-Dedekind)."""
+    x = symbols("x")
+    T = Poly([int(c) for c in reversed(field.min_poly.coeffs)], x)
+    try:
+        ZK, dK = round_two(T)
+    except ClosureFailure:
+        return {p: sorted((m, g.degree()) for g, m in Poly(T, modulus=p).factor_list()[1])
+                for p in primes}
+    return {p: sorted((Q.e, Q.f) for Q in prime_decomp(p, T=T, ZK=ZK, dK=dK)) for p in primes}
+
+
+CLOSED_FORM_PRIMES = primes_up_to(199) + [100003, 999983]
+CLOSED_FORM_FIELDS = (
+    [(f"Q(sqrt{d})", lambda d=d: _sqrt_field(d)) for d in _fundamental_discriminants(-100)]
+    + [("Q(zeta5)", _zeta5), ("closure(x^4+6x^2+3)", _quartic_closure)]
+)
+
+
+class TestClosedFormPrimes:
+    @pytest.mark.parametrize("build", [b for _, b in CLOSED_FORM_FIELDS],
+                             ids=[name for name, _ in CLOSED_FORM_FIELDS])
+    def test_prime_split_matches_the_generator_construction(self, build):
+        # every degree-one prime is written down from the values of the basis
+        # at a root mod p; the old construction (HNF of (p, g_i(theta)), then
+        # the product of the P^e checked against pO) must give the same list
+        field = build()
+        O = maximal_order(field)
+        primes = [p for p in CLOSED_FORM_PRIMES if O.equation_index % p]
+        expected_types = _sympy_splitting_types(field, primes)
+        degree_one = 0
+        for p in primes:
+            ours = prime_split(p, O)
+            old = prime_split_by_generators(p, O)
+            assert [(P.hnf, P.den, P.e, P.f, P.order, P.second_gen) for P in ours] == [
+                (P.hnf, P.den, P.e, P.f, P.order, P.second_gen) for P in old], p
+            assert sorted((P.e, P.f) for P in ours) == expected_types[p], p
+            degree_one += sum(P.f == 1 for P in ours)
+        assert len(primes) >= len(CLOSED_FORM_PRIMES) - 3 and degree_one > 0
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda fs: [(fs[0][0], 2)], "v_P(5) is 1, not e = 2"),
+            (lambda fs: fs[:1], "Dedekind splitting of 5 incomplete"),
+            (lambda fs: [fs[0], fs[0]], "a prime above 5 is listed twice"),
+        ],
+        ids=["wrong-e", "dropped-prime", "repeated-prime"],
+    )
+    def test_split_check_catches_a_wrong_factorization(self, gauss, monkeypatch, mutate, message):
+        # 5 = (2 + i)(2 - i): a wrong exponent (with sum e f kept at 2), a
+        # dropped prime and a repeated prime each fail one of the p-independent
+        # checks that replace the product of the P^e
+        O = maximal_order(gauss)
+        factor = ideals._factor_mod_p
+        monkeypatch.setattr(ideals, "_factor_mod_p", lambda g, p: mutate(factor(g, p)))
+        with pytest.raises(InvariantViolated, match=re.escape(message)):
+            ideals._prime_split(5, O)
 
 
 class TestCoprimeScale:

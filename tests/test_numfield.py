@@ -1,5 +1,6 @@
 """Element arithmetic, morphisms, and edge cases of the number-field core."""
 
+import functools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -226,6 +227,38 @@ class TestMorphisms:
                 list(expected)
         assert fresh.preimage(sd.closure.gen()) is None
         assert len(calls) == 1
+
+
+@functools.cache
+def closure_morphisms():
+    """Every embedding into and automorphism of the closure, for the degree-8
+    closure of x^4 + 6x^2 + 3 and for Q(zeta5), which is its own closure."""
+    from cmfields.closure import splitting_data
+
+    out = []
+    for coeffs in ((3, 0, 6, 0, 1), (1, 1, 1, 1, 1)):
+        sd = splitting_data(NumberField(UniPoly(list(coeffs))))
+        out += sd.embeddings + sd.autos
+    return out
+
+
+class TestIntegerMorphisms:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coords=st.lists(RATIONALS, min_size=8, max_size=8))
+    def test_image_matches_the_fraction_evaluation(self, coords):
+        # one integer mat-vec over a common denominator against the sum of
+        # Fraction multiples of the generator's powers, on all 20 morphisms
+        from oracles import morphism_by_fractions
+
+        morphisms = closure_morphisms()
+        assert len(morphisms) == 20
+        for phi in morphisms:
+            x = phi.source.element(coords[: phi.source.degree])
+            y = phi(x)
+            assert y == morphism_by_fractions(phi, x)
+            d, w = y.numerators()
+            assert w == [c.numerator * (d // c.denominator) for c in y.coords]
+            assert phi.preimage(y) == x
 
 
 class TestPrincipalityBudget:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmfields.cmreflex import CMType, enumerate_cm_types
 from cmfields.errors import BudgetExceeded, IdentificationFailed, RamifiedPrime, Supersingular
@@ -14,6 +16,11 @@ from cmfields.stverify import (
     MESTRE_BOUND,
     CurveFp,
     _GF2,
+    _ec_add,
+    _ec_mul,
+    _ec_mul2,
+    _ec_neg,
+    _random_point,
     _reduction_data,
     count_points,
     frobenius_class_check,
@@ -119,6 +126,37 @@ class TestFieldArithmetic:
                 assert c == min(roots), (curve, p)
                 assert red == (curve.a4 % p, curve.a6 % p)
                 assert c2 * c * c % p == 1 and c3 * c * c * c % p == 1
+
+
+def _points_on_x3_minus_x(p=10007):
+    """F_{p^2} points of y^2 = x^3 - x: the three of order 2, infinity, and
+    seeded random points with their negatives and a sum, so that P = Q,
+    P = -Q and P + Q = O all occur among the pairs."""
+    F = _GF2(p)
+    rng = random.Random(11)
+    pts = [_random_point(F, (p - 1, 0), rng) for _ in range(3)]
+    pts += [_ec_neg(F, pts[0]), _ec_add(F, p - 1, pts[0], pts[1])]
+    return F, [(0, 0, 0, 0), (1, 0, 0, 0), (p - 1, 0, 0, 0), None] + pts
+
+
+EC_FIELD, EC_POINTS = _points_on_x3_minus_x()
+
+
+class TestJointMultiplication:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.integers(-10**6, 10**6), l=st.integers(-10**6, 10**6),
+           i=st.integers(0, len(EC_POINTS) - 1), j=st.integers(0, len(EC_POINTS) - 1))
+    @example(k=0, l=0, i=4, j=5)
+    @example(k=0, l=-3, i=0, j=4)
+    @example(k=-7, l=0, i=5, j=1)
+    @example(k=-1, l=-1, i=4, j=7)
+    @example(k=5, l=-5, i=4, j=4)
+    @example(k=3, l=1, i=0, j=2)
+    def test_straus_shamir_matches_two_multiplications(self, k, l, i, j):
+        F, a4 = EC_FIELD, EC_FIELD.p - 1
+        P, Q = EC_POINTS[i], EC_POINTS[j]
+        assert _ec_mul2(F, a4, k, P, l, Q) == _ec_add(
+            F, a4, _ec_mul(F, a4, k, P), _ec_mul(F, a4, l, Q))
 
 
 class TestFrobenius:

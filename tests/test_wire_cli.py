@@ -296,23 +296,58 @@ class TestCLI:
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1 and reason in run.stderr, run.stderr
 
-    def test_st_row_error_is_a_failed_row(self, tmp_path, capsys):
-        # y^2 = x^3 - x with Q(zeta3) data passes every corpus check, but its
-        # Frobenius at p = 13 is not in Q(zeta3): that row fails with a
-        # witness, the sweep goes on, and the run exits 1
-        corpus = [{"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 1, 1],
-                   "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}]
+    def test_st_refuses_a_unit_scaling_that_is_no_automorphism(self, tmp_path):
+        # y^2 = x^3 - x with Q(zeta3) data: zeta3 scaling maps the curve to
+        # y^2 = x^3 - zeta3 x, not to itself (u^4 a4 != a4), so the record is
+        # refused before any row; with or without python -O, exit 2
+        record = {"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 1, 1],
+                  "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        code = main(["st", str(path), "5", "60"])
+        path.write_text(json.dumps([record]))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for flags in ([], ["-O"]):
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "cmfields.cli", "st", str(path), "5", "60"],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert run.returncode == 2, (flags, run.stderr)
+            assert run.stdout == ""
+            assert len(run.stderr.splitlines()) == 1 and "automorphism" in run.stderr, run.stderr
+
+    def test_st_row_error_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
+        # a row whose computation raises (here the Frobenius identification,
+        # made to fail at p = 13 and 37) is an error row with a witness, the
+        # sweep goes on, and the run exits 1
+        from cmfields import cli
+        from cmfields.errors import IdentificationFailed
+
+        identify = cli.frobenius_element
+
+        def failing(curve, p, **kwargs):
+            if p in (13, 37):
+                raise IdentificationFailed(f"no candidate matches at {p}")
+            return identify(curve, p, **kwargs)
+
+        monkeypatch.setattr(cli, "frobenius_element", failing)
+        code = main(["st", "default", "5", "60"])
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1
         rows = [r for r in records if r["record"] == "st"]
         errors = [r for r in rows if r["status"] == "error"]
-        assert [r["p"] for r in errors] == [13, 37]
+        assert [r["p"] for r in errors] == [13, 37, 13, 37]
         assert all(r["witness"].startswith("IdentificationFailed: ") for r in errors)
         assert rows[-1]["p"] == 59
         assert records[-1]["record"] == "summary" and records[-1]["ok"] is False
+
+    def test_st_budget_reaches_the_point_count(self, capsys):
+        # --budget raises the point-count bound too, so primes just above
+        # 10^6 are counted, not refused as BudgetExceeded error rows
+        code = main(["--budget", "2000000", "st", "default", "1000000", "1000040"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        rows = [r for r in records if r["record"] == "st"]
+        assert code == 0
+        assert rows and not [r for r in rows if r["status"] == "error"]
+        assert {r["status"] for r in rows} == {"ordinary", "supersingular"}
 
     def test_failed_invariant_exits_4_under_optimize(self, field_file):
         # with locate_among patched to answer 0, the two coset representatives
