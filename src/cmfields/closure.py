@@ -10,11 +10,18 @@ component per factor: degree-[L:Q] components yield roots already in
 L, a larger component becomes the new L. Because only roots of f are ever
 adjoined, the final primitive element is a known integer combination of
 tracked roots, which makes the automorphism group a finite search.
+
+The tracked roots are matched to the canonical complex embeddings of K, so
+complex conjugation is read off the group exactly: it is the automorphism
+that permutes the roots as conjugation permutes the embeddings. The
+conjugation of K itself, when it exists, is then one preimage and n exact
+images in L; no automorphism of K is searched for.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 
+from .embeddings import certified_embeddings
 from .errors import ClosureTooLarge, InvariantViolated
 from .linalg import first_dependency, linear_solver, transpose
 from .memo import per_field
@@ -206,6 +213,8 @@ class SplittingData:
       perm:        perm[s][i] = j iff autos[s](roots[i]) == roots[j]
       mult:        mult[s][t] = index of autos[s] . autos[t] (s after t)
       inv:         inverse index per group element
+      conjugation: index of complex conjugation (the restriction to L, through
+                   canonical embedding #0 of L, of conjugation on C)
     """
 
     def __init__(self, field):
@@ -302,42 +311,32 @@ class SplittingData:
         if len(images) != L.degree:
             raise InvariantViolated(f"found {len(images)} automorphisms, expected {L.degree}")
 
-        gen = L.gen()
-        identity = next(v for v in images if v == gen)
-        images.remove(identity)
-
-        def perm_of(v):
-            sigma = FieldMorphism(L, L, v, check=False)
-            out = []
-            for r in roots:
-                img = sigma(r)
-                j = next(i for i, rr in enumerate(roots) if rr == img)
-                out.append(j)
-            return tuple(out), sigma
-
-        tagged = []
-        for v in images:
-            p, sigma = perm_of(v)
-            tagged.append((p, v, sigma))
-        tagged.sort(key=lambda t: t[0])
-        idp, idsigma = perm_of(identity)
-        self.autos = [idsigma] + [t[2] for t in tagged]
-        self.perm = [idp] + [t[0] for t in tagged]
-        self.auto_images = [identity] + [t[1] for t in tagged]
-
-        idx_of = {self.auto_images[s].coords: s for s in range(len(self.autos))}
-        size = len(self.autos)
-        self.mult = [[None] * size for _ in range(size)]
-        for s in range(size):
-            for t in range(size):
-                img = self.autos[s](self.auto_images[t])
-                self.mult[s][t] = idx_of[img.coords]
-        self.inv = [next(t for t in range(size) if self.mult[s][t] == 0) for s in range(size)]
+        # the roots generate L, so an automorphism is fixed by its permutation
+        # of them and a product composes permutations; sorted by permutation,
+        # the identity comes first
+        autos = [FieldMorphism(L, L, v, check=False) for v in images]
+        perms = [tuple(roots.index(sigma(r)) for r in roots) for sigma in autos]
+        order = sorted(range(len(autos)), key=perms.__getitem__)
+        self.autos = [autos[s] for s in order]
+        self.perm = [perms[s] for s in order]
+        if self.perm[0] != tuple(range(n)):
+            raise InvariantViolated("identity automorphism missing")
+        idx_of = {p: s for s, p in enumerate(self.perm)}
+        self.mult = [[idx_of[tuple(ps[i] for i in pt)] for pt in self.perm] for ps in self.perm]
+        self.inv = [row.index(0) for row in self.mult]
         self.identity = 0
-        # the closure is Galois: its automorphisms are exactly these, so seed
-        # the memo (never over an entry computed earlier) rather than
-        # re-running closure construction on L itself
-        per_field("automorphisms", self.closure, lambda: list(self.autos))
+        # psi_0(L) is normal, so conjugation on C restricts to L; psi_0 maps
+        # roots[i] to K's canonical root i, so it sends roots[i] to roots[conj(i)]
+        conj = tuple(e.conj_index() for e in certified_embeddings(self.field))
+        if conj not in idx_of:
+            raise InvariantViolated("complex conjugation is not in the closure's group")
+        c = self.conjugation = idx_of[conj]
+        # L's embeddings are psi_0 . t, and (psi_0 . t) . s = conj . psi_0 . t for
+        # every t forces s = t^-1 c t: L has a complex conjugation exactly when
+        # c is central. Seed the memo (never over an earlier entry) rather than
+        # build the closure of L itself
+        central = all(self.mult[c][t] == self.mult[t][c] for t in range(len(self.autos)))
+        per_field("complex_conjugation", L, lambda: self.autos[c] if central else None)
 
     def stabilizer_of_point(self, root_index):
         """Indices of automorphisms fixing the given root (i.e. Gal(L/that copy of K))."""
@@ -379,28 +378,6 @@ def splitting_data(field):
     return per_field("splitting_data", field, lambda: SplittingData(field))
 
 
-def nf_automorphisms(K):
-    """All automorphisms of K, as FieldMorphisms K -> K (identity included).
-
-    Computed from the closure: embeddings whose image lies in the reference
-    copy of K descend to automorphisms.
-    """
-    return per_field("automorphisms", K, lambda: _automorphisms(K))
-
-
-def _automorphisms(K):
-    sd = splitting_data(K)
-    j0 = sd.embeddings[0]
-    out = []
-    for j in sd.embeddings:
-        pre = j0.preimage(j.image_of_generator)
-        if pre is not None:
-            out.append(FieldMorphism(K, K, pre, check=False))
-    if not out:
-        raise InvariantViolated("identity automorphism missing")
-    return out
-
-
 def galois_closure(K):
     """(L, embeddings K->L, permutation group on the embeddings) per the closure."""
     sd = splitting_data(K)
@@ -418,12 +395,18 @@ def complex_conjugation(K):
 
 
 def _complex_conjugation(K):
-    from .embeddings import certified_embeddings, locate_among
+    """The automorphism sigma of K with phi_i . sigma = conj . phi_i for every i.
 
-    embs = certified_embeddings(K)
-    for sigma in nf_automorphisms(K):
-        if all(
-            locate_among(e, sigma.image_of_generator, K) == e.conj_index() for e in embs
-        ):
-            return sigma
-    return None
+    Let psi_0 be canonical embedding #0 of the closure L, j_i the embedding
+    K -> L realizing canonical embedding phi_i of K (psi_0 . j_i = phi_i) and
+    c the permutation of complex conjugation on the indices. Then
+    phi_i(sigma(theta)) = conj(phi_i(theta)) = psi_0(roots[c(i)]), and psi_0
+    is injective, so the condition is j_i(sigma(theta)) == roots[c(i)] in L,
+    exactly. j_0 fixes the only candidate for sigma(theta).
+    """
+    sd = splitting_data(K)
+    c = sd.perm[sd.conjugation]
+    image = sd.embeddings[0].preimage(sd.roots[c[0]])
+    if image is None or any(e(image) != sd.roots[c[i]] for i, e in enumerate(sd.embeddings)):
+        return None
+    return FieldMorphism(K, K, image, check=False)

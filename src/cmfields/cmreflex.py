@@ -156,7 +156,9 @@ class ReflexData:
 
     E* is the fixed field of the stabilizer H of Phi in Gal(L/Q), generated
     by the first candidate of numfield.primitive_element over the span
-    Tr_H(gen), Tr_H(gen^2), ..., Tr_H(gen^[L:Q]).
+    Tr_H(gen), Tr_H(gen^2), ..., Tr_H(gen^[L:Q]). Its complex conjugation is
+    the restriction of L's, pulled back through reflex_inclusion, so the
+    closure of E* is never built.
 
     Attributes:
       cmtype:            the input CM-type (E, Phi)
@@ -189,7 +191,19 @@ class ReflexData:
         self.reflex_field = NumberField(mp, check=False)
         self.reflex_inclusion = FieldMorphism(self.reflex_field, L, w, check=True)
 
-        rc = cm_check(self.reflex_field)
+        # L is CM, so its complex conjugation is central in Gal(L/Q): it maps
+        # E* = L^H to itself, and its restriction commutes with every
+        # embedding of E* (each is psi_0 . t . inclusion for some t). E*
+        # inherits it, and cm_check still runs its exact tests on it
+        iota = complex_conjugation(L)
+        if iota is None:
+            raise InvariantViolated("complex conjugation of the closure is not central")
+        pre = self.reflex_inclusion.preimage(iota(w))
+        if pre is None:
+            raise InvariantViolated("complex conjugation does not preserve the reflex field")
+        E_star = self.reflex_field
+        per_field("complex_conjugation", E_star, lambda: FieldMorphism(E_star, E_star, pre))
+        rc = cm_check(E_star)
         if not isinstance(rc, CMField):
             raise InvariantViolated(f"reflex field is not CM: {rc.reason}")
         self.reflex_cmfield = rc

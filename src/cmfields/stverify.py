@@ -6,10 +6,11 @@ Frobenius element pi in O_E is pinned down by matching the p-power Frobenius
 against r + s*(CM endo) on random points over F_{p^2}, with the CM embedding
 into F_p fixed by the tangent (invariant differential) action; the tangent
 root and every square root in F_p and F_{p^2} come from Tonelli-Shanks, so
-no step above p = 229 scans all of F_p. Each candidate r0 + r1 * gen is
-matched by [r0]P + [r1]endo(P) on one shared doubling chain (Straus-Shamir,
-`_ec_mul2`). The ideal identity, the valuation identities, and the
-reflex-norm form of the Frobenius class are then exact ideal computations.
+no step above p = 229 scans all of F_p. Each candidate s0 + s1 * u, in the
+basis 1, u of O_E = Z[u] with u the tangent multiplier, is matched by
+[s0]P + [s1]endo(P) on one shared doubling chain (Straus-Shamir, `_ec_mul2`).
+The ideal identity, the valuation identities, and the reflex-norm form of the
+Frobenius class are then exact ideal computations.
 """
 
 import math
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .ideals import FracIdeal, prime_split
 from .intutil import factorize, is_prime, isqrt_exact, sqrt_mod
-from .numfield import NumberField
+from .numfield import FieldMorphism, NumberField
 from .orders import maximal_order
 from .unipoly import UniPoly
 
@@ -153,7 +154,7 @@ class CMCurveQ:
 
     The CM endomorphism is the unit scaling (x, y) -> (u^-2 x, u^-3 y) whose
     tangent multiplier is u (a root of unity generating O_E); its reduction
-    uses the chosen root of E's minimal polynomial mod p.
+    uses the chosen root of u's minimal polynomial mod p.
     """
 
     def __init__(self, a4, a6, cmfield, tangent):
@@ -162,8 +163,11 @@ class CMCurveQ:
         self.cmfield = cmfield
         self.tangent = tangent
         mp = tangent.min_poly_over_q()
-        if mp.degree != 2:
-            raise BadCorpus("tangent multiplier must generate E")
+        # Z[u] = O_E exactly when disc(min poly of u) = disc(O_E); then every
+        # Frobenius candidate is s0 + s1 u with integers s0, s1
+        disc = maximal_order(cmfield.field).disc()
+        if mp.degree != 2 or mp.coeffs[1] ** 2 - 4 * mp.coeffs[0] != disc:
+            raise BadCorpus("tangent multiplier must generate O_E")
         self.tangent_min_poly = mp
 
     def __repr__(self):
@@ -203,10 +207,11 @@ class CMCurveQ:
 
 
 class FrobeniusData:
-    """pi in O_E with pi * conj(pi) = q, plus the reduction bookkeeping."""
+    """pi in O_E with pi * conj(pi) = q, the ideal (pi), and the reduction bookkeeping."""
 
     def __init__(self, pi, q, trace, prime_above, cmtype):
         self.pi = pi
+        self.ideal = FracIdeal.principal(prime_above.order, pi)
         self.q = q
         self.trace = trace
         self.prime_above = prime_above
@@ -422,14 +427,18 @@ def frobenius_element(curve, p, seed=1729, budget=POINT_BUDGET):
     rng = random.Random(f"{seed}:{p}")
     points = [_random_point(F, red, rng) for _ in range(MATCH_POINTS)]
     a4 = red[0]
+    u = curve.tangent
+    u0, u1 = u.coords
 
     def matches(pi):
-        # pi = r0 + r1*gen acts as [r0] + [r1] . endo (integer power-basis coords)
+        # pi = s0 + s1*u acts as [s0] + [s1] . endo, the endo reducing [u]
         r0, r1 = pi.coords
-        if r0.denominator != 1 or r1.denominator != 1:
+        s1 = r1 / u1
+        s0 = r0 - s1 * u0
+        if s0.denominator != 1 or s1.denominator != 1:
             return False
         for P in points:
-            if _frob_point(F, P) != _ec_mul2(F, a4, int(r0), P, int(r1), _endo(F, scale, P)):
+            if _frob_point(F, P) != _ec_mul2(F, a4, int(s0), P, int(s1), _endo(F, scale, P)):
                 return False
         return True
 
@@ -439,11 +448,11 @@ def frobenius_element(curve, p, seed=1729, budget=POINT_BUDGET):
             f"{len(hits)} candidates match the Frobenius at {p}"
         )
     pi = hits[0]
-    # the prime of E above p fixed by the tangent embedding: gen = c mod P
+    # the prime of E above p fixed by the tangent embedding: u = c mod P
     ps = prime_split(p, order)
-    below = [P for P in ps if P.contains(gen - E.element([c]))]
+    below = [P for P in ps if P.contains(u - E.element([c]))]
     if len(below) != 1:
-        raise InvariantViolated(f"{len(below)} primes above {p} contain gen - {c}")
+        raise InvariantViolated(f"{len(below)} primes above {p} contain u - {c}")
     return FrobeniusData(pi, p, a_p, below[0], curve.identity_type())
 
 
@@ -463,17 +472,14 @@ def st_rhs(cmtype, k, prime):
     g = E.g
     if out.norm() != Fraction(q) ** g:
         raise InvariantViolated("norm sanity identity failed")
-    qid = FracIdeal.principal(order_E, E.field.one() * q)
-    if out * conjugate_ideal(E, out) != qid:
+    if out * conjugate_ideal(E, out) != FracIdeal.unit_ideal(order_E).scaled(q):
         raise InvariantViolated("conjugate sanity identity failed")
     return out
 
 
 def st_check_ideal(frob, cmtype, k, prime):
     """Exact ideal equality (pi) = st_rhs(Phi, k, P)."""
-    order_E = maximal_order(cmtype.cmfield.field)
-    lhs = FracIdeal.principal(order_E, frob.pi)
-    return lhs == st_rhs(cmtype, k, prime)
+    return frob.ideal == st_rhs(cmtype, k, prime)
 
 
 def st_check_valuations(pi_ideal, cmtype, k, prime, unramified=True):
@@ -488,7 +494,7 @@ def st_check_valuations(pi_ideal, cmtype, k, prime, unramified=True):
     E = cmtype.cmfield
     order_E = maximal_order(E.field)
     if isinstance(pi_ideal, FrobeniusData):
-        pi_ideal = FracIdeal.principal(order_E, pi_ideal.pi)
+        pi_ideal = pi_ideal.ideal
     sd = splitting_data(E.field)
     p = prime.p
     q_ord_factor = prime.f  # f(P/p): ord_v(q) = e_v * f(P/p)
@@ -534,8 +540,6 @@ def frobenius_class_check(curve, p, m=1):
     g = 1 instance: E* = E and the a-multiplication ideal realized by the
     Frobenius is N_Phi(P . O_{E*}) computed through the reflex machinery.
     """
-    import math
-
     frob = frobenius_element(curve, p)
     deg = int(frob.prime_above.norm())
     if math.gcd(m, p * deg) != 1:
@@ -545,21 +549,17 @@ def frobenius_class_check(curve, p, m=1):
     if rd.reflex_field.degree != 2:
         raise InvariantViolated("the reflex field of a g = 1 type is not quadratic")
     # realize P inside the reflex field: E* = E here, via the inclusion map
-    order_E = maximal_order(cmtype.cmfield.field)
     OStar = maximal_order(rd.reflex_field)
     # transport the prime through the isomorphism E -> E* (preimage of inclusion)
     sd = rd.sd
     iso_gen = rd.reflex_inclusion.preimage(sd.embeddings[rd.j0].image_of_generator)
     if iso_gen is None:
         raise IdentificationFailed("reflex field does not coincide with E")
-    from .numfield import FieldMorphism
-
     iso = FieldMorphism(cmtype.cmfield.field, rd.reflex_field, iso_gen)
     p_star = FracIdeal.from_generators(
         OStar, [iso(g) for g in frob.prime_above.two_element_like_generators()]
     )
-    lhs = FracIdeal.principal(order_E, frob.pi)
-    return lhs == rd.reflex_norm_ideal(p_star)
+    return frob.ideal == rd.reflex_norm_ideal(p_star)
 
 
 DEFAULT_CORPUS = (

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: class numbers come
 from reduced binary quadratic forms, lattice indexes from coset enumeration,
-point counts from a double loop and from a Legendre sum, and principality from naive box
-search and from Fincke-Pohst on the unreduced HNF basis. They exist so the main implementations are checked against something
+point counts from a double loop and from a Legendre sum, principality from naive box
+search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
+search of every automorphism with numeric embedding tests. They exist so the main implementations are checked against something
 that cannot share their bugs.
 """
 
@@ -310,3 +311,36 @@ def morphism_by_fractions(morphism, elem):
         if c:
             out = out + pw * c
     return out
+
+
+def nf_automorphisms(K):
+    """All automorphisms of K, as FieldMorphisms K -> K (identity included).
+
+    The embeddings K -> L of the closure whose image lies in the reference
+    copy of K descend to automorphisms.
+    """
+    from cmfields.closure import splitting_data
+    from cmfields.numfield import FieldMorphism
+
+    sd = splitting_data(K)
+    j0 = sd.embeddings[0]
+    out = []
+    for j in sd.embeddings:
+        pre = j0.preimage(j.image_of_generator)
+        if pre is not None:
+            out.append(FieldMorphism(K, K, pre, check=False))
+    assert any(sigma.is_identity() for sigma in out)
+    return out
+
+
+def complex_conjugation_by_search(K):
+    """The automorphism sigma with phi . sigma = conj . phi for every certified
+    embedding phi, or None: every automorphism of K is tried, and phi(sigma(gen))
+    is located among the roots by interval refinement."""
+    from cmfields.embeddings import certified_embeddings, locate_among
+
+    embs = certified_embeddings(K)
+    for sigma in nf_automorphisms(K):
+        if all(locate_among(e, sigma.image_of_generator, K) == e.conj_index() for e in embs):
+            return sigma
+    return None

@@ -2,13 +2,19 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from sympy import CRootOf, Poly, cyclotomic_poly, symbols
 from sympy.polys.numberfields.subfield import field_isomorphism
 
-from cmfields.closure import splitting_data
+from cmfields import closure
+from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.embeddings import certified_embeddings
 from cmfields.cmreflex import (
     CMField,
@@ -27,6 +33,7 @@ from cmfields.ideals import FracIdeal, prime_split
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.unipoly import UniPoly
+from oracles import complex_conjugation_by_search
 
 
 class TestCMCheck:
@@ -283,3 +290,76 @@ class TestIdentitySuite:
         rep = verify_reflex_identities(t, L, 8, seed=7, norm_bound=40)
         assert rep["ok"], rep
         assert rep["skipped_index_primes"] == [2, 3, 23]
+
+
+# the eight fields of perfbench's cm_survey workload
+SURVEY_POLYS = (
+    (1, 0, 1), (1, 1, 1), (5, 0, 1), (1, 1, 1, 1, 1), (1, 0, 5, 0, 1), (3, 0, 6, 0, 1),
+    (1, 1, 1, 1, 1, 1, 1), (1, -1, 0, 1, -1, 1, 0, -1, 1),
+)
+
+
+def _survey_types():
+    out = []
+    for coeffs in SURVEY_POLYS:
+        out += enumerate_cm_types(cm_check(NumberField(UniPoly(list(coeffs)))))
+    return out
+
+
+class TestComplexConjugation:
+    def test_matches_the_automorphism_search(self):
+        reflex = [reflex_field(t).reflex_field for t in _survey_types()]
+        fields = [NumberField(UniPoly(list(c))) for c in SURVEY_POLYS] + reflex
+        fields += [NumberField(UniPoly(c)) for c in (
+            [1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, -1, 0, 0, 0, 1])]
+        for K in fields:
+            expected = complex_conjugation_by_search(K)
+            assert expected is not None and not expected.is_identity(), K
+            # the memo (seeded from the closure for reflex fields) and the
+            # preimage path both agree with the search
+            assert complex_conjugation(K) == expected, K
+            assert closure._complex_conjugation(K) == expected, K
+        for coeffs in ([-5, 0, 1], [1, -3, 0, 1]):  # Q(sqrt 5), totally real cubic
+            K = NumberField(UniPoly(coeffs))
+            assert complex_conjugation_by_search(K).is_identity()
+            assert complex_conjugation(K).is_identity()
+        for coeffs in ([-2, 0, 0, 1], [-2, 0, 0, 0, 1]):  # x^3 - 2, x^4 - 2
+            K = NumberField(UniPoly(coeffs))
+            assert complex_conjugation_by_search(K) is None
+            assert complex_conjugation(K) is None
+
+    def test_one_closure_per_cm_pair(self):
+        # a fresh process, so no closure is in the memo: cm_check, the types
+        # and every reflex field of the survey build exactly one closure per
+        # field, none for a reflex field
+        code = textwrap.dedent(f"""
+            from cmfields import closure
+            from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
+            from cmfields.numfield import NumberField
+            from cmfields.unipoly import UniPoly
+
+            built = []
+            init = closure.SplittingData.__init__
+
+            def counting_init(self, field):
+                built.append(field)
+                init(self, field)
+
+            closure.SplittingData.__init__ = counting_init
+            for coeffs in {SURVEY_POLYS!r}:
+                for t in enumerate_cm_types(cm_check(NumberField(UniPoly(list(coeffs))))):
+                    reflex_field(t)
+            print(len(built))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [str(len(SURVEY_POLYS))]
+        for t in _survey_types():
+            rd = reflex_field(t)
+            assert rd.reflex_cmfield.conj == complex_conjugation_by_search(rd.reflex_field)
+            sd = rd.sd
+            c = sd.conjugation
+            assert all(sd.mult[c][s] == sd.mult[s][c] for s in range(len(sd.autos)))
+            assert c != sd.identity and sd.mult[c][c] == sd.identity

@@ -13,12 +13,13 @@ import pytest
 from sympy import QQ, Poly, Rational, symbols
 
 from cmfields import modpoly, ratfactor
-from cmfields.closure import galois_closure, nf_automorphisms, splitting_data
+from cmfields.closure import galois_closure, splitting_data
 from cmfields.embeddings import certified_embeddings
 from cmfields.errors import ClosureTooLarge
 from cmfields.numfield import NumberField
 from cmfields.ratfactor import factor_rational_poly
 from cmfields.unipoly import UniPoly, sturm_real_root_count
+from oracles import nf_automorphisms
 
 
 X = symbols("x")

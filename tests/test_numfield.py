@@ -187,7 +187,7 @@ class TestMorphisms:
             FieldMorphism(gauss, zeta5, zeta5.gen())
 
     def test_compose_and_inverse(self, zeta5):
-        from cmfields.closure import nf_automorphisms
+        from oracles import nf_automorphisms
 
         autos = nf_automorphisms(zeta5)
         z = zeta5.gen()

@@ -1,5 +1,6 @@
 """Point counting, Frobenius identification, and the ST identities."""
 
+import json
 import random
 
 import pytest
@@ -7,13 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmfields.cmreflex import CMType, enumerate_cm_types
-from cmfields.errors import BudgetExceeded, IdentificationFailed, RamifiedPrime, Supersingular
+from cmfields.cli import main
+from cmfields.errors import (
+    BadCorpus, BudgetExceeded, IdentificationFailed, RamifiedPrime, Supersingular,
+)
 from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.orders import maximal_order
 from cmfields.stverify import (
     DEFAULT_CORPUS,
     MESTRE_BOUND,
+    CMCurveQ,
     CurveFp,
     _GF2,
     _ec_add,
@@ -277,6 +282,54 @@ class TestSymbolicQuartic:
             assert rep["ok"], (p, rep)
             done += 1
         assert done == 8
+
+
+class TestTangentBasis:
+    def test_a_sixth_root_of_unity_as_tangent(self, tmp_path, capsys):
+        # u = 1 + zeta3 generates O_E but is not the field generator: each
+        # Frobenius candidate is matched in the basis 1, u and the prime above
+        # p is the one containing u - c
+        corpus = [{"a4": 0, "a6": 1, "cm_disc": -3, "min_poly": [1, 1, 1],
+                   "cm_endo": {"kind": "unit-scaling", "tangent": [1, 1]}}]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        assert main(["st", str(path), "5", "60"]) == 0
+        rows = [r for r in map(json.loads, capsys.readouterr().out.splitlines())
+                if r["record"] == "st"]
+        ordinary = [r for r in rows if r["status"] == "ordinary"]
+        assert [r["p"] for r in ordinary] == [7, 13, 19, 31, 37, 43]
+        for r in ordinary:
+            assert r["ideal_match"] and r["valuation_match"]
+            assert r["a_p"] == r["p"] + 1 - count_points_legendre(r["p"], 0, 1)
+
+    def test_a_tangent_must_generate_the_maximal_order(self, gauss_cm):
+        # 1 + 2i generates Q(i) but Z[1 + 2i] = Z[2i] has index 2 in Z[i]
+        with pytest.raises(BadCorpus, match="generate O_E"):
+            CMCurveQ(-1, 0, gauss_cm, gauss_cm.field.element([1, 2]))
+
+
+class TestPrincipalIdealsOfARow:
+    def test_built_once_equal_the_generated_ones(self, curve_i, curve_z3):
+        # (pi) is built once per row in FrobeniusData, and (q) as q times the
+        # unit ideal; both equal the ideals generated by pi and by q
+        for curve in (curve_i, curve_z3):
+            E = curve.cmfield.field
+            O = maximal_order(E)
+            rows = 0
+            for p in primes_up_to(2000)[2:]:
+                if (4 * curve.a4**3 + 27 * curve.a6**2) % p == 0:
+                    continue
+                try:
+                    f = frobenius_element(curve, p)
+                except Supersingular:
+                    continue
+                assert f.ideal == FracIdeal.from_generators(O, [f.pi]), p
+                assert FracIdeal.unit_ideal(O).scaled(p) == \
+                    FracIdeal.from_generators(O, [E.one() * p]), p
+                rows += 1
+                if rows == 50:
+                    break
+            assert rows == 50
 
 
 class TestModelConsistency:
