@@ -173,13 +173,12 @@ def cmd_st(args):
     _emit(args, _config_header(args, "st"))
     all_ok = True
     rows = []
+    primes = [p for p in primes_up_to(args.p_max) if max(args.p_min, 5) <= p < args.budget]
     for ci, curve in enumerate(curves):
         E = curve.cmfield.field
         disc = -16 * (4 * curve.a4**3 + 27 * curve.a6**2)
-        for p in primes_up_to(args.p_max):
-            if p < max(args.p_min, 5) or disc % p == 0:
-                continue
-            if p >= args.budget:
+        for p in primes:
+            if disc % p == 0:
                 continue
             row = {"record": "st", "curve": ci, "a4": curve.a4, "a6": curve.a6, "p": p}
             try:

@@ -21,7 +21,7 @@ images in L; no automorphism of K is searched for.
 from fractions import Fraction
 from itertools import zip_longest
 
-from .embeddings import certified_embeddings
+from .embeddings import certified_embeddings, locate_among
 from .errors import ClosureTooLarge, InvariantViolated
 from .linalg import first_dependency, linear_solver, transpose
 from .memo import per_field
@@ -350,27 +350,14 @@ class SplittingData:
 def _match_to_canonical(L, roots, K):
     """order[i] = canonical complex-embedding index of K realized by roots[i].
 
-    Uses the canonical embedding #0 of L and refines until every tracked root
-    ball lands in exactly one certified root disk of K.
+    Each tracked root is located, under the canonical embedding #0 of L,
+    among the certified root disks of K.
     """
-    bits = 64
-    while True:
-        psi0 = L.embeddings(bits)[0]
-        k_disks = [e.ball for e in K.embeddings(bits)]
-        order = []
-        ok = True
-        for r in roots:
-            ball = psi0.eval(r)
-            hits = [i for i, d in enumerate(k_disks) if not ball.is_disjoint(d)]
-            if len(hits) != 1:
-                ok = False
-                break
-            order.append(hits[0])
-        if ok and len(set(order)) == len(roots):
-            return order
-        bits *= 2
-        if bits > 1 << 20:
-            raise InvariantViolated("root matching budget exceeded")
+    psi0 = certified_embeddings(L)[0]
+    order = [locate_among(psi0, r, K) for r in roots]
+    if len(set(order)) != len(roots):
+        raise InvariantViolated("two tracked roots meet one root of K")
+    return order
 
 
 def splitting_data(field):

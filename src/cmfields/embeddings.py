@@ -1,19 +1,28 @@
 """Certified complex embeddings of number fields.
 
-mpmath supplies root approximations only; every certificate is exact rational
+mpmath supplies root approximations only; every certificate is exact integer
 arithmetic. A disk of radius |f(z)|^(1/n) around an approximation z contains
 at least one root of the monic degree-n polynomial f, so n pairwise disjoint
-disks contain exactly one root each. The disk radius uses the exact floor
-k-th root of an integer (intutil.iroot), rounded up. Refinement re-runs the
-finder at higher precision and matches disks by intersection with the
-canonical base disks, so an embedding index never changes meaning.
+disks contain exactly one root each. Refinement re-runs the finder at higher
+precision and matches disks by intersection with the canonical base disks,
+so an embedding index never changes meaning.
+
+A Ball is the disk with centre (a + b·i)/2^k and radius r/2^k, all four
+integers, and every operation rounds outward, so a ball contains its value:
+flooring a centre to k bits moves it by less than sqrt(2) ulps (2^-k each),
+so the radius gains 2 ulps; a product of the balls (x, s) and (y, t) lies in
+the disk about x·y of radius |x|·t + |y|·s + s·t, with |x| bounded above by
+(isqrt(a² + b²) + 1)/2^k, rounded up; and root radii come from _root_up,
+never below the exact root. Comparisons shift both balls to the larger
+exponent and decide exactly, in integers.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 
-from .intutil import root_upper
+from .intutil import iroot
 from .memo import per_field
 
 _BASE_BITS = 64
@@ -26,115 +35,85 @@ _POLYROOTS_ASCENDING = "asc" in _inspect.signature(mpmath.polyroots).parameters
 
 
 class Ball:
-    """Complex disk with exact rational center and radius (no rounding errors)."""
+    """Complex disk with centre (a + b·i)/2^k and radius r/2^k, all integers."""
 
-    __slots__ = ("re", "im", "rad")
+    __slots__ = ("a", "b", "r", "k")
 
-    def __init__(self, re, im, rad=Fraction(0)):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-        self.rad = Fraction(rad)
+    def __init__(self, a, b, r, k):
+        self.a, self.b, self.r, self.k = a, b, r, k
+
+    re = property(lambda self: Fraction(self.a, 1 << self.k))
+    im = property(lambda self: Fraction(self.b, 1 << self.k))
+    rad = property(lambda self: Fraction(self.r, 1 << self.k))
 
     def __repr__(self):
         return f"Ball({float(self.re):.6g} + {float(self.im):.6g}i, r<{float(self.rad):.3g})"
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Ball(self.re + other, self.im, self.rad)
-        return Ball(self.re + other.re, self.im + other.im, self.rad + other.rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Ball(-self.re, -self.im, self.rad)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Ball) else -Fraction(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Ball(self.re * q, self.im * q, self.rad * abs(q))
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        rad = (
-            _abs_upper(self.re, self.im) * other.rad
-            + _abs_upper(other.re, other.im) * self.rad
-            + self.rad * other.rad
-        )
-        return Ball(re, im, rad)
-
-    __rmul__ = __mul__
-
     def conj(self):
-        return Ball(self.re, -self.im, self.rad)
-
-    def round(self, bits):
-        """Outward dyadic rounding: shrink denominators, inflate the radius."""
-        scale = 1 << bits
-        re = Fraction(round(self.re * scale), scale)
-        im = Fraction(round(self.im * scale), scale)
-        rad_num = self.rad * scale
-        rad = Fraction(int(rad_num) + 1, scale) + Fraction(2, scale)
-        return Ball(re, im, rad)
+        return Ball(self.a, -self.b, self.r, self.k)
 
     def contains_point(self, re, im):
-        return (self.re - re) ** 2 + (self.im - im) ** 2 <= self.rad**2
+        """Whether the rational point re + im·i lies in the closed disk."""
+        q = re.denominator * im.denominator
+        x = self.a * q - (re.numerator * im.denominator << self.k)
+        y = self.b * q - (im.numerator * re.denominator << self.k)
+        return x * x + y * y <= (self.r * q) ** 2
 
     def is_disjoint(self, other):
-        d2 = (self.re - other.re) ** 2 + (self.im - other.im) ** 2
-        return d2 > (self.rad + other.rad) ** 2
+        p, q = max(other.k - self.k, 0), max(self.k - other.k, 0)
+        x, y = (self.a << p) - (other.a << q), (self.b << p) - (other.b << q)
+        t = (self.r << p) + (other.r << q)
+        return x * x + y * y > t * t
 
     def intersects(self, other):
         return not self.is_disjoint(other)
 
     def im_sign(self):
         """+1 / -1 if the sign of Im is certified, else None."""
-        if self.im - self.rad > 0:
+        if self.b > self.r:
             return 1
-        if self.im + self.rad < 0:
+        if self.b < -self.r:
             return -1
         return None
 
     def re_sign(self):
-        if self.re - self.rad > 0:
+        if self.a > self.r:
             return 1
-        if self.re + self.rad < 0:
+        if self.a < -self.r:
             return -1
         return None
 
 
-def _abs_upper(re, im):
-    """Rational upper bound for sqrt(re^2 + im^2)."""
-    return root_upper(re * re + im * im, 2)
+def _root_up(num, den, n):
+    """(u, t) with (num/den)^(1/n) <= u/2^t < (num/den)^(1/n)·(1 + 2^-62), num > 0.
 
-
-def _eval_exact(poly, re, im):
-    """Exact complex Horner evaluation of a rational UniPoly at re + i*im."""
-    cre, cim = Fraction(0), Fraction(0)
-    for c in reversed(poly.coeffs):
-        cre, cim = cre * re - cim * im + c, cre * im + cim * re
-    return cre, cim
-
-
-def _mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -val if sign else val
+    M = ceil(num/den · 2^(n·t)) >= 2^(64n), so v = iroot(M, n) >= 2^64, and
+    u = v + 1 has M < u^n <= M·(1 + 2^-64)^n.
+    """
+    t = (64 * n - num.bit_length() + den.bit_length()) // n + 1
+    s = n * t
+    m = -((-num << s) // den) if s >= 0 else -(-num // (den << -s))
+    return iroot(m, n) + 1, t
 
 
 class Embedding:
     """One certified complex root of the field's min_poly (a map field -> C)."""
 
-    __slots__ = ("field", "root_index", "ball", "bits")
+    __slots__ = ("field", "root_index", "ball", "bits", "_root")
 
     def __init__(self, field, root_index, ball, bits):
         self.field = field
         self.root_index = root_index
         self.ball = ball
         self.bits = bits
+        # the root at the working exponent k of eval, and a bound for |root|·2^k
+        k = 2 * max(bits, 64)
+        s = ball.k - k
+        if s > 0:
+            a, b, r = ball.a >> s, ball.b >> s, -(-ball.r >> s) + 2
+        else:
+            a, b, r = ball.a << -s, ball.b << -s, ball.r << -s
+        self._root = (k, a, b, r, isqrt(a * a + b * b) + 1)
 
     def __repr__(self):
         return f"Embedding(#{self.root_index} ~ {self.ball!r})"
@@ -156,15 +135,25 @@ class Embedding:
         return certified_embeddings(self.field, bits)[self.root_index]
 
     def eval(self, elem):
-        """Certified ball containing the image of elem under this embedding."""
+        """Certified ball containing the image of elem under this embedding.
+
+        Integer Horner on the numerators w of elem = w/d at exponent k: a
+        step multiplies by the root ball (radius rounded up, centre floored:
+        +3 ulps) and adds the next w exactly; dividing by d at the end floors
+        the centre (+2 ulps) and rounds the radius up.
+        """
         if elem.field != self.field:
             raise ValueError("element of a different field")
-        root = self.ball
-        out = Ball(0, 0)
-        work = max(self.bits, 64)
-        for c in reversed(elem.coords):
-            out = (out * root + c).round(2 * work)
-        return out
+        k, ra, rb, rr, mr = self._root
+        d, w = elem._numerators()
+        a, b, r = w[-1] << k, 0, 0
+        for c in reversed(w[:-1]):
+            mo = isqrt(a * a + b * b) + 1
+            r = ((mo * rr + mr * r + r * rr) >> k) + 3
+            a, b = ((a * ra - b * rb) >> k) + (c << k), (a * rb + b * ra) >> k
+        if d == 1:
+            return Ball(a, b, r, k)
+        return Ball(a // d, b // d, -(-r // d) + 2, k)
 
     def eval_refining(self, elem, predicate, max_bits=_MAX_BITS):
         """Evaluate elem, refining this embedding until predicate(ball) is not None."""
@@ -179,12 +168,17 @@ class Embedding:
 
 
 def _find_disks(field, bits):
-    """Raw certified disjoint disks at the given precision, or None to escalate."""
-    f = field.min_poly
+    """Raw certified disjoint disks at the given precision, or None to escalate.
+
+    With f = sum c_j x^j/den and a root floored to z = (a + b·i)/2^e, Horner
+    on Q = Q·(a + b·i) + c_j·2^(e(n-j)) gives f(z) = Q/(den·2^(e·n)) exactly,
+    so the radius |f(z)|^(1/n) is (|Q|²/den²)^(1/(2n)) ulps.
+    """
     n = field.degree
-    ints, den = f.int_coeffs()
+    ints, den = field.min_poly.int_coeffs()
     slack = 32 + 2 * n + max(abs(c).bit_length() for c in ints)
-    with mpmath.workprec(bits + slack):
+    e = bits + slack
+    with mpmath.workprec(e):
         try:
             if _POLYROOTS_ASCENDING:
                 roots = mpmath.polyroots(ints, maxsteps=300, extraprec=bits, asc=True)
@@ -194,20 +188,25 @@ def _find_disks(field, bits):
             return None
         roots = [mpmath.mpc(r) for r in roots]
     disks = []
-    for r in roots:
-        re = _mpf_to_fraction(r.real)
-        im = _mpf_to_fraction(r.imag)
-        scale = 1 << (bits + slack)
-        re = Fraction(round(re * scale), scale)
-        im = Fraction(round(im * scale), scale)
-        vre, vim = _eval_exact(f, re, im)
-        rad = root_upper(_abs_upper(vre, vim), n)
-        disks.append(Ball(re, im, rad))
+    for root in roots:
+        a, b = (_floor_dyadic(x._mpf_, e) for x in (root.real, root.imag))
+        qa, qb = ints[n], 0
+        for j in range(n - 1, -1, -1):
+            qa, qb = qa * a - qb * b + (ints[j] << e * (n - j)), qa * b + qb * a
+        u, t = _root_up(qa * qa + qb * qb, den * den, 2 * n) if qa or qb else (0, 0)
+        disks.append(Ball(a, b, -(-u >> t) if t >= 0 else u << -t, e))
     for i in range(n):
         for j in range(i + 1, n):
             if not disks[i].is_disjoint(disks[j]):
                 return None
     return disks
+
+
+def _floor_dyadic(mpf, e):
+    """floor(x·2^e) for the mpmath value x with raw tuple (sign, man, exp, bc)."""
+    sign, man, exp, _ = mpf
+    man = -int(man) if sign else int(man)
+    return man << (exp + e) if exp + e >= 0 else man >> -(exp + e)
 
 
 def _conjugate_pairing(disks):
@@ -230,7 +229,8 @@ def _canonical_order(disks):
 
     Roots are grouped into clusters by transitive overlap of re-intervals;
     cluster re-ranges must be pairwise separated and im-intervals disjoint
-    within a cluster.
+    within a cluster. The disks come from one _find_disks call, so they share
+    one exponent and their integer a, b, r compare directly.
     """
     n = len(disks)
     parent = list(range(n))
@@ -244,8 +244,8 @@ def _canonical_order(disks):
     for i in range(n):
         for j in range(i + 1, n):
             re_overlap = not (
-                disks[i].re + disks[i].rad < disks[j].re - disks[j].rad
-                or disks[j].re + disks[j].rad < disks[i].re - disks[i].rad
+                disks[i].a + disks[i].r < disks[j].a - disks[j].r
+                or disks[j].a + disks[j].r < disks[i].a - disks[i].r
             )
             if re_overlap:
                 parent[find(i)] = find(j)
@@ -256,8 +256,8 @@ def _canonical_order(disks):
     # cluster re-ranges must be separated
     ranges = []
     for g in groups:
-        lo = min(disks[i].re - disks[i].rad for i in g)
-        hi = max(disks[i].re + disks[i].rad for i in g)
+        lo = min(disks[i].a - disks[i].r for i in g)
+        hi = max(disks[i].a + disks[i].r for i in g)
         ranges.append((lo, hi, g))
     ranges.sort(key=lambda t: t[0])
     for (_, hi1, _), (lo2, _, _) in zip(ranges, ranges[1:]):
@@ -269,9 +269,9 @@ def _canonical_order(disks):
             for j in g:
                 if i < j:
                     a, b = disks[i], disks[j]
-                    if not (a.im + a.rad < b.im - b.rad or b.im + b.rad < a.im - a.rad):
+                    if not (a.b + a.r < b.b - b.r or b.b + b.r < a.b - a.r):
                         return None
-        order.extend(sorted(g, key=lambda i: disks[i].im))
+        order.extend(sorted(g, key=lambda i: disks[i].b))
     return order
 
 

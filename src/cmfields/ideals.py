@@ -75,7 +75,7 @@ class FracIdeal:
         elems = [e for e in elems if not e.is_zero()]
         if not elems:
             raise ZeroIdeal("no nonzero generators")
-        coords = [order.coords_num(e) for e in elems]
+        coords = [order._coords_num(e) for e in elems]
         den = math.lcm(*(d for _, d in coords))
         cols = []
         for v, d in coords:
@@ -150,7 +150,7 @@ class FracIdeal:
 
     def contains(self, elem):
         """Exact membership test for a field element."""
-        return self.lattice_coords(*self.order.coords_num(elem)) is not None
+        return self.lattice_coords(*self.order._coords_num(elem)) is not None
 
     def contains_ideal(self, other):
         """other <= self, tested on other's basis columns: no HNF is built."""

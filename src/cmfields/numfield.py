@@ -74,11 +74,6 @@ class NumberField:
         rem = poly % self.min_poly
         return self.element(list(rem.coeffs))
 
-    def embeddings(self, bits=64):
-        from .embeddings import certified_embeddings
-
-        return certified_embeddings(self, bits)
-
 
 class NFElement:
     """A field element: coords is the tuple of its Fraction power-basis coordinates."""
@@ -90,7 +85,7 @@ class NFElement:
         self.coords = coords
         self._num = num
 
-    def numerators(self):
+    def _numerators(self):
         """(d, w): the coordinates are w/d with w integer and d the least such."""
         if self._num is None:
             d = math.lcm(*(c.denominator for c in self.coords))
@@ -141,8 +136,8 @@ class NFElement:
             return NotImplemented
         field = self.field
         n = field.degree
-        da, a = self.numerators()
-        db, b = other.numerators()
+        da, a = self._numerators()
+        db, b = other._numerators()
         conv = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -299,7 +294,7 @@ class FieldMorphism:
         powers = [target.one()]
         for _ in range(source.degree - 1):
             powers.append(powers[-1] * image_of_generator)
-        nums = [pw.numerators() for pw in powers]
+        nums = [pw._numerators() for pw in powers]
         self._den = math.lcm(*(d for d, _ in nums))
         self._matrix = transpose([[x * (self._den // d) for x in w] for d, w in nums])
         self._solver = None
@@ -321,7 +316,7 @@ class FieldMorphism:
     def __call__(self, elem):
         if elem.field != self.source:
             raise ValueError("element not in the source field")
-        d, w = elem.numerators()
+        d, w = elem._numerators()
         out = [sum(a * x for a, x in zip(row, w)) for row in self._matrix]
         return _from_numerators(self.target, d * self._den, out)
 

@@ -92,9 +92,9 @@ class Order:
     def degree(self):
         return self.field.degree
 
-    def coords_num(self, elem):
+    def _coords_num(self, elem):
         """(v, d) with v integer and d > 0: elem has coordinates v/d in the order basis."""
-        d, w = elem.numerators()
+        d, w = elem._numerators()
         v = [sum(a * x for a, x in zip(row, w[i:])) for i, row in enumerate(self._adj)]
         d *= self._det
         g = math.gcd(d, *v) if d > 0 else -math.gcd(d, *v)
@@ -102,19 +102,19 @@ class Order:
 
     def coords_of(self, elem):
         """Coordinates of a field element in the order basis (rational in general)."""
-        v, d = self.coords_num(elem)
+        v, d = self._coords_num(elem)
         return [Fraction(x, d) for x in v]
 
     def integral_coords(self, elem):
         """The integer coordinates of elem, or None when elem is not in the order."""
-        v, d = self.coords_num(elem)
+        v, d = self._coords_num(elem)
         return v if d == 1 else None
 
     def element_from_coords(self, coords):
         return self.field.element([Fraction(x) / self.den for x in mat_vec(self.basis, coords)])
 
     def contains(self, elem):
-        return self.coords_num(elem)[1] == 1
+        return self._coords_num(elem)[1] == 1
 
     def mult_coords(self, a, b):
         """Product of two order-coordinate vectors, in order coordinates."""

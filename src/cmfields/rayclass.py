@@ -311,7 +311,7 @@ class RayClassGroup:
         which the SNF normalisation of every caller sends to zero.
         """
         res = self.residues
-        v, den = self.order.coords_num(alpha)
+        v, den = self.order._coords_num(alpha)
         dl_num = res.dlog(res.reduce(v))
         if den == 1:
             return dl_num

@@ -103,22 +103,36 @@ def count_points(curve, budget=POINT_BUDGET):
     twist_a4 = d * d * a4 % p
     h = math.isqrt(4 * p)
     lo, hi = p + 1 - h, p + 1 + h
-    candidates = list(range(lo, hi + 1))
+    candidates = range(lo, hi + 1)
     for x in range(p):
         fx = (x * x % p * x + a4 * x + a6) % p
         y = sqrt_mod(fx, p)
         if y is not None:
             m = _point_order(F, a4, (x, 0, y, 0), lo, hi)
-            candidates = [n for n in candidates if n % m == 0]
+            candidates = _congruent(candidates, 0, m)
         else:
             y = d * sqrt_mod(d * fx, p) % p
             m = _point_order(F, twist_a4, (d * x % p, 0, y, 0), lo, hi)
-            candidates = [n for n in candidates if (2 * p + 2 - n) % m == 0]
+            candidates = _congruent(candidates, 2 * p + 2, m)
         if len(candidates) <= 1:
             break
     if len(candidates) != 1:
         raise InvariantViolated(f"{len(candidates)} point counts left at p = {p}")
     return candidates[0]
+
+
+def _congruent(cand, c, m):
+    """The members n of the arithmetic progression cand (a range) with n = c mod m.
+
+    start + j·step = c (mod m) has a solution only when g = gcd(step, m)
+    divides c - start, and then exactly for j = j0 mod m/g, with
+    j0 = (c - start)/g · (step/g)^-1 mod m/g: again a progression.
+    """
+    g = math.gcd(cand.step, m)
+    if (c - cand.start) % g:
+        return range(0)
+    mg = m // g
+    return cand[(c - cand.start) // g * pow(cand.step // g, -1, mg) % mg :: mg]
 
 
 def _point_order(F, a4, P, lo, hi):
@@ -572,6 +586,9 @@ DEFAULT_CORPUS = (
 
 def load_curve(record):
     """Build a CMCurveQ from a corpus record (see DEFAULT_CORPUS for the schema)."""
+    a4, a6 = record["a4"], record["a6"]
+    if 4 * a4**3 + 27 * a6**2 == 0:
+        raise BadCorpus(f"y^2 = x^3 + {a4} x + {a6} is singular: 4 a4^3 + 27 a6^2 = 0")
     E = NumberField(UniPoly(list(record["min_poly"])))
     cmf = cm_check(E)
     if not isinstance(cmf, CMField):
@@ -584,7 +601,6 @@ def load_curve(record):
     tangent = E.element(list(record["cm_endo"]["tangent"]))
     # (x, y) -> (u^-2 x, u^-3 y) maps the curve to itself exactly when
     # u^4 a4 = a4 and u^6 a6 = a6
-    a4, a6 = record["a4"], record["a6"]
     if tangent**4 * a4 != E.element([a4]) or tangent**6 * a6 != E.element([a6]):
         raise BadCorpus(
             f"the unit scaling by {list(record['cm_endo']['tangent'])} is not an "

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: class numbers come
 from reduced binary quadratic forms, lattice indexes from coset enumeration,
 point counts from a double loop and from a Legendre sum, principality from naive box
 search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
-search of every automorphism with numeric embedding tests. They exist so the main implementations are checked against something
-that cannot share their bugs.
+search of every automorphism with numeric embedding tests, and embedded element values
+from a Horner pass over Fraction balls. They exist so the main implementations are checked
+against something that cannot share their bugs.
 """
 
 import math
@@ -344,3 +345,31 @@ def complex_conjugation_by_search(K):
         if all(locate_among(e, sigma.image_of_generator, K) == e.conj_index() for e in embs):
             return sigma
     return None
+
+
+def fraction_ball_eval(root, coords, bits):
+    """(re, im, rad) Fractions of a disk containing sum coords[i] root^i.
+
+    root is the disk (re, im, rad) of an embedded generator. Horner over exact
+    rational balls: a product's radius is |x|·t + |y|·s + s·t with |x| bounded
+    by an integer square root, and every step rounds the centre to nearest and
+    the radius up at 2·max(bits, 64) bits, adding 3 ulps.
+    """
+
+    def abs_upper(re, im):
+        x = re * re + im * im
+        if x == 0:
+            return x
+        return Fraction(math.isqrt(x.numerator * x.denominator) + 1, x.denominator)
+
+    rre, rim, rrad = root
+    scale = 1 << (2 * max(bits, 64))
+    cre = cim = crad = Fraction(0)
+    for c in reversed(coords):
+        re = cre * rre - cim * rim + c
+        im = cre * rim + cim * rre
+        rad = abs_upper(cre, cim) * rrad + abs_upper(rre, rim) * crad + crad * rrad
+        cre = Fraction(round(re * scale), scale)
+        cim = Fraction(round(im * scale), scale)
+        crad = Fraction(int(rad * scale) + 3, scale)
+    return cre, cim, crad

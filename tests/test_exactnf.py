@@ -9,17 +9,22 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, symbols
 
 from cmfields import modpoly, ratfactor
 from cmfields.closure import galois_closure, splitting_data
-from cmfields.embeddings import certified_embeddings
+from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
+from cmfields.embeddings import _root_up, certified_embeddings, locate_among
 from cmfields.errors import ClosureTooLarge
 from cmfields.numfield import NumberField
 from cmfields.ratfactor import factor_rational_poly
 from cmfields.unipoly import UniPoly, sturm_real_root_count
-from oracles import nf_automorphisms
+from oracles import fraction_ball_eval, nf_automorphisms
+from test_wire_cli import SURVEY_FIELDS
 
 
 X = symbols("x")
@@ -315,6 +320,81 @@ class TestCertifiedEmbeddings:
                 ball = e.eval(img)
                 hits = [f for f in embs if not ball.is_disjoint(f.ball)]
                 assert len(hits) == 1
+
+
+def _ball_test_fields():
+    """The survey fields, their Galois closures and every reflex field, once each."""
+    out = {}
+    for coeffs in SURVEY_FIELDS:
+        K = field(*coeffs)
+        out.setdefault(K.min_poly, K)
+        L = splitting_data(K).closure
+        out.setdefault(L.min_poly, L)
+        for t in enumerate_cm_types(cm_check(K)):
+            R = reflex_field(t).reflex_field
+            out.setdefault(R.min_poly, R)
+    return list(out.values())
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mpf_fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestBallLayer:
+    def test_eval_against_fraction_oracle_and_mpmath(self):
+        # every embedded value lies in its ball (checked on mpmath's value at
+        # 4x the precision), meets the Fraction-ball oracle's disk and is at
+        # most twice as wide
+        rng = random.Random(13)
+        fields = _ball_test_fields()
+        assert len(fields) > len(SURVEY_FIELDS)
+        for F in fields:
+            elems = [F.element([Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                                for _ in range(F.degree)]) for _ in range(3)]
+            for bits in (64, 256):
+                embs = certified_embeddings(F, bits)
+                with mpmath.workprec(4 * embs[0].bits):
+                    roots = mpmath.polyroots([_mp(c) for c in reversed(F.min_poly.coeffs)],
+                                             maxsteps=300, extraprec=4 * embs[0].bits)
+                for e in embs:
+                    c = complex(float(e.ball.re), float(e.ball.im))
+                    with mpmath.workprec(4 * e.bits):
+                        z = min(roots, key=lambda r: abs(complex(r) - c))
+                        vals = [mpmath.mpc(mpmath.polyval([_mp(q) for q in reversed(x.coords)], z))
+                                for x in elems]
+                    for x, v in zip(elems, vals):
+                        ball = e.eval(x)
+                        assert ball.contains_point(_mpf_fraction(v.real), _mpf_fraction(v.imag))
+                        ore, oim, orad = fraction_ball_eval(
+                            (e.ball.re, e.ball.im, e.ball.rad), x.coords, e.bits)
+                        assert (ball.re - ore) ** 2 + (ball.im - oim) ** 2 <= (ball.rad + orad) ** 2
+                        assert ball.rad <= 2 * orad
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 16), st.integers(1, 1 << 3000), st.integers(1, 1 << 3000))
+    def test_rounded_up_root(self, n, num, den):
+        u, t = _root_up(num, den, n)
+        x = Fraction(num, den)
+        un = Fraction(u**n) / Fraction(2) ** (n * t)
+        assert x <= un <= x * (1 + Fraction(1, 1 << 50))
+
+    def test_locate_among_escalates_between_close_roots(self):
+        # T = Q(1 + sqrt2/2^140): its two roots are 2^-139.5 apart, so the
+        # 64-bit image of 1 + sqrt2/2^140 meets both root disks and the
+        # location must refine; it lands on the root of the same sign
+        K = field(-2, 0, 1)
+        T = field(1 - Fraction(1, 2**279), -2, 1)
+        x = 1 + K.gen() * Fraction(1, 2**140)
+        targets = certified_embeddings(T)
+        for j, e in enumerate(certified_embeddings(K)):
+            ball = e.eval(x)
+            assert sum(1 for f in targets if ball.intersects(f.ball)) == 2
+            assert locate_among(e, x, T) == j
 
 
 class TestPerFieldMemo:

@@ -256,7 +256,7 @@ class TestIntegerMorphisms:
             x = phi.source.element(coords[: phi.source.degree])
             y = phi(x)
             assert y == morphism_by_fractions(phi, x)
-            d, w = y.numerators()
+            d, w = y._numerators()
             assert w == [c.numerator * (d // c.denominator) for c in y.coords]
             assert phi.preimage(y) == x
 

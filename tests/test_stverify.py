@@ -21,6 +21,7 @@ from cmfields.stverify import (
     CMCurveQ,
     CurveFp,
     _GF2,
+    _congruent,
     _ec_add,
     _ec_mul,
     _ec_mul2,
@@ -91,6 +92,14 @@ class TestCounting:
                     continue
                 a_p = p + 1 - count_points(CurveFp(p, a4, a6))
                 assert a_p * a_p <= 4 * p
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(-50, 50), st.integers(1, 12), st.integers(0, 60),
+           st.integers(-100, 100), st.integers(1, 40))
+    def test_congruence_filter_keeps_a_progression(self, start, step, length, c, m):
+        # the progression filter of the point-count scan against a list filter
+        cand = range(start, start + step * length, step)
+        assert list(_congruent(cand, c, m)) == [n for n in cand if (n - c) % m == 0]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -301,6 +310,19 @@ class TestTangentBasis:
         for r in ordinary:
             assert r["ideal_match"] and r["valuation_match"]
             assert r["a_p"] == r["p"] + 1 - count_points_legendre(r["p"], 0, 1)
+
+    def test_a_singular_curve_is_refused(self, tmp_path, capsys):
+        # y^2 = x^3 passes the unit-scaling test (0 = 0 for any u) and its
+        # discriminant 0 is divisible by every prime, so without the check
+        # every row is skipped and the run reports PASS
+        record = {"a4": 0, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+                  "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}
+        with pytest.raises(BadCorpus, match="singular"):
+            load_curve(record)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([record]))
+        assert main(["st", str(path), "5", "60"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_a_tangent_must_generate_the_maximal_order(self, gauss_cm):
         # 1 + 2i generates Q(i) but Z[1 + 2i] = Z[2i] has index 2 in Z[i]

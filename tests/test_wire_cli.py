@@ -279,8 +279,10 @@ class TestCLI:
               "cm_endo": {"kind": "isogeny", "tangent": [0, 1]}}, "kind"),
             ({"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
               "cm_endo": {"kind": "unit-scaling", "tangent": [-1, 0]}}, "generate"),
+            ({"a4": 0, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "singular"),
         ],
-        ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q"],
+        ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q", "singular"],
     )
     def test_st_refuses_a_bad_corpus_under_optimize(self, tmp_path, record, reason):
         # the corpus checks are real checks: under python -O a bad record is
