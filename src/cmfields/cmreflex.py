@@ -17,7 +17,7 @@ from fractions import Fraction
 from .closure import complex_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, InvariantViolated, RootNotExact
-from .ideals import FracIdeal, factor_ideal, prime_split
+from .ideals import FracIdeal, factor_ideal, prime_split, primes_of_norm_below
 from .linalg import right_kernel_fraction, transpose
 from .memo import per_field
 from .numfield import FieldMorphism, NumberField, primitive_element
@@ -425,9 +425,11 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
         n_u = reflex_norm_elem(cmtype, k, u)
         record("unit_preservation", abs(n_u.norm()) == 1, [str(c) for c in u.coords])
 
-    # ideals: all primes of norm < norm_bound whose residue p splits in every
-    # order the suite touches (index primes are refused by prime_split and
-    # reported rather than silently mis-factored)
+    # ideals: the primes of O_L of norm < norm_bound above every p that is
+    # prime to the index of every order the suite touches (prime_split refuses
+    # index primes, so they are reported, not mis-factored). A p with no
+    # prime of norm < norm_bound above it is decided from g mod p, with no
+    # prime split or built (primes_of_norm_below)
     from .intutil import primes_up_to
 
     skipped = []
@@ -437,11 +439,7 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
             skipped.append(p)
             continue
         good_p.append(p)
-    primes = []
-    for p in good_p:
-        for P in prime_split(p, OL):
-            if P.norm() < norm_bound:
-                primes.append(P)
+    primes = [P for p in good_p for P in primes_of_norm_below(p, OL, norm_bound)]
     report["skipped_index_primes"] = skipped
     report["prime_count"] = len(primes)
 
@@ -480,11 +478,7 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
 
     # exact-root and compatibility identities on ideals extended from the
     # reflex field; the expensive norm of the extension is computed once
-    star_primes = []
-    for p in good_p:
-        for q in prime_split(p, OStar):
-            if q.norm() < norm_bound:
-                star_primes.append(q)
+    star_primes = [q for p in good_p for q in primes_of_norm_below(p, OStar, norm_bound)]
     report["reflex_prime_count"] = len(star_primes)
     for q in star_primes:
         ext = FracIdeal.from_generators(

@@ -22,6 +22,7 @@ from math import isqrt
 
 import mpmath
 
+from .errors import BudgetExceeded
 from .intutil import iroot
 from .memo import per_field
 
@@ -163,7 +164,7 @@ class Embedding:
             if val is not None:
                 return val
             if emb.bits * 2 > max_bits:
-                raise RuntimeError("embedding refinement budget exceeded")
+                raise BudgetExceeded("embedding refinement budget exceeded")
             emb = emb.refined(emb.bits * 2)
 
 
@@ -292,7 +293,7 @@ def _certify_base(field):
                     break
         bits *= 2
         if bits > _MAX_BITS:
-            raise RuntimeError("root certification budget exceeded")
+            raise BudgetExceeded("root certification budget exceeded")
     return bits, disks, pair
 
 
@@ -329,7 +330,7 @@ def _embeddings_at(field, level, base_bits, base_disks):
                     break
             b *= 2
             if b > _MAX_BITS:
-                raise RuntimeError("root refinement budget exceeded")
+                raise BudgetExceeded("root refinement budget exceeded")
     return [Embedding(field, i, d, level) for i, d in enumerate(disks)]
 
 
@@ -357,5 +358,5 @@ def locate_among(emb, elem, target_field, max_bits=_MAX_BITS):
             return hits[0].root_index
         bits *= 2
         if bits > max_bits:
-            raise RuntimeError("embedding location budget exceeded")
+            raise BudgetExceeded("embedding location budget exceeded")
         emb = emb.refined(bits)

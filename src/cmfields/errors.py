@@ -66,7 +66,7 @@ class UnitSearchInconclusive(CMFieldsError):
 
 
 class BudgetExceeded(CMFieldsError):
-    pass
+    """A precision or point-count budget ran out before a certificate was found."""
 
 
 class Supersingular(CMFieldsError):

@@ -12,6 +12,12 @@ is one). A valuation at a prime P uses the anti-uniformizer that
 `prime_split` stores with P, an integral beta with v_P(beta/p) = -1 (Cohen
 1993, Alg. 4.8.17), so no prime inverse is ever built.
 
+A product a*b is spanned by a's basis columns times b's generators over O
+(Cohen 1993, §4.7): the n basis columns for a FracIdeal, p and second_gen
+for a PrimeIdeal. The factor with fewer generators goes on the right, so a
+product by a prime takes the HNF of 2n columns instead of n^2; the HNF is
+canonical, so the result does not depend on the generators used.
+
 Splitting p (Dedekind, Cohen 1993, §4.8.2) factors g mod p, with a square
 root of the discriminant for a quadratic g. A degree-one prime is the kernel
 of O -> F_p, theta -> r, whose HNF is written down from the values of the
@@ -19,6 +25,13 @@ basis at r; only factors of higher degree build an HNF from generators. The
 split is checked at every p at a cost that does not grow with p: distinct
 primes, sum e f = n, N(P) = p^f and v_P(pO) = e, which by the fundamental
 identity prove that the P^e multiply to pO.
+
+For p prime to the index the residue degrees above p are the degrees of the
+irreducible factors of g mod p (Dedekind), so every prime above p has norm
+at least p^(d+1) when g mod p has no factor of degree <= d. That is one
+distinct-degree pass (`modpoly.has_factor_of_degree_at_most`, Cohen 1993,
+§3.4.3), and `primes_of_norm_below` uses it to skip the p that have no prime
+of norm below a bound without splitting them.
 """
 
 import itertools
@@ -126,6 +139,10 @@ class FracIdeal:
         n = self.order.degree
         return [[self.hnf[i][j] for i in range(n)] for j in range(n)]
 
+    def generator_columns(self):
+        """Integer coordinate columns over den that generate the ideal over O."""
+        return self.basis_columns()
+
     def basis_elements(self):
         return [
             self.order.element_from_coords([Fraction(c, self.den) for c in col])
@@ -179,8 +196,11 @@ class FracIdeal:
             return other
         if other.is_unit():
             return self
-        cb = other.basis_columns()
-        cols = [self.order.mult_coords(a, b) for a in self.basis_columns() for b in cb]
+        # a*b is spanned by a's basis times b's generators; the factor with
+        # fewer generators goes on the right, so a*P takes 2n columns, not n^2
+        ga, gb = self.generator_columns(), other.generator_columns()
+        a, gens = (other, ga) if len(ga) < len(gb) else (self, gb)
+        cols = [self.order.mult_coords(x, g) for x in a.basis_columns() for g in gens]
         return FracIdeal(self.order, self.den * other.den, hnf_columns(transpose(cols)))
 
     def __pow__(self, k):
@@ -281,7 +301,7 @@ class PrimeIdeal(FracIdeal):
     element. beta_matrix is the integer matrix of multiplication by beta.
     """
 
-    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix")
+    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix", "_gen_cols")
 
     def __init__(self, order, den, hnf, p, e, f, second_gen):
         super().__init__(order, den, hnf)
@@ -292,9 +312,13 @@ class PrimeIdeal(FracIdeal):
         gen = order.integral_coords(second_gen)
         beta = kernel_mod_p(order.mult_matrix_coords(gen), p)[0]
         self.beta_matrix = order.mult_matrix_coords(beta)
+        self._gen_cols = [[p * x for x in order.one_coords], gen]
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
+
+    def generator_columns(self):
+        return self._gen_cols
 
     def two_element_like_generators(self):
         return [self.order.field.one() * self.p, self.second_gen]
@@ -309,6 +333,26 @@ def prime_split(p, order):
     if order.index_in_maximal != 1:
         raise OrderMismatch("prime_split needs the maximal order")
     return per_field("prime_split", order.field, lambda: _prime_split(p, order), p)
+
+
+def primes_of_norm_below(p, order, bound):
+    """The primes of prime_split(p, order) with norm < bound, in its order.
+
+    With d the largest f such that p^f < bound, a prime above p has norm
+    below the bound exactly when its residue degree is at most d. For p prime
+    to the index and d < n, Dedekind's theorem makes the residue degrees the
+    degrees of the irreducible factors of g mod p, so when g mod p has none
+    of degree <= d no prime is split or built. Index primes go to
+    prime_split unchanged.
+    """
+    d = 0
+    while p ** (d + 1) < bound:
+        d += 1
+    if d < order.degree and order.index_in_maximal == 1 and order.equation_index % p:
+        gp = modpoly.trim([int(c) % p for c in order.equation_poly.coeffs])
+        if not modpoly.has_factor_of_degree_at_most(gp, d, p):
+            return []
+    return [P for P in prime_split(p, order) if P.norm() < bound]
 
 
 def _prime_split(p, order):

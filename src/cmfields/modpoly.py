@@ -6,7 +6,9 @@ sub, mul, scal, divmod_) works modulo any m > 1; divmod_ needs only the
 divisor's leading coefficient to be a unit mod m, so Hensel lifting runs on
 it modulo p^k. Everything from gcd on needs m prime. Factorization is
 squarefree + distinct-degree + Cantor-Zassenhaus equal-degree splitting with
-a deterministic seeded element sweep, so results are reproducible.
+a deterministic seeded element sweep, so results are reproducible. Whether
+f has an irreducible factor of degree <= d is the distinct-degree pass alone,
+with no factor built.
 """
 
 import random
@@ -149,6 +151,22 @@ def distinct_degree(f, p):
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
+
+
+def has_factor_of_degree_at_most(f, d, p):
+    """True when f mod p has an irreducible factor of degree <= d.
+
+    x^(p^k) - x is the product of the monic irreducibles of degree dividing
+    k, so its gcd with f is 1 for every k <= d exactly when f has no such
+    factor (Cohen 1993, §3.4.3). f need not be squarefree.
+    """
+    x = [0, 1]
+    h = x
+    for _ in range(d):
+        h = powmod(h, p, f, p)
+        if len(gcd(sub(h, x, p), f, p)) > 1:
+            return True
+    return False
 
 
 def _equal_degree_split(f, d, p, rng):

@@ -198,34 +198,52 @@ def poly_xgcd(a, b):
     return r0 * inv, s0 * inv, t0 * inv
 
 
-def squarefree_part(f):
-    """f / gcd(f, f'), monic."""
-    if f.degree <= 1:
-        return f.monic()
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic()
+def _primitive(a):
+    """An integer coefficient list over its positive content."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _pseudo_remainder(a, b):
+    """|lc(b)|^(deg a - deg b + 1) (a mod b), for integer lists a, b."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r[k]
+        r = [lc * x for x in r]
+        if c:
+            for i, bc in enumerate(b):
+                r[k - db + i] -= c * bc
+    return list(_trim(r[:db]))
 
 
 def sturm_real_root_count(f):
-    """Number of distinct real roots of f, by a Sturm chain (exact)."""
-    f = squarefree_part(f)
+    """Number of distinct real roots of f, by a Sturm chain (exact).
+
+    The chain f, f', ..., -(p_{i-1} mod p_i) runs on primitive integer
+    polynomials: each remainder is a pseudo-remainder, scaled by a positive
+    |lc|^(delta+1), over its positive content, so every sign is that of the
+    chain over Q. With repeated roots the chain ends at gcd(f, f'), a common
+    factor of every entry whose sign at -inf and at +inf is the same for all
+    of them, so the variations there still count distinct roots.
+    """
     if f.degree <= 0:
         return 0
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+    a = _primitive(f.int_coeffs()[0])
+    b = _primitive([i * c for i, c in enumerate(a)][1:])
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, _primitive([-c for c in _pseudo_remainder(a, b)])
 
     def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+        return sum(1 for s, t in zip(signs, signs[1:]) if s * t < 0)
 
     # signs at -inf and +inf from leading terms
-    neg = [p.lc() * (-1) ** p.degree for p in chain]
-    pos = [p.lc() for p in chain]
-    return variations([1 if s > 0 else -1 if s < 0 else 0 for s in neg]) - variations(
-        [1 if s > 0 else -1 if s < 0 else 0 for s in pos]
-    )
+    return (variations([p[-1] * (-1) ** (len(p) - 1) for p in chain])
+            - variations([p[-1] for p in chain]))
 
 
 def sylvester_resultant(f, g):

@@ -5,8 +5,9 @@ from reduced binary quadratic forms, lattice indexes from coset enumeration,
 point counts from a double loop and from a Legendre sum, principality from naive box
 search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
 search of every automorphism with numeric embedding tests, and embedded element values
-from a Horner pass over Fraction balls. They exist so the main implementations are checked
-against something that cannot share their bugs.
+from a Horner pass over Fraction balls, ideal products from every pair of basis columns,
+and real-root counts from a Sturm chain over Fractions. They exist so the main
+implementations are checked against something that cannot share their bugs.
 """
 
 import math
@@ -300,6 +301,48 @@ def prime_split_by_generators(p, order):
     assert prod == FracIdeal.principal(order, field.one() * p)
     out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
     return out
+
+
+def ideal_product_by_bases(a, b):
+    """a*b as `FracIdeal.__mul__` built it before products by generators: the
+    HNF of the n^2 products of a basis column of a with one of b."""
+    from cmfields.ideals import FracIdeal
+    from cmfields.linalg import hnf_columns, transpose
+
+    order = a.order
+    cols = [order.mult_coords(x, y) for x in a.basis_columns() for y in b.basis_columns()]
+    return FracIdeal(order, a.den * b.den, hnf_columns(transpose(cols)))
+
+
+def squarefree_part(f):
+    """f / gcd(f, f'), monic, by the gcd over Q."""
+    from cmfields.unipoly import poly_gcd
+
+    if f.degree <= 1:
+        return f.monic()
+    g = poly_gcd(f, f.derivative())
+    return (f // g).monic()
+
+
+def sturm_real_root_count_by_fractions(f):
+    """Distinct real roots of f by the Sturm chain over Fractions of its
+    squarefree part, as `unipoly.sturm_real_root_count` counted them before
+    its integer chain."""
+    f = squarefree_part(f)
+    if f.degree <= 0:
+        return 0
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+
+    def variations(signs):
+        signs = [s for s in signs if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    neg = [p.lc() * (-1) ** p.degree for p in chain]
+    pos = [p.lc() for p in chain]
+    return variations(neg) - variations(pos)
 
 
 def morphism_by_fractions(morphism, elem):

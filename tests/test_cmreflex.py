@@ -291,6 +291,31 @@ class TestIdentitySuite:
         assert rep["ok"], rep
         assert rep["skipped_index_primes"] == [2, 3, 23]
 
+    def test_primes_split_only_where_the_suite_uses_them(self):
+        # a fresh process, so no split is in the memo: the suite on
+        # x^4+6x^2+3 at bound 200 splits 48 primes (102 when every p < 200
+        # was split in O_L and in O_E*), and its report does not change
+        code = textwrap.dedent("""
+            from cmfields import ideals
+            from cmfields.closure import splitting_data
+            from cmfields.cmreflex import cm_check, enumerate_cm_types, verify_reflex_identities
+            from cmfields.numfield import NumberField
+            from cmfields.unipoly import UniPoly
+
+            calls = []
+            split = ideals._prime_split
+            ideals._prime_split = lambda p, order: calls.append(p) or split(p, order)
+            K = NumberField(UniPoly([3, 0, 6, 0, 1]))
+            t = enumerate_cm_types(cm_check(K))[0]
+            rep = verify_reflex_identities(t, splitting_data(K).closure, 0, 1, norm_bound=200)
+            print(len(calls), rep["ok"], rep["prime_count"], rep["reflex_prime_count"])
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["48", "True", "36", "40"]
+
 
 # the eight fields of perfbench's cm_survey workload
 SURVEY_POLYS = (

@@ -19,7 +19,7 @@ from cmfields import modpoly, ratfactor
 from cmfields.closure import galois_closure, splitting_data
 from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
 from cmfields.embeddings import _root_up, certified_embeddings, locate_among
-from cmfields.errors import ClosureTooLarge
+from cmfields.errors import BudgetExceeded, ClosureTooLarge
 from cmfields.numfield import NumberField
 from cmfields.ratfactor import factor_rational_poly
 from cmfields.unipoly import UniPoly, sturm_real_root_count
@@ -395,6 +395,17 @@ class TestBallLayer:
             ball = e.eval(x)
             assert sum(1 for f in targets if ball.intersects(f.ball)) == 2
             assert locate_among(e, x, T) == j
+
+    def test_locate_among_out_of_budget_is_a_typed_failure(self):
+        # the 64-bit image meets both roots (see above), so a budget of 64
+        # bits runs out with BudgetExceeded (exit 4 from the CLI), not a bare
+        # RuntimeError
+        K = field(-2, 0, 1)
+        T = field(1 - Fraction(1, 2**279), -2, 1)
+        x = 1 + K.gen() * Fraction(1, 2**140)
+        for e in certified_embeddings(K):
+            with pytest.raises(BudgetExceeded, match="budget exceeded"):
+                locate_among(e, x, T, max_bits=64)
 
 
 class TestPerFieldMemo:

@@ -29,7 +29,6 @@ from cmfields.unipoly import (
     poly_discriminant,
     poly_gcd,
     poly_xgcd,
-    squarefree_part,
     sturm_real_root_count,
     sylvester_resultant,
 )
@@ -135,6 +134,28 @@ class TestModPoly:
         assert len(modpoly.factor([1, 0, 1], 7)) == 1   # irreducible mod 7
         f2 = modpoly.factor([1, 0, 1], 2)               # (x+1)^2 mod 2
         assert f2 == [((1, 1), 2)]
+
+    def test_low_degree_factor_test_against_factor(self):
+        # has_factor_of_degree_at_most(f, d, p) is "some irreducible factor of
+        # f has degree <= d", read off modpoly.factor; f runs over random
+        # polynomials, squares and p-th powers f(x^p), which are not squarefree
+        rng = random.Random(14)
+        for _ in range(150):
+            p = rng.choice([2, 3, 5, 7, 101])
+            deg = rng.randint(1, 8 if p < 101 else 5)
+            f = modpoly.trim([rng.randrange(p) for _ in range(deg)] + [1])
+            kind = rng.randrange(3)
+            if kind == 1:
+                f = modpoly.mul(f, f, p)
+            elif kind == 2 and deg * p <= 24:
+                h = [0] * (p * (len(f) - 1) + 1)
+                h[::p] = f
+                f = h
+            degrees = [len(g) - 1 for g, _ in modpoly.factor(f, p)]
+            for d in range(len(f) + 1):
+                assert modpoly.has_factor_of_degree_at_most(f, d, p) == (
+                    any(e <= d for e in degrees)
+                ), (f, p, d)
 
 
 class TestFinckePohst:
@@ -252,6 +273,36 @@ class TestUniPoly:
         assert sturm_real_root_count(UniPoly([3, 6, 1])) == 2
         assert sturm_real_root_count(UniPoly([3, 0, 6, 0, 1])) == 0
 
+    # the integer chain against the Fraction chain of the squarefree part and
+    # sympy's count_roots: rational coefficients, many of them zero so that
+    # remainders skip degrees and negative leading coefficients meet odd
+    # powers of |lc|, and roots of multiplicity up to 3 so that the chain
+    # ends at a nontrivial gcd(f, f')
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+                 min_size=1, max_size=8),
+        st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                           st.integers(1, 3)), max_size=3),
+    )
+    def test_sturm_against_fractions_and_sympy(self, coeffs, roots):
+        from sympy import Poly, Rational, symbols
+
+        from oracles import sturm_real_root_count_by_fractions
+
+        f = UniPoly(coeffs)
+        assume(not f.is_zero())
+        for r, m in roots:
+            f = f * UniPoly([-r, 1]) ** m
+        count = sturm_real_root_count(f)
+        assert count == sturm_real_root_count_by_fractions(f)
+        if f.degree > 0:
+            x = symbols("x")
+            expr = sum(Rational(c.numerator, c.denominator) * x**i
+                       for i, c in enumerate(f.coeffs))
+            assert count == Poly(expr, x).count_roots()
+
     def test_resultant_and_discriminant(self):
         f = UniPoly([-1, 0, 1])
         g = UniPoly([1, 0, 1])
@@ -261,6 +312,8 @@ class TestUniPoly:
         assert poly_discriminant(UniPoly([1, 1, 1])) == -3
 
     def test_squarefree_part(self):
+        from oracles import squarefree_part
+
         f = UniPoly([1, 1]) ** 3 * UniPoly([1, 0, 1])
         sf = squarefree_part(f)
         assert sf == (UniPoly([1, 1]) * UniPoly([1, 0, 1])).monic()

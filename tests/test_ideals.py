@@ -27,6 +27,7 @@ from cmfields.ideals import (
     factor_ideal,
     integral_ideals_of_norm,
     prime_split,
+    primes_of_norm_below,
 )
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
@@ -36,6 +37,7 @@ from cmfields.unipoly import UniPoly
 
 from oracles import (
     bqf_class_number,
+    ideal_product_by_bases,
     lattice_index_by_cosets,
     prime_split_by_generators,
     principal_by_box_search,
@@ -180,6 +182,36 @@ class TestProducts:
         for K in fields:
             for O in (maximal_order(K), equation_order(K)):
                 assert FracIdeal.unit_ideal(O) == FracIdeal.from_generators(O, [K.one()])
+
+
+class TestProductsByGenerators:
+    @pytest.mark.parametrize(
+        "build", [lambda: NumberField(UniPoly([5, 0, 1])), lambda: _zeta5(),
+                  lambda: _quartic_closure()],
+        ids=["Q(sqrt-5)", "Q(zeta5)", "closure(x^4+6x^2+3)"])
+    def test_products_by_a_prime_equal_the_basis_product(self, build):
+        # a*P spans a's basis times P's two generators p and second_gen; the
+        # HNF is canonical, so each product is the matrix of the old product
+        # of every pair of basis columns
+        O = maximal_order(build())
+        rng = random.Random(O.degree)
+        primes = primes_below(O, 30)
+        fractional = 0
+        for _ in range(4):
+            P, Q = rng.choice(primes), rng.choice(primes)
+            a = random_ideal(O, rng, prime_bound=30) * P.inverse()
+            fractional += not a.is_integral()
+            for b in (a, a.scaled(a.den)):
+                assert b * P == ideal_product_by_bases(b, P)
+                assert P * b == ideal_product_by_bases(P, b)
+            assert P * Q == ideal_product_by_bases(P, Q)
+            assert P * P == ideal_product_by_bases(P, P)
+            power = P
+            for k in range(2, 5):
+                power = ideal_product_by_bases(power, P)
+                assert P**k == power, (P, k)
+        assert fractional
+        assert len(P.generator_columns()) == 2 and len(a.generator_columns()) == O.degree
 
 
 class TestContainment:
@@ -770,6 +802,53 @@ class TestClosedFormPrimes:
         monkeypatch.setattr(ideals, "_factor_mod_p", lambda g, p: mutate(factor(g, p)))
         with pytest.raises(InvariantViolated, match=re.escape(message)):
             ideals._prime_split(5, O)
+
+
+def _quartic_reflex():
+    from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
+
+    quartic = NumberField(UniPoly([3, 0, 6, 0, 1]))
+    return reflex_field(enumerate_cm_types(cm_check(quartic))[0]).reflex_field
+
+
+BOUNDED_NORM_FIELDS = [
+    ("Q(i)", lambda: NumberField(UniPoly([1, 0, 1])), 200),
+    ("Q(zeta5)", _zeta5, 200),
+    ("x^4+6x^2+3", lambda: NumberField(UniPoly([3, 0, 6, 0, 1])), 200),
+    ("reflex(x^4+6x^2+3)", _quartic_reflex, 200),
+    ("closure(x^4+6x^2+3)", _quartic_closure, 200),
+    ("x^8+1", lambda: NumberField(UniPoly([1, 0, 0, 0, 0, 0, 0, 0, 1])), 60),
+]
+
+
+class TestPrimesOfNormBelow:
+    @pytest.mark.parametrize("build, bound", [(b, B) for _, b, B in BOUNDED_NORM_FIELDS],
+                             ids=[name for name, _, _ in BOUNDED_NORM_FIELDS])
+    def test_equals_the_filtered_split(self, build, bound, monkeypatch):
+        # at every p < bound prime to the index: the primes of norm < bound
+        # in prime_split's order, and some p decided from g mod p alone
+        O = maximal_order(build())
+        primes = [p for p in primes_up_to(bound - 1) if O.equation_index % p]
+        split = []
+        monkeypatch.setattr(ideals, "prime_split",
+                            lambda p, order: split.append(p) or prime_split(p, order))
+        ours = {p: primes_of_norm_below(p, O, bound) for p in primes}
+        monkeypatch.undo()
+        for p in primes:
+            assert ours[p] == [P for P in prime_split(p, O) if P.norm() < bound], p
+        assert len(split) < len(primes)
+
+    def test_an_index_prime_is_refused_like_prime_split(self):
+        # x^4+5x^2+1 has equation-order index 4; at p = 2 the enumeration
+        # defers to prime_split whatever the bound
+        O = maximal_order(NumberField(UniPoly([1, 0, 5, 0, 1])))
+        assert O.equation_index % 2 == 0
+        with pytest.raises(IndexDivisible) as want:
+            prime_split(2, O)
+        for bound in (2, 3, 200):
+            with pytest.raises(IndexDivisible) as got:
+                primes_of_norm_below(2, O, bound)
+            assert str(got.value) == str(want.value)
 
 
 class TestCoprimeScale:
