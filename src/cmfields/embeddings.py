@@ -1,11 +1,19 @@
 """Certified complex embeddings of number fields.
 
-mpmath supplies root approximations only; every certificate is exact integer
-arithmetic. A disk of radius |f(z)|^(1/n) around an approximation z contains
-at least one root of the monic degree-n polynomial f, so n pairwise disjoint
-disks contain exactly one root each. Refinement re-runs the finder at higher
-precision and matches disks by intersection with the canonical base disks,
-so an embedding index never changes meaning.
+Root approximations come from a Durand–Kerner (Weierstrass) iteration on
+dyadic fixed-point integers (Kerner 1966): from the points R·(0.4 + 0.9i)^j,
+R a power-of-two root bound, it iterates at an exponent of `bits` until the
+corrections are a few ulps (or the residual is at the rounding level of its
+Horner pass), then takes one step at each doubled exponent up to the
+certificate's exponent. It only proposes: a proposal that is wrong, a
+division by zero or a step cap makes the certificate fail or the finder
+return None, and the caller doubles `bits` up to _MAX_BITS and then raises
+BudgetExceeded. Every certificate is exact integer arithmetic. A disk of
+radius |f(z)|^(1/n) around an approximation z contains at least one root of
+the monic degree-n polynomial f, so n pairwise disjoint disks contain
+exactly one root each. Refinement re-runs the finder at higher precision and
+matches disks by intersection with the canonical base disks, so an embedding
+index never changes meaning.
 
 A Ball is the disk with centre (a + b·i)/2^k and radius r/2^k, all four
 integers, and every operation rounds outward, so a ball contains its value:
@@ -20,19 +28,13 @@ exponent and decide exactly, in integers.
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
-
 from .errors import BudgetExceeded
 from .intutil import iroot
 from .memo import per_field
 
 _BASE_BITS = 64
 _MAX_BITS = 1 << 22
-
-# mpmath >= 1.4 deprecates descending coefficient order in polyroots
-import inspect as _inspect
-
-_POLYROOTS_ASCENDING = "asc" in _inspect.signature(mpmath.polyroots).parameters
+_MAX_STEPS = 300
 
 
 class Ball:
@@ -171,7 +173,7 @@ class Embedding:
 def _find_disks(field, bits):
     """Raw certified disjoint disks at the given precision, or None to escalate.
 
-    With f = sum c_j x^j/den and a root floored to z = (a + b·i)/2^e, Horner
+    With f = sum c_j x^j/den and a proposed root z = (a + b·i)/2^e, Horner
     on Q = Q·(a + b·i) + c_j·2^(e(n-j)) gives f(z) = Q/(den·2^(e·n)) exactly,
     so the radius |f(z)|^(1/n) is (|Q|²/den²)^(1/(2n)) ulps.
     """
@@ -179,18 +181,11 @@ def _find_disks(field, bits):
     ints, den = field.min_poly.int_coeffs()
     slack = 32 + 2 * n + max(abs(c).bit_length() for c in ints)
     e = bits + slack
-    with mpmath.workprec(e):
-        try:
-            if _POLYROOTS_ASCENDING:
-                roots = mpmath.polyroots(ints, maxsteps=300, extraprec=bits, asc=True)
-            else:
-                roots = mpmath.polyroots(list(reversed(ints)), maxsteps=300, extraprec=bits)
-        except mpmath.mp.NoConvergence:
-            return None
-        roots = [mpmath.mpc(r) for r in roots]
+    roots = _weierstrass_roots(ints, bits, e)
+    if roots is None:
+        return None
     disks = []
-    for root in roots:
-        a, b = (_floor_dyadic(x._mpf_, e) for x in (root.real, root.imag))
+    for a, b in roots:
         qa, qb = ints[n], 0
         for j in range(n - 1, -1, -1):
             qa, qb = qa * a - qb * b + (ints[j] << e * (n - j)), qa * b + qb * a
@@ -203,11 +198,73 @@ def _find_disks(field, bits):
     return disks
 
 
-def _floor_dyadic(mpf, e):
-    """floor(x·2^e) for the mpmath value x with raw tuple (sign, man, exp, bc)."""
-    sign, man, exp, _ = mpf
-    man = -int(man) if sign else int(man)
-    return man << (exp + e) if exp + e >= 0 else man >> -(exp + e)
+def _weierstrass_roots(ints, k, e):
+    """Root proposals (a, b), meaning (a + b·i)/2^e, of sum ints[j]·x^j; or None.
+
+    Durand–Kerner on fixed-point numbers at exponent k from the start
+    R·(0.4 + 0.9i)^j, with R = 2^rho at least Fujiwara's root bound
+    2·max |c_j/c_n|^(1/(n-j)), until a step has converged (_weierstrass_step);
+    then one step at each doubled exponent up to e, which near simple roots
+    doubles the correct bits. None after _MAX_STEPS steps or on a zero
+    product of differences.
+    """
+    n = len(ints) - 1
+    top = ints[n].bit_length() - 1
+    rho = 1 + max([0] + [-((top - abs(c).bit_length()) // (n - j)) for j, c in enumerate(ints[:n]) if c])
+    zs, wa, wb = [], 1, 0
+    for j in range(n):
+        # (0.4 + 0.9i)^j = (4 + 9i)^j / 10^j, floored at exponent k
+        zs.append(((wa << k + rho) // 10**j, (wb << k + rho) // 10**j))
+        wa, wb = 4 * wa - 9 * wb, 9 * wa + 4 * wb
+    for _ in range(_MAX_STEPS):
+        done = _weierstrass_step(ints, zs, k)
+        if done is None:
+            return None
+        if done:
+            break
+    else:
+        return None
+    while k < e:
+        s, k = min(k, e - k), min(2 * k, e)
+        zs = [(a << s, b << s) for a, b in zs]
+        if _weierstrass_step(ints, zs, k) is None:
+            return None
+    return zs
+
+
+def _weierstrass_step(ints, zs, k):
+    """One Gauss–Seidel Weierstrass step z_i -= p(z_i)/(c_n·prod_(j!=i)(z_i - z_j)).
+
+    In place on zs at exponent k. Returns None on a zero product, else
+    whether the step has converged: every correction is at most 4 ulps, or
+    p(z_i) is within a small multiple of the Horner rounding bound (each
+    floored product is off by < 2 ulps, so p(z) by < 2·sum_(m<n) |z|^m ulps),
+    where no further step can do better.
+    """
+    n = len(ints) - 1
+    cs = [c << k for c in ints]
+    done = True
+    for i, (a, b) in enumerate(zs):
+        pa, pb = cs[n], 0
+        for c in reversed(cs[:n]):
+            pa, pb = ((pa * a - pb * b) >> k) + c, (pa * b + pb * a) >> k
+        da, db = cs[n], 0
+        for j, (x, y) in enumerate(zs):
+            if j != i:
+                x, y = a - x, b - y
+                da, db = (da * x - db * y) >> k, (da * y + db * x) >> k
+        m = da * da + db * db
+        if not m:
+            return None
+        # p/d = p·conj(d)/|d|², rounded to nearest so that an exactly
+        # representable root is a fixed point
+        ta = (((pa * da + pb * db) << k + 1) + m) // (2 * m)
+        tb = (((pb * da - pa * db) << k + 1) + m) // (2 * m)
+        zs[i] = (a - ta, b - tb)
+        if done and ta * ta + tb * tb > 16:
+            mag = max(0, max(abs(a), abs(b)).bit_length() - k + 1)
+            done = max(abs(pa), abs(pb)).bit_length() <= (n - 1) * mag + n.bit_length() + 2
+    return done
 
 
 def _conjugate_pairing(disks):

@@ -441,7 +441,10 @@ def factor_ideal(a):
     """Factor a fractional ideal into primes: dict {PrimeIdeal: exponent}.
 
     Support primes are found from the numerator and denominator norms; raises
-    IndexDivisible if a support prime divides the equation-order index.
+    IndexDivisible if a support prime divides the equation-order index. With
+    num = den·a integral, sum v_P(num)·f_P over the primes above p is
+    ord_p(N(num)), so once that is reached the other primes above p have
+    v_P(num) = 0 and take no valuation; v_P(a) is v_P(num) - e_P·ord_p(den).
     """
     order = a.order
     if isinstance(a, PrimeIdeal):
@@ -450,12 +453,18 @@ def factor_ideal(a):
             if P == a:
                 return {P: 1}
     num = a.scaled(a.den)
-    support = set(factorize(int(num.norm())).keys()) if num.norm() != 1 else set()
+    norm = int(num.norm())
+    support = set(factorize(norm).keys()) if norm != 1 else set()
     support |= set(factorize(a.den).keys())
     out = {}
     for p in sorted(support):
+        left, d = _ord_p(norm, p), _ord_p(a.den, p)
         for P in prime_split(p, order):
-            v = a.valuation(P)
+            v = 0
+            if left:
+                v = num.valuation(P)
+                left -= v * P.f
+            v -= P.e * d
             if v:
                 out[P] = v
     return out

@@ -265,6 +265,13 @@ def _from_numerators(field, den, out):
     return NFElement(field, coords, (den, out))
 
 
+def numerator_rows(elements):
+    """(d, rows): the coordinate vectors of the elements are rows/d, all integers."""
+    nums = [x._numerators() for x in elements]
+    d = math.lcm(*(e for e, _ in nums))
+    return d, [[c * (d // e) for c in w] for e, w in nums]
+
+
 def _coerce(field, value):
     if isinstance(value, NFElement):
         if value.field != field:
@@ -294,9 +301,8 @@ class FieldMorphism:
         powers = [target.one()]
         for _ in range(source.degree - 1):
             powers.append(powers[-1] * image_of_generator)
-        nums = [pw._numerators() for pw in powers]
-        self._den = math.lcm(*(d for d, _ in nums))
-        self._matrix = transpose([[x * (self._den // d) for x in w] for d, w in nums])
+        self._den, rows = numerator_rows(powers)
+        self._matrix = transpose(rows)
         self._solver = None
 
     def __repr__(self):

@@ -38,6 +38,7 @@ from .ideals import integral_ideals_of_norm
 from .intutil import root_upper
 from .linalg import identity_matrix, mat_mul, mat_vec, transpose
 from .memo import per_field
+from .numfield import numerator_rows
 from .unipoly import sturm_real_root_count
 
 
@@ -191,13 +192,16 @@ def _build_trace_form(order):
     for k in range(1, 2 * n - 1):
         t = -k * c[n - k] if k <= n else 0
         s.append(t - sum(c[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
-    W = [w.coords for w in order.elements]
-    C = [conj(w).coords for w in order.elements]
-    T = [[sum(x[k] * y[l] * s[k + l] for k in range(n) for l in range(n)) for y in C]
-         for x in W]
-    if any(t.denominator != 1 for row in T for t in row):
+    # T = W·S·C^T with S[k][l] = s[k + l], on integer numerators over one denominator
+    ds = math.lcm(*(x.denominator for x in s))
+    S = [[int(x * ds) for x in s[k:k + n]] for k in range(n)]
+    dw, W = numerator_rows(order.elements)
+    dc, C = numerator_rows([conj(w) for w in order.elements])
+    T = mat_mul(W, mat_mul(S, transpose(C)))
+    d = ds * dw * dc
+    if any(t % d for row in T for t in row):
         raise InvariantViolated("the trace form of an order is not integral")
-    return [[int(t) for t in row] for row in T]
+    return [[t // d for t in row] for row in T]
 
 
 def _is_imaginary_quadratic(field):

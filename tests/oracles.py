@@ -6,7 +6,9 @@ point counts from a double loop and from a Legendre sum, principality from naive
 search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
 search of every automorphism with numeric embedding tests, and embedded element values
 from a Horner pass over Fraction balls, ideal products from every pair of basis columns,
-and real-root counts from a Sturm chain over Fractions. They exist so the main
+real-root counts from a Sturm chain over Fractions, prime factorizations from a
+valuation at every prime above the support, and trace forms from n^4 Fraction
+products. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -312,6 +314,42 @@ def ideal_product_by_bases(a, b):
     order = a.order
     cols = [order.mult_coords(x, y) for x in a.basis_columns() for y in b.basis_columns()]
     return FracIdeal(order, a.den * b.den, hnf_columns(transpose(cols)))
+
+
+def factor_ideal_by_all_valuations(a):
+    """{P: v_P(a)} as `ideals.factor_ideal` built it before it stopped at the
+    norm: a valuation at every prime above every prime of the support."""
+    from cmfields.ideals import prime_split
+    from cmfields.intutil import factorize
+
+    num = a.scaled(a.den)
+    support = set(factorize(int(num.norm()))) if num.norm() != 1 else set()
+    support |= set(factorize(a.den))
+    out = {}
+    for p in sorted(support):
+        for P in prime_split(p, a.order):
+            v = a.valuation(P)
+            if v:
+                out[P] = v
+    return out
+
+
+def trace_form_by_fractions(order, conj):
+    """T[i][j] = Tr(w_i * conj(w_j)) on the order basis w, as
+    `principal._build_trace_form` built it before its integer product: the
+    power sums s_m of the generator by Newton's identities, then
+    T[i][j] = sum_k sum_l x_k y_l s_(k+l), n^4 Fraction products."""
+    field = order.field
+    n = field.degree
+    c = field.min_poly.coeffs
+    s = [Fraction(n)]
+    for k in range(1, 2 * n - 1):
+        t = -k * c[n - k] if k <= n else 0
+        s.append(t - sum(c[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
+    W = [w.coords for w in order.elements]
+    C = [conj(w).coords for w in order.elements]
+    return [[sum(x[k] * y[l] * s[k + l] for k in range(n) for l in range(n)) for y in C]
+            for x in W]
 
 
 def squarefree_part(f):

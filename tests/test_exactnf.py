@@ -345,6 +345,70 @@ def _mpf_fraction(x):
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
+def _root_finder_fields():
+    """The survey closures, x^16 + 1, Phi_17, an Eisenstein quartic with a
+    1102-bit coefficient (its roots reach 2^367, so a float start at 1024
+    bits would overflow) and the pair of roots 2^-139.5 apart."""
+    return [splitting_data(field(*coeffs)).closure for coeffs in SURVEY_FIELDS] + [
+        field(1, *[0] * 15, 1),
+        field(*[1] * 17),
+        NumberField(UniPoly([3, 3 * (2**1100 + 1), 0, 0, 1]), check=False),
+        field(1 - Fraction(1, 2**279), -2, 1),
+    ]
+
+
+def _oracle_root_indices(levels):
+    """For each certified disk of each level, the index of the one mpmath root in it.
+
+    mpmath runs 48 bits beyond the smallest nonzero radius (or the ball
+    exponent, if every disk is a point) plus the size of the largest
+    coefficient; a root counts as inside when it lies within the radius plus
+    2^-16 of that smallest radius.
+    """
+    F = levels[0][0].field
+    balls = [e.ball for embs in levels for e in embs]
+    fine = max((b.k - b.r.bit_length() for b in balls if b.r), default=balls[-1].k)
+    prec = fine + max(abs(c).bit_length() for c in F.min_poly.int_coeffs()[0]) + 48
+    with mpmath.workprec(prec):
+        roots = mpmath.polyroots([_mp(c) for c in reversed(F.min_poly.coeffs)],
+                                 maxsteps=500, extraprec=prec)
+        roots = [mpmath.mpc(r) for r in roots]
+    roots = [(_mpf_fraction(r.real), _mpf_fraction(r.imag)) for r in roots]
+    tol = Fraction(1, 2 ** (fine + 16))
+    out = []
+    for embs in levels:
+        out.append([])
+        for e in embs:
+            inside = [i for i, (x, y) in enumerate(roots)
+                      if (x - e.ball.re) ** 2 + (y - e.ball.im) ** 2 <= (e.ball.rad + tol) ** 2]
+            assert len(inside) == 1, (F, e)
+            out[-1].extend(inside)
+    return out
+
+
+class TestRootFinder:
+    def test_every_disk_holds_one_root_at_every_level(self):
+        # each certified disk holds exactly one root, at the base level and
+        # at 1024 and 4096 bits, and a refined disk holds the root of the base
+        # disk with its index (the refinement is matched by _match_disks)
+        for F in _root_finder_fields():
+            levels = [certified_embeddings(F, bits) for bits in (64, 1024, 4096)]
+            assert [embs[0].bits for embs in levels[1:]] == [1024, 4096]
+            base, *found = _oracle_root_indices(levels)
+            assert sorted(base) == list(range(F.degree))
+            assert all(f == base for f in found)
+            for embs in levels[1:]:
+                for e, b in zip(embs, levels[0]):
+                    assert b.ball.contains_point(e.ball.re, e.ball.im)
+
+    def test_close_roots_escalate_and_large_roots_do_not(self):
+        # the pair 2^-139.5 apart is only separated above 64 bits; the
+        # Eisenstein quartic with roots up to 2^367 certifies at the base
+        fields = _root_finder_fields()
+        assert certified_embeddings(fields[-1])[0].bits > 64
+        assert certified_embeddings(fields[-2])[0].bits == 64
+
+
 class TestBallLayer:
     def test_eval_against_fraction_oracle_and_mpmath(self):
         # every embedded value lies in its ball (checked on mpmath's value at

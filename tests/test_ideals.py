@@ -37,12 +37,14 @@ from cmfields.unipoly import UniPoly
 
 from oracles import (
     bqf_class_number,
+    factor_ideal_by_all_valuations,
     ideal_product_by_bases,
     lattice_index_by_cosets,
     prime_split_by_generators,
     principal_by_box_search,
     principal_by_unreduced_search,
     torsion_units_by_unreduced_search,
+    trace_form_by_fractions,
     trace_gram,
 )
 
@@ -558,6 +560,36 @@ class TestPrimeSplit:
             assert rebuilt == a
 
 
+    def test_factor_ideal_matches_a_valuation_at_every_prime(self, gauss, zeta5, quartic,
+                                                             monkeypatch):
+        # factor_ideal takes no valuation at p once the exponents found account
+        # for ord_p of the numerator's norm; a valuation at every prime above
+        # the support gives the same factorization, with more valuations
+        calls = []
+        valuation = FracIdeal.valuation
+
+        def counted(self, prime):
+            calls.append(prime)
+            return valuation(self, prime)
+
+        monkeypatch.setattr(FracIdeal, "valuation", counted)
+        taken = []
+        for O, seed in zip([maximal_order(gauss), maximal_order(zeta5), closure_order(quartic)],
+                           (51, 52, 53)):
+            rng = random.Random(seed)
+            small = [1] + [p for p in primes_up_to(12) if O.equation_index % p]
+            for _ in range(6):
+                q = Fraction(rng.choice(small) * rng.choice(small), rng.choice(small) ** 2)
+                a = random_ideal(O, rng, factors=3).scaled(q)
+                calls.clear()
+                fac = factor_ideal(a)
+                taken.append(len(calls))
+                calls.clear()
+                assert fac == factor_ideal_by_all_valuations(a), a
+                taken[-1] -= len(calls)
+        assert all(t <= 0 for t in taken) and any(t < 0 for t in taken)
+
+
 class TestPrincipality:
     def test_worked_examples(self, gauss, sqrt5):
         O = maximal_order(gauss)
@@ -683,6 +715,12 @@ class TestPrincipality:
             units = torsion_units(O)
             assert units == torsion_units_by_unreduced_search(O, complex_conjugation(field))
             assert len(units) == {2: 4 if field == gauss else 6, 4: 10, 8: 2}[field.degree]
+
+    def test_integer_trace_form_matches_fraction_products(self, gauss, sqrt5, zeta5, quartic):
+        for O in (maximal_order(gauss), maximal_order(sqrt5), maximal_order(zeta5),
+                  closure_order(quartic)):
+            conj = complex_conjugation(O.field)
+            assert principal._build_trace_form(O) == trace_form_by_fractions(O, conj)
 
     def test_non_maximal_order_gets_its_own_trace_form(self):
         # Z[sqrt -3] has index 2 in Z[zeta3]; both trace forms are memoized
