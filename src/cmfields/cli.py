@@ -43,7 +43,6 @@ def _config_header(args, command):
         "record": "config",
         "command": command,
         "seed": args.seed,
-        "bits": args.bits,
         "budget": args.budget,
         "format": args.format,
         "version": __version__,
@@ -229,7 +228,6 @@ def build_parser():
         "and Shimura-Taniyama verification",
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--bits", type=int, default=64)
     parser.add_argument(
         "--budget",
         type=int,

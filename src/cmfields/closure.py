@@ -18,7 +18,6 @@ conjugation of K itself, when it exists, is then one preimage and n exact
 images in L; no automorphism of K is searched for.
 """
 
-from fractions import Fraction
 from itertools import zip_longest
 
 from .embeddings import certified_embeddings, locate_among
@@ -190,7 +189,7 @@ def _round_adjoin(field, roots, rel, gen_combo):
     iota = FieldMorphism(field, L_new, theta_img, check=False)
     roots = [iota(r) for r in roots]
     rel = [iota(c) for c in rel]
-    new_combo = [(len(roots), Fraction(a))] + [(i, shift * w) for i, w in gen_combo]
+    new_combo = [(len(roots), a)] + [(i, shift * w) for i, w in gen_combo]
     roots.append(y_img)
     rel = _lpoly_divmod_monic(rel, [-y_img, L_new.one()])[0]
     for r in peeled:
@@ -223,7 +222,7 @@ class SplittingData:
             raise ClosureTooLarge("closure is only computed for fields of degree <= 8")
         L = field
         roots = [field.gen()]
-        gen_combo = [(0, Fraction(1))]
+        gen_combo = [(0, 1)]
         rel = _lpoly_divmod_monic(
             _lpoly_from_rational(field, f), [-roots[0], field.one()]
         )[0]

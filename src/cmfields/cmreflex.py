@@ -12,7 +12,6 @@ back along the reference embedding of E.
 
 import itertools
 import random
-from fractions import Fraction
 
 from .closure import complex_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
@@ -365,8 +364,7 @@ def conjugate_ideal(cmfield, a):
 
 def _random_element(field, rng, height=8):
     while True:
-        coords = [Fraction(rng.randint(-height, height)) for _ in range(field.degree)]
-        e = field.element(coords)
+        e = field.element([rng.randint(-height, height) for _ in range(field.degree)])
         if not e.is_zero():
             return e
 

@@ -148,7 +148,7 @@ class Embedding:
         if elem.field != self.field:
             raise ValueError("element of a different field")
         k, ra, rb, rr, mr = self._root
-        d, w = elem._numerators()
+        d, w = elem.den, elem.num
         a, b, r = w[-1] << k, 0, 0
         for c in reversed(w[:-1]):
             mo = isqrt(a * a + b * b) + 1

@@ -144,10 +144,7 @@ class FracIdeal:
         return self.basis_columns()
 
     def basis_elements(self):
-        return [
-            self.order.element_from_coords([Fraction(c, self.den) for c in col])
-            for col in self.basis_columns()
-        ]
+        return [self.order.element_from_coords(col) / self.den for col in self.basis_columns()]
 
     def lattice_coords(self, v, d=1):
         """Integer coordinates of the order-coordinate vector v/d (v integer, d > 0)

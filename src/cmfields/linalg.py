@@ -1,10 +1,12 @@
 """Exact linear algebra over Q, F_p and Z: Gauss-Jordan, column HNF, SNF.
 
 Matrices are lists of rows. Sizes in this package stay at or below 16x~256.
-Over Q, one Gauss-Jordan reduction (`_gauss_jordan`) serves solving, kernels
-and minimal polynomials (`first_dependency`), and `linear_solver` reduces a
-matrix once for many right-hand sides; `kernel_mod_p` is the one elimination
-over F_p. Lattices and orders are integer: a rational lattice is a canonical
+Over Q the one elimination is the fraction-free Gauss-Jordan `row_reduce` on
+integer rows (a rational row is scaled by the lcm of its denominators, which
+keeps the kernel, the column dependencies and the reduced echelon form); it
+serves determinants, solving (`linear_solver` reduces once for many
+right-hand sides), kernels and minimal polynomials (`first_dependency`).
+`kernel_mod_p` is the one elimination over F_p. Lattices and orders are integer: a rational lattice is a canonical
 (den, integer HNF) pair from `lattice_hnf`, the inverse of a triangular basis
 is its integer adjugate over its determinant (`triangular_adjugate`), and
 HNF and SNF are textbook integer column and row operations.
@@ -36,80 +38,80 @@ def transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def det_fraction(A):
-    """Determinant by fraction Gaussian elimination."""
-    n = len(A)
-    M = [list(map(Fraction, row)) for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c] != 0:
-                f = M[r][c] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return det
+def integer_row(row):
+    """(s, w): the rational row is w/s with s the lcm of its denominators, in lowest terms."""
+    s = math.lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
 
 
-def _gauss_jordan(M, ncols):
-    """Reduce the Fraction rows M in place to reduced row echelon form.
+def row_reduce(M, ncols):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on the integer rows M, in place.
 
     Pivots are sought in the first ncols columns only (later columns are an
-    augmented right-hand side); returns the pivot columns, row r having its
-    pivot 1 in column pivots[r].
+    augmented block). Returns (pivots, d, sign): M ends as d times its reduced
+    row echelon form, and a square M of full rank had determinant sign*d.
+    Every entry stays a minor of M up to sign (Sylvester's identity), so each
+    division by the previous pivot is exact.
     """
     n = len(M)
     pivots = []
+    d, sign = 1, 1
     for c in range(ncols):
         row = len(pivots)
         if row == n:
             break
-        piv = next((r for r in range(row, n) if M[r][c] != 0), None)
+        piv = next((r for r in range(row, n) if M[r][c]), None)
         if piv is None:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][c]
-        M[row] = [x * inv for x in M[row]]
+        if piv != row:
+            M[row], M[piv] = M[piv], M[row]
+            sign = -sign
+        top = M[row]
+        p = top[c]
         for r in range(n):
-            if r != row and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
+            if r == row:
+                continue
+            f = M[r][c]
+            if f:
+                M[r] = [(p * x - f * y) // d for x, y in zip(M[r], top)]
+            elif p != d:
+                M[r] = [p * x // d for x in M[r]]
+        d = p
         pivots.append(c)
-    return pivots
+    return pivots, d, sign
+
+
+def det_fraction(A):
+    """Determinant of a square rational matrix: one reduction of its integer rows."""
+    M = [integer_row(row) for row in A]
+    pivots, d, sign = row_reduce([w for _, w in M], len(M))
+    if len(pivots) < len(M):
+        return Fraction(0)
+    return Fraction(sign * d, math.prod(s for s, _ in M))
 
 
 def linear_solver(A):
     """A function b -> some rational x with A x = b (A is n x m), or None if inconsistent.
 
-    [A | I] is reduced once to [R | T] with T A = R, and T is kept as an
-    integer matrix over one denominator, so each solve is one integer
-    matrix-vector product: x takes the entries of T b on the pivot columns
-    (free variables 0), and T b must vanish past the rank.
+    [A | I] is reduced once to d [R | T] with T A = R (row scaling keeps that
+    relation), so each solve is one integer matrix-vector product with the
+    block d T: x takes the entries of T b on the pivot columns (free
+    variables 0), and T b must vanish past the rank.
     """
     n, m = len(A), len(A[0])
-    M = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    pivots = _gauss_jordan(M, m)
-    den = math.lcm(*(x.denominator for row in M for x in row[m:]))
-    T = [[int(x * den) for x in row[m:]] for row in M]
+    M = [integer_row(list(row) + [int(i == j) for j in range(n)])[1] for i, row in enumerate(A)]
+    pivots, d, _ = row_reduce(M, m)
+    T = [row[m:] for row in M]
     rank = len(pivots)
 
     def solve(b):
-        b = [Fraction(x) for x in b]
-        d = math.lcm(*(x.denominator for x in b))
-        w = [x.numerator * (d // x.denominator) for x in b]
+        e, w = integer_row(b)
         y = [sum(t * x for t, x in zip(row, w)) for row in T]
         if any(y[rank:]):
             return None
         x = [Fraction(0)] * m
         for c, v in zip(pivots, y):
-            x[c] = Fraction(v, den * d)
+            x[c] = Fraction(v, d * e)
         return x
 
     return solve
@@ -121,21 +123,21 @@ def first_dependency(vectors):
     Returns [a_0, ..., a_{j-1}] with v_j = sum a_i v_i for the least such j,
     or None when the vectors are independent. One reduction of the matrix
     whose columns are the vectors: the columns before the first non-pivot
-    column are pivots 0..j-1, so its entries are the coefficients.
+    column are pivots 0..j-1, so its entries over d are the coefficients.
     """
-    M = [list(map(Fraction, row)) for row in zip(*vectors)]
-    pivots = _gauss_jordan(M, len(vectors))
+    M = [integer_row(row)[1] for row in zip(*vectors)]
+    pivots, d, _ = row_reduce(M, len(vectors))
     j = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
     if j == len(vectors):
         return None
-    return [M[r][j] for r in range(j)]
+    return [Fraction(M[r][j], d) for r in range(j)]
 
 
 def right_kernel_fraction(A):
-    """Basis of {x : A x = 0} over Q."""
+    """Basis of {x : A x = 0} over Q, one vector per non-pivot column."""
     m = len(A[0])
-    M = [list(map(Fraction, row)) for row in A]
-    pivots = _gauss_jordan(M, m)
+    M = [integer_row(row)[1] for row in A]
+    pivots, d, _ = row_reduce(M, m)
     basis = []
     for fc in range(m):
         if fc in pivots:
@@ -143,7 +145,7 @@ def right_kernel_fraction(A):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
         for row, pc in zip(M, pivots):
-            v[pc] = -row[fc]
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 

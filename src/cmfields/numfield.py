@@ -5,14 +5,15 @@ import operator
 from fractions import Fraction
 
 from .errors import InvariantViolated
-from .linalg import det_fraction, first_dependency, linear_solver, transpose
+from .linalg import det_fraction, first_dependency, integer_row, linear_solver, transpose
 from .unipoly import UniPoly, poly_xgcd
 
 
 class NumberField:
     """A number field presented as Q[x]/(min_poly), min_poly monic irreducible.
 
-    Elements are coordinate vectors in the power basis 1, x, ..., x^(n-1).
+    Elements are coordinate vectors in the power basis 1, x, ..., x^(n-1),
+    kept as integer numerators over one denominator (NFElement).
     """
 
     def __init__(self, min_poly, check=True):
@@ -30,17 +31,17 @@ class NumberField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         n = self.degree
-        # reduction table: x^(n+k) mod min_poly for k = 0..n-2, kept as the
-        # integer rows of red_den times it (red_den is 1 for integral min_poly)
-        red = []
-        cur = [-c for c in min_poly.coeffs[:-1]]
-        red.append(cur)
+        # reduction table: x^(n+k) mod min_poly for k = 0..n-2, kept as integer
+        # rows over red_den (1 for integral min_poly). With x^n = a/D, row k is
+        # over D^(k+1): x^(n+k+1) = x * x^(n+k) takes one more factor D
+        D, a = integer_row([-c for c in min_poly.coeffs[:-1]])
+        red = [a]
         for _ in range(n - 2):
-            top = cur[-1]
-            cur = [s + top * r for s, r in zip([Fraction(0)] + cur[:-1], red[0])]
-            red.append(cur)
-        self._red_den = math.lcm(*(c.denominator for row in red for c in row))
-        self._red = [tuple(int(c * self._red_den) for c in row) for row in red]
+            red.append([D * s + red[-1][-1] * r for s, r in zip([0] + red[-1][:-1], a)])
+        red = [[x * D ** (len(red) - 1 - k) for x in row] for k, row in enumerate(red)]
+        g = math.gcd(D ** len(red), *(x for row in red for x in row))
+        self._red_den = D ** len(red) // g
+        self._red = [[x // g for x in row] for row in red]
 
     def __repr__(self):
         return f"NumberField({self.min_poly!r})"
@@ -52,11 +53,12 @@ class NumberField:
         return hash(self.min_poly)
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
+        """The element with the given rational coordinates (missing ones are 0)."""
+        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
         if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return NFElement(self, tuple(coords))
+        den, num = integer_row(coords)  # in lowest terms: the coordinates are reduced
+        return NFElement(self, den, num + [0] * (self.degree - len(num)))
 
     def zero(self):
         return self.element([])
@@ -76,21 +78,24 @@ class NumberField:
 
 
 class NFElement:
-    """A field element: coords is the tuple of its Fraction power-basis coordinates."""
+    """A field element with power-basis coordinates num/den.
 
-    __slots__ = ("field", "coords", "_num")
+    num is the list of integer numerators and den > 0 the least common
+    denominator, so equal elements have equal (den, num); all arithmetic
+    runs on these integers, and coords is derived from them.
+    """
 
-    def __init__(self, field, coords, num=None):
+    __slots__ = ("field", "den", "num")
+
+    def __init__(self, field, den, num):
         self.field = field
-        self.coords = coords
-        self._num = num
+        self.den = den
+        self.num = num
 
-    def _numerators(self):
-        """(d, w): the coordinates are w/d with w integer and d the least such."""
-        if self._num is None:
-            d = math.lcm(*(c.denominator for c in self.coords))
-            self._num = (d, [c.numerator * (d // c.denominator) for c in self.coords])
-        return self._num
+    @property
+    def coords(self):
+        """The tuple of Fraction power-basis coordinates."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
@@ -99,7 +104,7 @@ class NFElement:
         return UniPoly(self.coords)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -107,37 +112,38 @@ class NFElement:
         return (
             isinstance(other, NFElement)
             and self.field == other.field
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         return hash((self.field.min_poly, self.coords))
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _sum(self, _coerce(self.field, other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coords))
+        return NFElement(self.field, self.den, [-a for a in self.num])
 
     def __sub__(self, other):
-        other = _coerce(self.field, other)
-        return NFElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _sum(self, _coerce(self.field, other), -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElement(self.field, tuple(a * other for a in self.coords))
+            return _from_numerators(
+                self.field, self.den * other.denominator, [a * other.numerator for a in self.num]
+            )
         if not isinstance(other, NFElement) or other.field != self.field:
             return NotImplemented
         field = self.field
         n = field.degree
-        da, a = self._numerators()
-        db, b = other._numerators()
+        da, a = self.den, self.num
+        db, b = other.den, other.num
         conv = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -179,14 +185,11 @@ class NFElement:
 
     def mult_matrix(self):
         """Matrix of multiplication by self on the power basis (columns = images)."""
-        n = self.field.degree
-        cols = []
-        cur = self
         gen = self.field.gen()
-        for _ in range(n):
-            cols.append(cur.coords)
-            cur = cur * gen
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        cols = [self]
+        for _ in range(self.field.degree - 1):
+            cols.append(cols[-1] * gen)
+        return transpose([c.coords for c in cols])
 
     def trace(self):
         m = self.mult_matrix()
@@ -256,20 +259,26 @@ def binary_power(base, k, one, mul=operator.mul):
 
 
 def _from_numerators(field, den, out):
-    """The element with integer coordinates out over den > 0, in lowest terms."""
-    g = math.gcd(den, *out)
-    if g > 1:
-        den //= g
-        out = [c // g for c in out]
-    coords = tuple(Fraction(c, den) for c in out) if den > 1 else tuple(map(Fraction, out))
-    return NFElement(field, coords, (den, out))
+    """The element with integer coordinates out (a list) over den > 0, in lowest terms."""
+    if den > 1:
+        g = math.gcd(den, *out)
+        if g > 1:
+            den //= g
+            out = [c // g for c in out]
+    return NFElement(field, den, out)
+
+
+def _sum(x, y, sign):
+    """x + sign*y for sign = 1 or -1, over the lcm of the two denominators."""
+    den = math.lcm(x.den, y.den)
+    a, b = den // x.den, sign * (den // y.den)
+    return _from_numerators(x.field, den, [a * u + b * v for u, v in zip(x.num, y.num)])
 
 
 def numerator_rows(elements):
     """(d, rows): the coordinate vectors of the elements are rows/d, all integers."""
-    nums = [x._numerators() for x in elements]
-    d = math.lcm(*(e for e, _ in nums))
-    return d, [[c * (d // e) for c in w] for e, w in nums]
+    d = math.lcm(*(x.den for x in elements))
+    return d, [[c * (d // x.den) for c in x.num] for x in elements]
 
 
 def _coerce(field, value):
@@ -322,9 +331,8 @@ class FieldMorphism:
     def __call__(self, elem):
         if elem.field != self.source:
             raise ValueError("element not in the source field")
-        d, w = elem._numerators()
-        out = [sum(a * x for a, x in zip(row, w)) for row in self._matrix]
-        return _from_numerators(self.target, d * self._den, out)
+        out = [sum(a * x for a, x in zip(row, elem.num)) for row in self._matrix]
+        return _from_numerators(self.target, elem.den * self._den, out)
 
     def compose(self, other):
         """self after other: (self . other)(x) = self(other(x))."""
@@ -341,10 +349,11 @@ class FieldMorphism:
             raise ValueError("element not in the target field")
         if self._solver is None:
             self._solver = linear_solver(self._matrix)
-        sol = self._solver([c * self._den for c in elem.coords])
+        # the matrix is den times the map: solve on the numerators, then rescale
+        sol = self._solver(elem.num)
         if sol is None:
             return None
-        return self.source.element(sol)
+        return self.source.element(sol) * Fraction(self._den, elem.den)
 
     def inverse_automorphism(self):
         """Inverse of an automorphism (source == target, bijective)."""

@@ -32,33 +32,27 @@ from .numfield import binary_power
 class Order:
     """A full-rank order in a number field, with basis columns basis/den.
 
-    self.basis is an integer upper-triangular matrix with nonzero diagonal,
-    and (den, basis) is reduced by its content; the constructor takes the
-    rational basis matrix (columns = basis elements in the power basis).
+    self.basis is an integer upper-triangular matrix with nonzero diagonal
+    (columns = basis elements in the power basis) over den > 0, and
+    (den, basis) is reduced by its content.
     """
 
-    def __init__(self, field, basis):
+    def __init__(self, field, den, basis):
         self.field = field
         n = field.degree
-        basis = [[Fraction(x) for x in row] for row in basis]
-        scale = math.lcm(*(x.denominator for row in basis for x in row))
-        H = [[int(x * scale) for x in row] for row in basis]
-        if len(H) != n or any(len(row) != n for row in H) or any(
-            H[i][j] for i in range(n) for j in range(i)
-        ) or not all(H[i][i] for i in range(n)):
+        if len(basis) != n or any(len(row) != n for row in basis) or any(
+            basis[i][j] for i in range(n) for j in range(i)
+        ) or not all(basis[i][i] for i in range(n)):
             raise CMFieldsError("order basis is not an upper-triangular full-rank n x n matrix")
-        g = math.gcd(scale, *(x for row in H for x in row))
-        self.den = scale // g
-        self.basis = [[x // g for x in row] for row in H]
+        g = math.gcd(den, *(x for row in basis for x in row))
+        self.den = den // g
+        self.basis = [[x // g for x in row] for row in basis]
         # coordinates of w/d are den adj(basis) w / (det(basis) d); adj is
         # upper triangular, so row i is kept from column i on
         det, adj = triangular_adjugate(self.basis)
         self._det = det
         self._adj = [[self.den * x for x in row[i:]] for i, row in enumerate(adj)]
-        self.elements = [
-            field.element([Fraction(self.basis[i][j], self.den) for i in range(n)])
-            for j in range(n)
-        ]
+        self.elements = [field.element(col) / self.den for col in zip(*self.basis)]
         one = self.integral_coords(field.one())
         if one is None:
             raise CMFieldsError("1 is not in the order")
@@ -94,9 +88,9 @@ class Order:
 
     def _coords_num(self, elem):
         """(v, d) with v integer and d > 0: elem has coordinates v/d in the order basis."""
-        d, w = elem._numerators()
+        w = elem.num
         v = [sum(a * x for a, x in zip(row, w[i:])) for i, row in enumerate(self._adj)]
-        d *= self._det
+        d = elem.den * self._det
         g = math.gcd(d, *v) if d > 0 else -math.gcd(d, *v)
         return [x // g for x in v], d // g
 
@@ -111,7 +105,7 @@ class Order:
         return v if d == 1 else None
 
     def element_from_coords(self, coords):
-        return self.field.element([Fraction(x) / self.den for x in mat_vec(self.basis, coords)])
+        return self.field.element(mat_vec(self.basis, coords)) / self.den
 
     def contains(self, elem):
         return self._coords_num(elem)[1] == 1
@@ -183,7 +177,7 @@ def equation_order(field):
     """Z[D*theta] as an order, D clearing the min_poly denominators."""
     n = field.degree
     D, _ = integral_presentation(field)
-    return Order(field, [[D**j if i == j else 0 for j in range(n)] for i in range(n)])
+    return Order(field, 1, [[D**j if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def _p_radical_lattice(order, p):
@@ -236,8 +230,9 @@ def _maximal_order(field):
             if ring.norm() == 1:
                 break
             # the ring's columns are basis/den times ring.hnf/ring.den in the power basis
-            den, h = lattice_hnf(transpose(mat_mul(order.basis, ring.hnf)), order.den * ring.den)
-            order = Order(field, [[Fraction(x, den) for x in row] for row in h])
+            order = Order(
+                field, *lattice_hnf(transpose(mat_mul(order.basis, ring.hnf)), order.den * ring.den)
+            )
     index = order.equation_order_index()
     if order.disc() * index * index != disc_eq:
         raise InvariantViolated(

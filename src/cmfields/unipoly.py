@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+from .linalg import det_fraction, integer_row
+
 
 def _trim(coeffs):
     coeffs = list(coeffs)
@@ -170,8 +172,8 @@ class UniPoly:
 
     def int_coeffs(self):
         """Integer coefficient list after clearing denominators (primitive not enforced)."""
-        d = self.denominator_lcm()
-        return [int(c * d) for c in self.coeffs], d
+        d, w = integer_row(self.coeffs)
+        return w, d
 
 
 def poly_gcd(a, b):
@@ -248,8 +250,6 @@ def sturm_real_root_count(f):
 
 def sylvester_resultant(f, g):
     """Resultant of f and g over Q via the Sylvester matrix."""
-    from .linalg import det_fraction
-
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         return Fraction(0)

@@ -7,8 +7,10 @@ search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation
 search of every automorphism with numeric embedding tests, and embedded element values
 from a Horner pass over Fraction balls, ideal products from every pair of basis columns,
 real-root counts from a Sturm chain over Fractions, prime factorizations from a
-valuation at every prime above the support, and trace forms from n^4 Fraction
-products. They exist so the main
+valuation at every prime above the support, trace forms from n^4 Fraction
+products, and determinants, solutions, kernels and first dependencies from a
+Gauss-Jordan over Fractions, and field products from Fraction polynomial
+remainders. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -454,3 +456,109 @@ def fraction_ball_eval(root, coords, bits):
         cim = Fraction(round(im * scale), scale)
         crad = Fraction(int(rad * scale) + 3, scale)
     return cre, cim, crad
+
+
+def fraction_gauss_jordan(M, ncols):
+    """Reduce the Fraction rows M in place to reduced row echelon form.
+
+    Pivots are sought in the first ncols columns only (later columns are an
+    augmented right-hand side); returns the pivot columns, row r having its
+    pivot 1 in column pivots[r].
+    """
+    n = len(M)
+    pivots = []
+    for c in range(ncols):
+        row = len(pivots)
+        if row == n:
+            break
+        piv = next((r for r in range(row, n) if M[r][c] != 0), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = 1 / M[row][c]
+        M[row] = [x * inv for x in M[row]]
+        for r in range(n):
+            if r != row and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_det(A):
+    """Determinant by Fraction Gaussian elimination."""
+    n = len(A)
+    M = [list(map(Fraction, row)) for row in A]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        inv = 1 / M[c][c]
+        for r in range(c + 1, n):
+            if M[r][c] != 0:
+                f = M[r][c] * inv
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return det
+
+
+def fraction_solve(A, b):
+    """Some x with A x = b (free variables 0), or None, from the RREF of [A | b]."""
+    m = len(A[0])
+    M = [list(map(Fraction, row)) + [Fraction(y)] for row, y in zip(A, b)]
+    pivots = fraction_gauss_jordan(M, m)
+    if any(row[m] for row in M[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m
+    for row, c in zip(M, pivots):
+        x[c] = row[m]
+    return x
+
+
+def fraction_kernel(A):
+    """Basis of {x : A x = 0}, one vector per non-pivot column of the RREF."""
+    m = len(A[0])
+    M = [list(map(Fraction, row)) for row in A]
+    pivots = fraction_gauss_jordan(M, m)
+    basis = []
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for row, pc in zip(M, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_first_dependency(vectors):
+    """[a_0, ..., a_{j-1}] with v_j = sum a_i v_i for the least such j, or None."""
+    M = [list(map(Fraction, row)) for row in zip(*vectors)]
+    pivots = fraction_gauss_jordan(M, len(vectors))
+    j = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+    if j == len(vectors):
+        return None
+    return [M[r][j] for r in range(j)]
+
+
+def fraction_field_mul(f, a, b):
+    """The product of the Fraction coordinate vectors a and b in Q[x]/(f).
+
+    f is the monic modulus, low-to-high coefficients; the schoolbook product
+    is reduced from the top by subtracting shifted multiples of f.
+    """
+    n = len(f) - 1
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        for i, fi in enumerate(f):
+            prod[k - n + i] -= c * fi
+    return tuple(prod[:n])

@@ -365,19 +365,19 @@ class TestMaximalOrder:
 
     def test_order_rejects_a_basis_that_is_not_a_ring(self, gauss):
         # 2Z + Zi misses 1; Z + Z(i/2) is not closed, (i/2)^2 = -1/4
-        for basis, reason in (
-            ([[2, 0], [0, 1]], "1 is not"),
-            ([[1, 0], [0, Fraction(1, 2)]], "closed"),
+        for den, basis, reason in (
+            (1, [[2, 0], [0, 1]], "1 is not"),
+            (2, [[2, 0], [0, 1]], "closed"),
         ):
             with pytest.raises(CMFieldsError, match=reason):
-                Order(gauss, basis)
+                Order(gauss, den, basis)
 
     def test_order_refuses_a_basis_that_is_not_triangular(self, gauss):
         # columns 1 + i and i span Z[i], but the basis is refused, not
         # re-normalised, so order coordinates always mean the given columns
         with pytest.raises(CMFieldsError, match="upper-triangular"):
-            Order(gauss, [[1, 0], [1, 1]])
-        assert Order(gauss, [[1, 0], [0, 1]]) == equation_order(gauss)
+            Order(gauss, 1, [[1, 0], [1, 1]])
+        assert Order(gauss, 1, [[1, 0], [0, 1]]) == equation_order(gauss)
 
 
 SURVEY_POLYS = (

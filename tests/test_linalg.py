@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from sympy import GF, Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
 
+import oracles
 from cmfields.linalg import (
     det_fraction,
     first_dependency,
     hnf_columns,
     hnf_with_transform,
+    integer_row,
     kernel_mod_p,
     linear_solver,
     mat_mul,
     right_kernel_fraction,
+    row_reduce,
     snf_with_transform,
     triangular_adjugate,
 )
@@ -201,3 +204,80 @@ def test_triangular_adjugate(H):
     assert det == math.prod(H[i][i] for i in range(n))
     # det != 0, so H adj = det I determines adj
     assert mat_mul(H, adj) == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of 1..8 rows and columns, some of them rank deficient
+    (a product through a thinner matrix, squares included), some with zero
+    columns."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["full", "low_rank", "singular_square", "zero_columns"]))
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    if shape == "singular_square":
+        m = n
+    if shape in ("low_rank", "singular_square"):
+        r = draw(st.integers(0, min(n, m) - 1))
+        B = [[draw(entries) for _ in range(r)] for _ in range(n)]
+        C = [[draw(entries) for _ in range(m)] for _ in range(r)]
+        return [[sum((B[i][k] * C[k][j] for k in range(r)), Fraction(0)) for j in range(m)]
+                for i in range(n)]
+    A = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    if shape == "zero_columns":
+        zero = draw(st.sets(st.integers(0, m - 1), min_size=1))
+        A = [[Fraction(0) if j in zero else x for j, x in enumerate(row)] for row in A]
+    return A
+
+
+def _agrees_with_the_fraction_oracles(A):
+    n, m = len(A), len(A[0])
+    # the integer rows, each scaled by its own lcm, end as d times the RREF
+    scaled = [integer_row(row) for row in A]
+    M = [w for _, w in scaled]
+    R = [list(row) for row in A]
+    pivots, d, sign = row_reduce(M, m)
+    assert pivots == oracles.fraction_gauss_jordan(R, m)
+    assert [[Fraction(x, d) for x in row] for row in M] == R
+    if n == m:
+        assert det_fraction(A) == oracles.fraction_det(A)
+        if len(pivots) == n:
+            assert Fraction(sign * d, math.prod(s for s, _ in scaled)) == oracles.fraction_det(A)
+    assert right_kernel_fraction(A) == oracles.fraction_kernel(A)
+    columns = [list(col) for col in zip(*A)]
+    assert first_dependency(columns) == oracles.fraction_first_dependency(columns)
+    assert first_dependency(A) == oracles.fraction_first_dependency(A)
+    # right-hand sides inside the column space, and e_0 (outside it when the
+    # rank is short of n, or not)
+    solve = linear_solver(A)
+    for b in (columns[-1], [sum(columns[j][i] for j in range(m)) for i in range(n)],
+              [int(i == 0) for i in range(n)]):
+        assert solve(b) == oracles.fraction_solve(A, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_fraction_free_routines_match_the_fraction_oracles(A):
+    _agrees_with_the_fraction_oracles(A)
+
+
+def test_fraction_free_routines_on_closure_shaped_systems():
+    # the power vectors w^0..w^30 of an element of a 30-dimensional algebra,
+    # as a closure round makes them: 31 rational vectors of length 30, for a
+    # generating element (dependency at 30) and for one of a repeated block
+    # (dependency at 15), with the 30 x 30 solve and determinant on top
+    rng = random.Random(16)
+    for repeated in (False, True):
+        size = 15 if repeated else 30
+        block = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(size)] for _ in range(size)]
+        A = [row + [0] * (30 - size) for row in block]
+        if repeated:
+            A += [[0] * 15 + row for row in block]
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(30)]
+        vectors = [v]
+        for _ in range(30):
+            vectors.append([sum(a * x for a, x in zip(row, vectors[-1])) for row in A])
+        dependency = first_dependency(vectors)
+        assert dependency == oracles.fraction_first_dependency(vectors)
+        assert len(dependency) <= 15 if repeated else len(dependency) == 30
+        square = [list(row) for row in zip(*vectors[:30])]
+        _agrees_with_the_fraction_oracles(square)

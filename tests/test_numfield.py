@@ -1,6 +1,7 @@
 """Element arithmetic, morphisms, and edge cases of the number-field core."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -45,7 +46,7 @@ def assert_products_match_sympy(f, elems):
     F = sympy_poly(f)
     A, B, C = (sympy_poly(e) for e in elems)
     assert list((a * b).coords) == sympy_coords(rem(A * B, F), K.degree)
-    # a product's cached integer numerators feed the next product
+    # a product's integer numerators feed the next product
     assert list((a * b * c).coords) == sympy_coords(rem(A * B * C, F), K.degree)
 
 
@@ -213,8 +214,8 @@ class TestMorphisms:
         j0 = sd.embeddings[0]
         fresh = FieldMorphism(quartic, sd.closure, j0.image_of_generator, check=False)
         calls = []
-        real = linalg._gauss_jordan
-        monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(1) or real(*a))
+        real = linalg.row_reduce
+        monkeypatch.setattr(linalg, "row_reduce", lambda *a: calls.append(1) or real(*a))
         A = Matrix([[Rational(c.numerator, c.denominator) for c in row] for row in zip(
             *(j0(quartic.gen() ** i).coords for i in range(quartic.degree)))])
         rng = random.Random(8)
@@ -242,6 +243,68 @@ def closure_morphisms():
     return out
 
 
+# monic irreducible min_polys of degree 2..8, low to high, two of them not integral
+ELEMENT_FIELDS = (
+    (Fraction(-1, 2), 0, 1), (1, 0, 1), (-2, 0, 0, 1), (Fraction(-1, 3), 0, 0, 0, 1),
+    (3, 0, 6, 0, 1), (-1, -1, 0, 0, 0, 1), (1, 1, 1, 1, 1, 1, 1), (-2, 0, 0, 0, 0, 0, 0, 1),
+    (1, -1, 0, 1, -1, 1, 0, -1, 1),
+)
+SCALARS = st.one_of(st.integers(-30, 30), RATIONALS)
+
+
+@functools.cache
+def element_field(i):
+    return NumberField(UniPoly([Fraction(c) for c in ELEMENT_FIELDS[i]]))
+
+
+@st.composite
+def elements_with_oracle(draw):
+    """A field of ELEMENT_FIELDS, two elements (zero and integral ones
+    included) and a scalar, with the Fraction coordinates of the elements."""
+    i = draw(st.integers(0, len(ELEMENT_FIELDS) - 1))
+    n = len(ELEMENT_FIELDS[i]) - 1
+    coords = st.one_of(
+        st.lists(RATIONALS, min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9).map(Fraction), min_size=n, max_size=n),
+        st.just([Fraction(0)] * n),
+    )
+    return element_field(i), draw(coords), draw(coords), draw(SCALARS)
+
+
+class TestIntegerElements:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(elements_with_oracle())
+    def test_arithmetic_matches_the_fraction_oracle(self, case):
+        # (den, num) arithmetic against Fraction coordinates, reduced by
+        # Fraction polynomial remainders
+        from oracles import fraction_field_mul
+
+        K, u, v, c = case
+        f = K.min_poly.coeffs
+        x, y = K.element(u), K.element(v)
+        assert x.coords == tuple(u) and x.den > 0
+        assert x.den == math.lcm(*(a.denominator for a in u))
+        assert (x + y).coords == tuple(a + b for a, b in zip(u, v))
+        assert (x - y).coords == tuple(a - b for a, b in zip(u, v))
+        assert (-x).coords == tuple(-a for a in u)
+        assert (x * y).coords == fraction_field_mul(f, u, v)
+        assert (x * c).coords == (c * x).coords == tuple(a * c for a in u)
+        assert (x + c).coords == (u[0] + c,) + tuple(u[1:])
+        if c:
+            assert (x / c).coords == tuple(a / c for a in u)
+        assert (x == y) == (u == v)
+        assert (x == x * 1) and (x + y == y + x)
+        assert x.is_zero() == (not any(u))
+        assert hash(x) == hash((K.min_poly, tuple(u)))
+        # every result keeps the least denominator, which equality relies on
+        for z in (x + y, x - y, x * y, x * c, x + c):
+            assert z.den == math.lcm(*(a.denominator for a in z.coords))
+        if any(u):
+            inv = x.inverse()
+            assert fraction_field_mul(f, u, inv.coords) == (1,) + (0,) * (K.degree - 1)
+            assert (y / x).coords == fraction_field_mul(f, v, inv.coords)
+
+
 class TestIntegerMorphisms:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(coords=st.lists(RATIONALS, min_size=8, max_size=8))
@@ -256,7 +319,7 @@ class TestIntegerMorphisms:
             x = phi.source.element(coords[: phi.source.degree])
             y = phi(x)
             assert y == morphism_by_fractions(phi, x)
-            d, w = y._numerators()
+            d, w = y.den, y.num
             assert w == [c.numerator * (d // c.denominator) for c in y.coords]
             assert phi.preimage(y) == x
 

@@ -149,19 +149,19 @@ class TestCLI:
         "command, fields, extra, digest",
         [
             ("cm", [[1, -1, 0, 1, -1, 1, 0, -1, 1]], [],
-             "2eba33079968f89dbc07a5681064ebcb90d0095b743fcfd957793878b8ec89a4"),
+             "c2ed27526889933ca3b85dd118c25149f3946dea73db225f923a3d93d7975f2f"),
             ("cm", [[3, 0, 6, 0, 1]], [],
-             "8f7d35a807c773b06df723dda2dd06a0943bfab326a188786e7bcad60e33dd90"),
+             "31692bdce790a485aa8696e5158381755772d46d77053ef525e24974010929d5"),
             ("reflex-verify", [[1, 0, 1]], ["--samples", "5"],
-             "b134578b9dedcf7c7142b9ad32c7e65b2329d9eb00da38181e9dec3110cc11c9"),
+             "aee4cf6d669685c61b7ec47819b1870ad950459f1ea890a3ebdb54816b9b80d0"),
             ("st", None, ["5", "300"],
-             "b4600f3a4b652b671094bdf7f4bba3ad732fb2f6b485fb36f34df233507e8f26"),
+             "b13e07b774965b62e8a18518160f94bb31d8da7fd0e3e79d05a8dbd2fbddaf31"),
             ("reflex-verify", [[3, 0, 6, 0, 1]], ["--samples", "3"],
-             "2f4dce232c0a9a6b04af5644e3fdd3c3504a3b40b630f554c4418ca780727b36"),
+             "844587feb3ea7537c3f2efb27eba81001884b60c5fe6e9b08907f10225528efd"),
             ("st", None, ["19000", "19200"],
-             "c762ece85dbe7900571c873af4e4cb13225b34a3e93c95d3355c1e719c9f002d"),
+             "58a56f37997180dd33039e84f0c0c7dd788403baa707b2fda6d1a780387d02f3"),
             ("cm", CM_DIGEST_FIELDS, [],
-             "b16c2d13cfd77933b301ea7e567c9602afd2d2030ecc2a7b9895b6108a40d7d4"),
+             "1cf51d30bbbe44eb41078e8d70ee03af3c3f6fa2366055b23106a3da5676c202"),
         ],
         ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss", "st-default",
              "reflex-verify-quartic", "st-window", "cm-52-fields"],
@@ -387,9 +387,13 @@ class TestCLI:
             "disc(O) [O : Z[D theta]]^2 = -16, not disc(g) = -4")
 
     def test_config_header_embedded(self, field_file, capsys):
-        main(["--seed", "123", "--bits", "128", "cm", field_file([1, 0, 1])])
+        main(["--seed", "123", "cm", field_file([1, 0, 1])])
         out = capsys.readouterr().out
         config = json.loads(out.splitlines()[0])
         assert config["record"] == "config"
-        assert config["seed"] == 123 and config["bits"] == 128
+        assert config["seed"] == 123 and "bits" not in config
+        # the unused precision flag is gone: argparse refuses it as a usage error
+        with pytest.raises(SystemExit) as err:
+            main(["--bits", "128", "cm", field_file([1, 0, 1])])
+        assert err.value.code == 2
         assert "version" in config and "budget" in config
