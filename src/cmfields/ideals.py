@@ -274,13 +274,15 @@ def colon_ideal(b, a):
         raise OrderMismatch("ideals of different orders")
     order = a.order
     # b^{-1} = b.den adj(H_b) / det(H_b) and v = col / a.den, so the rows of
-    # b^{-1} M_v are the integer rows of (b.den adj(H_b)) M_col over det(H_b) a.den
-    det_b, adj_b = triangular_adjugate(b.hnf)
-    adj_b = [[b.den * x for x in row] for row in adj_b]
-    cols = []
-    for col in a.basis_columns():
-        cols.extend(mat_mul(adj_b, order.mult_matrix_coords(col)))
-    den, h = lattice_hnf(cols, det_b * a.den)
+    # b^{-1} M_v are the integer rows of (b.den adj(H_b)) M_col over det(H_b) a.den;
+    # for b = O (an inverse) b^{-1} is the identity and the rows are those of M_col
+    mats = [order.mult_matrix_coords(col) for col in a.basis_columns()]
+    det_b = 1
+    if not b.is_unit():
+        det_b, adj_b = triangular_adjugate(b.hnf)
+        adj_b = [[b.den * x for x in row] for row in adj_b]
+        mats = [mat_mul(adj_b, m) for m in mats]
+    den, h = lattice_hnf([row for m in mats for row in m], det_b * a.den)
     # the sum is h/den; its dual has the rows of den h^{-1} = den adj(h) / det(h)
     # as columns
     det_h, adj_h = triangular_adjugate(h)

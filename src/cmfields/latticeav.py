@@ -23,7 +23,7 @@ from .errors import (
     ZeroElement,
 )
 from .ideals import colon_ideal
-from .linalg import det_fraction, mat_vec
+from .linalg import mat_vec, row_reduce
 from .orders import maximal_order
 from .principal import class_representatives
 
@@ -208,10 +208,9 @@ class TorsionModule:
 
 
 def _det_mod(M, m):
-    d = det_fraction(M)
-    if d.denominator != 1:
-        raise InvariantViolated(f"an integer matrix has determinant {d}")
-    return int(d) % m
+    """det(M) mod m for a square integer matrix, from one reduction of a copy."""
+    pivots, d, sign = row_reduce([list(row) for row in M], len(M))
+    return sign * d % m if len(pivots) == len(M) else 0
 
 
 def torsion(av, m):

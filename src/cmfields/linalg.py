@@ -5,7 +5,8 @@ Over Q the one elimination is the fraction-free Gauss-Jordan `row_reduce` on
 integer rows (a rational row is scaled by the lcm of its denominators, which
 keeps the kernel, the column dependencies and the reduced echelon form); it
 serves determinants, solving (`linear_solver` reduces once for many
-right-hand sides), kernels and minimal polynomials (`first_dependency`).
+right-hand sides), kernels, minimal polynomials (`first_dependency`) and
+the element inverses of `numfield`. Dot products are sum(map(mul, ...)).
 `kernel_mod_p` is the one elimination over F_p. Lattices and orders are integer: a rational lattice is a canonical
 (den, integer HNF) pair from `lattice_hnf`, the inverse of a triangular basis
 is its integer adjugate over its determinant (`triangular_adjugate`), and
@@ -14,6 +15,7 @@ HNF and SNF are textbook integer column and row operations.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .intutil import xgcd
 
@@ -27,11 +29,11 @@ def mat_mul(A, B):
     if len(A[0]) != k:
         raise ValueError(f"cannot multiply: {len(A[0])} columns against {k} rows")
     Bt = list(zip(*B))
-    return [[sum(ai * bj for ai, bj in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def transpose(A):

@@ -1,12 +1,12 @@
-"""Number fields Q[x]/(f), exact element arithmetic, and field morphisms."""
+"""Number fields Q[x]/(f), exact integer element arithmetic, and field morphisms."""
 
 import math
 import operator
 from fractions import Fraction
 
 from .errors import InvariantViolated
-from .linalg import det_fraction, first_dependency, integer_row, linear_solver, transpose
-from .unipoly import UniPoly, poly_xgcd
+from .linalg import first_dependency, integer_row, linear_solver, row_reduce, transpose
+from .unipoly import UniPoly
 
 
 class NumberField:
@@ -82,7 +82,8 @@ class NFElement:
 
     num is the list of integer numerators and den > 0 the least common
     denominator, so equal elements have equal (den, num); all arithmetic
-    runs on these integers, and coords is derived from them.
+    runs on these integers, and coords is derived from them. Inverse, norm
+    and trace read one integer matrix, the rows self * theta^i.
     """
 
     __slots__ = ("field", "den", "num")
@@ -99,9 +100,6 @@ class NFElement:
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
-
-    def poly(self):
-        return UniPoly(self.coords)
 
     def is_zero(self):
         return not any(self.num)
@@ -161,14 +159,26 @@ class NFElement:
 
     __rmul__ = __mul__
 
+    def _mult_rows(self):
+        """(d, M): row i of M/d is self * theta^i; M/d is the transposed multiplication matrix."""
+        gen = self.field.gen()
+        rows = [self]
+        for _ in range(self.field.degree - 1):
+            rows.append(rows[-1] * gen)
+        return numerator_rows(rows)
+
     def inverse(self):
+        """One reduction of [M^T | d e_0]: (M^T/d) y = e_0 says self * y = 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g, s, _ = poly_xgcd(self.poly(), self.field.min_poly)
-        if g.degree != 0:
-            raise InvariantViolated("element and min_poly share a factor: min_poly is reducible")
-        inv = s * (1 / g.coeffs[0])
-        return self.field.from_poly(inv)
+        n = self.field.degree
+        d, M = self._mult_rows()
+        A = [list(col) + [d * (i == 0)] for i, col in enumerate(zip(*M))]
+        pivots, det, _ = row_reduce(A, n)
+        if len(pivots) < n:
+            raise InvariantViolated("a nonzero element is a zero divisor: min_poly is reducible")
+        s = 1 if det > 0 else -1  # A ends as det [I | y], and det may be negative
+        return _from_numerators(self.field, s * det, [s * row[n] for row in A])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -183,27 +193,23 @@ class NFElement:
             return self.inverse() ** (-k)
         return binary_power(self, k, self.field.one())
 
-    def mult_matrix(self):
-        """Matrix of multiplication by self on the power basis (columns = images)."""
-        gen = self.field.gen()
-        cols = [self]
-        for _ in range(self.field.degree - 1):
-            cols.append(cols[-1] * gen)
-        return transpose([c.coords for c in cols])
-
     def trace(self):
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(self.field.degree))
+        d, M = self._mult_rows()
+        return Fraction(sum(row[i] for i, row in enumerate(M)), d)
 
     def norm(self):
-        return det_fraction(self.mult_matrix())
+        d, M = self._mult_rows()
+        pivots, det, sign = row_reduce(M, len(M))
+        if len(pivots) < len(M):
+            return Fraction(0)
+        return Fraction(sign * det, d ** len(M))
 
     def min_poly_over_q(self):
         """Monic minimal polynomial of this element over Q."""
         powers = [self.field.one()]
         for _ in range(self.field.degree):
             powers.append(powers[-1] * self)
-        coeffs = first_dependency([p.coords for p in powers])
+        coeffs = first_dependency(numerator_rows(powers)[1])
         return UniPoly([-c for c in coeffs] + [1])
 
 
@@ -331,7 +337,7 @@ class FieldMorphism:
     def __call__(self, elem):
         if elem.field != self.source:
             raise ValueError("element not in the source field")
-        out = [sum(a * x for a, x in zip(row, elem.num)) for row in self._matrix]
+        out = [sum(map(operator.mul, row, elem.num)) for row in self._matrix]
         return _from_numerators(self.target, elem.den * self._den, out)
 
     def compose(self, other):

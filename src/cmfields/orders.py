@@ -2,15 +2,17 @@
 
 An Order keeps its basis as an integer upper-triangular matrix over one
 denominator; coordinates come from its integer adjugate, with no Fraction
-elimination. The maximal order p-maximalizes the equation order at every
-prime whose square divides disc(min_poly): the p-radical R of O/pO is the
-kernel of the iterated Frobenius, and the multiplier ring of R, the colon
-ideal (R : R) of `ideals`, strictly contains O exactly when O is not
-p-maximal.
+elimination. Its multiplication table is built once, so the matrix of
+multiplication by an element is n^2 integer dot products. The maximal order
+p-maximalizes the equation order at every prime whose square divides
+disc(min_poly): the p-radical R of O/pO is the kernel of the iterated
+Frobenius, and the multiplier ring of R, the colon ideal (R : R) of
+`ideals`, strictly contains O exactly when O is not p-maximal.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import CMFieldsError, InvariantViolated
 from .ideals import FracIdeal, colon_ideal
@@ -65,6 +67,8 @@ class Order:
                 if coords is None:
                     raise CMFieldsError("order basis is not closed under multiplication")
                 self._mult[i][j] = self._mult[j][i] = coords
+        # _mult_rows[k][j][i] is coordinate k of w_i * w_j; a's matrix has a . it at (k, j)
+        self._mult_rows = [[[row[j][k] for row in self._mult] for j in range(n)] for k in range(n)]
         self.index_in_maximal = None  # 1 once maximal_order has proved it maximal
         self._disc = None
 
@@ -89,7 +93,7 @@ class Order:
     def _coords_num(self, elem):
         """(v, d) with v integer and d > 0: elem has coordinates v/d in the order basis."""
         w = elem.num
-        v = [sum(a * x for a, x in zip(row, w[i:])) for i, row in enumerate(self._adj)]
+        v = [sum(map(mul, row, w[i:])) for i, row in enumerate(self._adj)]
         d = elem.den * self._det
         g = math.gcd(d, *v) if d > 0 else -math.gcd(d, *v)
         return [x // g for x in v], d // g
@@ -128,13 +132,7 @@ class Order:
 
     def mult_matrix_coords(self, a):
         """Matrix of multiplication by the order-coordinate vector a."""
-        n = self.degree
-        cols = []
-        for j in range(n):
-            unit = [0] * n
-            unit[j] = 1
-            cols.append(self.mult_coords(a, unit))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return [[sum(map(mul, a, t)) for t in row] for row in self._mult_rows]
 
     def disc(self):
         """Discriminant of the order: det of the trace form on the basis."""

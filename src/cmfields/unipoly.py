@@ -183,23 +183,6 @@ def poly_gcd(a, b):
     return a.monic() if not a.is_zero() else a
 
 
-def poly_xgcd(a, b):
-    """Extended gcd over Q: (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.lc()
-    inv = 1 / lc
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 def _primitive(a):
     """An integer coefficient list over its positive content."""
     g = math.gcd(*a)

@@ -9,8 +9,10 @@ from a Horner pass over Fraction balls, ideal products from every pair of basis 
 real-root counts from a Sturm chain over Fractions, prime factorizations from a
 valuation at every prime above the support, trace forms from n^4 Fraction
 products, and determinants, solutions, kernels and first dependencies from a
-Gauss-Jordan over Fractions, and field products from Fraction polynomial
-remainders. They exist so the main
+Gauss-Jordan over Fractions, field products from Fraction polynomial
+remainders, element inverses from the extended Euclidean algorithm over Q,
+multiplication matrices from products by unit vectors, and ideal inverses
+from the adjugate of the order's own HNF. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -562,3 +564,68 @@ def fraction_field_mul(f, a, b):
         for i, fi in enumerate(f):
             prod[k - n + i] -= c * fi
     return tuple(prod[:n])
+
+
+def poly_xgcd(a, b):
+    """Extended gcd over Q: (g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    from cmfields.unipoly import UniPoly
+
+    r0, r1 = a, b
+    s0, s1 = UniPoly([1]), UniPoly()
+    t0, t1 = UniPoly(), UniPoly([1])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    lc = r0.lc()
+    inv = 1 / lc
+    return r0 * inv, s0 * inv, t0 * inv
+
+
+def inverse_by_xgcd(elem):
+    """The inverse of a nonzero field element: s with s*a + t*f = 1 in Q[x]."""
+    from cmfields.unipoly import UniPoly
+
+    g, s, _ = poly_xgcd(UniPoly(elem.coords), elem.field.min_poly)
+    assert g.degree == 0, "element and min_poly share a factor"
+    return elem.field.from_poly(s)
+
+
+def coordinate_matrix(elem):
+    """The Fraction matrix of multiplication by elem (columns = elem * x^j)."""
+    f = [Fraction(c) for c in elem.field.min_poly.coeffs]
+    n = len(f) - 1
+    cols = []
+    for j in range(n):
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        cols.append(fraction_field_mul(f, list(elem.coords), unit))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def mult_matrix_by_units(order, a):
+    """Multiplication by the order-coordinate vector a: column j is a * e_j."""
+    n = order.degree
+    cols = [order.mult_coords(a, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def colon_ideal_by_adjugate(b, a):
+    """(b : a) as the dual of the sum of the lattices with basis columns the
+    rows of b^{-1} M_v, v over a's basis, with b^{-1} the adjugate of b's HNF
+    over its determinant even when b is the order itself."""
+    from cmfields.ideals import FracIdeal
+    from cmfields.linalg import lattice_hnf, mat_mul, triangular_adjugate
+
+    order = a.order
+    det_b, adj_b = triangular_adjugate(b.hnf)
+    adj_b = [[b.den * x for x in row] for row in adj_b]
+    cols = []
+    for col in a.basis_columns():
+        cols.extend(mat_mul(adj_b, mult_matrix_by_units(order, col)))
+    den, h = lattice_hnf(cols, det_b * a.den)
+    det_h, adj_h = triangular_adjugate(h)
+    dual = [[den * x for x in row] for row in adj_h]
+    return FracIdeal(order, *lattice_hnf(dual, det_h))

@@ -37,9 +37,11 @@ from cmfields.unipoly import UniPoly
 
 from oracles import (
     bqf_class_number,
+    colon_ideal_by_adjugate,
     factor_ideal_by_all_valuations,
     ideal_product_by_bases,
     lattice_index_by_cosets,
+    mult_matrix_by_units,
     prime_split_by_generators,
     principal_by_box_search,
     principal_by_unreduced_search,
@@ -235,6 +237,13 @@ class TestContainment:
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+# Q(i), Q(sqrt-5), Q(zeta5) and the degree-8 closure of x^4+6x^2+3
+FOUR_ORDERS = pytest.mark.parametrize(
+    "build", [lambda: NumberField(UniPoly([1, 0, 1])), lambda: NumberField(UniPoly([5, 0, 1])),
+              lambda: _zeta5(), lambda: _quartic_closure()],
+    ids=["Q(i)", "Q(sqrt-5)", "Q(zeta5)", "closure(x^4+6x^2+3)"])
+
+
 class TestInverse:
     def test_principal_inverses(self, gauss):
         O = maximal_order(gauss)
@@ -252,6 +261,35 @@ class TestInverse:
             for _ in range(25):
                 a = random_ideal(O, rng)
                 assert a * a.inverse() == one
+
+    @FOUR_ORDERS
+    def test_inverse_matches_the_adjugate_colon(self, build):
+        # (O : a) with b^-1 = I read straight off M_v, against the colon that
+        # multiplies by the adjugate of O's identity HNF, on integral,
+        # fractional and prime ideals
+        O = maximal_order(build())
+        one = FracIdeal.unit_ideal(O)
+        rng = random.Random(70 + O.degree)
+        primes = primes_below(O, 30)
+        cases = [rng.choice(primes) for _ in range(3)]
+        for _ in range(3):
+            a = random_ideal(O, rng, prime_bound=30)
+            cases += [a.scaled(a.den), a.scaled(Fraction(1, a.den * rng.randint(2, 5)))]
+        kinds = set()
+        for a in cases:
+            kinds.add("prime" if hasattr(a, "p") else "integral" if a.den == 1 else "fractional")
+            inv = a.inverse()
+            assert inv == colon_ideal_by_adjugate(one, a), a
+            assert a * inv == one
+        assert kinds == {"prime", "integral", "fractional"}
+
+    @FOUR_ORDERS
+    def test_mult_matrix_table_matches_unit_vector_products(self, build):
+        O = maximal_order(build())
+        rng = random.Random(80 + O.degree)
+        for _ in range(20):
+            a = [rng.randint(-20, 20) for _ in range(O.degree)]
+            assert O.mult_matrix_coords(a) == mult_matrix_by_units(O, a)
 
     def test_colon_matches_quotient(self, sqrt5):
         O = maximal_order(sqrt5)

@@ -12,6 +12,7 @@ from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.latticeav import (
     AMult,
+    _det_mod,
     LatticeAV,
     amul,
     amul_degree,
@@ -28,7 +29,7 @@ from cmfields.orders import maximal_order
 from cmfields.principal import is_principal
 from cmfields.unipoly import UniPoly
 
-from oracles import bqf_class_number
+from oracles import bqf_class_number, fraction_det
 from test_ideals import random_ideal
 
 
@@ -287,6 +288,26 @@ class TestTorsion:
         T = torsion(LatticeAV(enumerate_cm_types(sqrt5_cm)[0], P3), 138)
         assert T.is_generator(T.generator)
         assert T.generator == [1, 4]
+
+    def test_det_mod_matches_the_fraction_determinant(self):
+        # the integer determinant mod m against Fraction elimination, on full
+        # and singular integer matrices, and the matrix is left as it was
+        rng = random.Random(40)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                k, r = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                M[k] = [c * x for x in M[r]]
+            m = rng.randint(2, 60)
+            det = fraction_det(M)
+            singular += det == 0
+            copy = [list(row) for row in M]
+            assert _det_mod(M, m) == int(det) % m
+            assert M == copy
+        assert singular >= 50
 
     def test_prime_to_degree_bijectivity(self, sqrt5, sqrt5_cm):
         O = maximal_order(sqrt5)

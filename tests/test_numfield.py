@@ -305,6 +305,74 @@ class TestIntegerElements:
             assert (y / x).coords == fraction_field_mul(f, v, inv.coords)
 
 
+# the fields of ELEMENT_FIELDS and a degree-1 field with a non-integral root
+INVERSE_FIELDS = ((Fraction(-5, 3), 1),) + ELEMENT_FIELDS
+
+
+@st.composite
+def nonzero_elements(draw):
+    """A nonzero element of a field of INVERSE_FIELDS, with its coordinates.
+
+    Elements with a zero first coordinate are drawn on purpose: their
+    elimination swaps rows, so its last pivot can be minus the determinant.
+    """
+    i = draw(st.integers(0, len(INVERSE_FIELDS) - 1))
+    n = len(INVERSE_FIELDS[i]) - 1
+    coords = draw(st.one_of(
+        st.lists(RATIONALS, min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9).map(Fraction), min_size=n, max_size=n),
+        st.lists(RATIONALS, min_size=n, max_size=n).map(lambda c: [Fraction(0)] + c[1:]),
+    ).filter(any))
+    K = NumberField(UniPoly([Fraction(c) for c in INVERSE_FIELDS[i]]))
+    return K, coords
+
+
+class TestIntegerInverse:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nonzero_elements())
+    def test_inverse_norm_trace_match_the_fraction_oracles(self, case):
+        # one reduction of the integer multiplication matrix against the
+        # extended Euclidean algorithm over Q and a Fraction determinant
+        from oracles import coordinate_matrix, fraction_det, inverse_by_xgcd
+
+        K, u = case
+        x = K.element(u)
+        inv = x.inverse()
+        assert inv == inverse_by_xgcd(x)
+        assert inv.den > 0 and inv.den == math.lcm(*(c.denominator for c in inv.coords))
+        assert x * inv == K.one()
+        M = coordinate_matrix(x)
+        assert x.norm() == fraction_det(M) and isinstance(x.norm(), Fraction)
+        assert x.trace() == sum(M[i][i] for i in range(K.degree))
+        assert isinstance(x.trace(), Fraction)
+
+    def test_elements_whose_last_pivot_is_negative(self, gauss):
+        # i, 2i and (1 + i)^2 = 2i swap the rows of [[0, -c], [c, 0]]; a real
+        # quadratic element of negative norm needs no swap
+        from oracles import inverse_by_xgcd
+
+        K = NumberField(UniPoly([Fraction(-1, 2), 0, 1]))
+        i, t = gauss.gen(), K.gen()
+        for x in (i, i * 2, -i, (i + 1) ** 2, t, t * 3 - 1, K.element([Fraction(-1, 3)])):
+            inv = x.inverse()
+            assert inv.den > 0 and x * inv == 1 and inv == inverse_by_xgcd(x)
+        assert (i + 1) ** -2 == gauss.element([0, Fraction(-1, 2)])
+        assert t.norm() == Fraction(-1, 2) and t.trace() == 0
+
+    def test_zero_has_no_inverse_and_zero_norm(self):
+        for coeffs in INVERSE_FIELDS[:4]:
+            K = NumberField(UniPoly([Fraction(c) for c in coeffs]))
+            with pytest.raises(ZeroDivisionError):
+                K.zero().inverse()
+            assert K.zero().norm() == 0 and K.zero().trace() == 0
+
+    def test_a_zero_divisor_is_an_invariant_violation(self):
+        # Q[x]/(x^2 - 1) built unchecked is not a field: x - 1 has no inverse
+        K = NumberField(UniPoly([-1, 0, 1]), check=False)
+        with pytest.raises(InvariantViolated):
+            (K.gen() - 1).inverse()
+
+
 class TestIntegerMorphisms:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(coords=st.lists(RATIONALS, min_size=8, max_size=8))
