@@ -8,9 +8,10 @@ maximal order, valuations, and the coprime-scaling lemma live here.
 
 Both hot paths run on integers only. A colon ideal is a lattice dual taken
 with integer adjugates of triangular HNFs (the multiplier ring of `orders`
-is one). A valuation at a prime P uses the anti-uniformizer that
-`prime_split` stores with P, an integral beta with v_P(beta/p) = -1 (Cohen
-1993, Alg. 4.8.17), so no prime inverse is ever built.
+is one), and the inverse of the order is the order, with no colon. A
+valuation at a prime P uses the anti-uniformizer that `prime_split` stores
+with P, an integral beta with v_P(beta/p) = -1 (Cohen 1993, Alg. 4.8.17),
+so no prime inverse is ever built.
 
 A product a*b is spanned by a's basis columns times b's generators over O
 (Cohen 1993, §4.7): the n basis columns for a FracIdeal, p and second_gen
@@ -184,8 +185,8 @@ class FracIdeal:
         return FracIdeal(self.order, common, hnf_columns(mat))
 
     def is_unit(self):
-        """True for the order itself: the integral ideal of norm 1."""
-        return self.den == 1 and self.norm() == 1
+        """True for the order itself: an integral HNF of determinant 1 is the identity."""
+        return self.den == 1 and all(self.hnf[i][i] == 1 for i in range(len(self.hnf)))
 
     def __mul__(self, other):
         self._check(other)
@@ -206,6 +207,9 @@ class FracIdeal:
         return binary_power(self, k, FracIdeal.unit_ideal(self.order))
 
     def inverse(self):
+        """(O : a); the inverse of the order is the order, with no colon."""
+        if self.is_unit():
+            return self
         return colon_ideal(FracIdeal.unit_ideal(self.order), self)
 
     def scaled(self, q):
@@ -506,42 +510,34 @@ def coprime_scale(a, m):
     if m < 1:
         raise ValueError("m must be positive")
     order = a.order
-    field = order.field
     # c in a: the last basis element (any nonzero element of a works)
-    c = a.basis_elements()[-1]
+    c = order.element_from_coords(a.basis_columns()[-1]) / a.den
     cofactor = FracIdeal.principal(order, c) * a.inverse()
     if not cofactor.is_integral():
         raise InvariantViolated("c/a is not integral for c in a")
     support = set() if cofactor.norm() == 1 else set(factorize(int(cofactor.norm())).keys())
     if m > 1:
         support |= set(factorize(m).keys())
-    primes = []
-    exponents = []
-    for p in sorted(support):
-        for P in prime_split(p, order):
-            e_v = cofactor.valuation(P)
-            primes.append(P)
-            exponents.append(e_v)
+    primes = [P for p in sorted(support) for P in prime_split(p, order)]
+    exponents = [cofactor.valuation(P) for P in primes]
     if not primes:
-        scalar = field.one() / c
+        scalar = c.inverse()
         return scalar, a.mult_by_element(scalar)
-    # x_v with exact valuation e_v at P_v; then CRT mod P_v^(e_v+1)
-    xs = []
+    # x_v with exact valuation e_v at P_v, then CRT mod P_v^(e_v+1), all on
+    # integer order coordinates (e_v >= 0, so every P_v^e_v is integral)
+    xs, moduli = [], []
     for P, e_v in zip(primes, exponents):
         Pe = P**e_v
         Pe1 = Pe * P
-        x = next(el for el in Pe.basis_elements() if not Pe1.contains(el))
-        xs.append(x)
-    moduli = [P ** (e_v + 1) for P, e_v in zip(primes, exponents)]
-    a_star = field.zero()
+        xs.append(next(col for col in Pe.basis_columns() if Pe1.lattice_coords(col) is None))
+        moduli.append(Pe1)
+    a_star = [0] * order.degree
     for i, x in enumerate(xs):
-        others = FracIdeal.unit_ideal(order)
-        for j, M in enumerate(moduli):
-            if j != i:
-                others = others * M
+        others = math.prod((M for j, M in enumerate(moduli) if j != i),
+                           start=FracIdeal.unit_ideal(order))
         t = _split_one(moduli[i], others)
-        a_star = a_star + x * t
-    scalar = a_star / c
+        a_star = [s + y for s, y in zip(a_star, order.mult_coords(x, t))]
+    scalar = order.element_from_coords(a_star) / c
     b = a.mult_by_element(scalar)
     if not b.is_integral():
         raise InvariantViolated("the scaled ideal is not integral")
@@ -551,7 +547,7 @@ def coprime_scale(a, m):
 
 
 def _split_one(I, J):
-    """For coprime integral ideals I + J = O, an element t in J with t = 1 mod I."""
+    """For coprime integral ideals I + J = O, the coordinates of a t in J with t = 1 mod I."""
     order = I.order
     n = order.degree
     H, U = hnf_with_transform([I.hnf[i] + J.hnf[i] for i in range(n)])
@@ -559,10 +555,9 @@ def _split_one(I, J):
     # n columns of U combine the generators of I and J into the order basis
     if H != [[int(i == j) for j in range(n)] for i in range(n)]:
         raise InvariantViolated("1 not in I + J: ideals not coprime")
-    x = mat_vec([row[n:] for row in U[n:]], order.one_coords)
-    t = order.element_from_coords(mat_vec(J.hnf, x))
-    if not J.contains(t):
+    t = mat_vec(J.hnf, mat_vec([row[n:] for row in U[n:]], order.one_coords))
+    if J.lattice_coords(t) is None:
         raise InvariantViolated("the CRT element is not in J")
-    if not I.contains(order.field.one() - t):
+    if I.lattice_coords([u - v for u, v in zip(order.one_coords, t)]) is None:
         raise InvariantViolated("the CRT element is not 1 mod I")
     return t

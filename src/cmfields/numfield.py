@@ -182,7 +182,11 @@ class NFElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            if not other:
+                raise ZeroDivisionError("division of a field element by zero")
+            s = 1 if other > 0 else -1  # the sign goes to the numerators, so den > 0
+            q, d = s * other.denominator, s * other.numerator
+            return _from_numerators(self.field, self.den * d, [a * q for a in self.num])
         return self * other.inverse()
 
     def __rtruediv__(self, other):

@@ -63,7 +63,9 @@ def supplied_fundamental_units(field):
 
 
 class _ResidueGroup:
-    """(O/m)x with a full dlog table; trivial for the unit modulus."""
+    """(O/m)x with a full dlog table; trivial for the unit modulus. A residue is
+    a unit when its integer coordinates lie in no prime of m (no element built).
+    """
 
     def __init__(self, order, modulus):
         self.order = order
@@ -105,8 +107,7 @@ class _ResidueGroup:
                 return
 
     def _is_unit(self, vec):
-        elem = self.order.element_from_coords(list(vec))
-        return not any(P.contains(elem) for P in self.prime_divisors)
+        return all(P.lattice_coords(list(vec)) is None for P in self.prime_divisors)
 
     def _mul(self, a, b):
         return self.reduce(self.order.mult_coords(list(a), list(b)))

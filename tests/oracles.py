@@ -11,8 +11,9 @@ valuation at every prime above the support, trace forms from n^4 Fraction
 products, and determinants, solutions, kernels and first dependencies from a
 Gauss-Jordan over Fractions, field products from Fraction polynomial
 remainders, element inverses from the extended Euclidean algorithm over Q,
-multiplication matrices from products by unit vectors, and ideal inverses
-from the adjugate of the order's own HNF. They exist so the main
+multiplication matrices from products by unit vectors, ideal inverses
+from the adjugate of the order's own HNF, and coprime scaling from field
+elements and membership tests on them. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -629,3 +630,53 @@ def colon_ideal_by_adjugate(b, a):
     det_h, adj_h = triangular_adjugate(h)
     dual = [[den * x for x in row] for row in adj_h]
     return FracIdeal(order, *lattice_hnf(dual, det_h))
+
+
+def coprime_scale_by_elements(a, m):
+    """(scalar, b) of the coprime-scaling lemma with every candidate, CRT
+    element and membership test taken on field elements: c is the last basis
+    element of a, x_v the first basis element of P_v^e_v outside
+    P_v^(e_v+1), and t the CRT element of I + J = O tested by contains."""
+    from cmfields.errors import InvariantViolated
+    from cmfields.ideals import FracIdeal, prime_split
+    from cmfields.intutil import factorize
+    from cmfields.linalg import hnf_with_transform, mat_vec
+
+    def split_one(I, J):
+        n = I.order.degree
+        H, U = hnf_with_transform([I.hnf[i] + J.hnf[i] for i in range(n)])
+        if H != [[int(i == j) for j in range(n)] for i in range(n)]:
+            raise InvariantViolated("1 not in I + J: ideals not coprime")
+        x = mat_vec([row[n:] for row in U[n:]], I.order.one_coords)
+        t = I.order.element_from_coords(mat_vec(J.hnf, x))
+        if not J.contains(t) or not I.contains(I.order.field.one() - t):
+            raise InvariantViolated("the CRT element is not in J and 1 mod I")
+        return t
+
+    order = a.order
+    field = order.field
+    c = a.basis_elements()[-1]
+    cofactor = FracIdeal.principal(order, c) * a.inverse()
+    support = set() if cofactor.norm() == 1 else set(factorize(int(cofactor.norm())))
+    if m > 1:
+        support |= set(factorize(m))
+    primes = [P for p in sorted(support) for P in prime_split(p, order)]
+    exponents = [cofactor.valuation(P) for P in primes]
+    if not primes:
+        scalar = field.one() / c
+        return scalar, a.mult_by_element(scalar)
+    xs = []
+    for P, e_v in zip(primes, exponents):
+        Pe = P**e_v
+        Pe1 = Pe * P
+        xs.append(next(el for el in Pe.basis_elements() if not Pe1.contains(el)))
+    moduli = [P ** (e_v + 1) for P, e_v in zip(primes, exponents)]
+    a_star = field.zero()
+    for i, x in enumerate(xs):
+        others = FracIdeal.unit_ideal(order)
+        for j, M in enumerate(moduli):
+            if j != i:
+                others = others * M
+        a_star = a_star + x * split_one(moduli[i], others)
+    scalar = a_star / c
+    return scalar, a.mult_by_element(scalar)

@@ -38,6 +38,7 @@ from cmfields.unipoly import UniPoly
 from oracles import (
     bqf_class_number,
     colon_ideal_by_adjugate,
+    coprime_scale_by_elements,
     factor_ideal_by_all_valuations,
     ideal_product_by_bases,
     lattice_index_by_cosets,
@@ -281,6 +282,39 @@ class TestInverse:
             inv = a.inverse()
             assert inv == colon_ideal_by_adjugate(one, a), a
             assert a * inv == one
+        assert kinds == {"prime", "integral", "fractional"}
+
+    @FOUR_ORDERS
+    def test_the_order_is_its_own_inverse(self, build):
+        # (O : O) = O is returned with no colon; negative powers of primes,
+        # which start from an inverse, still round-trip
+        O = maximal_order(build())
+        one = FracIdeal.unit_ideal(O)
+        assert one.inverse() == colon_ideal_by_adjugate(one, one) == one
+        for P in primes_below(O, 12)[:3]:
+            for k in (1, 2, 3):
+                assert P**-k == colon_ideal_by_adjugate(one, P**k)
+                assert (P**-k).inverse() == P**k and P**-k * P**k == one
+
+    @FOUR_ORDERS
+    def test_is_unit_reads_the_pivots(self, build):
+        # den == 1 and a unit diagonal against the norm, on prime, integral
+        # and den > 1 ideals; P * Q^-1 for two primes of one norm has norm 1
+        # and is not the order
+        O = maximal_order(build())
+        one = FracIdeal.unit_ideal(O)
+        rng = random.Random(90 + O.degree)
+        primes = primes_below(O, 30)
+        cases = [one, one.scaled(Fraction(1, 2)), one.scaled(3)] + primes[:4]
+        for _ in range(4):
+            a = random_ideal(O, rng, prime_bound=30)
+            cases += [a, a.scaled(a.den), a.scaled(Fraction(1, a.den * rng.randint(2, 5)))]
+        same_norm = [(P, Q) for P in primes for Q in primes if P != Q and P.norm() == Q.norm()]
+        cases += [P * Q.inverse() for P, Q in same_norm[:2]]
+        kinds = set()
+        for a in cases:
+            kinds.add("prime" if hasattr(a, "p") else "integral" if a.den == 1 else "fractional")
+            assert a.is_unit() == (a.norm() == 1 and a.den == 1) == (a == one), a
         assert kinds == {"prime", "integral", "fractional"}
 
     @FOUR_ORDERS
@@ -937,6 +971,18 @@ class TestCoprimeScale:
         O5 = maximal_order(sqrt5)
         sc, b = coprime_scale(FracIdeal.principal(O5, sqrt5.one() * 3), 5)
         assert math.gcd(int(b.norm()), 5) == 1
+
+    def test_matches_the_element_construction(self, gauss, sqrt5, zeta5):
+        # c, x_v and the CRT on integer coordinates give the same (scalar, b)
+        # as building field elements and testing membership on them
+        rng = random.Random(41)
+        for k in range(100):
+            O = maximal_order((gauss, sqrt5, zeta5)[k % 3])
+            a = random_ideal(O, rng, prime_bound=20 if O.degree == 2 else 12)
+            if k % 4 == 0:
+                a = a.scaled(a.den)
+            m = rng.choice([1, 2, 3, 4, 5, 6, 10, 12])
+            assert coprime_scale(a, m) == coprime_scale_by_elements(a, m), (a, m)
 
     def test_scaled_ideal_is_scalar_multiple(self, sqrt5):
         O = maximal_order(sqrt5)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cmfields.cmreflex import cm_check, enumerate_cm_types
-from cmfields.errors import NonIntegralIdeal, SourceMismatch
+from cmfields.errors import InvariantViolated, NonIntegralIdeal, SourceMismatch
 from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.latticeav import (
@@ -128,6 +128,29 @@ class TestHomAndFactoring:
     def test_hom_endomorphisms(self, gauss_cm):
         A = _model(gauss_cm)
         assert hom_ideal(A, A) == FracIdeal.unit_ideal(A.lattice.order)
+
+    def test_hom_on_the_order_model_still_takes_the_colon(self, gauss, gauss_cm, monkeypatch):
+        # O^-1 = O is returned with no colon, but Hom's own colon still runs
+        # through the lattices, and its cross-check still catches a wrong one
+        import cmfields.latticeav as latticeav
+
+        O = maximal_order(gauss)
+        A = _model(gauss_cm)
+        B = LatticeAV(A.cmtype, FracIdeal.principal(O, gauss.one() + gauss.gen()))
+        assert A.lattice.inverse() is A.lattice
+        calls = []
+        colon = latticeav.colon_ideal
+
+        def counted(b, a):
+            calls.append((b, a))
+            return colon(b, a)
+
+        monkeypatch.setattr(latticeav, "colon_ideal", counted)
+        assert hom_ideal(A, A) == A.lattice and hom_ideal(A, B) == B.lattice
+        assert calls == [(A.lattice, A.lattice), (B.lattice, A.lattice)]
+        monkeypatch.setattr(latticeav, "colon_ideal", lambda b, a: B.lattice)
+        with pytest.raises(InvariantViolated):
+            hom_ideal(A, A)
 
     def test_hom_formula(self, gauss, gauss_cm):
         O = maximal_order(gauss)

@@ -14,6 +14,7 @@ from sympy import QQ, Matrix, Poly, Rational, rem, symbols
 from cmfields import linalg
 from cmfields.errors import EnumerationBoundExceeded, InvariantViolated
 from cmfields.numfield import FieldMorphism, NFElement, NumberField, primitive_element
+from cmfields.orders import maximal_order
 from cmfields.unipoly import UniPoly
 
 X = symbols("x")
@@ -371,6 +372,56 @@ class TestIntegerInverse:
         K = NumberField(UniPoly([-1, 0, 1]), check=False)
         with pytest.raises(InvariantViolated):
             (K.gen() - 1).inverse()
+
+
+NONZERO_SCALARS = st.one_of(
+    st.integers(-30, -1), st.integers(1, 30), RATIONALS.filter(bool),
+    st.fractions(max_value=-1, max_denominator=12).map(lambda q: q / 7),
+)
+
+
+@st.composite
+def rational_elements(draw):
+    """A field of INVERSE_FIELDS (degree 1 to 8) and the Fraction coordinates
+    of one of its elements, zero included."""
+    i = draw(st.integers(0, len(INVERSE_FIELDS) - 1))
+    n = len(INVERSE_FIELDS[i]) - 1
+    K = NumberField(UniPoly([Fraction(c) for c in INVERSE_FIELDS[i]]))
+    return K, draw(st.lists(RATIONALS, min_size=n, max_size=n))
+
+
+class TestScalarDivision:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rational_elements(), NONZERO_SCALARS)
+    def test_division_by_a_rational_matches_fraction_coordinates(self, case, c):
+        # den and num scaled by the divisor's numerator and denominator, the
+        # sign moved to the numerators: the least positive denominator
+        K, u = case
+        y = K.element(u) / c
+        assert y.coords == tuple(a / c for a in u)
+        assert type(y.den) is int and y.den > 0
+        assert y.den == math.lcm(*(a.denominator for a in y.coords))
+        assert y == K.element(u) * (1 / Fraction(c))
+
+    def test_division_by_zero_raises(self, gauss):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                gauss.gen() / zero
+
+    def test_element_from_coords_builds_no_fraction(self):
+        # Z[(1 + sqrt-3)/2] has basis denominator 2, which element_from_coords
+        # divides by
+        import cProfile
+        import pstats
+
+        K = NumberField(UniPoly([3, 0, 1]))
+        O = maximal_order(K)
+        assert O.den == 2
+        prof = cProfile.Profile()
+        x = prof.runcall(O.element_from_coords, [3, 5])
+        assert x == K.element([Fraction(11, 2), Fraction(5, 2)])
+        made = [f for f in pstats.Stats(prof).stats if f[0].endswith("fractions.py")]
+        assert made == []
 
 
 class TestIntegerMorphisms:

@@ -13,6 +13,7 @@ from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.rayclass import (
     Modulus,
+    _ResidueGroup,
     ray_class,
     ray_class_group,
     reflex_transport_check,
@@ -106,6 +107,26 @@ class TestGroupOrders:
             ray_class_group(
                 gauss_cm, Modulus(FracIdeal.principal(O, gauss.one() * 101))
             )
+
+
+# the moduli m (as m*O) of the ray-class ops of the lattice_rayclass benchmark
+RAY_MODULI = (1, 2, 3, 4, 5, 7, 9, 11, 13, 15, 21)
+
+
+class TestResidueUnits:
+    def test_unit_table_matches_element_membership(self, gauss, sqrt5):
+        # a residue is a unit exactly when the field element of its
+        # coordinates lies in no prime dividing m
+        for K in (gauss, sqrt5):
+            O = maximal_order(K)
+            for m in RAY_MODULI:
+                R = _ResidueGroup(O, FracIdeal.principal(O, K.one() * m))
+                units = {v for v in R._elements()
+                         if not any(P.contains(O.element_from_coords(list(v)))
+                                    for P in R.prime_divisors)}
+                assert {v for v in R._elements() if R._is_unit(v)} == units, (K, m)
+                assert set(R.table) == units and R.unit_count == len(units), (K, m)
+                assert R.unit_count == totient_of_modulus(factor_ideal(R.modulus))
 
 
 class TestRayClassMap:
