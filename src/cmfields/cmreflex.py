@@ -4,10 +4,11 @@ A CM-type is stored as a set of canonical embedding indices of E (one per
 conjugate pair). All Galois-theoretic work happens inside the closure L of E,
 whose tracked roots are aligned with the canonical complex embeddings, so the
 group action on embeddings is pure permutation arithmetic. The reflex field
-is the fixed field of the stabilizer of the type; the reflex type comes from
-the coset decomposition of the inverted lift of the type, and the reflex norm
-on elements of the reflex field is the product over the reflex type, pulled
-back along the reference embedding of E.
+is the fixed field L^H of the stabilizer H of the type, so it depends on H
+alone and is built once per (field, H); the reflex type, the per-type
+permutation work, comes from the coset decomposition of the inverted lift of
+the type, and the reflex norm on elements of the reflex field is the product
+over the reflex type, pulled back along the reference embedding of E.
 """
 
 import itertools
@@ -150,14 +151,45 @@ def enumerate_cm_types(E):
     return out
 
 
+def _fixed_cm_field(sd, stab):
+    """(w, E*, inclusion E* -> L, CMField of E*) for E* = L^H, H = stab.
+
+    w is the first candidate of numfield.primitive_element over the span
+    Tr_H(gen), ..., Tr_H(gen^[L:Q]) of L^H (the gen^j are a basis of L and
+    Tr_H maps L onto L^H). The complex conjugation of E* is L's, pulled back
+    through the inclusion, so the closure of E* is never built.
+    """
+    L = sd.closure
+    powers = [L.gen() ** j for j in range(1, L.degree + 1)]
+    span = [sum((sd.autos[s](u) for s in stab), L.zero()) for u in powers]
+    w, mp, _ = primitive_element(span, len(sd.autos) // len(stab))
+    E_star = NumberField(mp, check=False)
+    inclusion = FieldMorphism(E_star, L, w, check=True)
+
+    # L is CM, so its complex conjugation is central in Gal(L/Q): it maps
+    # E* = L^H to itself, and its restriction commutes with every
+    # embedding of E* (each is psi_0 . t . inclusion for some t). E*
+    # inherits it, and cm_check still runs its exact tests on it
+    iota = complex_conjugation(L)
+    if iota is None:
+        raise InvariantViolated("complex conjugation of the closure is not central")
+    pre = inclusion.preimage(iota(w))
+    if pre is None:
+        raise InvariantViolated("complex conjugation does not preserve the reflex field")
+    per_field("complex_conjugation", E_star, lambda: FieldMorphism(E_star, E_star, pre))
+    rc = cm_check(E_star)
+    if not isinstance(rc, CMField):
+        raise InvariantViolated(f"reflex field is not CM: {rc.reason}")
+    return w, E_star, inclusion, rc
+
+
 class ReflexData:
     """Reflex field and reflex type of a CM-pair, realized in the closure L.
 
-    E* is the fixed field of the stabilizer H of Phi in Gal(L/Q), generated
-    by the first candidate of numfield.primitive_element over the span
-    Tr_H(gen), Tr_H(gen^2), ..., Tr_H(gen^[L:Q]). Its complex conjugation is
-    the restriction of L's, pulled back through reflex_inclusion, so the
-    closure of E* is never built.
+    E* is the fixed field of the stabilizer H of Phi in Gal(L/Q). It depends
+    on H alone, so _fixed_cm_field builds it once per (field, H) and every
+    type with that stabilizer shares the objects; the reflex type Psi and
+    psi_reps are the per-type permutation work.
 
     Attributes:
       cmtype:            the input CM-type (E, Phi)
@@ -181,31 +213,8 @@ class ReflexData:
         stab = [s for s in range(size) if {sd.perm[s][i] for i in phi} == phi]
         self.stabilizer = stab
 
-        # the Tr_H(gen^j) span L^H: the gen^j are a basis of L (gen != 0) and
-        # Tr_H maps L onto L^H
-        L = sd.closure
-        powers = [L.gen() ** j for j in range(1, L.degree + 1)]
-        span = [sum((sd.autos[s](u) for s in stab), L.zero()) for u in powers]
-        w, mp, _ = primitive_element(span, size // len(stab))
-        self.reflex_field = NumberField(mp, check=False)
-        self.reflex_inclusion = FieldMorphism(self.reflex_field, L, w, check=True)
-
-        # L is CM, so its complex conjugation is central in Gal(L/Q): it maps
-        # E* = L^H to itself, and its restriction commutes with every
-        # embedding of E* (each is psi_0 . t . inclusion for some t). E*
-        # inherits it, and cm_check still runs its exact tests on it
-        iota = complex_conjugation(L)
-        if iota is None:
-            raise InvariantViolated("complex conjugation of the closure is not central")
-        pre = self.reflex_inclusion.preimage(iota(w))
-        if pre is None:
-            raise InvariantViolated("complex conjugation does not preserve the reflex field")
-        E_star = self.reflex_field
-        per_field("complex_conjugation", E_star, lambda: FieldMorphism(E_star, E_star, pre))
-        rc = cm_check(E_star)
-        if not isinstance(rc, CMField):
-            raise InvariantViolated(f"reflex field is not CM: {rc.reason}")
-        self.reflex_cmfield = rc
+        w, self.reflex_field, self.reflex_inclusion, self.reflex_cmfield = per_field(
+            "reflex_fixed_field", E.field, lambda: _fixed_cm_field(sd, stab), tuple(stab))
 
         # Psi: decompose {s : s maps the reference root into Phi}^(-1) into
         # left cosets of the stabilizer; each coset restricts to one embedding
@@ -228,11 +237,11 @@ class ReflexData:
         psi_indices = set()
         for s in reps:
             v = sd.autos[s](w)
-            idx = locate_among(certified_embeddings(L)[0], v, self.reflex_field)
+            idx = locate_among(certified_embeddings(self.closure)[0], v, self.reflex_field)
             psi_indices.add(idx)
         if len(psi_indices) != len(reps):
             raise InvariantViolated("coset representatives collide")
-        self.reflex_type = CMType(rc, psi_indices)
+        self.reflex_type = CMType(self.reflex_cmfield, psi_indices)
 
     def reflex_norm_element(self, b):
         """N_Phi(b) in E, for b in the reflex field E*."""

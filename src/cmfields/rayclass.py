@@ -122,12 +122,13 @@ class _ResidueGroup:
         for cand in self._elements():
             if cand in self.table or not self._is_unit(cand):
                 continue
-            # adjoin cand as a new generator
-            power = cand
-            d = 1
+            # adjoin cand as a new generator; a unit's order divides
+            # |(O/m)x| < ring_size, so d never reaches ring_size
+            power, d = cand, 1
             while power not in self.table:
-                power = self._mul(power, cand)
-                d += 1
+                if d == self.ring_size - 1:
+                    raise InvariantViolated("a residue taken for a unit has no order below the ring size")
+                power, d = self._mul(power, cand), d + 1
             base_dlog = self.table[power]
             gen_index = len(self.gens)
             self.gens.append(cand)

@@ -12,8 +12,9 @@ products, and determinants, solutions, kernels and first dependencies from a
 Gauss-Jordan over Fractions, field products from Fraction polynomial
 remainders, element inverses from the extended Euclidean algorithm over Q,
 multiplication matrices from products by unit vectors, ideal inverses
-from the adjugate of the order's own HNF, and coprime scaling from field
-elements and membership tests on them. They exist so the main
+from the adjugate of the order's own HNF, coprime scaling from field
+elements and membership tests on them, and reflex data from a fixed field
+built afresh for each CM-type. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -680,3 +681,40 @@ def coprime_scale_by_elements(a, m):
         a_star = a_star + x * split_one(moduli[i], others)
     scalar = a_star / c
     return scalar, a.mult_by_element(scalar)
+
+
+def reflex_per_type(cmtype):
+    """(min_poly, image of the generator in L, reflex type indices, psi_reps)
+    of a CM-type with the fixed field of its stabilizer built afresh for the
+    type alone: the Tr_H span, its primitive element, the checked inclusion,
+    the conjugation pulled back from L and cm_check, then the cosets."""
+    from cmfields.closure import complex_conjugation, splitting_data
+    from cmfields.cmreflex import CMField, cm_check
+    from cmfields.embeddings import certified_embeddings, locate_among
+    from cmfields.memo import per_field
+    from cmfields.numfield import FieldMorphism, NumberField, primitive_element
+
+    sd = splitting_data(cmtype.cmfield.field)
+    L = sd.closure
+    phi = set(cmtype.phi)
+    size = len(sd.autos)
+    stab = [s for s in range(size) if {sd.perm[s][i] for i in phi} == phi]
+    powers = [L.gen() ** j for j in range(1, L.degree + 1)]
+    span = [sum((sd.autos[s](u) for s in stab), L.zero()) for u in powers]
+    w, mp, _ = primitive_element(span, size // len(stab))
+    E_star = NumberField(mp, check=False)
+    incl = FieldMorphism(E_star, L, w, check=True)
+    pre = incl.preimage(complex_conjugation(L)(w))
+    assert pre is not None
+    per_field("complex_conjugation", E_star, lambda: FieldMorphism(E_star, E_star, pre))
+    assert isinstance(cm_check(E_star), CMField)
+    inverted = sorted(sd.inv[s] for s in range(size) if sd.perm[s][0] in phi)
+    reps, covered = [], set()
+    for s in inverted:
+        if s not in covered:
+            reps.append(s)
+            covered |= {sd.mult[s][t] for t in stab}
+    assert covered == set(inverted)
+    psi = {locate_among(certified_embeddings(L)[0], sd.autos[s](w), E_star) for s in reps}
+    assert len(psi) == len(reps)
+    return mp, incl.image_of_generator, sorted(psi), reps

@@ -33,7 +33,7 @@ from cmfields.ideals import FracIdeal, prime_split
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.unipoly import UniPoly
-from oracles import complex_conjugation_by_search
+from oracles import complex_conjugation_by_search, reflex_per_type
 
 
 class TestCMCheck:
@@ -388,3 +388,41 @@ class TestComplexConjugation:
             c = sd.conjugation
             assert all(sd.mult[c][s] == sd.mult[s][c] for s in range(len(sd.autos)))
             assert c != sd.identity and sd.mult[c][c] == sd.identity
+
+
+class TestFixedFieldPerStabilizer:
+    ZETA8_ZETA12 = ((1, 0, 0, 0, 1), (1, 0, -1, 0, 1))
+
+    def test_matches_the_per_type_construction(self):
+        # E* = L^H is built once per stabilizer; every type still gets the
+        # fixed field, inclusion, reflex type and coset representatives that
+        # a construction for that type alone gives
+        types = _survey_types()
+        for coeffs in self.ZETA8_ZETA12:
+            types += enumerate_cm_types(cm_check(NumberField(UniPoly(list(coeffs)))))
+        assert len(types) == 50
+        for t in types:
+            rd = reflex_field(t)
+            mp, image, psi, reps = reflex_per_type(t)
+            assert rd.reflex_field.min_poly == mp, t
+            assert rd.reflex_inclusion.image_of_generator == image, t
+            assert rd.reflex_type.indices() == psi, t
+            assert rd.psi_reps == reps, t
+
+    @pytest.mark.parametrize("coeffs, n_types, n_stabilizers", [
+        ((1, -1, 0, 1, -1, 1, 0, -1, 1), 16, 4),  # Q(zeta15)
+        ((1, 1, 1, 1, 1, 1, 1), 8, 2),  # Q(zeta7)
+        ((1, 1, 1, 1, 1), 4, 1),  # Q(zeta5)
+        ((3, 0, 6, 0, 1), 4, 2),  # x^4 + 6x^2 + 3
+    ])
+    def test_types_with_one_stabilizer_share_one_field(self, coeffs, n_types, n_stabilizers):
+        types = enumerate_cm_types(cm_check(NumberField(UniPoly(list(coeffs)))))
+        assert len(types) == n_types
+        by_stab = {}
+        for t in types:
+            rd = reflex_field(t)
+            by_stab.setdefault(tuple(rd.stabilizer), set()).add(
+                (id(rd.reflex_field), id(rd.reflex_inclusion), id(rd.reflex_cmfield)))
+        assert len(by_stab) == n_stabilizers
+        assert all(len(objs) == 1 for objs in by_stab.values())
+        assert len({objs.pop() for objs in by_stab.values()}) == n_stabilizers

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cmfields.cmreflex import cm_check, enumerate_cm_types
-from cmfields.errors import ModulusTooLarge, NotCoprime, UnitsUnavailable
+from cmfields.errors import InvariantViolated, ModulusTooLarge, NotCoprime, UnitsUnavailable
 from cmfields.ideals import FracIdeal, coprime_scale, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
@@ -127,6 +127,25 @@ class TestResidueUnits:
                 assert {v for v in R._elements() if R._is_unit(v)} == units, (K, m)
                 assert set(R.table) == units and R.unit_count == len(units), (K, m)
                 assert R.unit_count == totient_of_modulus(factor_ideal(R.modulus))
+
+    def test_a_false_unit_raises_instead_of_looping(self, gauss, monkeypatch):
+        # every residue of Z[i]/2 (ring size 4) taken for a unit: 0 has no
+        # order, and the power loop must stop below the ring size and raise;
+        # a product budget turns an unbounded loop into a failure, not a hang
+        O = maximal_order(gauss)
+        mul = _ResidueGroup._mul
+        calls = []
+
+        def counted_mul(self, a, b):
+            calls.append(1)
+            assert len(calls) < 100, "the power loop did not stop"
+            return mul(self, a, b)
+
+        monkeypatch.setattr(_ResidueGroup, "_is_unit", lambda self, vec: True)
+        monkeypatch.setattr(_ResidueGroup, "_mul", counted_mul)
+        with pytest.raises(InvariantViolated):
+            _ResidueGroup(O, FracIdeal.principal(O, gauss.one() * 2))
+        assert len(calls) < 4
 
 
 class TestRayClassMap:
