@@ -12,7 +12,6 @@ whatever records were already written).
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -228,11 +227,7 @@ def build_parser():
         "and Shimura-Taniyama verification",
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=int(os.environ.get("CMREFLEX_BUDGET", DEFAULT_BUDGET)),
-    )
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--format", choices=("records", "summary"), default="records")
     sub = parser.add_subparsers(dest="command", required=True)
 

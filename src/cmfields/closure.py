@@ -135,7 +135,7 @@ class _AlgebraElement:
 
 
 def _round_adjoin(field, roots, rel, gen_combo):
-    """One adjunction round. Returns updated (field, roots, rel, gen_combo, morphism)."""
+    """One adjunction round. Returns updated (field, roots, rel, gen_combo)."""
     alg = _Algebra(field, rel)
     if alg.dim > CLOSURE_DEGREE_CAP:
         raise ClosureTooLarge(
@@ -180,7 +180,7 @@ def _round_adjoin(field, roots, rel, gen_combo):
         for r in peeled:
             rel = _lpoly_divmod_monic(rel, [-r, field.one()])[0]
             roots.append(r)
-        return field, roots, rel, gen_combo, None
+        return field, roots, rel, gen_combo
 
     growing.sort(key=lambda c: c[0])
     _, L_new, theta_img, y_img = growing[-1]
@@ -196,7 +196,7 @@ def _round_adjoin(field, roots, rel, gen_combo):
         rm = iota(r)
         rel = _lpoly_divmod_monic(rel, [-rm, L_new.one()])[0]
         roots.append(rm)
-    return L_new, roots, rel, new_combo, iota
+    return L_new, roots, rel, new_combo
 
 
 class SplittingData:
@@ -262,7 +262,7 @@ class SplittingData:
                 roots.append(-rel[0])
                 rel = [L.one()]
                 break
-            L, roots, rel, gen_combo, _ = _round_adjoin(L, roots, rel, gen_combo)
+            L, roots, rel, gen_combo = _round_adjoin(L, roots, rel, gen_combo)
 
         if len(roots) != field.degree:
             raise InvariantViolated(f"{len(roots)} roots tracked for degree {field.degree}")

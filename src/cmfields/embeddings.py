@@ -158,14 +158,14 @@ class Embedding:
             return Ball(a, b, r, k)
         return Ball(a // d, b // d, -(-r // d) + 2, k)
 
-    def eval_refining(self, elem, predicate, max_bits=_MAX_BITS):
+    def eval_refining(self, elem, predicate):
         """Evaluate elem, refining this embedding until predicate(ball) is not None."""
         emb = self
         while True:
             val = predicate(emb.eval(elem))
             if val is not None:
                 return val
-            if emb.bits * 2 > max_bits:
+            if emb.bits * 2 > _MAX_BITS:
                 raise BudgetExceeded("embedding refinement budget exceeded")
             emb = emb.refined(emb.bits * 2)
 

@@ -62,7 +62,7 @@ class SearchExhausted(CMFieldsError):
 
 
 class UnitSearchInconclusive(CMFieldsError):
-    """Equivalence undecided: infinite unit group and the bounded search found no witness."""
+    """Equivalence undecided: the unit group is infinite and the generator found is no witness."""
 
 
 class BudgetExceeded(CMFieldsError):

@@ -3,8 +3,6 @@
 import math
 from fractions import Fraction
 
-QQ = Fraction
-
 
 def isqrt_exact(n):
     """Return the integer square root of n if n is a perfect square, else None."""
@@ -44,12 +42,6 @@ def root_upper(x, k):
     return Fraction(r + 1, den)
 
 
-def iroot_exact(n, k):
-    """Return the exact k-th root of n if n is a perfect k-th power, else None."""
-    r = iroot(n, k)
-    return r if r**k == n else None
-
-
 def is_prime(n):
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
     if n < 2:
@@ -85,13 +77,6 @@ def primes_up_to(bound):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def next_prime(n):
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 def _pollard_rho(n, seed=1):
@@ -157,14 +142,6 @@ def factorize(n):
             seed += 1
         stack.extend([d, m // d])
     return dict(sorted(out.items()))
-
-
-def crt_pair(r1, m1, r2, m2):
-    """Solve x = r1 mod m1, x = r2 mod m2 for coprime m1, m2."""
-    g, u, _ = xgcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli not coprime")
-    return (r1 + (r2 - r1) * u % m2 * m1) % (m1 * m2)
 
 
 def xgcd(a, b):

@@ -201,9 +201,9 @@ def _equal_degree_split(f, d, p, rng):
         return out
 
 
-def factor(f, p, seed=0x5EED):
+def factor(f, p):
     """Full factorization over F_p: returns sorted list of (monic irreducible, mult)."""
-    rng = random.Random(seed)
+    rng = random.Random(0x5EED)
     out = []
     for g, m in squarefree_decomposition(f, p):
         for h, d in distinct_degree(g, p):

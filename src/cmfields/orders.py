@@ -210,9 +210,9 @@ def maximal_order(field):
 
 def _maximal_order(field):
     D, g = integral_presentation(field)
-    from .unipoly import poly_discriminant
-
-    disc_eq = poly_discriminant(g)
+    n = field.degree
+    # g is monic with root D*theta, so disc(g) = (-1)^(n(n-1)/2) N(g'(D*theta))
+    disc_eq = (-1) ** (n * (n - 1) // 2) * g.derivative()(field.gen() * D).norm()
     if disc_eq.denominator != 1:
         raise InvariantViolated(f"disc of the integer polynomial {g} is {disc_eq}")
     disc_eq = int(disc_eq)
@@ -242,7 +242,6 @@ def _maximal_order(field):
     order.equation_poly = g
     # the basis in powers of theta = D*gen: w_j = sum_i T[i][j] theta^i / t,
     # and t divides the index because index*O <= Z[theta]
-    n = order.degree
     t = order.den * D ** (n - 1)
     T = [[x * D ** (n - 1 - i) for x in row] for i, row in enumerate(order.basis)]
     c = math.gcd(t, *(x for row in T for x in row))

@@ -11,7 +11,7 @@ import itertools
 
 from .embeddings import certified_embeddings, locate_among
 from .errors import InvariantViolated, PairMismatch, SearchExhausted, UnitSearchInconclusive
-from .principal import is_principal, torsion_units
+from .principal import is_principal
 
 SIGN_SEARCH_CAP = 60
 
@@ -151,8 +151,9 @@ def quadruples_equivalent(q1, q2):
 
     Complete for imaginary quadratic fields: every unit u there satisfies
     u*conj(u) = 1, so the witness is determined by the ideal quotient up to
-    units and a single exact comparison decides. For fields with infinite unit
-    groups a failed bounded search raises UnitSearchInconclusive.
+    units and a single exact comparison decides. Past degree 2 the unit group
+    is infinite and no unit is searched, so a failed comparison raises
+    UnitSearchInconclusive.
     """
     if q1.cmtype != q2.cmtype:
         raise PairMismatch("quadruples live on different CM-pairs")
@@ -162,17 +163,12 @@ def quadruples_equivalent(q1, q2):
     g = is_principal(quotient)
     if g is None:
         return None
-    # candidate witnesses: g times a unit; u*conj(u) == 1 for torsion units,
-    # so all torsion candidates give the same test value
-    test = q1.t / (g * E.conj(g))
-    if test == q2.t:
+    # candidate witnesses: g times a unit; u*conj(u) == 1 for every root of
+    # unity u, so g stands for all of its torsion multiples
+    if q1.t / (g * E.conj(g)) == q2.t:
         return g
     if K.degree == 2:
         return None
-    for u in torsion_units(q1.ideal.order):
-        a = g * u
-        if q1.t / (a * E.conj(a)) == q2.t:
-            return a
     raise UnitSearchInconclusive(
-        "no witness among torsion-unit multiples; the unit group is infinite"
+        "no torsion-unit multiple of the generator is a witness; the unit group is infinite"
     )

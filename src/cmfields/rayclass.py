@@ -31,6 +31,8 @@ from .unipoly import UniPoly
 
 MODULUS_NORM_CAP = 10**4
 CLASS_GENERATOR_NORM_CAP = 200
+# the primes that in turn enlarge the modulus of `reflex_transport_check`
+ESCALATION_PRIMES = (2, 3, 5, 7)
 
 
 class Modulus:
@@ -349,27 +351,26 @@ def ray_class(a, group):
     return group.ray_class(a)
 
 
-def _random_ray_element(reflex_order, m_prime, rng, height=4):
+def _random_ray_element(reflex_order, m_prime, rng):
     """beta = 1 + rho with rho a small random element of the modulus ideal."""
     basis = m_prime.basis_elements()
     field = reflex_order.field
     while True:
         rho = field.zero()
         for b in basis:
-            rho = rho + b * rng.randint(-height, height)
+            rho = rho + b * rng.randint(-4, 4)
         beta = field.one() + rho
         if not beta.is_zero() and abs(beta.norm()) != 0:
             return beta
 
 
-def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed,
-                           escalation_primes=(2, 3, 5, 7), negative_control=False):
+def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed, negative_control=False):
     """Transport well-definedness: ray-congruent principal reflex ideals die in C_m.
 
     For `samples` random beta = 1 (mod m'), the class of N_Phi((beta)) in
     C_m(E) must be trivial. If a nontrivial class appears, the modulus is
-    escalated by small primes (the divisibility hypothesis is not effective)
-    and the final modulus is reported. Multiplicativity of the transported
+    escalated by ESCALATION_PRIMES in turn (the divisibility hypothesis is
+    not effective) and the final modulus is reported. Multiplicativity of the transported
     classes is checked on prime pairs. With negative_control=True, betas are
     sampled merely coprime to the modulus and the report records whether
     nontrivial classes appear (they should).
@@ -413,10 +414,10 @@ def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed,
         if trivial:
             report["ok"] = True
             break
-        if attempts >= len(escalation_primes):
+        if attempts >= len(ESCALATION_PRIMES):
             report["ok"] = False
             break
-        p = escalation_primes[attempts]
+        p = ESCALATION_PRIMES[attempts]
         m_prime = m_prime * FracIdeal.principal(OStar, rd.reflex_field.one() * p)
         report["escalations"].append(p)
         attempts += 1
@@ -446,11 +447,11 @@ def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed,
     return report
 
 
-def _random_coprime_element(order, m_prime, m, rng, height=5):
+def _random_coprime_element(order, m_prime, m, rng):
     field = order.field
     m_norm = int(m_prime.norm()) * m
     while True:
-        e = field.element([rng.randint(-height, height) for _ in range(field.degree)])
+        e = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
         if e.is_zero():
             continue
         if math.gcd(int(abs(e.norm())), m_norm) == 1:

@@ -194,13 +194,13 @@ class CMCurveQ:
         idx = next(i for i, e in enumerate(sd.embeddings) if e.image_of_generator == gen)
         return CMType(self.cmfield, {idx})
 
-    def validate_endo(self, sample_primes=(13, 29, 37), seed=7):
+    def validate_endo(self):
         """The endo maps sampled points back onto the curve and satisfies its
         minimal-polynomial relation there (the relation alone holds formally
         for any scaling, so the on-curve check is the discriminating one)."""
-        rng = random.Random(seed)
+        rng = random.Random(7)
         mp = self.tangent_min_poly
-        for p in sample_primes:
+        for p in (13, 29, 37):
             try:
                 F, red, c, scale = _reduction_data(self, p)
             except (Supersingular, RamifiedPrime, ValueError):
@@ -496,11 +496,11 @@ def st_check_ideal(frob, cmtype, k, prime):
     return frob.ideal == st_rhs(cmtype, k, prime)
 
 
-def st_check_valuations(pi_ideal, cmtype, k, prime, unramified=True):
+def st_check_valuations(pi_ideal, cmtype, k, prime):
     """Per-prime valuation identities; returns a report dict.
 
-    Checks, for every prime v of E above p: the unramified fixed-residue sum
-    formula for ord_v(pi), and the ratio identity
+    Checks, for every prime v of E above p: the fixed-residue sum formula for
+    ord_v(pi), which needs p unramified in E, and the ratio identity
     ord_v(pi)/ord_v(q) = |Phi . H_v| / |H_v| (which holds even at ramified p).
     pi_ideal may be a FrobeniusData, the principal ideal (pi), or the st_rhs
     output (symbolic mode).
@@ -535,29 +535,25 @@ def st_check_valuations(pi_ideal, cmtype, k, prime, unramified=True):
         }
         ratio_ok = ord_v_pi * len(H_v) == len(phi_cap) * ord_v_q
         entry["ratio_identity"] = ratio_ok
-        if unramified:
-            # fixed-residue sum: ord_v(pi) = sum of f(P / phi v) over the type
-            total = 0
-            for i in phi_cap:
-                qq, f_rel = _prime_pullback(sd, i, prime, order_E, order_k)
-                total += f_rel
-            entry["sum_identity"] = total == ord_v_pi
+        # fixed-residue sum: ord_v(pi) = sum of f(P / phi v) over the type
+        total = 0
+        for i in phi_cap:
+            qq, f_rel = _prime_pullback(sd, i, prime, order_E, order_k)
+            total += f_rel
+        entry["sum_identity"] = total == ord_v_pi
         report["primes"].append(entry)
-        if not ratio_ok or (unramified and not entry["sum_identity"]):
+        if not ratio_ok or not entry["sum_identity"]:
             report["ok"] = False
     return report
 
 
-def frobenius_class_check(curve, p, m=1):
+def frobenius_class_check(curve, p):
     """The Frobenius ideal equals the reflex norm of the reflex-field prime.
 
     g = 1 instance: E* = E and the a-multiplication ideal realized by the
     Frobenius is N_Phi(P . O_{E*}) computed through the reflex machinery.
     """
     frob = frobenius_element(curve, p)
-    deg = int(frob.prime_above.norm())
-    if math.gcd(m, p * deg) != 1:
-        raise ValueError("m must be coprime to p and the isogeny degree")
     cmtype = frob.cmtype
     rd = reflex_field(cmtype)
     if rd.reflex_field.degree != 2:

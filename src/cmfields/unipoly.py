@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from .linalg import det_fraction, integer_row
+from .linalg import integer_row
 
 
 def _trim(coeffs):
@@ -21,10 +21,6 @@ class UniPoly:
     def __init__(self, coeffs=()):
         self.coeffs = _trim(Fraction(c) for c in coeffs)
         self._hash = None
-
-    @staticmethod
-    def x(n=1):
-        return UniPoly([0] * n + [1])
 
     @property
     def degree(self):
@@ -146,24 +142,6 @@ class UniPoly:
     def derivative(self):
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift(self, c):
-        """f(x + c)."""
-        out = UniPoly()
-        xc = UniPoly([c, 1])
-        for coef in reversed(self.coeffs):
-            out = out * xc + UniPoly([coef])
-        return out
-
-    def scale_arg(self, s):
-        """f(s*x)."""
-        return UniPoly([c * (Fraction(s) ** i) for i, c in enumerate(self.coeffs)])
-
-    def compose(self, g):
-        out = UniPoly()
-        for coef in reversed(self.coeffs):
-            out = out * g + UniPoly([coef])
-        return out
-
     def is_even_poly(self):
         return all(c == 0 for c in self.coeffs[1::2])
 
@@ -174,13 +152,6 @@ class UniPoly:
         """Integer coefficient list after clearing denominators (primitive not enforced)."""
         d, w = integer_row(self.coeffs)
         return w, d
-
-
-def poly_gcd(a, b):
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def _primitive(a):
@@ -204,24 +175,39 @@ def _pseudo_remainder(a, b):
     return list(_trim(r[:db]))
 
 
-def sturm_real_root_count(f):
-    """Number of distinct real roots of f, by a Sturm chain (exact).
+def _remainder_sequence(a, b):
+    """The primitive remainder sequence a, b, r_2, ..., r_k of integer lists.
 
-    The chain f, f', ..., -(p_{i-1} mod p_i) runs on primitive integer
-    polynomials: each remainder is a pseudo-remainder, scaled by a positive
-    |lc|^(delta+1), over its positive content, so every sign is that of the
-    chain over Q. With repeated roots the chain ends at gcd(f, f'), a common
-    factor of every entry whose sign at -inf and at +inf is the same for all
-    of them, so the variations there still count distinct roots.
+    Each r_{i+1} is -prem(r_{i-1}, r_i) over its positive content (Cohen
+    1993, §3.3), a positive multiple of -(r_{i-1} mod r_i) over Q. The
+    chain stops at its last nonzero entry, a gcd of a and b over Q.
     """
-    if f.degree <= 0:
-        return 0
-    a = _primitive(f.int_coeffs()[0])
-    b = _primitive([i * c for i, c in enumerate(a)][1:])
     chain = [a]
     while b:
         chain.append(b)
         a, b = b, _primitive([-c for c in _pseudo_remainder(a, b)])
+    return chain
+
+
+def poly_gcd(a, b):
+    """Monic gcd over Q."""
+    chain = _remainder_sequence(_primitive(a.int_coeffs()[0]), _primitive(b.int_coeffs()[0]))
+    return UniPoly(chain[-1]).monic()
+
+
+def sturm_real_root_count(f):
+    """Number of distinct real roots of f, by a Sturm chain (exact).
+
+    The chain f, f', ..., -(p_{i-1} mod p_i) is the remainder sequence of
+    the primitive integer f and f', so every sign is that of the chain over
+    Q. With repeated roots the chain ends at gcd(f, f'), a common factor of
+    every entry whose sign at -inf and at +inf is the same for all of them,
+    so the variations there still count distinct roots.
+    """
+    if f.degree <= 0:
+        return 0
+    a = _primitive(f.int_coeffs()[0])
+    chain = _remainder_sequence(a, _primitive([i * c for i, c in enumerate(a)][1:]))
 
     def variations(signs):
         return sum(1 for s, t in zip(signs, signs[1:]) if s * t < 0)
@@ -229,33 +215,3 @@ def sturm_real_root_count(f):
     # signs at -inf and +inf from leading terms
     return (variations([p[-1] * (-1) ** (len(p) - 1) for p in chain])
             - variations([p[-1] for p in chain]))
-
-
-def sylvester_resultant(f, g):
-    """Resultant of f and g over Q via the Sylvester matrix."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    return det_fraction(rows)
-
-
-def poly_discriminant(f):
-    """disc(f) = (-1)^(m(m-1)/2) Res(f, f') / lc(f)."""
-    m = f.degree
-    if m < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    res = sylvester_resultant(f, f.derivative())
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * res / f.lc()

@@ -11,6 +11,8 @@ valuation at every prime above the support, trace forms from n^4 Fraction
 products, and determinants, solutions, kernels and first dependencies from a
 Gauss-Jordan over Fractions, field products from Fraction polynomial
 remainders, element inverses from the extended Euclidean algorithm over Q,
+polynomial gcds from the Euclidean algorithm on Fractions, discriminants
+from the determinant of the Sylvester matrix,
 multiplication matrices from products by unit vectors, ideal inverses
 from the adjugate of the order's own HNF, coprime scaling from field
 elements and membership tests on them, and reflex data from a fixed field
@@ -359,12 +361,10 @@ def trace_form_by_fractions(order, conj):
 
 
 def squarefree_part(f):
-    """f / gcd(f, f'), monic, by the gcd over Q."""
-    from cmfields.unipoly import poly_gcd
-
+    """f / gcd(f, f'), monic, by the Euclidean gcd over Q."""
     if f.degree <= 1:
         return f.monic()
-    g = poly_gcd(f, f.derivative())
+    g = poly_gcd_by_euclid(f, f.derivative())
     return (f // g).monic()
 
 
@@ -585,6 +585,45 @@ def poly_xgcd(a, b):
     lc = r0.lc()
     inv = 1 / lc
     return r0 * inv, s0 * inv, t0 * inv
+
+
+def poly_gcd_by_euclid(a, b):
+    """Monic gcd over Q, by the Euclidean remainder sequence on Fractions."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def sylvester_resultant(f, g):
+    """Resultant of f and g over Q via the Sylvester matrix."""
+    from cmfields.linalg import det_fraction
+
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+    return det_fraction(rows)
+
+
+def poly_discriminant(f):
+    """disc(f) = (-1)^(m(m-1)/2) Res(f, f') / lc(f)."""
+    m = f.degree
+    if m < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    res = sylvester_resultant(f, f.derivative())
+    sign = -1 if (m * (m - 1) // 2) % 2 else 1
+    return sign * res / f.lc()
 
 
 def inverse_by_xgcd(elem):

@@ -1,10 +1,12 @@
-"""Dead-API guard: every function in the library has a caller somewhere.
+"""Dead-API guards: every function in the library has a caller somewhere,
+and every parameter default is overridden by some call.
 
 A module-level function or a non-dunder method of a module-level class in
 src/cmfields counts as used when its name is referenced (as a Name, as an
 Attribute, or as a string in an __all__ list) somewhere in src/, tests/ or
 perfbench/ outside its own definition. The match is by name only, so it errs
-on the side of calling a function used.
+on the side of calling a function used; the parameter guard matches calls
+the same way.
 """
 
 import ast
@@ -76,3 +78,70 @@ def unreferenced_functions():
 
 def test_every_library_function_has_a_caller():
     assert unreferenced_functions() == []
+
+
+def _parameters_with_defaults(node, is_method):
+    """(position or None, name) of each defaulted parameter of a def node.
+
+    The position counts from the first argument a call passes, so a method
+    skips self (or cls) unless it is a staticmethod; keyword-only parameters
+    have position None.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first_default = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first_default:
+            yield i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _callee_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def unpassed_parameters():
+    """module.function(param) for each defaulted parameter no call passes.
+
+    A call matches a function by the called name (an __init__ by its class
+    name). It passes a parameter when it names it as a keyword, reaches its
+    position with positional arguments, or unpacks *args or **kwargs.
+    """
+    calls = {}
+    for base in SEARCHED:
+        for path in sorted(base.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and _callee_name(node):
+                    calls.setdefault(_callee_name(node), []).append(node)
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(node.name, node, False) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs.extend((cls.name if item.name == "__init__" else item.name, item, True)
+                            for item in cls.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for name, node, is_method in defs:
+            for pos, param in _parameters_with_defaults(node, is_method):
+                if not any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (pos is not None and len(call.args) > pos)
+                    for call in calls.get(name, [])
+                ):
+                    out.append(f"{path.stem}.{name}({param})")
+    return sorted(out)
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    assert unpassed_parameters() == []

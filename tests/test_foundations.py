@@ -11,34 +11,24 @@ from sympy import Matrix, factorint, nextprime
 
 from cmfields import modpoly
 from cmfields.intutil import (
-    crt_pair,
     factorize,
     iroot,
-    iroot_exact,
     is_prime,
     isqrt_exact,
-    next_prime,
     primes_up_to,
     root_upper,
     sqrt_mod,
     xgcd,
 )
 from cmfields.principal import fincke_pohst, lll_gram
-from cmfields.unipoly import (
-    UniPoly,
-    poly_discriminant,
-    poly_gcd,
-    sturm_real_root_count,
-    sylvester_resultant,
-)
-from oracles import poly_xgcd
+from cmfields.unipoly import UniPoly, poly_gcd, sturm_real_root_count
+from oracles import poly_discriminant, poly_gcd_by_euclid, poly_xgcd, sylvester_resultant
 
 
 class TestIntUtil:
     def test_primes(self):
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert is_prime(10**9 + 7) and not is_prime(10**9 + 8)
-        assert next_prime(13) == 17
 
     def test_factorize_roundtrip(self):
         rng = random.Random(2)
@@ -68,7 +58,6 @@ class TestIntUtil:
     def test_roots(self):
         assert isqrt_exact(144) == 12 and isqrt_exact(145) is None
         assert iroot(1000, 3) == 10 and iroot(999, 3) == 9
-        assert iroot_exact(32, 5) == 2 and iroot_exact(33, 5) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 16), st.integers(0, 1 << 20000))
@@ -97,8 +86,7 @@ class TestIntUtil:
             u = root_upper(x, k)
             assert u >= 0 and u**k >= x
 
-    def test_crt_xgcd(self):
-        assert crt_pair(2, 3, 3, 5) % 15 == 8
+    def test_xgcd(self):
         g, x, y = xgcd(240, 46)
         assert g == 2 and 240 * x + 46 * y == 2
 
@@ -261,11 +249,31 @@ class TestUniPoly:
         gg, s, t = poly_xgcd(f, UniPoly([1, 1]))
         assert (s * f + t * UniPoly([1, 1])) == gg
 
-    def test_eval_and_shift(self):
+    # the integer remainder sequence against the Euclidean chain on
+    # Fractions: a = c*h^j*u and b = d*h^k*v share h (a factor of degree up
+    # to 6, raised to up to 3) and whatever u and v share; either side can
+    # be zero, and the degrees reach 26
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=7),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.lists(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                          min_size=1, max_size=9), min_size=2, max_size=2),
+        st.sampled_from(["both", "a zero", "b zero"]),
+    )
+    def test_gcd_against_euclid(self, h, j, k, uv, zero):
+        h, u, v = UniPoly(h), UniPoly(uv[0]), UniPoly(uv[1])
+        a = UniPoly() if zero == "a zero" else h ** j * u
+        b = UniPoly() if zero == "b zero" else h ** k * v
+        g = poly_gcd(a, b)
+        assert g == poly_gcd_by_euclid(a, b)
+        assert g == poly_gcd(b, a)
+        assert g.is_zero() or g.lc() == 1
+
+    def test_eval(self):
         f = UniPoly([1, 2, 3])
         assert f(Fraction(2)) == 1 + 4 + 12
-        assert f.shift(1)(Fraction(0)) == f(Fraction(1))
-        assert f.scale_arg(2)(Fraction(1)) == f(Fraction(2))
 
     def test_sturm(self):
         assert sturm_real_root_count(UniPoly([1, 0, 1])) == 0

@@ -31,8 +31,16 @@ from cmfields.ideals import (
 )
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
-from cmfields.orders import Order, _p_radical_lattice, equation_order, maximal_order
+from cmfields.orders import (
+    Order,
+    _maximal_order,
+    _p_radical_lattice,
+    equation_order,
+    integral_presentation,
+    maximal_order,
+)
 from cmfields.principal import is_principal, torsion_units
+from cmfields.ratfactor import is_irreducible_over_q
 from cmfields.unipoly import UniPoly
 
 from oracles import (
@@ -43,6 +51,7 @@ from oracles import (
     ideal_product_by_bases,
     lattice_index_by_cosets,
     mult_matrix_by_units,
+    poly_discriminant,
     prime_split_by_generators,
     principal_by_box_search,
     principal_by_unreduced_search,
@@ -434,6 +443,28 @@ class TestMaximalOrder:
             a2, b2 = ROUND_TWO_STAND_INS.get((a, b), (a, b))
             _, dK = round_two(Poly(x**4 + a2 * x**2 + b2, x))
             assert O.disc() == dK, (a, b)
+
+    # disc(g) inside _maximal_order is a norm; the order's own cross-check
+    # ties it to disc(O) [O : Z[D theta]]^2, and that must be the Sylvester
+    # determinant on seeded fields of degree 2-8, on rational minimal
+    # polynomials and on the degree-8 closure of x^4+6x^2+3
+    def test_discriminant_matches_sylvester(self, quartic):
+        rng = random.Random(21)
+        polys = [UniPoly([Fraction(-1, 2), 0, 1]), UniPoly([Fraction(-1, 3), 0, 0, 0, 1])]
+        for n in range(2, 9):
+            found = 0
+            while found < 3:
+                den = rng.choice((1, 1, 2, 3)) if n <= 4 else 1
+                f = UniPoly([Fraction(rng.randint(-4, 4), den) for _ in range(n)] + [1])
+                if is_irreducible_over_q(f):
+                    polys.append(f)
+                    found += 1
+        fields = [NumberField(f) for f in polys] + [splitting_data(quartic).closure]
+        assert sorted({K.degree for K in fields}) == list(range(2, 9))
+        for K in fields:
+            _, g = integral_presentation(K)
+            O = _maximal_order(K)
+            assert O.disc() * O.equation_index**2 == poly_discriminant(g), K.min_poly
 
     def test_order_rejects_a_basis_that_is_not_a_ring(self, gauss):
         # 2Z + Zi misses 1; Z + Z(i/2) is not closed, (i/2)^2 = -1/4

@@ -6,7 +6,7 @@ import pytest
 
 from cmfields.cmreflex import enumerate_cm_types
 from cmfields.embeddings import certified_embeddings
-from cmfields.errors import PairMismatch
+from cmfields.errors import PairMismatch, UnitSearchInconclusive
 from cmfields.ideals import FracIdeal
 from cmfields.orders import maximal_order
 from cmfields.polar import (
@@ -156,6 +156,21 @@ class TestEquivalence:
         q1 = TypeQuadruple(t1, FracIdeal.unit_ideal(O), a1)
         q2 = TypeQuadruple(t2, FracIdeal.unit_ideal(O), a2)
         with pytest.raises(PairMismatch):
+            quadruples_equivalent(q1, q2)
+
+    def test_inconclusive_past_degree_two(self, zeta5, zeta5_cm):
+        # a = 1 + zeta5 is a unit that is not a root of unity, so the
+        # quadruples are equivalent through a; the generator found for the
+        # quotient O is a root of unity g with g*conj(g) = 1 != a*conj(a),
+        # and no other unit is tried
+        t = enumerate_cm_types(zeta5_cm)[0]
+        O = maximal_order(zeta5)
+        alpha = find_riemann_element(t).alpha
+        a = zeta5.one() + zeta5.gen()
+        q1 = TypeQuadruple(t, FracIdeal.unit_ideal(O), alpha)
+        q2 = TypeQuadruple(t, q1.ideal.mult_by_element(a), alpha / (a * zeta5_cm.conj(a)))
+        assert q2.ideal == q1.ideal
+        with pytest.raises(UnitSearchInconclusive):
             quadruples_equivalent(q1, q2)
 
     def test_riemann_element_validates_as_quadruple(self, zeta5, zeta5_cm):
