@@ -232,8 +232,8 @@ class SplittingData:
                 roots.append(-rel[0])
                 rel = [L.one()]
                 break
-            # cheap peels before any algebra round: negatives (even polynomials),
-            # powers of known roots (cyclotomic-type fields), pairwise products
+            # cheap peels before any algebra round: negatives (even polynomials)
+            # and powers of known roots (cyclotomic-type fields)
             progress = True
             while progress and len(rel) - 1 >= 1:
                 progress = False
@@ -244,9 +244,6 @@ class SplittingData:
                     for _ in range(field.degree - 1):
                         power = power * r
                         candidates.append(power)
-                for i, r in enumerate(roots):
-                    for s in roots[i + 1 :]:
-                        candidates.append(r * s)
                 for cand in candidates:
                     if len(rel) - 1 < 1:
                         break
@@ -362,12 +359,6 @@ def _match_to_canonical(L, roots, K):
 def splitting_data(field):
     """Memoized Galois closure with tracked roots and automorphism group."""
     return per_field("splitting_data", field, lambda: SplittingData(field))
-
-
-def galois_closure(K):
-    """(L, embeddings K->L, permutation group on the embeddings) per the closure."""
-    sd = splitting_data(K)
-    return sd.closure, sd.embeddings, sd.perm
 
 
 def complex_conjugation(K):

@@ -37,10 +37,6 @@ class InvariantViolated(CMFieldsError):
     """An identity the algorithms guarantee failed to hold; indicates an implementation bug."""
 
 
-class RootNotExact(CMFieldsError):
-    """The ideal to be rooted is not an exact power; indicates an implementation bug."""
-
-
 class NonIntegralIdeal(CMFieldsError):
     pass
 

@@ -213,10 +213,6 @@ def _det_mod(M, m):
     return sign * d % m if len(pivots) == len(M) else 0
 
 
-def torsion(av, m):
-    return TorsionModule(av, m)
-
-
 def induced_torsion_matrix(lam, m):
     """The matrix of the map on m-torsion induced by an a-multiplication.
 

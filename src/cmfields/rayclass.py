@@ -347,10 +347,6 @@ def ray_class_group(cmfield, modulus):
     return RayClassGroup(cmfield, modulus)
 
 
-def ray_class(a, group):
-    return group.ray_class(a)
-
-
 def _random_ray_element(reflex_order, m_prime, rng):
     """beta = 1 + rho with rho a small random element of the modulus ideal."""
     basis = m_prime.basis_elements()

@@ -148,7 +148,7 @@ def _point_order(F, a4, P, lo, hi):
     for j in range(m):
         baby.setdefault(R, j)
         R = _ec_add(F, a4, R, P)
-    Q = _ec_mul(F, a4, lo, P)
+    Q = _ec_mul2(F, a4, lo, P, 0, None)
     for i in range(m):
         j = baby.get(_ec_neg(F, Q))
         if j is not None:
@@ -158,7 +158,7 @@ def _point_order(F, a4, P, lo, hi):
         raise InvariantViolated(f"no multiple of a point order in [{lo}, {hi}]")
     n = lo + i * m + j
     for q in factorize(n):
-        while n % q == 0 and _ec_mul(F, a4, n // q, P) is None:
+        while n % q == 0 and _ec_mul2(F, a4, n // q, P, 0, None) is None:
             n //= q
     return n
 
@@ -213,7 +213,7 @@ class CMCurveQ:
                 power = P
                 for coeff in mp.coeffs:
                     k = int(coeff)
-                    acc = _ec_add(F, red[0], acc, _ec_mul(F, red[0], k, power))
+                    acc = _ec_add(F, red[0], acc, _ec_mul2(F, red[0], k, power, 0, None))
                     power = _endo(F, scale, power)
                 if acc is not None:
                     return False
@@ -312,18 +312,6 @@ def _ec_neg(F, P):
     if P is None:
         return None
     return (P[0], P[1], -P[2] % F.p, -P[3] % F.p)
-
-
-def _ec_mul(F, a4, k, P):
-    if k < 0:
-        return _ec_mul(F, a4, -k, _ec_neg(F, P))
-    out = None
-    while k:
-        if k & 1:
-            out = _ec_add(F, a4, out, P)
-        P = _ec_add(F, a4, P, P)
-        k >>= 1
-    return out
 
 
 def _ec_mul2(F, a4, k, P, l, Q):

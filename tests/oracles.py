@@ -13,10 +13,12 @@ Gauss-Jordan over Fractions, field products from Fraction polynomial
 remainders, element inverses from the extended Euclidean algorithm over Q,
 polynomial gcds from the Euclidean algorithm on Fractions, discriminants
 from the determinant of the Sylvester matrix,
-multiplication matrices from products by unit vectors, ideal inverses
+multiplication matrices from products by unit vectors, curve scalar
+multiples from right-to-left double-and-add, ideal inverses
 from the adjugate of the order's own HNF, coprime scaling from field
-elements and membership tests on them, and reflex data from a fixed field
-built afresh for each CM-type. They exist so the main
+elements and membership tests on them, reflex data from a fixed field
+built afresh for each CM-type, and reflex norms on reflex-field ideals from
+an exact ideal root in E. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -757,3 +759,39 @@ def reflex_per_type(cmtype):
     psi = {locate_among(certified_embeddings(L)[0], sd.autos[s](w), E_star) for s in reps}
     assert len(psi) == len(reps)
     return mp, incl.image_of_generator, sorted(psi), reps
+
+
+def _ec_mul(F, a4, k, P):
+    """[k]P by right-to-left double-and-add, the reference for Straus-Shamir."""
+    from cmfields.stverify import _ec_add, _ec_neg
+
+    if k < 0:
+        return _ec_mul(F, a4, -k, _ec_neg(F, P))
+    out = None
+    while k:
+        if k & 1:
+            out = _ec_add(F, a4, out, P)
+        P = _ec_add(F, a4, P, P)
+        k >>= 1
+    return out
+
+
+def reflex_norm_ideal_by_root(rd, b):
+    """N_Phi of an ideal b of O_{E*} as the exact [L:E*]-th root of
+    N_{L,Phi}(b O_L): extend b to the closure, take its reflex norm there
+    (which factors b O_L in L), then factor that in E and divide every
+    exponent by [L:E*]."""
+    from cmfields.cmreflex import reflex_norm_ideal
+    from cmfields.ideals import FracIdeal, factor_ideal
+    from cmfields.orders import maximal_order
+
+    OL = maximal_order(rd.closure)
+    gens = b.two_element_like_generators()
+    extended = FracIdeal.from_generators(OL, [rd.reflex_inclusion(g) for g in gens])
+    big = reflex_norm_ideal(rd.cmtype, rd.closure, extended)
+    d = rd.closure.degree // rd.reflex_field.degree
+    root = FracIdeal.unit_ideal(big.order)
+    for P, v in factor_ideal(big).items():
+        assert v % d == 0, f"valuation {v} not divisible by {d}"
+        root = root * P ** (v // d)
+    return root

@@ -6,7 +6,9 @@ src/cmfields counts as used when its name is referenced (as a Name, as an
 Attribute, or as a string in an __all__ list) somewhere in src/, tests/ or
 perfbench/ outside its own definition. The match is by name only, so it errs
 on the side of calling a function used; the parameter guard matches calls
-the same way.
+the same way. A stricter guard then asks of each module-level function that
+it be used as that function: loaded by its bare name, or read as an
+attribute of its own module.
 """
 
 import ast
@@ -78,6 +80,72 @@ def unreferenced_functions():
 
 def test_every_library_function_has_a_caller():
     assert unreferenced_functions() == []
+
+
+def _module_aliases(tree):
+    """{local name: module stem} for the names an import binds to a cmfields module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "cmfields" or (node.level and node.module is None)
+        ):
+            for alias in node.names:
+                out[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cmfields.") and alias.asname:
+                    out[alias.asname] = alias.name.rsplit(".", 1)[1]
+    return out
+
+
+def _module_of(node, aliases):
+    """The cmfields module stem an attribute's value names, or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def functions_used_only_by_name():
+    """module.function for each module-level function never used as itself.
+
+    A use is a bare-name load of the function, or an attribute read whose
+    value names the function's own module (`modpoly.trim`,
+    `cmfields.modpoly.trim`). A same-named method attribute (`group.f`) and
+    an import that binds the name without loading it are not uses, and
+    neither is a load inside the function's own body.
+    """
+    bare, qualified = set(), set()
+    for base in SEARCHED:
+        for path in sorted(base.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            aliases = _module_aliases(tree)
+            own_module = path.stem if path.parent == PACKAGE else None
+            for top in tree.body:
+                own = top.name if own_module and isinstance(
+                    top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        if node.id != own:
+                            bare.add(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        module = _module_of(node.value, aliases)
+                        if module and (module, node.attr) != (own_module, own):
+                            qualified.add((module, node.attr))
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name in bare or (path.stem, node.name) in qualified
+            ):
+                out.append(f"{path.stem}.{node.name}")
+    return sorted(out)
+
+
+def test_every_module_function_is_used_as_itself():
+    assert functions_used_only_by_name() == []
 
 
 def _parameters_with_defaults(node, is_method):

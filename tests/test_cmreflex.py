@@ -13,13 +13,14 @@ import pytest
 from sympy import CRootOf, Poly, cyclotomic_poly, symbols
 from sympy.polys.numberfields.subfield import field_isomorphism
 
-from cmfields import closure
+from cmfields import closure, cmreflex
 from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.embeddings import certified_embeddings
 from cmfields.cmreflex import (
     CMField,
     CMType,
     NotCM,
+    ReflexData,
     cm_check,
     conjugate_ideal,
     enumerate_cm_types,
@@ -28,12 +29,13 @@ from cmfields.cmreflex import (
     reflex_norm_ideal,
     verify_reflex_identities,
 )
-from cmfields.errors import ConjugatesMissing
-from cmfields.ideals import FracIdeal, prime_split
+from cmfields.errors import ConjugatesMissing, InvariantViolated
+from cmfields.ideals import FracIdeal, prime_split, primes_of_norm_below
+from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.unipoly import UniPoly
-from oracles import complex_conjugation_by_search, reflex_per_type
+from oracles import complex_conjugation_by_search, reflex_norm_ideal_by_root, reflex_per_type
 
 
 class TestCMCheck:
@@ -426,3 +428,56 @@ class TestFixedFieldPerStabilizer:
         assert len(by_stab) == n_stabilizers
         assert all(len(objs) == 1 for objs in by_stab.values())
         assert len({objs.pop() for objs in by_stab.values()}) == n_stabilizers
+
+
+class TestReflexNormOnReflexIdeals:
+    # Q(i), Q(sqrt-5), Q(zeta5), Q(zeta7), Q(zeta8), Q(zeta12), Q(zeta15),
+    # x^4+5x^2+1 and x^4+6x^2+3
+    POLYS = ((1, 0, 1), (5, 0, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1), (1, 0, 0, 0, 1),
+             (1, 0, -1, 0, 1), (1, -1, 0, 1, -1, 1, 0, -1, 1), (1, 0, 5, 0, 1), (3, 0, 6, 0, 1))
+
+    def test_matches_the_exact_root_route(self):
+        # every CM type of the nine fields: a seeded sample of 8 primes of E*
+        # of norm < 200 away from the index primes of O_L, O_E and O_E*, and
+        # two products and two quotients of such primes
+        checked = 0
+        for coeffs in self.POLYS:
+            cmf = cm_check(NumberField(UniPoly(list(coeffs))))
+            for t in enumerate_cm_types(cmf):
+                rd = reflex_field(t)
+                OS = maximal_order(rd.reflex_field)
+                orders = (maximal_order(rd.closure), maximal_order(cmf.field), OS)
+                primes = [q for p in primes_up_to(199)
+                          if all(o.equation_index % p for o in orders)
+                          for q in primes_of_norm_below(p, OS, 200)]
+                rng = random.Random(checked)
+                ideals = rng.sample(primes, min(8, len(primes)))
+                for _ in range(2):
+                    a, b = rng.choice(primes), rng.choice(primes)
+                    ideals += [a * b, a * b.inverse()]
+                for b in ideals:
+                    assert rd.reflex_norm_ideal(b) == reflex_norm_ideal_by_root(rd, b), (t, b)
+                checked += len(ideals)
+        assert checked == 48 * 12
+
+    def test_a_wrong_reflex_norm_fails_the_power_identity(self, quartic, quartic_cm, monkeypatch):
+        t = enumerate_cm_types(quartic_cm)[0]
+        L = splitting_data(quartic).closure
+        rep = verify_reflex_identities(t, L, 2, seed=1)
+        assert rep["identities"]["reflex_ideal_root"] == {"pass": 40, "fail": 0}
+        monkeypatch.setattr(ReflexData, "reflex_norm_ideal",
+                            lambda self, b: FracIdeal.unit_ideal(maximal_order(quartic)))
+        rep = verify_reflex_identities(t, L, 2, seed=1)
+        assert rep["identities"]["reflex_ideal_root"]["pass"] == 0
+        assert rep["identities"]["reflex_ideal_root"]["fail"] == 40
+
+    def test_no_prime_of_the_closure_above_q_is_an_invariant_violation(self, quartic_cm, monkeypatch):
+        rd = reflex_field(enumerate_cm_types(quartic_cm)[0])
+        OL = maximal_order(rd.closure)
+        q = prime_split(5, maximal_order(rd.reflex_field))[0]
+        split = cmreflex.prime_split
+        # the primes of O_L above 7 stand in for those above 5: none contains q
+        monkeypatch.setattr(cmreflex, "prime_split",
+                            lambda p, order: split(7 if order is OL else p, order))
+        with pytest.raises(InvariantViolated):
+            rd.reflex_norm_ideal(q)

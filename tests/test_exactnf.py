@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, symbols
 
 from cmfields import modpoly, ratfactor
-from cmfields.closure import galois_closure, splitting_data
+from cmfields.closure import splitting_data
 from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
 from cmfields.embeddings import _root_up, certified_embeddings, locate_among
 from cmfields.errors import BudgetExceeded, ClosureTooLarge
@@ -222,12 +222,14 @@ def _cycle_type(p):
 class TestGaloisClosure:
     def test_quadratic_is_its_own_closure(self):
         K = field(1, 0, 1)
-        L, embeds, group = galois_closure(K)
+        sd = splitting_data(K)
+        L, embeds, group = sd.closure, sd.embeddings, sd.perm
         assert L.degree == 2 and len(embeds) == 2 and len(group) == 2
 
     def test_cyclotomic_c4(self):
         K = field(1, 1, 1, 1, 1)
-        L, embeds, group = galois_closure(K)
+        sd = splitting_data(K)
+        L, embeds, group = sd.closure, sd.embeddings, sd.perm
         assert L.degree == 4
         assert sorted(_cycle_type(p) for p in group) == [
             (1, 1, 1, 1),
@@ -238,7 +240,8 @@ class TestGaloisClosure:
 
     def test_quartic_d4(self):
         K = field(3, 0, 6, 0, 1)
-        L, embeds, group = galois_closure(K)
+        sd = splitting_data(K)
+        L, embeds, group = sd.closure, sd.embeddings, sd.perm
         assert L.degree == 8
         assert len(group) == 8
         types = [_cycle_type(p) for p in group]
@@ -251,14 +254,15 @@ class TestGaloisClosure:
 
     def test_group_transitive_on_embeddings(self):
         K = field(3, 0, 6, 0, 1)
-        _, embeds, group = galois_closure(K)
+        sd = splitting_data(K)
+        embeds, group = sd.embeddings, sd.perm
         orbit = {p[0] for p in group}
         assert orbit == set(range(len(embeds)))
 
     def test_closure_cap(self):
         with pytest.raises(ClosureTooLarge):
             # x^8 - x - 1 has S8 closure, far beyond the cap
-            galois_closure(field(-1, -1, 0, 0, 0, 0, 0, 0, 1))
+            splitting_data(field(-1, -1, 0, 0, 0, 0, 0, 0, 1))
 
 
 class TestCertifiedEmbeddings:

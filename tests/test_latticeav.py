@@ -14,6 +14,7 @@ from cmfields.latticeav import (
     AMult,
     _det_mod,
     LatticeAV,
+    TorsionModule,
     amul,
     amul_degree,
     compose,
@@ -22,7 +23,6 @@ from cmfields.latticeav import (
     hom_ideal,
     induced_torsion_matrix,
     isogeny_classes,
-    torsion,
 )
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
@@ -256,14 +256,14 @@ class TestIsogenyClasses:
 class TestTorsion:
     def test_cardinality_and_generator(self, gauss_cm):
         A = _model(gauss_cm)
-        T = torsion(A, 2)
+        T = TorsionModule(A, 2)
         assert T.cardinality() == 4
         assert T.is_generator(T.generator)
-        assert torsion(A, 1).cardinality() == 1
+        assert TorsionModule(A, 1).cardinality() == 1
 
     def test_zeta5_inert_two(self, zeta5_cm):
         A = _model(zeta5_cm)
-        T = torsion(A, 2)
+        T = TorsionModule(A, 2)
         assert T.cardinality() == 16
         assert T.is_generator(T.generator)
 
@@ -273,7 +273,7 @@ class TestTorsion:
         for cmf in (gauss_cm, sqrt5_cm):
             A = _model(cmf)
             for m in (2, 3, 4):
-                T = torsion(A, m)
+                T = TorsionModule(A, m)
                 n = 2
                 action_mats = [tuple(tuple(row) for row in M) for M in T.action]
                 element_actions = set()
@@ -299,7 +299,7 @@ class TestTorsion:
         P2 = FracIdeal.from_generators(O, [sqrt5.one() * 2, sqrt5.one() + sqrt5.gen()])
         t = enumerate_cm_types(sqrt5_cm)[0]
         for m in (2, 3, 4, 6):
-            T = torsion(LatticeAV(t, P2), m)
+            T = TorsionModule(LatticeAV(t, P2), m)
             assert T.cardinality() == m**2
             assert T.is_generator(T.generator)
 
@@ -308,7 +308,7 @@ class TestTorsion:
         O = maximal_order(sqrt5)
         P3 = FracIdeal(O, 1, [[3, 2], [0, 1]])
         assert P3 in prime_split(3, O)
-        T = torsion(LatticeAV(enumerate_cm_types(sqrt5_cm)[0], P3), 138)
+        T = TorsionModule(LatticeAV(enumerate_cm_types(sqrt5_cm)[0], P3), 138)
         assert T.is_generator(T.generator)
         assert T.generator == [1, 4]
 

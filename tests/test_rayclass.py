@@ -14,7 +14,6 @@ from cmfields.orders import maximal_order
 from cmfields.rayclass import (
     Modulus,
     _ResidueGroup,
-    ray_class,
     ray_class_group,
     reflex_transport_check,
 )
@@ -34,6 +33,7 @@ class TestGroupOrders:
         O = maximal_order(gauss)
         G = ray_class_group(gauss_cm, Modulus(FracIdeal.principal(O, gauss.one() * 5)))
         assert G.order_count == 4  # 16 / 4
+        assert G.elementary_divisors == [4]
 
     def test_sqrt5_trivial_modulus(self, sqrt5, sqrt5_cm):
         O = maximal_order(sqrt5)

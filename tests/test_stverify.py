@@ -23,7 +23,6 @@ from cmfields.stverify import (
     _GF2,
     _congruent,
     _ec_add,
-    _ec_mul,
     _ec_mul2,
     _ec_neg,
     _random_point,
@@ -37,7 +36,7 @@ from cmfields.stverify import (
     st_rhs,
 )
 
-from oracles import count_points_legendre, count_points_naive_pairs
+from oracles import _ec_mul, count_points_legendre, count_points_naive_pairs
 
 ORACLE_CURVES = ((-1, 0), (0, 1), (2, 3), (1, 1))
 
