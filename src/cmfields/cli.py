@@ -68,7 +68,7 @@ def cmd_cm(args):
     record = _load_json(args.field_file)
     try:
         field = parse_field(record)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     _emit(args, _config_header(args, "cm"))
@@ -123,7 +123,7 @@ def cmd_reflex_verify(args):
             print(f"type index out of range (0..{len(types) - 1})", file=sys.stderr)
             return 2
         cmt = types[args.type_index]
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     _emit(args, _config_header(args, "reflex-verify"))
@@ -164,6 +164,8 @@ def cmd_st(args):
     else:
         corpus = _load_json(args.corpus_file)
     try:
+        if not isinstance(corpus, list):
+            raise BadCorpus("a curve corpus is a JSON list of records")
         curves = [load_curve(rec) for rec in corpus]
     except BadCorpus as exc:
         print(f"corpus refused: {exc}", file=sys.stderr)

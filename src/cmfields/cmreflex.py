@@ -14,16 +14,19 @@ of L above each prime.
 """
 
 import itertools
+import math
 import random
 
 from .closure import complex_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, InvariantViolated
 from .ideals import FracIdeal, factor_ideal, prime_split, primes_of_norm_below
+from .intutil import primes_up_to
 from .linalg import right_kernel_fraction, transpose
 from .memo import per_field
 from .numfield import FieldMorphism, NumberField, primitive_element
 from .orders import maximal_order
+from .principal import torsion_units
 from .unipoly import sturm_real_root_count
 
 
@@ -272,16 +275,15 @@ class ReflexData:
         order_E = maximal_order(sd.field)
         out = FracIdeal.unit_ideal(order_E)
         for q, v in factor_ideal(b_ideal).items():
-            gens = [self.reflex_inclusion(g) for g in q.two_element_like_generators()]
-            P = next((P for P in prime_split(q.p, OL) if all(P.contains(g) for g in gens)), None)
-            if P is None:
+            for P in prime_split(q.p, OL):
+                below, f = _prime_below(P, self.reflex_inclusion, q.order)
+                if below == q:
+                    break
+            else:
                 raise InvariantViolated(f"no prime of the closure above {q!r}")
-            f, r = divmod(P.f, q.f)
-            if r:
-                raise InvariantViolated(f"residue degree {q.f} does not divide {P.f}")
             exps = {}
             for i in sorted(self.cmtype.phi):
-                Q, f_rel = _prime_pullback(sd, i, P, order_E, OL)
+                Q, f_rel = _prime_below(P, sd.embeddings[i], order_E)
                 exps[Q] = exps.get(Q, 0) + f_rel
             for Q, e in exps.items():
                 if e % f:
@@ -332,23 +334,29 @@ def _prime_below(P, incl, order_down):
 
     incl(q) O_L lies in P exactly when every generator of q maps into P, so
     each candidate costs one membership test per generator and no HNF.
+    Memoized per L, keyed by P, the source field and the generator image.
     """
-    for q in prime_split(P.p, order_down):
-        if all(P.contains(incl(g)) for g in q.two_element_like_generators()):
-            if P.f % q.f:
-                raise InvariantViolated(f"residue degree {q.f} does not divide {P.f}")
-            return q, P.f // q.f
-    raise InvariantViolated(f"no prime below {P!r} found")
+    def find():
+        for q in prime_split(P.p, order_down):
+            if all(P.contains(incl(g)) for g in q.two_element_like_generators()):
+                if P.f % q.f:
+                    raise InvariantViolated(f"residue degree {q.f} does not divide {P.f}")
+                return q, P.f // q.f
+        raise InvariantViolated(f"no prime below {P!r} found")
+
+    image = incl.image_of_generator
+    return per_field("prime_below", P.order.field, find,
+                     P, incl.source.min_poly, (image.den, tuple(image.num)))
 
 
-def _prime_pullback(sd, i, P_k, order_E, order_k):
-    """The prime q of E with phi_i(q) O_k <= P_k, and f(P_k / phi_i q).
-
-    Memoized per field k, keyed by P_k, E and i.
-    """
-    return per_field("prime_pullback", order_k.field,
-                     lambda: _prime_below(P_k, sd.embeddings[i], order_E),
-                     P_k, sd.field.min_poly, i)
+def _norm_down(a, incls, order_down):
+    """The product over the inclusions F -> L of Nm_{L/F} a; a is factored once."""
+    out = FracIdeal.unit_ideal(order_down)
+    for P, v in factor_ideal(a).items():
+        for incl in incls:
+            q, f_rel = _prime_below(P, incl, order_down)
+            out = out * q ** (v * f_rel)
+    return out
 
 
 def reflex_norm_ideal(cmtype, k, a):
@@ -357,17 +365,10 @@ def reflex_norm_ideal(cmtype, k, a):
     Multiplicative and compatible with reflex_norm_elem on principal ideals.
     """
     sd = _require_closure(cmtype, k)
-    order_k = maximal_order(sd.closure)
-    if a.order != order_k:
+    if a.order != maximal_order(sd.closure):
         raise ValueError("ideal not over O_k")
-    E = cmtype.cmfield.field
-    order_E = maximal_order(E)
-    out = FracIdeal.unit_ideal(order_E)
-    for P_k, v in factor_ideal(a).items():
-        for i in sorted(cmtype.phi):
-            q, f_rel = _prime_pullback(sd, i, P_k, order_E, order_k)
-            out = out * q ** (v * f_rel)
-    return out
+    phi = [sd.embeddings[i] for i in sorted(cmtype.phi)]
+    return _norm_down(a, phi, maximal_order(cmtype.cmfield.field))
 
 
 def conjugate_ideal(cmfield, a):
@@ -434,8 +435,6 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
         record("reflex_compatibility_elements", ok, [str(c) for c in a.coords])
 
     # unit preservation: torsion units of O_k map to units of O_E
-    from .principal import torsion_units
-
     for u in torsion_units(OL):
         n_u = reflex_norm_elem(cmtype, k, u)
         record("unit_preservation", abs(n_u.norm()) == 1, [str(c) for c in u.coords])
@@ -445,8 +444,6 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
     # index primes, so they are reported, not mis-factored). A p with no
     # prime of norm < norm_bound above it is decided from g mod p, with no
     # prime split or built (primes_of_norm_below)
-    from .intutil import primes_up_to
-
     skipped = []
     good_p = []
     for p in primes_up_to(norm_bound - 1):
@@ -474,8 +471,6 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
 
     # principal consistency: N_{k,Phi}((a)) = (N_{k,Phi}(a)); elements whose
     # norm hits an index prime are resampled (the library refuses them)
-    import math as _math
-
     bad_prod = 1
     for o in (OL, OE):
         bad_prod *= o.equation_index
@@ -483,7 +478,7 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
     while done < min(n_samples, 12) and tried < 60 * n_samples:
         tried += 1
         a = _random_element(L, rng, height=3)
-        if _math.gcd(int(abs(a.norm())), bad_prod) != 1:
+        if math.gcd(int(abs(a.norm())), bad_prod) != 1:
             continue
         lhs = reflex_norm_ideal(cmtype, k, FracIdeal.principal(OL, a))
         rhs = FracIdeal.principal(OE, reflex_norm_elem(cmtype, k, a))
@@ -504,18 +499,9 @@ def verify_reflex_identities(cmtype, k, n_samples, seed, norm_bound=200):
         record("reflex_ideal_root", rd.reflex_norm_ideal(q) ** deg_over_reflex == big, repr(q))
         # compatibility: N_{k,Phi}(ext) = N_Phi(Nm_{k/E*} ext); the right
         # side sends the extension's relative norm back through N_Phi
-        rel = _relative_norm_ideal(ext, rd.reflex_inclusion, OStar)
-        rhs = rd.reflex_norm_ideal(rel)
+        rhs = rd.reflex_norm_ideal(_norm_down(ext, [rd.reflex_inclusion], OStar))
         record("reflex_compatibility_ideals", big == rhs, repr(q))
 
     report["ok"] = all(v["fail"] == 0 for v in report["identities"].values())
     return report
 
-
-def _relative_norm_ideal(a, incl, order_down):
-    """Nm_{L/F} of a fractional ideal of O_L along an inclusion F -> L."""
-    out = FracIdeal.unit_ideal(order_down)
-    for P, v in factor_ideal(a).items():
-        down, f_rel = _prime_below(P, incl, order_down)
-        out = out * down ** (v * f_rel)
-    return out

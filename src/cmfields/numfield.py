@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolated
 from .linalg import first_dependency, integer_row, linear_solver, row_reduce, transpose
+from .ratfactor import is_irreducible_over_q
 from .unipoly import UniPoly
 
 
@@ -23,11 +24,8 @@ class NumberField:
             raise ValueError("min_poly must be nonconstant")
         if min_poly.lc() != 1:
             raise ValueError("min_poly must be monic")
-        if check:
-            from .ratfactor import is_irreducible_over_q
-
-            if not is_irreducible_over_q(min_poly):
-                raise ValueError("min_poly is reducible over Q")
+        if check and not is_irreducible_over_q(min_poly):
+            raise ValueError("min_poly is reducible over Q")
         self.min_poly = min_poly
         self.degree = min_poly.degree
         n = self.degree

@@ -29,6 +29,7 @@ from .linalg import (
 )
 from .memo import per_field
 from .numfield import binary_power
+from .unipoly import UniPoly
 
 
 class Order:
@@ -160,8 +161,6 @@ class Order:
 
 def integral_presentation(field):
     """(D, g) with g integer monic and g(D*theta) = 0; D = 1 for integral min_poly."""
-    from .unipoly import UniPoly
-
     f = field.min_poly
     D = f.denominator_lcm()
     n = f.degree

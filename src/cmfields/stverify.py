@@ -21,6 +21,7 @@ from .closure import splitting_data
 from .cmreflex import (
     CMField,
     CMType,
+    _prime_below,
     cm_check,
     conjugate_ideal,
     reflex_field,
@@ -36,9 +37,9 @@ from .errors import (
 )
 from .ideals import FracIdeal, prime_split
 from .intutil import factorize, is_prime, isqrt_exact, sqrt_mod
-from .numfield import FieldMorphism, NumberField
+from .numfield import FieldMorphism
 from .orders import maximal_order
-from .unipoly import UniPoly
+from .wire import parse_field
 
 POINT_BUDGET = 10**6
 MATCH_POINTS = 20
@@ -501,17 +502,12 @@ def st_check_valuations(pi_ideal, cmtype, k, prime):
     p = prime.p
     q_ord_factor = prime.f  # f(P/p): ord_v(q) = e_v * f(P/p)
     report = {"p": p, "primes": [], "ok": True}
-    order_k = maximal_order(sd.closure)
+    # the prime of E below the row's prime along each embedding, with f(P / phi_i q)
+    pulled = [_prime_below(prime, emb, order_E) for emb in sd.embeddings]
     for v in prime_split(p, order_E):
         ord_v_pi = pi_ideal.valuation(v)
         # H_v: embeddings of E into k pulling P back to v
-        from .cmreflex import _prime_pullback
-
-        H_v = []
-        for i in range(E.field.degree):
-            qq, _ = _prime_pullback(sd, i, prime, order_E, order_k)
-            if qq == v:
-                H_v.append(i)
+        H_v = [i for i, (q, _) in enumerate(pulled) if q == v]
         phi_cap = [i for i in H_v if i in cmtype.phi]
         ord_v_q = v.e * q_ord_factor
         entry = {
@@ -524,10 +520,7 @@ def st_check_valuations(pi_ideal, cmtype, k, prime):
         ratio_ok = ord_v_pi * len(H_v) == len(phi_cap) * ord_v_q
         entry["ratio_identity"] = ratio_ok
         # fixed-residue sum: ord_v(pi) = sum of f(P / phi v) over the type
-        total = 0
-        for i in phi_cap:
-            qq, f_rel = _prime_pullback(sd, i, prime, order_E, order_k)
-            total += f_rel
+        total = sum(pulled[i][1] for i in phi_cap)
         entry["sum_identity"] = total == ord_v_pi
         report["primes"].append(entry)
         if not ratio_ok or not entry["sum_identity"]:
@@ -569,25 +562,37 @@ DEFAULT_CORPUS = (
 
 
 def load_curve(record):
-    """Build a CMCurveQ from a corpus record (see DEFAULT_CORPUS for the schema)."""
+    """Build a CMCurveQ from a corpus record (see DEFAULT_CORPUS); BadCorpus refuses any other."""
+    endo = record.get("cm_endo") if isinstance(record, dict) else None
+    if not isinstance(endo, dict):
+        raise BadCorpus("a corpus record is an object with a cm_endo object")
+    for key in ("a4", "a6", "cm_disc"):
+        if type(record.get(key)) is not int:
+            raise BadCorpus(f"{key} is missing or not an integer: {record.get(key)!r}")
+    coords = endo.get("tangent")
+    if not isinstance(coords, (list, tuple)) or any(type(c) is not int for c in coords):
+        raise BadCorpus(f"cm_endo tangent is missing or not a list of integers: {coords!r}")
     a4, a6 = record["a4"], record["a6"]
     if 4 * a4**3 + 27 * a6**2 == 0:
         raise BadCorpus(f"y^2 = x^3 + {a4} x + {a6} is singular: 4 a4^3 + 27 a6^2 = 0")
-    E = NumberField(UniPoly(list(record["min_poly"])))
+    try:
+        E = parse_field(record)
+        tangent = E.element(list(coords))
+    except ValueError as exc:
+        raise BadCorpus(f"min_poly or tangent: {exc}") from None
     cmf = cm_check(E)
     if not isinstance(cmf, CMField):
         raise BadCorpus(f"curve field {list(record['min_poly'])} is not CM: {cmf.reason}")
     disc = maximal_order(E).disc()
     if disc != record["cm_disc"]:
         raise BadCorpus(f"cm_disc {record['cm_disc']} does not match the field's {disc}")
-    if record["cm_endo"]["kind"] != "unit-scaling":
-        raise BadCorpus(f"unknown cm_endo kind {record['cm_endo']['kind']!r}")
-    tangent = E.element(list(record["cm_endo"]["tangent"]))
+    if endo.get("kind") != "unit-scaling":
+        raise BadCorpus(f"unknown cm_endo kind {endo.get('kind')!r}")
     # (x, y) -> (u^-2 x, u^-3 y) maps the curve to itself exactly when
     # u^4 a4 = a4 and u^6 a6 = a6
     if tangent**4 * a4 != E.element([a4]) or tangent**6 * a6 != E.element([a6]):
         raise BadCorpus(
-            f"the unit scaling by {list(record['cm_endo']['tangent'])} is not an "
+            f"the unit scaling by {list(coords)} is not an "
             f"automorphism of y^2 = x^3 + {a4} x + {a6}"
         )
     return CMCurveQ(a4, a6, cmf, tangent)

@@ -8,13 +8,12 @@ from .unipoly import UniPoly
 
 
 def _coeff(value):
-    if isinstance(value, str):
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("polynomial coefficients must be exact (int or 'p/q')")
+    try:
         return Fraction(value)
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError("polynomial coefficients must be exact (int or 'p/q')")
-        return Fraction(int(value))
-    raise ValueError(f"bad coefficient {value!r}")
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"bad coefficient {value!r}") from None
 
 
 def _frac_out(q):
@@ -23,9 +22,11 @@ def _frac_out(q):
 
 
 def parse_field(record):
-    """{"min_poly": [c0, c1, ..., cn]} with integer or "p/q" coefficients."""
-    coeffs = [_coeff(c) for c in record["min_poly"]]
-    return NumberField(UniPoly(coeffs))
+    """{"min_poly": [c0, c1, ..., cn]} with integer or "p/q" coefficients; else ValueError."""
+    coeffs = record.get("min_poly") if isinstance(record, dict) else None
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError('a field is {"min_poly": [c0, c1, ..., cn]}')
+    return NumberField(UniPoly([_coeff(c) for c in coeffs]))
 
 
 def field_to_wire(field):

@@ -8,7 +8,8 @@ perfbench/ outside its own definition. The match is by name only, so it errs
 on the side of calling a function used; the parameter guard matches calls
 the same way. A stricter guard then asks of each module-level function that
 it be used as that function: loaded by its bare name, or read as an
-attribute of its own module.
+attribute of its own module. A last guard keeps every import of the library
+at module top, where the module graph shows it.
 """
 
 import ast
@@ -213,3 +214,18 @@ def unpassed_parameters():
 
 def test_every_parameter_default_is_overridden_somewhere():
     assert unpassed_parameters() == []
+
+
+def imports_inside_functions():
+    """module:line of each import statement inside a function of src/cmfields."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update(f"{path.stem}:{inner.lineno}" for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(out)
+
+
+def test_no_import_inside_a_library_function():
+    assert imports_inside_functions() == []

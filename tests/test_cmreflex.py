@@ -319,6 +319,64 @@ class TestIdentitySuite:
         assert run.stdout.split() == ["48", "True", "36", "40"]
 
 
+class TestPrimeBelow:
+    # the closure of x^4+6x^2+3 (degree 8) and Q(zeta5) (its own closure)
+    POLYS = ((3, 0, 6, 0, 1), (1, 1, 1, 1, 1))
+
+    @staticmethod
+    def _inclusions(cmf):
+        """(L, [every embedding of E into L, then every type's reflex inclusion])."""
+        sd = splitting_data(cmf.field)
+        reflex = [reflex_field(t).reflex_inclusion for t in enumerate_cm_types(cmf)]
+        return sd.closure, list(sd.embeddings) + reflex
+
+    @pytest.mark.parametrize("coeffs", POLYS)
+    def test_the_prime_below_lies_below_and_the_degrees_add_up(self, coeffs):
+        # for each inclusion F -> L and each p < 50 prime to the indices:
+        # incl(q) O_L <= P for the returned q, f(P/q) = f(P)/f(q), every
+        # prime of F above p is hit, and sum e(P/q) f(P/q) = [L:F] per q
+        L, incls = self._inclusions(cm_check(NumberField(UniPoly(list(coeffs)))))
+        OL = maximal_order(L)
+        checked = 0
+        for incl in incls:
+            OF = maximal_order(incl.source)
+            for p in primes_up_to(49):
+                if OL.equation_index % p == 0 or OF.equation_index % p == 0:
+                    continue
+                degree_sums = {}
+                for P in prime_split(p, OL):
+                    q, f = cmreflex._prime_below(P, incl, OF)
+                    ext = FracIdeal.from_generators(OL, [incl(b) for b in q.basis_elements()])
+                    assert P.contains_ideal(ext), (incl, P, q)
+                    assert q.f * f == P.f and P.e % q.e == 0
+                    degree_sums[q] = degree_sums.get(q, 0) + P.e // q.e * f
+                    checked += 1
+                assert set(degree_sums) == set(prime_split(p, OF))
+                assert set(degree_sums.values()) == {L.degree // incl.source.degree}
+        assert checked > 100
+
+    @pytest.mark.parametrize("coeffs", POLYS)
+    def test_norm_down_of_an_extended_reflex_prime_is_its_power(self, coeffs):
+        # Nm_{L/E*}(q O_L) = q^[L:E*] for the reflex primes of the identity
+        # suite: every type, norm < 200, away from the index primes
+        cmf = cm_check(NumberField(UniPoly(list(coeffs))))
+        checked = 0
+        for t in enumerate_cm_types(cmf):
+            rd = reflex_field(t)
+            OL, OS = maximal_order(rd.closure), maximal_order(rd.reflex_field)
+            orders = (OL, maximal_order(cmf.field), OS)
+            for p in primes_up_to(199):
+                if any(o.equation_index % p == 0 for o in orders):
+                    continue
+                for q in primes_of_norm_below(p, OS, 200):
+                    ext = FracIdeal.from_generators(
+                        OL, [rd.reflex_inclusion(g) for g in q.two_element_like_generators()])
+                    down = cmreflex._norm_down(ext, [rd.reflex_inclusion], OS)
+                    assert down == q ** (OL.degree // OS.degree), (t, q)
+                    checked += 1
+        assert checked > 0
+
+
 # the eight fields of perfbench's cm_survey workload
 SURVEY_POLYS = (
     (1, 0, 1), (1, 1, 1), (5, 0, 1), (1, 1, 1, 1, 1), (1, 0, 5, 0, 1), (3, 0, 6, 0, 1),

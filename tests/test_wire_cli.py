@@ -82,12 +82,24 @@ class TestCLI:
         cm = next(r for r in records if r["record"] == "cm")
         assert cm["cm"] is False
 
-    def test_cm_parse_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["cm", "reflex-verify"])
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 0, 1]", '{"min_poly": 5}', '{"min_poly": ["1/0", 1]}'],
+        ids=["not-json", "a-list", "min-poly-not-a-list", "zero-denominator"],
+    )
+    def test_cm_parse_error(self, tmp_path, command, text):
+        # a field file that is no JSON, or JSON of another shape, is a parse
+        # error: exit 2 with one stderr line and no records, also under -O
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SystemExit) as err:
-            main(["cm", str(path)])
-        assert err.value.code == 2
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "cmfields.cli", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1, run.stderr
 
     def test_cm_closure_too_large(self, field_file, capsys):
         code = main(["cm", field_file([3, 0, 0, 0, 3, 0, 0, 0, 1])])
@@ -226,26 +238,43 @@ class TestCLI:
         assert any(r["status"] == "ordinary" for r in rows)
 
     @pytest.mark.parametrize(
-        "record, reason",
+        "corpus, reason",
         [
-            ({"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 0, 1],
-              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "cm_disc"),
-            ({"a4": -1, "a6": 0, "cm_disc": 8, "min_poly": [-2, 0, 1],
-              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "not CM"),
-            ({"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
-              "cm_endo": {"kind": "isogeny", "tangent": [0, 1]}}, "kind"),
-            ({"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
-              "cm_endo": {"kind": "unit-scaling", "tangent": [-1, 0]}}, "generate"),
-            ({"a4": 0, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
-              "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}, "singular"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "cm_disc"),
+            ([{"a4": -1, "a6": 0, "cm_disc": 8, "min_poly": [-2, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "not CM"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "isogeny", "tangent": [0, 1]}}], "kind"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [-1, 0]}}], "generate"),
+            ([{"a4": 0, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "singular"),
+            ({"a4": 0}, "list"),
+            ([{"a4": 0}], "cm_endo"),
+            ([{"a6": 1}], "cm_endo"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1]}], "cm_endo"),
+            ([{"a4": "x", "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "a4"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": 5,
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "min_poly"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [0, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "reducible"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1, 0]}}], "coordinates"),
+            (5, "list"),
         ],
-        ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q", "singular"],
+        ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q", "singular",
+             "corpus-an-object", "record-a4-only", "record-a6-only", "no-cm-endo",
+             "a4-not-an-integer", "min-poly-not-a-list", "min-poly-reducible",
+             "tangent-too-long", "corpus-a-number"],
     )
-    def test_st_refuses_a_bad_corpus_under_optimize(self, tmp_path, record, reason):
-        # the corpus checks are real checks: under python -O a bad record is
-        # still refused with one stderr line, exit 2 and no records
+    def test_st_refuses_a_bad_corpus_under_optimize(self, tmp_path, corpus, reason):
+        # the corpus checks are real checks: under python -O a bad corpus, or
+        # a record of the wrong shape, is still refused with one stderr line,
+        # exit 2 and no records
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps([record]))
+        path.write_text(json.dumps(corpus))
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         run = subprocess.run(
             [sys.executable, "-O", "-m", "cmfields.cli", "st", str(path), "5", "40"],
