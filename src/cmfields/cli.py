@@ -111,6 +111,9 @@ def cmd_cm(args):
 
 
 def cmd_reflex_verify(args):
+    if args.samples < 0:
+        print("samples must be >= 0", file=sys.stderr)
+        return 2
     record = _load_json(args.field_file)
     try:
         field = parse_field(record)
@@ -133,11 +136,6 @@ def cmd_reflex_verify(args):
     except ClosureTooLarge as exc:
         print(f"closure too large: {exc}", file=sys.stderr)
         return 3
-    if args.inject_defect:
-        report["identities"]["injected_defect"] = {
-            "pass": 0, "fail": 1, "witness": "deliberate corruption (test mode)"
-        }
-        report["ok"] = False
     for name in sorted(report["identities"]):
         entry = report["identities"][name]
         rec = {"record": "identity", "name": name,
@@ -241,8 +239,6 @@ def build_parser():
     p_rv.add_argument("field_file")
     p_rv.add_argument("--type-index", type=int, default=0)
     p_rv.add_argument("--samples", type=int, default=100)
-    p_rv.add_argument("--inject-defect", action="store_true",
-                      help="test mode: force one failing identity")
     p_rv.set_defaults(func=cmd_reflex_verify)
 
     p_st = sub.add_parser("st", help="Shimura-Taniyama verification sweep")

@@ -11,9 +11,11 @@ return None, and the caller doubles `bits` up to _MAX_BITS and then raises
 BudgetExceeded. Every certificate is exact integer arithmetic. A disk of
 radius |f(z)|^(1/n) around an approximation z contains at least one root of
 the monic degree-n polynomial f, so n pairwise disjoint disks contain
-exactly one root each. Refinement re-runs the finder at higher precision and
-matches disks by intersection with the canonical base disks, so an embedding
-index never changes meaning.
+exactly one root each. Refinement does not rerun the finder: it shifts the
+centres of the certified base disks to the new exponent and takes the
+doubling steps from there, and each new disk is certified by lying inside
+the base disk of its index, whose one root it therefore holds, so an
+embedding index never changes meaning.
 
 A Ball is the disk with centre (a + b·i)/2^k and radius r/2^k, all four
 integers, and every operation rounds outward, so a ball contains its value:
@@ -70,6 +72,13 @@ class Ball:
 
     def intersects(self, other):
         return not self.is_disjoint(other)
+
+    def within(self, other):
+        """Whether this closed disk lies inside the closed disk other."""
+        p, q = max(other.k - self.k, 0), max(self.k - other.k, 0)
+        x, y = (self.a << p) - (other.a << q), (self.b << p) - (other.b << q)
+        t = (other.r << q) - (self.r << p)
+        return t >= 0 and x * x + y * y <= t * t
 
     def im_sign(self):
         """+1 / -1 if the sign of Im is certified, else None."""
@@ -134,9 +143,6 @@ class Embedding:
     def conj_index(self):
         return _pairing(self.field)[self.root_index]
 
-    def refined(self, bits):
-        return certified_embeddings(self.field, bits)[self.root_index]
-
     def eval(self, elem):
         """Certified ball containing the image of elem under this embedding.
 
@@ -161,27 +167,31 @@ class Embedding:
     def eval_refining(self, elem, predicate):
         """Evaluate elem, refining this embedding until predicate(ball) is not None."""
         emb = self
-        while True:
-            val = predicate(emb.eval(elem))
-            if val is not None:
-                return val
+        while (val := predicate(emb.eval(elem))) is None:
             if emb.bits * 2 > _MAX_BITS:
                 raise BudgetExceeded("embedding refinement budget exceeded")
-            emb = emb.refined(emb.bits * 2)
+            emb = certified_embeddings(self.field, emb.bits * 2)[self.root_index]
+        return val
 
 
-def _find_disks(field, bits):
-    """Raw certified disjoint disks at the given precision, or None to escalate.
+def _find_disks(field, bits, base=None):
+    """Certified disks at the given precision, or None to escalate.
 
-    With f = sum c_j x^j/den and a proposed root z = (a + b·i)/2^e, Horner
-    on Q = Q·(a + b·i) + c_j·2^(e(n-j)) gives f(z) = Q/(den·2^(e·n)) exactly,
-    so the radius |f(z)|^(1/n) is (|Q|²/den²)^(1/(2n)) ulps.
+    Without base, the finder runs from its circle start and the disks must
+    be pairwise disjoint. With base, the certified base disks, the doubling
+    steps continue from their centres and each new disk must lie inside the
+    base disk of its index. With f = sum c_j x^j/den and a proposed root
+    z = (a + b·i)/2^e, Horner on Q = Q·(a + b·i) + c_j·2^(e(n-j)) gives
+    f(z) = Q/(den·2^(e·n)) exactly, so the radius |f(z)|^(1/n) is
+    (|Q|²/den²)^(1/(2n)) ulps.
     """
     n = field.degree
     ints, den = field.min_poly.int_coeffs()
-    slack = 32 + 2 * n + max(abs(c).bit_length() for c in ints)
-    e = bits + slack
-    roots = _weierstrass_roots(ints, bits, e)
+    e = bits + 32 + 2 * n + max(abs(c).bit_length() for c in ints)
+    if base is None:
+        roots = _weierstrass_roots(ints, bits, e)
+    else:
+        roots = _doubling_steps(ints, [(d.a, d.b) for d in base], base[0].k, e)
     if roots is None:
         return None
     disks = []
@@ -191,11 +201,11 @@ def _find_disks(field, bits):
             qa, qb = qa * a - qb * b + (ints[j] << e * (n - j)), qa * b + qb * a
         u, t = _root_up(qa * qa + qb * qb, den * den, 2 * n) if qa or qb else (0, 0)
         disks.append(Ball(a, b, -(-u >> t) if t >= 0 else u << -t, e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not disks[i].is_disjoint(disks[j]):
-                return None
-    return disks
+    if base is None:
+        ok = all(d.is_disjoint(c) for i, d in enumerate(disks) for c in disks[i + 1:])
+    else:
+        ok = all(d.within(c) for d, c in zip(disks, base))
+    return disks if ok else None
 
 
 def _weierstrass_roots(ints, k, e):
@@ -205,8 +215,8 @@ def _weierstrass_roots(ints, k, e):
     R·(0.4 + 0.9i)^j, with R = 2^rho at least Fujiwara's root bound
     2·max |c_j/c_n|^(1/(n-j)), until a step has converged (_weierstrass_step);
     then one step at each doubled exponent up to e, which near simple roots
-    doubles the correct bits. None after _MAX_STEPS steps or on a zero
-    product of differences.
+    doubles the correct bits (_doubling_steps). None after _MAX_STEPS steps
+    or on a zero product of differences.
     """
     n = len(ints) - 1
     top = ints[n].bit_length() - 1
@@ -224,6 +234,11 @@ def _weierstrass_roots(ints, k, e):
             break
     else:
         return None
+    return _doubling_steps(ints, zs, k, e)
+
+
+def _doubling_steps(ints, zs, k, e):
+    """Proposals zs at exponent k taken to e, one step per doubling; None on a zero product."""
     while k < e:
         s, k = min(k, e - k), min(2 * k, e)
         zs = [(a << s, b << s) for a, b in zs]
@@ -285,51 +300,28 @@ def _conjugate_pairing(disks):
 def _canonical_order(disks):
     """Certified (re, then im) order, or None if some comparison is undecided.
 
-    Roots are grouped into clusters by transitive overlap of re-intervals;
-    cluster re-ranges must be pairwise separated and im-intervals disjoint
-    within a cluster. The disks come from one _find_disks call, so they share
-    one exponent and their integer a, b, r compare directly.
+    A sweep over the re-intervals sorted by left end groups them into the
+    components of their overlap graph, which are separated by construction;
+    within a component the im-intervals must be pairwise disjoint, which
+    holds when the neighbours in im order are. The disks come from one
+    _find_disks call, so they share one exponent and their integer a, b, r
+    compare directly.
     """
-    n = len(disks)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            re_overlap = not (
-                disks[i].a + disks[i].r < disks[j].a - disks[j].r
-                or disks[j].a + disks[j].r < disks[i].a - disks[i].r
-            )
-            if re_overlap:
-                parent[find(i)] = find(j)
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    groups = list(clusters.values())
-    # cluster re-ranges must be separated
-    ranges = []
-    for g in groups:
-        lo = min(disks[i].a - disks[i].r for i in g)
-        hi = max(disks[i].a + disks[i].r for i in g)
-        ranges.append((lo, hi, g))
-    ranges.sort(key=lambda t: t[0])
-    for (_, hi1, _), (lo2, _, _) in zip(ranges, ranges[1:]):
-        if not hi1 < lo2:
-            return None
+    clusters, hi = [], None
+    for i in sorted(range(len(disks)), key=lambda i: disks[i].a - disks[i].r):
+        lo, top = disks[i].a - disks[i].r, disks[i].a + disks[i].r
+        if hi is None or hi < lo:
+            clusters.append([])
+            hi = top
+        clusters[-1].append(i)
+        hi = max(hi, top)
     order = []
-    for _, _, g in ranges:
-        for i in g:
-            for j in g:
-                if i < j:
-                    a, b = disks[i], disks[j]
-                    if not (a.b + a.r < b.b - b.r or b.b + b.r < a.b - a.r):
-                        return None
-        order.extend(sorted(g, key=lambda i: disks[i].b))
+    for g in clusters:
+        g.sort(key=lambda i: disks[i].b)
+        for i, j in zip(g, g[1:]):
+            if not disks[i].b + disks[i].r < disks[j].b - disks[j].r:
+                return None
+        order.extend(g)
     return order
 
 
@@ -374,46 +366,25 @@ def certified_embeddings(field, bits=_BASE_BITS):
 
 
 def _embeddings_at(field, level, base_bits, base_disks):
-    if level == base_bits:
-        disks = base_disks
-    else:
-        b = level
-        while True:
-            raw = _find_disks(field, b)
-            if raw is not None:
-                matched = _match_disks(raw, base_disks)
-                if matched is not None:
-                    disks = matched
-                    break
+    disks, b = base_disks, level
+    if level > base_bits:
+        while (disks := _find_disks(field, b, base_disks)) is None:
             b *= 2
             if b > _MAX_BITS:
                 raise BudgetExceeded("root refinement budget exceeded")
     return [Embedding(field, i, d, level) for i, d in enumerate(disks)]
 
 
-def _match_disks(raw, base):
-    out = [None] * len(base)
-    for d in raw:
-        hits = [j for j, bd in enumerate(base) if d.intersects(bd)]
-        if len(hits) != 1 or out[hits[0]] is not None:
-            return None
-        out[hits[0]] = d
-    return out
-
-
-def locate_among(emb, elem, target_field, max_bits=_MAX_BITS):
+def locate_among(emb, elem, target_field):
     """Canonical embedding index of target_field whose root equals emb(elem).
 
     The caller guarantees emb(elem) IS a root of target_field.min_poly; the
-    index is certified by interval refinement.
+    index is certified once exactly one target disk, at the precision of the
+    evaluating embedding (its balls have exponent 2·bits), meets the ball.
     """
-    bits = emb.bits
-    while True:
-        ball = emb.eval(elem)
-        hits = [f for f in certified_embeddings(target_field, bits) if not ball.is_disjoint(f.ball)]
-        if len(hits) == 1:
-            return hits[0].root_index
-        bits *= 2
-        if bits > max_bits:
-            raise BudgetExceeded("embedding location budget exceeded")
-        emb = emb.refined(bits)
+    def one_hit(ball):
+        targets = certified_embeddings(target_field, ball.k // 2)
+        hits = [f.root_index for f in targets if f.ball.intersects(ball)]
+        return hits[0] if len(hits) == 1 else None
+
+    return emb.eval_refining(elem, one_hit)

@@ -8,6 +8,8 @@ from .unipoly import UniPoly
 
 
 def _coeff(value):
+    if isinstance(value, bool):
+        raise ValueError(f"bad coefficient {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("polynomial coefficients must be exact (int or 'p/q')")
     try:

@@ -17,8 +17,9 @@ multiplication matrices from products by unit vectors, curve scalar
 multiples from right-to-left double-and-add, ideal inverses
 from the adjugate of the order's own HNF, coprime scaling from field
 elements and membership tests on them, reflex data from a fixed field
-built afresh for each CM-type, and reflex norms on reflex-field ideals from
-an exact ideal root in E. They exist so the main
+built afresh for each CM-type, reflex norms on reflex-field ideals from
+an exact ideal root in E, and the canonical embedding order from a
+union-find over overlapping real intervals. They exist so the main
 implementations are checked against something that cannot share their bugs.
 """
 
@@ -462,6 +463,57 @@ def fraction_ball_eval(root, coords, bits):
         cim = Fraction(round(im * scale), scale)
         crad = Fraction(int(rad * scale) + 3, scale)
     return cre, cim, crad
+
+
+def canonical_order_by_union_find(disks):
+    """Certified (re, then im) order, or None if some comparison is undecided.
+
+    Roots are grouped into clusters by transitive overlap of re-intervals;
+    cluster re-ranges must be pairwise separated and im-intervals disjoint
+    within a cluster. The disks come from one _find_disks call, so they share
+    one exponent and their integer a, b, r compare directly.
+    """
+    n = len(disks)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            re_overlap = not (
+                disks[i].a + disks[i].r < disks[j].a - disks[j].r
+                or disks[j].a + disks[j].r < disks[i].a - disks[i].r
+            )
+            if re_overlap:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    groups = list(clusters.values())
+    # cluster re-ranges must be separated
+    ranges = []
+    for g in groups:
+        lo = min(disks[i].a - disks[i].r for i in g)
+        hi = max(disks[i].a + disks[i].r for i in g)
+        ranges.append((lo, hi, g))
+    ranges.sort(key=lambda t: t[0])
+    for (_, hi1, _), (lo2, _, _) in zip(ranges, ranges[1:]):
+        if not hi1 < lo2:
+            return None
+    order = []
+    for _, _, g in ranges:
+        for i in g:
+            for j in g:
+                if i < j:
+                    a, b = disks[i], disks[j]
+                    if not (a.b + a.r < b.b - b.r or b.b + b.r < a.b - a.r):
+                        return None
+        order.extend(sorted(g, key=lambda i: disks[i].b))
+    return order
 
 
 def fraction_gauss_jordan(M, ncols):

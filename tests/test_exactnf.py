@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, symbols
 
-from cmfields import modpoly, ratfactor
+from cmfields import embeddings, modpoly, ratfactor
 from cmfields.closure import splitting_data
 from cmfields.cmreflex import cm_check, enumerate_cm_types, reflex_field
-from cmfields.embeddings import _root_up, certified_embeddings, locate_among
+from cmfields.embeddings import Ball, _canonical_order, _root_up, certified_embeddings, locate_among
 from cmfields.errors import BudgetExceeded, ClosureTooLarge
 from cmfields.numfield import NumberField
 from cmfields.ratfactor import factor_rational_poly
 from cmfields.unipoly import UniPoly, sturm_real_root_count
-from oracles import fraction_ball_eval, nf_automorphisms
+from oracles import canonical_order_by_union_find, fraction_ball_eval, nf_automorphisms
 from test_wire_cli import SURVEY_FIELDS
 
 
@@ -393,8 +393,8 @@ def _oracle_root_indices(levels):
 class TestRootFinder:
     def test_every_disk_holds_one_root_at_every_level(self):
         # each certified disk holds exactly one root, at the base level and
-        # at 1024 and 4096 bits, and a refined disk holds the root of the base
-        # disk with its index (the refinement is matched by _match_disks)
+        # at 1024 and 4096 bits, and a refined disk lies wholly inside the
+        # base disk with its index, so it holds that disk's root
         for F in _root_finder_fields():
             levels = [certified_embeddings(F, bits) for bits in (64, 1024, 4096)]
             assert [embs[0].bits for embs in levels[1:]] == [1024, 4096]
@@ -403,7 +403,21 @@ class TestRootFinder:
             assert all(f == base for f in found)
             for embs in levels[1:]:
                 for e, b in zip(embs, levels[0]):
-                    assert b.ball.contains_point(e.ball.re, e.ball.im)
+                    assert e.ball.within(b.ball)
+
+    def test_sweep_order_matches_union_find_oracle(self):
+        # 100,000 seeded sets of up to six disks on a small grid, so touching
+        # re- and im-intervals, tied centres and point disks are common: the
+        # sweep returns the oracle's order, or its None
+        rng = random.Random(24)
+        undecided = 0
+        for _ in range(100_000):
+            disks = [Ball(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(0, 3), 7)
+                     for _ in range(rng.randint(1, 6))]
+            order = _canonical_order(disks)
+            assert order == canonical_order_by_union_find(disks), disks
+            undecided += order is None
+        assert 30_000 < undecided < 70_000
 
     def test_close_roots_escalate_and_large_roots_do_not(self):
         # the pair 2^-139.5 apart is only separated above 64 bits; the
@@ -443,6 +457,17 @@ class TestBallLayer:
                         assert (ball.re - ore) ** 2 + (ball.im - oim) ** 2 <= (ball.rad + orad) ** 2
                         assert ball.rad <= 2 * orad
 
+    def test_within_is_exact_containment(self):
+        # a disk inside another, touching it from inside, and poking out by
+        # one ulp at a finer exponent
+        outer = Ball(0, 0, 5, 0)
+        assert Ball(6, 8, 0, 1).within(outer)
+        assert Ball(6, 8, 0, 1).within(Ball(6, 8, 0, 1))
+        assert Ball(3, 0, 2, 0).within(outer)
+        assert not Ball(7, 0, 3, 1).within(Ball(0, 0, 2, 0))
+        assert not Ball(3, 0, 3, 0).within(outer)
+        assert not outer.within(Ball(0, 0, 1, 0))
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 16), st.integers(1, 1 << 3000), st.integers(1, 1 << 3000))
     def test_rounded_up_root(self, n, num, den):
@@ -464,16 +489,19 @@ class TestBallLayer:
             assert sum(1 for f in targets if ball.intersects(f.ball)) == 2
             assert locate_among(e, x, T) == j
 
-    def test_locate_among_out_of_budget_is_a_typed_failure(self):
-        # the 64-bit image meets both roots (see above), so a budget of 64
-        # bits runs out with BudgetExceeded (exit 4 from the CLI), not a bare
+    def test_locate_among_out_of_budget_is_a_typed_failure(self, monkeypatch):
+        # the 64-bit image meets both roots (see above), so with _MAX_BITS
+        # lowered to 64 once T's base is certified, the one refinement budget
+        # runs out with BudgetExceeded (exit 4 from the CLI), not a bare
         # RuntimeError
         K = field(-2, 0, 1)
         T = field(1 - Fraction(1, 2**279), -2, 1)
         x = 1 + K.gen() * Fraction(1, 2**140)
+        certified_embeddings(T)
+        monkeypatch.setattr(embeddings, "_MAX_BITS", 64)
         for e in certified_embeddings(K):
-            with pytest.raises(BudgetExceeded, match="budget exceeded"):
-                locate_among(e, x, T, max_bits=64)
+            with pytest.raises(BudgetExceeded, match="embedding refinement budget exceeded"):
+                locate_among(e, x, T)
 
 
 class TestPerFieldMemo:

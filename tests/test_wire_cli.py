@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from sympy import Poly, cyclotomic_poly, symbols, totient
 
+from cmfields import cli
 from cmfields.cli import main
 from cmfields.wire import dumps, field_to_wire, parse_field
 
@@ -84,8 +85,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["cm", "reflex-verify"])
     @pytest.mark.parametrize(
-        "text", ["{not json", "[1, 0, 1]", '{"min_poly": 5}', '{"min_poly": ["1/0", 1]}'],
-        ids=["not-json", "a-list", "min-poly-not-a-list", "zero-denominator"],
+        "text", ["{not json", "[1, 0, 1]", '{"min_poly": 5}', '{"min_poly": ["1/0", 1]}',
+                 '{"min_poly": [true, 0, true]}'],
+        ids=["not-json", "a-list", "min-poly-not-a-list", "zero-denominator", "booleans"],
     )
     def test_cm_parse_error(self, tmp_path, command, text):
         # a field file that is no JSON, or JSON of another shape, is a parse
@@ -171,14 +173,21 @@ class TestCLI:
         assert code == 0
         assert sum(r["record"] == "cm_type" for r in records) == 16
 
-    def test_reflex_verify_pass_and_inject(self, field_file, capsys):
+    def test_reflex_verify_pass_and_inject(self, field_file, capsys, monkeypatch):
+        # a suite with one failing identity exits 1 and writes its witness
         path = field_file([1, 0, 1])
         code = main(["reflex-verify", path, "--samples", "5"])
         out = capsys.readouterr().out
         assert code == 0
         summary = json.loads(out.splitlines()[-1])
         assert summary["ok"] is True
-        code = main(["reflex-verify", path, "--samples", "5", "--inject-defect"])
+
+        def one_failure(*args):
+            return {"identities": {"injected": {"pass": 0, "fail": 1, "witness": "corrupt"}},
+                    "ok": False, "skipped_index_primes": [], "prime_count": 0}
+
+        monkeypatch.setattr(cli, "verify_reflex_identities", one_failure)
+        code = main(["reflex-verify", path, "--samples", "5"])
         out = capsys.readouterr().out
         assert code == 1
         assert any("witness" in line for line in out.splitlines())
@@ -187,6 +196,14 @@ class TestCLI:
         code = main(["reflex-verify", field_file([1, 0, 1]), "--type-index", "7"])
         capsys.readouterr()
         assert code == 2
+
+    def test_reflex_verify_negative_samples(self, field_file, capsys):
+        # refused like a bad type index: exit 2, one stderr line, no records
+        code = main(["reflex-verify", field_file([1, 0, 1]), "--samples", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
 
     def test_st_usage_error(self, capsys):
         code = main(["st", "default", "50", "5"])
