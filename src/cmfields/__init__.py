@@ -10,7 +10,7 @@ Layers (one module per subsystem):
   cmreflex   - CM-types, reflex fields, reflex norms and their identity suite
   polar      - Riemann-form elements and type quadruples
   latticeav  - lattice models of CM abelian varieties, a-multiplications
-  stverify   - point counting, Frobenius elements, Shimura-Taniyama checks
+  stverify   - Frobenius elements, Shimura-Taniyama checks
   rayclass   - ray class groups and the reflex transport check
   cli        - reproducible command-line pipelines
 """

@@ -157,6 +157,9 @@ def cmd_st(args):
     if args.p_max < args.p_min:
         print("p-max must be >= p-min", file=sys.stderr)
         return 2
+    if args.budget <= max(args.p_min, 5):
+        print("--budget must exceed max(p-min, 5): st sweeps the primes below it", file=sys.stderr)
+        return 2
     if args.corpus_file == "default":
         corpus = list(DEFAULT_CORPUS)
     else:
@@ -180,7 +183,7 @@ def cmd_st(args):
                 continue
             row = {"record": "st", "curve": ci, "a4": curve.a4, "a6": curve.a6, "p": p}
             try:
-                frob = frobenius_element(curve, p, seed=args.seed, budget=args.budget)
+                frob = frobenius_element(curve, p, seed=args.seed)
                 ideal_ok = st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
                 val_rep = st_check_valuations(frob, frob.cmtype, E, frob.prime_above)
             except Supersingular:

@@ -62,7 +62,7 @@ class UnitSearchInconclusive(CMFieldsError):
 
 
 class BudgetExceeded(CMFieldsError):
-    """A precision or point-count budget ran out before a certificate was found."""
+    """A precision budget ran out before a certificate was found."""
 
 
 class Supersingular(CMFieldsError):

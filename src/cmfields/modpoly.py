@@ -211,16 +211,3 @@ def factor(f, p):
                 out.append((tuple(irr), m))
     return sorted(out)
 
-
-def is_irreducible(f, p):
-    f = monic(f, p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    sq = squarefree_decomposition(f, p)
-    if len(sq) != 1 or sq[0][1] != 1:
-        return False
-    dd = distinct_degree(monic(f, p), p)
-    return len(dd) == 1 and dd[0][1] == n

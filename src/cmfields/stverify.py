@@ -1,19 +1,18 @@
 """Shimura-Taniyama verification on CM elliptic curves over prime fields.
 
-Point counts are exact: Shanks-Mestre baby-step giant-step on the curve and
-its quadratic twist for p > 229, a count over every x below that. The
-Frobenius element pi in O_E is pinned down by matching the p-power Frobenius
-against r + s*(CM endo) on random points over F_{p^2}, with the CM embedding
-into F_p fixed by the tangent (invariant differential) action; the tangent
-root and every square root in F_p and F_{p^2} come from Tonelli-Shanks, so
-no step above p = 229 scans all of F_p. Each candidate s0 + s1 * u, in the
-basis 1, u of O_E = Z[u] with u the tangent multiplier, is matched by
-[s0]P + [s1]endo(P) on one shared doubling chain (Straus-Shamir, `_ec_mul2`).
-The ideal identity, the valuation identities, and the reflex-norm form of the
-Frobenius class are then exact ideal computations.
+The Frobenius element pi in O_E is identified with no point count: it is
+the one element of norm p, among the unit multiples of a generator of the
+tangent prime and of its conjugate, that matches the p-power Frobenius on
+seeded points over F_{p^2} (`frobenius_element` gives the proof), and
+a_p = Tr(pi). The CM embedding into F_p is fixed by the tangent (invariant
+differential) action; the tangent root and every square root in F_p and
+F_{p^2} come from Tonelli-Shanks, so no step scans F_p. Each candidate
+s0 + s1 * u, in the basis 1, u of O_E = Z[u] with u the tangent multiplier,
+acts as [s0]P + [s1]endo(P) on one shared doubling chain (Straus-Shamir,
+`_ec_mul2`). The ideal identity, the valuation identities, and the
+reflex-norm form of the Frobenius class are then exact ideal computations.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -29,139 +28,19 @@ from .cmreflex import (
 )
 from .errors import (
     BadCorpus,
-    BudgetExceeded,
     IdentificationFailed,
     InvariantViolated,
     RamifiedPrime,
     Supersingular,
 )
 from .ideals import FracIdeal, prime_split
-from .intutil import factorize, is_prime, isqrt_exact, sqrt_mod
+from .intutil import sqrt_mod
 from .numfield import FieldMorphism
 from .orders import maximal_order
+from .principal import is_principal, torsion_units
 from .wire import parse_field
 
-POINT_BUDGET = 10**6
 MATCH_POINTS = 20
-# Mestre: above this prime the curve or its twist has a point whose order
-# has exactly one multiple in the Hasse interval
-MESTRE_BOUND = 229
-
-
-class CurveFp:
-    """y^2 = x^3 + a4 x + a6 over F_p, p > 3, nonsingular."""
-
-    def __init__(self, p, a4, a6):
-        if p <= 3 or not is_prime(p):
-            raise ValueError("p must be a prime > 3")
-        a4 %= p
-        a6 %= p
-        if (4 * a4**3 + 27 * a6**2) % p == 0:
-            raise ValueError("singular curve")
-        self.p = p
-        self.a4 = a4
-        self.a6 = a6
-
-    def __repr__(self):
-        return f"CurveFp(p={self.p}, a4={self.a4}, a6={self.a6})"
-
-
-def count_points(curve, budget=POINT_BUDGET):
-    """#C(F_p) including the point at infinity, exactly.
-
-    For p <= 229, by counting the square roots of x^3 + a4 x + a6 for every
-    x. Above that, by Shanks-Mestre (Cohen 1993, §7.4): scanning
-    x = 0, 1, ..., each x gives a point of C, or, when x^3 + a4 x + a6 is not
-    a square, a point (d x, d sqrt(d (x^3 + a4 x + a6))) of the twist
-    C': y^2 = x^3 + d^2 a4 x + d^3 a6 by the field's non-residue d, and
-    #C + #C' = 2p + 2. The exact order of each point (baby-step giant-step
-    over the Hasse interval, then factorize) divides #C, respectively
-    2p + 2 - #C, which filters the candidates in
-    [p + 1 - floor(2 sqrt p), p + 1 + floor(2 sqrt p)].
-
-    The scan ends: it visits at most p values of x, and these give every
-    point of C and of C' up to sign (a root of the cubic gives a point of
-    order 2 on both, and 2 | #C exactly when 2 | #C'). For p > 229, Mestre's
-    theorem gives C or C' a point whose order has exactly one multiple in the
-    Hasse interval, so one candidate is left at the latest when that point is
-    reached; usually one or two points suffice. Any other outcome raises
-    InvariantViolated.
-    """
-    p = curve.p
-    if p >= budget:
-        raise BudgetExceeded(f"p = {p} exceeds the point-count budget {budget}")
-    a4, a6 = curve.a4, curve.a6
-    if p <= MESTRE_BOUND:
-        counts = [0] * p
-        for y in range(p):
-            counts[y * y % p] += 1
-        total = 1
-        for x in range(p):
-            total += counts[(x * x % p * x + a4 * x + a6) % p]
-        return total
-    F = _GF2(p)
-    d = F.ns
-    twist_a4 = d * d * a4 % p
-    h = math.isqrt(4 * p)
-    lo, hi = p + 1 - h, p + 1 + h
-    candidates = range(lo, hi + 1)
-    for x in range(p):
-        fx = (x * x % p * x + a4 * x + a6) % p
-        y = sqrt_mod(fx, p)
-        if y is not None:
-            m = _point_order(F, a4, (x, 0, y, 0), lo, hi)
-            candidates = _congruent(candidates, 0, m)
-        else:
-            y = d * sqrt_mod(d * fx, p) % p
-            m = _point_order(F, twist_a4, (d * x % p, 0, y, 0), lo, hi)
-            candidates = _congruent(candidates, 2 * p + 2, m)
-        if len(candidates) <= 1:
-            break
-    if len(candidates) != 1:
-        raise InvariantViolated(f"{len(candidates)} point counts left at p = {p}")
-    return candidates[0]
-
-
-def _congruent(cand, c, m):
-    """The members n of the arithmetic progression cand (a range) with n = c mod m.
-
-    start + j·step = c (mod m) has a solution only when g = gcd(step, m)
-    divides c - start, and then exactly for j = j0 mod m/g, with
-    j0 = (c - start)/g · (step/g)^-1 mod m/g: again a progression.
-    """
-    g = math.gcd(cand.step, m)
-    if (c - cand.start) % g:
-        return range(0)
-    mg = m // g
-    return cand[(c - cand.start) // g * pow(cand.step // g, -1, mg) % mg :: mg]
-
-
-def _point_order(F, a4, P, lo, hi):
-    """The exact order of P, given that its curve's order lies in [lo, hi].
-
-    Baby steps j P (0 <= j < m) and giant steps (lo + i m) P with m^2 > hi - lo
-    find one multiple n of the order in [lo, hi]; dividing n by each of its
-    primes while the quotient still kills P leaves the order.
-    """
-    m = math.isqrt(hi - lo) + 1
-    baby = {}
-    R = None
-    for j in range(m):
-        baby.setdefault(R, j)
-        R = _ec_add(F, a4, R, P)
-    Q = _ec_mul2(F, a4, lo, P, 0, None)
-    for i in range(m):
-        j = baby.get(_ec_neg(F, Q))
-        if j is not None:
-            break
-        Q = _ec_add(F, a4, Q, R)
-    else:
-        raise InvariantViolated(f"no multiple of a point order in [{lo}, {hi}]")
-    n = lo + i * m + j
-    for q in factorize(n):
-        while n % q == 0 and _ec_mul2(F, a4, n // q, P, 0, None) is None:
-            n //= q
-    return n
 
 
 class CMCurveQ:
@@ -184,9 +63,21 @@ class CMCurveQ:
         if mp.degree != 2 or mp.coeffs[1] ** 2 - 4 * mp.coeffs[0] != disc:
             raise BadCorpus("tangent multiplier must generate O_E")
         self.tangent_min_poly = mp
+        # the roots of unity of O_E, each as its coordinates in 1, u
+        self.units = [self.tangent_coords(z) for z in torsion_units(maximal_order(cmfield.field))]
 
     def __repr__(self):
         return f"CMCurveQ(a4={self.a4}, a6={self.a6}, disc={maximal_order(self.cmfield.field).disc()})"
+
+    def tangent_coords(self, x):
+        """The integers (s0, s1) with x = s0 + s1 u, for x in O_E = Z[u]."""
+        u0, u1 = self.tangent.coords
+        r0, r1 = x.coords
+        s1 = r1 / u1
+        s0 = r0 - s1 * u0
+        if s0.denominator != 1 or s1.denominator != 1:
+            raise InvariantViolated(f"{x} is not in Z[u]")
+        return int(s0), int(s1)
 
     def identity_type(self):
         """The CM-type {phi} whose embedding realizes the identity E -> E."""
@@ -326,7 +217,8 @@ def _ec_mul2(F, a4, k, P, l, Q):
         k, P = -k, _ec_neg(F, P)
     if l < 0:
         l, Q = -l, _ec_neg(F, Q)
-    table = (None, P, Q, _ec_add(F, a4, P, Q))
+    # P + Q is picked only when both scalars are nonzero
+    table = (None, P, Q, _ec_add(F, a4, P, Q) if k and l else None)
     out = None
     for bit in range(max(k.bit_length(), l.bit_length()) - 1, -1, -1):
         out = _ec_add(F, a4, out, out)
@@ -395,68 +287,80 @@ def _reduction_data(curve, p):
     return _GF2(p), (curve.a4 % p, curve.a6 % p), c, (ci * ci % p, ci * ci * ci % p)
 
 
-def frobenius_element(curve, p, seed=1729, budget=POINT_BUDGET):
-    """Identify the Frobenius element at a prime of good ordinary reduction.
+def frobenius_element(curve, p, seed=1729):
+    """The Frobenius element pi in O_E at a prime p of good ordinary reduction.
 
-    budget bounds p for the point count (`count_points`).
+    pi is identified among the elements of norm p, with no point count. The
+    p-power Frobenius is an endomorphism of degree p, so pi = s0 + s1 u in
+    O_E = Z[u] acts as [s0] + [s1] endo and has norm p. p splits in E (an
+    inert p raises Supersingular in `_reduction_data`), so the ideals of norm
+    p are P and conj(P), with P the prime containing u - c. If P = (pi0),
+    every element of norm p is z pi0 or z conj(pi0) for a root of unity z,
+    since the units of an imaginary quadratic field are its roots of unity.
+    pi is one of these 2|mu_E| candidates, and it matches the Frobenius on
+    every point of C(F_{p^2}). So when exactly one candidate matches on the
+    seeded points, that one is pi, and a_p = Tr(pi).
+
+    The candidates are integer pairs in the basis 1, u, so integral, and each
+    must have norm p. z pi0 acts as [z] after [pi0], so each point takes one
+    multiplication by pi0 or conj(pi0) and one by the tiny scalars of each
+    unit still live; a candidate is dropped at its first mismatch. A
+    non-principal P, or a number of survivors other than one, raises
+    IdentificationFailed. As a cross-check, #C(F_{p^2}) = (p + 1)^2 - a_p^2
+    must kill the first sampled point; that and a candidate of another norm
+    raise InvariantViolated.
     """
     F, red, c, scale = _reduction_data(curve, p)
-    count = count_points(CurveFp(p, curve.a4, curve.a6), budget)
-    a_p = p + 1 - count
-    if a_p * a_p > 4 * p:
-        raise InvariantViolated(f"Hasse bound violated at {p}: a_p = {a_p}")
-    if a_p % p == 0:
-        raise Supersingular(f"a_p = 0 at {p}")
-    E = curve.cmfield.field
+    cmf = curve.cmfield
+    E = cmf.field
     order = maximal_order(E)
-    # pi = (a_p + s)/2 with s^2 = a_p^2 - 4p, solved exactly inside E
-    b, cc = int(E.min_poly.coeffs[1]), int(E.min_poly.coeffs[0])
-    dpoly = b * b - 4 * cc
-    target = a_p * a_p - 4 * p
-    t = isqrt_exact(target // dpoly) if target % dpoly == 0 else None
-    if t is None:
-        raise IdentificationFailed(
-            f"a_p^2 - 4p = {target} is not disc(E) = {dpoly} times a square at {p}"
-        )
-    gen = E.gen()
-    s = (gen * 2 + b) * t
-    candidates = [(E.element([a_p]) + s) / 2, (E.element([a_p]) - s) / 2]
-    for cand in candidates:
-        if not order.contains(cand):
-            raise InvariantViolated(f"Frobenius candidate {cand} not integral at {p}")
-        if cand * curve.cmfield.conj(cand) != E.element([p]):
-            raise InvariantViolated(f"Frobenius candidate {cand} has norm != {p}")
-    # match against Frobenius on sampled points of C(F_{p^2})
+    # the prime of E above p fixed by the tangent embedding: u = c mod P
+    above = [P for P in prime_split(p, order) if P.contains(curve.tangent - E.element([c]))]
+    if len(above) != 1:
+        raise InvariantViolated(f"{len(above)} primes above {p} contain u - {c}")
+    pi0 = is_principal(above[0])
+    if pi0 is None:
+        raise IdentificationFailed(f"the prime above {p} that contains u - {c} is not principal")
+    # candidates as integer pairs (s0, s1) in the basis 1, u of O_E = Z[u],
+    # with N(s0 + s1 u) = s0^2 - b s0 s1 + e s1^2
+    e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+    classes = []  # per base pi0, conj(pi0): its pair and its live (unit, candidate)
+    seen = set()
+    for base in (pi0, cmf.conj(pi0)):
+        x0, x1 = curve.tangent_coords(base)
+        live = []
+        for z0, z1 in curve.units:
+            # (z0 + z1 u)(x0 + x1 u) with u^2 = -b u - e
+            cand = (z0 * x0 - e * z1 * x1, z0 * x1 + z1 * x0 - b * z1 * x1)
+            if cand in seen:
+                continue
+            seen.add(cand)
+            if cand[0] ** 2 - b * cand[0] * cand[1] + e * cand[1] ** 2 != p:
+                raise InvariantViolated(f"Frobenius candidate {cand} in 1, u has norm != {p}")
+            live.append(((z0, z1), cand))
+        classes.append(((x0, x1), live))
     rng = random.Random(f"{seed}:{p}")
     points = [_random_point(F, red, rng) for _ in range(MATCH_POINTS)]
     a4 = red[0]
-    u = curve.tangent
-    u0, u1 = u.coords
-
-    def matches(pi):
-        # pi = s0 + s1*u acts as [s0] + [s1] . endo, the endo reducing [u]
-        r0, r1 = pi.coords
-        s1 = r1 / u1
-        s0 = r0 - s1 * u0
-        if s0.denominator != 1 or s1.denominator != 1:
-            return False
-        for P in points:
-            if _frob_point(F, P) != _ec_mul2(F, a4, int(s0), P, int(s1), _endo(F, scale, P)):
-                return False
-        return True
-
-    hits = [cand for cand in candidates if matches(cand)]
+    for P in points:
+        frob = _frob_point(F, P)
+        for (s0, s1), live in classes:
+            if live:
+                g = _ec_mul2(F, a4, s0, P, s1, _endo(F, scale, P))
+                eg = _endo(F, scale, g)
+                live[:] = [(z, cand) for z, cand in live
+                           if _ec_mul2(F, a4, z[0], g, z[1], eg) == frob]
+    hits = [cand for _, live in classes for _, cand in live]
     if len(hits) != 1:
-        raise IdentificationFailed(
-            f"{len(hits)} candidates match the Frobenius at {p}"
-        )
-    pi = hits[0]
-    # the prime of E above p fixed by the tangent embedding: u = c mod P
-    ps = prime_split(p, order)
-    below = [P for P in ps if P.contains(u - E.element([c]))]
-    if len(below) != 1:
-        raise InvariantViolated(f"{len(below)} primes above {p} contain u - {c}")
-    return FrobeniusData(pi, p, a_p, below[0], curve.identity_type())
+        raise IdentificationFailed(f"{len(hits)} candidates match the Frobenius at {p}")
+    s0, s1 = hits[0]
+    pi = curve.tangent * s1 + s0
+    a_p = 2 * s0 - b * s1  # Tr(s0 + s1 u), Tr(u) = -b
+    if a_p % p == 0:
+        raise Supersingular(f"a_p = 0 at {p}")
+    if _ec_mul2(F, a4, (p + 1 - a_p) * (p + 1 + a_p), points[0], 0, None) is not None:
+        raise InvariantViolated(f"(p + 1)^2 - a_p^2 does not kill a point of C(F_p^2) at {p}")
+    return FrobeniusData(pi, p, a_p, above[0], curve.identity_type())
 
 
 def st_rhs(cmtype, k, prime):

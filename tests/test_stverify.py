@@ -1,6 +1,7 @@
-"""Point counting, Frobenius identification, and the ST identities."""
+"""Frobenius identification, its F_{p^2} arithmetic, and the ST identities."""
 
 import json
+import math
 import random
 
 import pytest
@@ -9,25 +10,19 @@ from hypothesis import strategies as st
 
 from cmfields.cmreflex import CMType, enumerate_cm_types
 from cmfields.cli import main
-from cmfields.errors import (
-    BadCorpus, BudgetExceeded, IdentificationFailed, RamifiedPrime, Supersingular,
-)
+from cmfields.errors import BadCorpus, IdentificationFailed, RamifiedPrime, Supersingular
 from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.orders import maximal_order
 from cmfields.stverify import (
     DEFAULT_CORPUS,
-    MESTRE_BOUND,
     CMCurveQ,
-    CurveFp,
     _GF2,
-    _congruent,
     _ec_add,
     _ec_mul2,
     _ec_neg,
     _random_point,
     _reduction_data,
-    count_points,
     frobenius_class_check,
     frobenius_element,
     load_curve,
@@ -38,8 +33,6 @@ from cmfields.stverify import (
 
 from oracles import _ec_mul, count_points_legendre, count_points_naive_pairs
 
-ORACLE_CURVES = ((-1, 0), (0, 1), (2, 3), (1, 1))
-
 
 @pytest.fixture(scope="module")
 def curve_i():
@@ -49,64 +42,6 @@ def curve_i():
 @pytest.fixture(scope="module")
 def curve_z3():
     return load_curve(DEFAULT_CORPUS[1])
-
-
-class TestCounting:
-    def test_worked_examples(self):
-        assert count_points(CurveFp(5, -1, 0)) == 8
-        assert count_points(CurveFp(5, 0, 1)) == 6
-        assert count_points(CurveFp(7, -1, 0)) == 8
-
-    def test_against_pair_oracle(self):
-        for p in (5, 7, 11, 13, 17, 19, 23):
-            for a4, a6 in ((-1, 0), (0, 1), (2, 3)):
-                if (4 * a4**3 + 27 * a6**2) % p == 0:
-                    continue
-                assert count_points(CurveFp(p, a4, a6)) == count_points_naive_pairs(
-                    p, a4, a6
-                )
-
-    def test_against_legendre_oracle(self):
-        # every prime below 3000 (the O(p) count up to 229, Shanks-Mestre
-        # above) and a seeded sample of the primes in [19000, 21000)
-        window = [p for p in primes_up_to(20999) if p >= 19000]
-        primes = primes_up_to(2999)[2:] + sorted(random.Random(5).sample(window, 12))
-        seen = set()
-        for p in primes:
-            for a4, a6 in ORACLE_CURVES:
-                if (4 * a4**3 + 27 * a6**2) % p == 0:
-                    continue
-                assert count_points(CurveFp(p, a4, a6)) == count_points_legendre(
-                    p, a4, a6
-                ), (p, a4, a6)
-                seen.add(p)
-        assert {MESTRE_BOUND, 233} <= seen
-
-    def test_hasse_bound(self):
-        for p in primes_up_to(200):
-            if p < 5:
-                continue
-            for a4, a6 in ((-1, 0), (0, 1)):
-                if (4 * a4**3 + 27 * a6**2) % p == 0:
-                    continue
-                a_p = p + 1 - count_points(CurveFp(p, a4, a6))
-                assert a_p * a_p <= 4 * p
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.integers(-50, 50), st.integers(1, 12), st.integers(0, 60),
-           st.integers(-100, 100), st.integers(1, 40))
-    def test_congruence_filter_keeps_a_progression(self, start, step, length, c, m):
-        # the progression filter of the point-count scan against a list filter
-        cand = range(start, start + step * length, step)
-        assert list(_congruent(cand, c, m)) == [n for n in cand if (n - c) % m == 0]
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            count_points(CurveFp(1000003, 1, 1))
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            CurveFp(5, 0, 0)
 
 
 class TestFieldArithmetic:
@@ -203,6 +138,97 @@ class TestFrobenius:
         a = frobenius_element(curve_i, 29, seed=5)
         b = frobenius_element(curve_i, 29, seed=5)
         assert a.pi == b.pi and a.prime_above == b.prime_above
+
+    def test_trace_against_the_point_count_oracles(self, curve_i, curve_z3):
+        # a_p = Tr(pi) against the Legendre-symbol count at every good p < 3000
+        # and a seeded sample of the primes in [19000, 21000), and against the
+        # pair count below 60; a p is refused as supersingular exactly when
+        # the count gives a_p = 0 mod p
+        window = [p for p in primes_up_to(20999) if p >= 19000]
+        primes = primes_up_to(2999)[2:] + sorted(random.Random(5).sample(window, 12))
+        for curve in (curve_i, curve_z3):
+            a4, a6 = curve.a4, curve.a6
+            ordinary = 0
+            for p in primes:
+                if (4 * a4**3 + 27 * a6**2) % p == 0:
+                    continue
+                count = count_points_legendre(p, a4, a6)
+                if p < 60:
+                    assert count == count_points_naive_pairs(p, a4, a6), p
+                a_p = p + 1 - count
+                if a_p % p == 0:
+                    with pytest.raises(Supersingular):
+                        frobenius_element(curve, p)
+                    continue
+                assert frobenius_element(curve, p).trace == a_p, (curve, p)
+                ordinary += 1
+            assert ordinary > 200
+
+    def test_a_non_principal_tangent_prime_is_refused(self, sqrt5_cm):
+        # Z[sqrt(-5)] has class number 2: 7 splits there but is not
+        # x^2 + 5 y^2, so the prime above 7 containing u - c has no generator
+        # and no element of norm 7 exists to be the Frobenius
+        fake = CMCurveQ(-1, 0, sqrt5_cm, sqrt5_cm.field.gen())
+        with pytest.raises(IdentificationFailed, match="not principal"):
+            frobenius_element(fake, 7)
+
+
+def _frobenius_by_powers(F, P):
+    """(x^p, y^p) for a point P of C(F_{p^2}), by square-and-multiply."""
+    def power(a):
+        out, k = (1, 0), F.p
+        while k:
+            if k & 1:
+                out = F.mul(out, a)
+            a = F.mul(a, a)
+            k >>= 1
+        return out
+
+    return power((P[0], P[1])) + power((P[2], P[3]))
+
+
+class TestElementsOfNormP:
+    def test_exactly_one_element_of_norm_p_is_the_frobenius(self, curve_i, curve_z3):
+        # the premise of the identification, by brute force: the x + y u of
+        # norm p are 2|mu_E| in number, and exactly one of them acts as the
+        # p-power Frobenius on 20 seeded points of C(F_{p^2}), with the endo
+        # (x, y) -> (c^-2 x, c^-3 y) at the least root c of u's polynomial
+        for curve, roots_of_unity in ((curve_i, 4), (curve_z3, 6)):
+            E = curve.cmfield.field
+            e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+            ordinary = 0
+            for p in primes_up_to(299)[2:]:
+                if (4 * curve.a4**3 + 27 * curve.a6**2) % p == 0:
+                    continue
+                r = math.isqrt(4 * p)
+                # N(x + y u) = x^2 - b x y + e y^2 for u^2 + b u + e = 0
+                elements = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+                            if x * x - b * x * y + e * y * y == p]
+                if not elements:
+                    with pytest.raises(Supersingular):
+                        frobenius_element(curve, p)
+                    continue
+                assert len(elements) == 2 * roots_of_unity, (curve, p)
+                F, a4 = _GF2(p), curve.a4 % p
+                c = min(t for t in range(p) if (t * t + b * t + e) % p == 0)
+                c2, c3 = pow(c, -2, p), pow(c, -3, p)
+                rng = random.Random(f"norm-p:{p}")
+                points = [_random_point(F, (a4, curve.a6 % p), rng) for _ in range(20)]
+
+                def acts_as_frobenius(x, y):
+                    return all(
+                        _frobenius_by_powers(F, P) == _ec_add(
+                            F, a4, _ec_mul(F, a4, x, P),
+                            _ec_mul(F, a4, y, (c2 * P[0] % p, c2 * P[1] % p,
+                                               c3 * P[2] % p, c3 * P[3] % p)))
+                        for P in points)
+
+                hits = [(x, y) for x, y in elements if acts_as_frobenius(x, y)]
+                assert len(hits) == 1, (curve, p, hits)
+                x, y = hits[0]
+                assert frobenius_element(curve, p).pi == E.element([x]) + curve.tangent * y
+                ordinary += 1
+            assert ordinary >= 25
 
 
 class TestSTIdentities:

@@ -133,9 +133,11 @@ class TestCLI:
              "58a56f37997180dd33039e84f0c0c7dd788403baa707b2fda6d1a780387d02f3"),
             ("cm", CM_DIGEST_FIELDS, [],
              "1cf51d30bbbe44eb41078e8d70ee03af3c3f6fa2366055b23106a3da5676c202"),
+            ("st", None, ["5", "10000"],
+             "1c0d9515408ed5750eb7f8c1cf857ac1624e223405a23477f351648e832aae6b"),
         ],
         ids=["cm-zeta15", "cm-quartic", "reflex-verify-gauss", "st-default",
-             "reflex-verify-quartic", "st-window", "cm-52-fields"],
+             "reflex-verify-quartic", "st-window", "cm-52-fields", "st-10000"],
     )
     def test_golden_record_stream(self, field_file, capsys, command, fields, extra, digest):
         # SHA-256 of the whole stdout record stream, fixed for these inputs,
@@ -344,15 +346,33 @@ class TestCLI:
         assert rows[-1]["p"] == 59
         assert records[-1]["record"] == "summary" and records[-1]["ok"] is False
 
-    def test_st_budget_reaches_the_point_count(self, capsys):
-        # --budget raises the point-count bound too, so primes just above
-        # 10^6 are counted, not refused as BudgetExceeded error rows
+    def test_st_budget_caps_the_primes(self, capsys):
+        # the rows stop below --budget, and a budget above 10^6 lets primes
+        # past the default cap through as ordinary and supersingular rows
+        code = main(["--budget", "30", "st", "default", "5", "60"])
+        rows = [r for r in map(json.loads, capsys.readouterr().out.splitlines())
+                if r["record"] == "st"]
+        assert code == 0
+        assert rows and max(r["p"] for r in rows) == 29
         code = main(["--budget", "2000000", "st", "default", "1000000", "1000040"])
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         rows = [r for r in records if r["record"] == "st"]
         assert code == 0
         assert rows and not [r for r in rows if r["status"] == "error"]
         assert {r["status"] for r in rows} == {"ordinary", "supersingular"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "-5", "st", "default", "5", "40"],
+        ["--budget", "100", "st", "default", "200", "300"],
+    ])
+    def test_st_refuses_a_budget_that_leaves_no_prime(self, capsys, argv):
+        # a budget at or below max(p_min, 5) empties the prime range; it is
+        # refused like p_max < p_min: exit 2, one stderr line, no records
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--budget" in err, err
 
     def test_failed_invariant_exits_4_under_optimize(self, field_file):
         # with locate_among patched to answer 0, the two coset representatives
