@@ -1,4 +1,5 @@
-"""Frobenius identification, its F_{p^2} arithmetic, and the ST identities."""
+"""Point counts from the Frobenius trace, Frobenius identification, its
+F_{p^2} arithmetic, and the ST identities."""
 
 import json
 import math
@@ -42,6 +43,73 @@ def curve_i():
 @pytest.fixture(scope="module")
 def curve_z3():
     return load_curve(DEFAULT_CORPUS[1])
+
+
+class TestCounting:
+    # #C(F_p) = p + 1 - a_p with a_p = Tr(pi) from the identification; a p is
+    # refused as supersingular exactly when the count gives a_p = 0 mod p
+
+    def test_worked_examples(self, curve_i, curve_z3):
+        assert 5 + 1 - frobenius_element(curve_i, 5).trace == 8
+        assert 13 + 1 - frobenius_element(curve_i, 13).trace == 8
+        assert 7 + 1 - frobenius_element(curve_z3, 7).trace == 12
+        assert 13 + 1 - frobenius_element(curve_z3, 13).trace == 12
+        # 6 points over F_5 and 8 over F_7: a_p = 0
+        with pytest.raises(Supersingular):
+            frobenius_element(curve_z3, 5)
+        with pytest.raises(Supersingular):
+            frobenius_element(curve_i, 7)
+
+    def test_against_pair_oracle(self, curve_i, curve_z3):
+        for curve in (curve_i, curve_z3):
+            a4, a6 = curve.a4, curve.a6
+            ordinary = 0
+            for p in primes_up_to(59)[2:]:
+                if (4 * a4**3 + 27 * a6**2) % p == 0:
+                    continue
+                count = count_points_naive_pairs(p, a4 % p, a6 % p)
+                if (p + 1 - count) % p == 0:
+                    with pytest.raises(Supersingular):
+                        frobenius_element(curve, p)
+                    continue
+                assert p + 1 - frobenius_element(curve, p).trace == count, (curve, p)
+                ordinary += 1
+            assert ordinary >= 6
+
+    def test_against_legendre_oracle(self, curve_i, curve_z3):
+        # every good p < 3000 and a seeded sample of the primes in [19000, 21000)
+        window = [p for p in primes_up_to(20999) if p >= 19000]
+        primes = primes_up_to(2999)[2:] + sorted(random.Random(5).sample(window, 12))
+        for curve in (curve_i, curve_z3):
+            a4, a6 = curve.a4, curve.a6
+            ordinary = 0
+            for p in primes:
+                if (4 * a4**3 + 27 * a6**2) % p == 0:
+                    continue
+                count = count_points_legendre(p, a4, a6)
+                if (p + 1 - count) % p == 0:
+                    with pytest.raises(Supersingular):
+                        frobenius_element(curve, p)
+                    continue
+                assert p + 1 - frobenius_element(curve, p).trace == count, (curve, p)
+                ordinary += 1
+            assert ordinary > 200
+
+    def test_hasse_bound(self, curve_i, curve_z3):
+        for curve in (curve_i, curve_z3):
+            for p in primes_up_to(200)[2:]:
+                try:
+                    a_p = frobenius_element(curve, p).trace
+                except Supersingular:
+                    continue
+                assert a_p * a_p <= 4 * p, (curve, p)
+
+    def test_singular_rejected(self, curve_i, curve_z3):
+        # y^2 = x^3 - 25 x and y^2 = x^3 + 5 both reduce to y^2 = x^3 at 5
+        for (a4, a6), curve in (((-25, 0), curve_i), ((0, 5), curve_z3)):
+            bad = CMCurveQ(a4, a6, curve.cmfield, curve.tangent)
+            with pytest.raises(ValueError, match="bad reduction at 5"):
+                frobenius_element(bad, 5)
 
 
 class TestFieldArithmetic:
@@ -138,31 +206,6 @@ class TestFrobenius:
         a = frobenius_element(curve_i, 29, seed=5)
         b = frobenius_element(curve_i, 29, seed=5)
         assert a.pi == b.pi and a.prime_above == b.prime_above
-
-    def test_trace_against_the_point_count_oracles(self, curve_i, curve_z3):
-        # a_p = Tr(pi) against the Legendre-symbol count at every good p < 3000
-        # and a seeded sample of the primes in [19000, 21000), and against the
-        # pair count below 60; a p is refused as supersingular exactly when
-        # the count gives a_p = 0 mod p
-        window = [p for p in primes_up_to(20999) if p >= 19000]
-        primes = primes_up_to(2999)[2:] + sorted(random.Random(5).sample(window, 12))
-        for curve in (curve_i, curve_z3):
-            a4, a6 = curve.a4, curve.a6
-            ordinary = 0
-            for p in primes:
-                if (4 * a4**3 + 27 * a6**2) % p == 0:
-                    continue
-                count = count_points_legendre(p, a4, a6)
-                if p < 60:
-                    assert count == count_points_naive_pairs(p, a4, a6), p
-                a_p = p + 1 - count
-                if a_p % p == 0:
-                    with pytest.raises(Supersingular):
-                        frobenius_element(curve, p)
-                    continue
-                assert frobenius_element(curve, p).trace == a_p, (curve, p)
-                ordinary += 1
-            assert ordinary > 200
 
     def test_a_non_principal_tangent_prime_is_refused(self, sqrt5_cm):
         # Z[sqrt(-5)] has class number 2: 7 splits there but is not
