@@ -157,8 +157,10 @@ def cmd_st(args):
     if args.p_max < args.p_min:
         print("p-max must be >= p-min", file=sys.stderr)
         return 2
-    if args.budget <= max(args.p_min, 5):
-        print("--budget must exceed max(p-min, 5): st sweeps the primes below it", file=sys.stderr)
+    primes = [p for p in primes_up_to(args.p_max) if max(args.p_min, 5) <= p < args.budget]
+    if not primes:
+        print(f"no prime p >= 5 with {args.p_min} <= p <= {args.p_max} and p < --budget "
+              f"{args.budget}", file=sys.stderr)
         return 2
     if args.corpus_file == "default":
         corpus = list(DEFAULT_CORPUS)
@@ -172,9 +174,8 @@ def cmd_st(args):
         print(f"corpus refused: {exc}", file=sys.stderr)
         return 2
     _emit(args, _config_header(args, "st"))
-    all_ok = True
-    rows = []
-    primes = [p for p in primes_up_to(args.p_max) if max(args.p_min, 5) <= p < args.budget]
+    counts = {"ordinary": 0, "supersingular": 0, "error": 0}
+    ok = True
     for ci, curve in enumerate(curves):
         E = curve.cmfield.field
         disc = -16 * (4 * curve.a4**3 + 27 * curve.a6**2)
@@ -187,37 +188,30 @@ def cmd_st(args):
                 ideal_ok = st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
                 val_rep = st_check_valuations(frob, frob.cmtype, E, frob.prime_above)
             except Supersingular:
-                row.update({"status": "supersingular"})
-                rows.append(row)
-                continue
+                row["status"] = "supersingular"
             except CMFieldsError as exc:
                 row.update({"status": "error", "witness": f"{type(exc).__name__}: {exc}"})
-                rows.append(row)
-                all_ok = False
-                continue
-            row.update(
-                {
-                    "status": "ordinary",
-                    "a_p": frob.trace,
-                    "pi": [str(c) for c in frob.pi.coords],
-                    "ideal_match": ideal_ok,
-                    "valuation_match": val_rep["ok"],
-                }
-            )
-            if not (ideal_ok and val_rep["ok"]):
-                all_ok = False
-            rows.append(row)
-    for row in rows:
-        _emit(args, row)
-    ordinary = sum(r["status"] == "ordinary" for r in rows)
-    skipped = sum(r["status"] == "supersingular" for r in rows)
+            else:
+                row.update(
+                    {
+                        "status": "ordinary",
+                        "a_p": frob.trace,
+                        "pi": [str(c) for c in frob.pi.coords],
+                        "ideal_match": ideal_ok,
+                        "valuation_match": val_rep["ok"],
+                    }
+                )
+                ok = ok and ideal_ok and val_rep["ok"]
+            counts[row["status"]] += 1
+            _emit(args, row)
+    all_ok = ok and not counts["error"]
     _emit(
         args,
-        {"record": "summary", "ok": all_ok, "ordinary_rows": ordinary,
-         "skipped_rows": skipped},
+        {"record": "summary", "ok": all_ok, "ordinary_rows": counts["ordinary"],
+         "skipped_rows": counts["supersingular"]},
         human=(
-            f"st: {ordinary} ordinary rows, {skipped} skipped, "
-            f"{len(rows) - ordinary - skipped} errors, {'PASS' if all_ok else 'FAIL'}"
+            f"st: {counts['ordinary']} ordinary rows, {counts['supersingular']} skipped, "
+            f"{counts['error']} errors, {'PASS' if all_ok else 'FAIL'}"
         ),
     )
     return 0 if all_ok else 1

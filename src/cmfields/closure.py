@@ -227,15 +227,13 @@ class SplittingData:
             _lpoly_from_rational(field, f), [-roots[0], field.one()]
         )[0]
 
-        while len(rel) - 1 > 0:
-            if len(rel) - 1 == 1:
-                roots.append(-rel[0])
-                rel = [L.one()]
-                break
+        # rel is the monic cofactor of the known roots: peel, then a round,
+        # while its degree len(rel) - 1 is at least 2, and read off a last linear root
+        while len(rel) > 2:
             # cheap peels before any algebra round: negatives (even polynomials)
             # and powers of known roots (cyclotomic-type fields)
             progress = True
-            while progress and len(rel) - 1 >= 1:
+            while progress and len(rel) > 2:
                 progress = False
                 candidates = []
                 for r in roots:
@@ -245,7 +243,7 @@ class SplittingData:
                         power = power * r
                         candidates.append(power)
                 for cand in candidates:
-                    if len(rel) - 1 < 1:
+                    if len(rel) <= 2:
                         break
                     if any(cand == r for r in roots):
                         continue
@@ -253,13 +251,10 @@ class SplittingData:
                         rel = _lpoly_divmod_monic(rel, [-cand, L.one()])[0]
                         roots.append(cand)
                         progress = True
-            if len(rel) - 1 == 0:
-                break
-            if len(rel) - 1 == 1:
-                roots.append(-rel[0])
-                rel = [L.one()]
-                break
-            L, roots, rel, gen_combo = _round_adjoin(L, roots, rel, gen_combo)
+            if len(rel) > 2:
+                L, roots, rel, gen_combo = _round_adjoin(L, roots, rel, gen_combo)
+        if len(rel) == 2:
+            roots.append(-rel[0])
 
         if len(roots) != field.degree:
             raise InvariantViolated(f"{len(roots)} roots tracked for degree {field.degree}")
@@ -337,10 +332,6 @@ class SplittingData:
     def stabilizer_of_point(self, root_index):
         """Indices of automorphisms fixing the given root (i.e. Gal(L/that copy of K))."""
         return [s for s, p in enumerate(self.perm) if p[root_index] == root_index]
-
-    def fixing_subgroup_of(self, elem):
-        """Indices of automorphisms fixing an element of L."""
-        return [s for s in range(len(self.autos)) if self.autos[s](elem) == elem]
 
 
 def _match_to_canonical(L, roots, K):

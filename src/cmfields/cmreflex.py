@@ -142,10 +142,6 @@ class CMType:
     def indices(self):
         return sorted(self.phi)
 
-    def conjugate_type(self):
-        embs = certified_embeddings(self.cmfield.field)
-        return CMType(self.cmfield, {embs[i].conj_index() for i in self.phi})
-
 
 def enumerate_cm_types(E):
     """All 2^g CM-types on E in canonical (binary counter over pairs) order."""

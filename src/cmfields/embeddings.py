@@ -57,13 +57,6 @@ class Ball:
     def conj(self):
         return Ball(self.a, -self.b, self.r, self.k)
 
-    def contains_point(self, re, im):
-        """Whether the rational point re + im·i lies in the closed disk."""
-        q = re.denominator * im.denominator
-        x = self.a * q - (re.numerator * im.denominator << self.k)
-        y = self.b * q - (im.numerator * re.denominator << self.k)
-        return x * x + y * y <= (self.r * q) ** 2
-
     def is_disjoint(self, other):
         p, q = max(other.k - self.k, 0), max(self.k - other.k, 0)
         x, y = (self.a << p) - (other.a << q), (self.b << p) - (other.b << q)

@@ -362,12 +362,3 @@ class FieldMorphism:
         if sol is None:
             return None
         return self.source.element(sol) * Fraction(self._den, elem.den)
-
-    def inverse_automorphism(self):
-        """Inverse of an automorphism (source == target, bijective)."""
-        if self.source != self.target:
-            raise ValueError("not an automorphism")
-        pre = self.preimage(self.source.gen())
-        if pre is None:
-            raise ValueError("morphism is not surjective")
-        return FieldMorphism(self.source, self.source, pre, check=False)

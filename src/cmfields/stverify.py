@@ -23,7 +23,6 @@ from .cmreflex import (
     _prime_below,
     cm_check,
     conjugate_ideal,
-    reflex_field,
     reflex_norm_ideal,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .ideals import FracIdeal, prime_split
 from .intutil import sqrt_mod
-from .numfield import FieldMorphism
 from .orders import maximal_order
 from .principal import is_principal, torsion_units
 from .wire import parse_field
@@ -85,31 +83,6 @@ class CMCurveQ:
         gen = self.cmfield.field.gen()
         idx = next(i for i, e in enumerate(sd.embeddings) if e.image_of_generator == gen)
         return CMType(self.cmfield, {idx})
-
-    def validate_endo(self):
-        """The endo maps sampled points back onto the curve and satisfies its
-        minimal-polynomial relation there (the relation alone holds formally
-        for any scaling, so the on-curve check is the discriminating one)."""
-        rng = random.Random(7)
-        mp = self.tangent_min_poly
-        for p in (13, 29, 37):
-            try:
-                F, red, c, scale = _reduction_data(self, p)
-            except (Supersingular, RamifiedPrime, ValueError):
-                continue
-            for _ in range(5):
-                P = _random_point(F, red, rng)
-                if not _on_curve(F, red, _endo(F, scale, P)):
-                    return False
-                acc = None
-                power = P
-                for coeff in mp.coeffs:
-                    k = int(coeff)
-                    acc = _ec_add(F, red[0], acc, _ec_mul2(F, red[0], k, power, 0, None))
-                    power = _endo(F, scale, power)
-                if acc is not None:
-                    return False
-        return True
 
 
 class FrobeniusData:
@@ -251,13 +224,6 @@ def _curve_rhs(F, curve, x):
     return ((x3[0] + a4 * x[0] + a6) % F.p, (x3[1] + a4 * x[1]) % F.p)
 
 
-def _on_curve(F, curve, P):
-    if P is None:
-        return True
-    y = (P[2], P[3])
-    return F.mul(y, y) == _curve_rhs(F, curve, (P[0], P[1]))
-
-
 def _random_point(F, curve, rng):
     while True:
         x = (rng.randrange(F.p), rng.randrange(F.p))
@@ -299,7 +265,10 @@ def frobenius_element(curve, p, seed=1729):
     since the units of an imaginary quadratic field are its roots of unity.
     pi is one of these 2|mu_E| candidates, and it matches the Frobenius on
     every point of C(F_{p^2}). So when exactly one candidate matches on the
-    seeded points, that one is pi, and a_p = Tr(pi).
+    seeded points, that one is pi, and a_p = Tr(pi). The candidates are
+    distinct: z pi0 = z' conj(pi0) would make P = conj(P), but `load_curve`
+    admits only E = Q(i) or Q(zeta3) (Z[u] = O_E for a root of unity u),
+    where every p >= 5 is unramified, so a p that is not inert splits.
 
     The candidates are integer pairs in the basis 1, u, so integral, and each
     must have norm p. z pi0 acts as [z] after [pi0], so each point takes one
@@ -325,16 +294,12 @@ def frobenius_element(curve, p, seed=1729):
     # with N(s0 + s1 u) = s0^2 - b s0 s1 + e s1^2
     e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
     classes = []  # per base pi0, conj(pi0): its pair and its live (unit, candidate)
-    seen = set()
     for base in (pi0, cmf.conj(pi0)):
         x0, x1 = curve.tangent_coords(base)
         live = []
         for z0, z1 in curve.units:
             # (z0 + z1 u)(x0 + x1 u) with u^2 = -b u - e
             cand = (z0 * x0 - e * z1 * x1, z0 * x1 + z1 * x0 - b * z1 * x1)
-            if cand in seen:
-                continue
-            seen.add(cand)
             if cand[0] ** 2 - b * cand[0] * cand[1] + e * cand[1] ** 2 != p:
                 raise InvariantViolated(f"Frobenius candidate {cand} in 1, u has norm != {p}")
             live.append(((z0, z1), cand))
@@ -430,31 +395,6 @@ def st_check_valuations(pi_ideal, cmtype, k, prime):
         if not ratio_ok or not entry["sum_identity"]:
             report["ok"] = False
     return report
-
-
-def frobenius_class_check(curve, p):
-    """The Frobenius ideal equals the reflex norm of the reflex-field prime.
-
-    g = 1 instance: E* = E and the a-multiplication ideal realized by the
-    Frobenius is N_Phi(P . O_{E*}) computed through the reflex machinery.
-    """
-    frob = frobenius_element(curve, p)
-    cmtype = frob.cmtype
-    rd = reflex_field(cmtype)
-    if rd.reflex_field.degree != 2:
-        raise InvariantViolated("the reflex field of a g = 1 type is not quadratic")
-    # realize P inside the reflex field: E* = E here, via the inclusion map
-    OStar = maximal_order(rd.reflex_field)
-    # transport the prime through the isomorphism E -> E* (preimage of inclusion)
-    sd = rd.sd
-    iso_gen = rd.reflex_inclusion.preimage(sd.embeddings[rd.j0].image_of_generator)
-    if iso_gen is None:
-        raise IdentificationFailed("reflex field does not coincide with E")
-    iso = FieldMorphism(cmtype.cmfield.field, rd.reflex_field, iso_gen)
-    p_star = FracIdeal.from_generators(
-        OStar, [iso(g) for g in frob.prime_above.two_element_like_generators()]
-    )
-    return frob.ideal == rd.reflex_norm_ideal(p_star)
 
 
 DEFAULT_CORPUS = (

@@ -21,6 +21,13 @@ built afresh for each CM-type, reflex norms on reflex-field ideals from
 an exact ideal root in E, and the canonical embedding order from a
 union-find over overlapping real intervals. They exist so the main
 implementations are checked against something that cannot share their bugs.
+
+The last section holds helpers that only the tests call, moved out of the
+library: `inverse_automorphism` (was FieldMorphism.inverse_automorphism),
+`contains_point` (Ball.contains_point), `conjugate_type`
+(CMType.conjugate_type), `fixing_subgroup_of`
+(SplittingData.fixing_subgroup_of) and `frobenius_class_check` (from
+stverify).
 """
 
 import math
@@ -847,3 +854,72 @@ def reflex_norm_ideal_by_root(rd, b):
         assert v % d == 0, f"valuation {v} not divisible by {d}"
         root = root * P ** (v // d)
     return root
+
+
+# Helpers that only the tests call, kept here rather than in the library.
+
+
+def inverse_automorphism(sigma):
+    """Inverse of an automorphism (source == target, bijective)."""
+    from cmfields.numfield import FieldMorphism
+
+    if sigma.source != sigma.target:
+        raise ValueError("not an automorphism")
+    pre = sigma.preimage(sigma.source.gen())
+    if pre is None:
+        raise ValueError("morphism is not surjective")
+    return FieldMorphism(sigma.source, sigma.source, pre, check=False)
+
+
+def contains_point(ball, re, im):
+    """Whether the rational point re + im·i lies in the closed disk of a Ball."""
+    q = re.denominator * im.denominator
+    x = ball.a * q - (re.numerator * im.denominator << ball.k)
+    y = ball.b * q - (im.numerator * re.denominator << ball.k)
+    return x * x + y * y <= (ball.r * q) ** 2
+
+
+def conjugate_type(cmtype):
+    """The CM-type conj . Phi."""
+    from cmfields.cmreflex import CMType
+    from cmfields.embeddings import certified_embeddings
+
+    embs = certified_embeddings(cmtype.cmfield.field)
+    return CMType(cmtype.cmfield, {embs[i].conj_index() for i in cmtype.phi})
+
+
+def fixing_subgroup_of(sd, elem):
+    """Indices of the automorphisms of the closure sd.closure fixing elem."""
+    return [s for s in range(len(sd.autos)) if sd.autos[s](elem) == elem]
+
+
+def frobenius_class_check(curve, p):
+    """The Frobenius ideal equals the reflex norm of the reflex-field prime.
+
+    g = 1 instance: E* = E and the a-multiplication ideal realized by the
+    Frobenius is N_Phi(P . O_{E*}) computed through the reflex machinery.
+    """
+    from cmfields.cmreflex import reflex_field
+    from cmfields.errors import IdentificationFailed, InvariantViolated
+    from cmfields.ideals import FracIdeal
+    from cmfields.numfield import FieldMorphism
+    from cmfields.orders import maximal_order
+    from cmfields.stverify import frobenius_element
+
+    frob = frobenius_element(curve, p)
+    cmtype = frob.cmtype
+    rd = reflex_field(cmtype)
+    if rd.reflex_field.degree != 2:
+        raise InvariantViolated("the reflex field of a g = 1 type is not quadratic")
+    # realize P inside the reflex field: E* = E here, via the inclusion map
+    OStar = maximal_order(rd.reflex_field)
+    # transport the prime through the isomorphism E -> E* (preimage of inclusion)
+    sd = rd.sd
+    iso_gen = rd.reflex_inclusion.preimage(sd.embeddings[rd.j0].image_of_generator)
+    if iso_gen is None:
+        raise IdentificationFailed("reflex field does not coincide with E")
+    iso = FieldMorphism(cmtype.cmfield.field, rd.reflex_field, iso_gen)
+    p_star = FracIdeal.from_generators(
+        OStar, [iso(g) for g in frob.prime_above.two_element_like_generators()]
+    )
+    return frob.ideal == rd.reflex_norm_ideal(p_star)

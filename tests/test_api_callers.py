@@ -9,10 +9,13 @@ on the side of calling a function used; the parameter guard matches calls
 the same way. A stricter guard then asks of each module-level function that
 it be used as that function: loaded by its bare name, or read as an
 attribute of its own module. A last guard keeps every import of the library
-at module top, where the module graph shows it.
+at module top, where the module graph shows it. The test-only guard asks
+more of the public API: a function, class or method that only tests call
+belongs in tests/oracles.py, not in the library.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -229,3 +232,51 @@ def imports_inside_functions():
 
 def test_no_import_inside_a_library_function():
     assert imports_inside_functions() == []
+
+
+# Public API that only the tests call: the lattice and polar API of the
+# paper's acceptance criteria. This set only shrinks.
+ALLOWED = {
+    "elem_degree",
+    "TorsionModule",
+    "TorsionModule.cardinality",
+    "induced_torsion_matrix",
+    "validate_quadruple",
+}
+
+
+def _name_counts(node):
+    """How often each name is referenced in a subtree, as a Name or an Attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def api_called_only_by_tests():
+    """Each public function, class or method (as Class.method) of src/cmfields
+    that nothing in src/ or perfbench/ references outside its own definition.
+
+    A method is public when its own name is, whatever its class's name; the
+    match is by name, as in the guards above.
+    """
+    total = Counter()
+    for base in (ROOT / "src", ROOT / "perfbench"):
+        for path in sorted(base.rglob("*.py")):
+            total += _name_counts(ast.parse(path.read_text(), filename=str(path)))
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            api = [] if node.name.startswith("_") else [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                api += [(f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")]
+            out.update(qualified for qualified, d in api
+                       if total[d.name] == _name_counts(d)[d.name])
+    return sorted(out)
+
+
+def test_no_src_api_is_called_only_by_tests():
+    # an entry of ALLOWED that gains a caller leaves the set
+    assert api_called_only_by_tests() == sorted(ALLOWED)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cmfields.cmreflex import cm_check, enumerate_cm_types
+from cmfields.cmreflex import ReflexData, cm_check, enumerate_cm_types
 from cmfields.errors import InvariantViolated, ModulusTooLarge, NotCoprime, UnitsUnavailable
 from cmfields.ideals import FracIdeal, coprime_scale, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
@@ -217,6 +217,22 @@ class TestTransport:
             t, 2, FracIdeal.principal(O, zeta5.one() * 2), 30, seed=12
         )
         assert rep["ok"] and rep["multiplicativity"]
+
+    def test_a_wrong_reflex_norm_fails_in_one_pass(self, gauss, gauss_cm, monkeypatch):
+        # beta = 1 (mod m') with m | m' puts N_Phi(beta) in the trivial class
+        # mod m, so a nontrivial class is a fault and the modulus never grows;
+        # a reflex norm off by the factor 1 + i (not a unit mod 3) shows it
+        right = ReflexData.reflex_norm_element
+        monkeypatch.setattr(ReflexData, "reflex_norm_element",
+                            lambda self, b: right(self, b) * (gauss.gen() + 1))
+        O = maximal_order(gauss)
+        t = enumerate_cm_types(gauss_cm)[0]
+        rep = reflex_transport_check(
+            t, 3, FracIdeal.principal(O, gauss.one() * 3), 5, seed=11
+        )
+        assert rep["ok"] is False
+        assert rep["escalations"] == []
+        assert rep["final_modulus_norm"] == 9
 
     def test_negative_control_gauss(self, gauss, gauss_cm):
         O = maximal_order(gauss)

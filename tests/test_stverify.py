@@ -24,7 +24,6 @@ from cmfields.stverify import (
     _ec_neg,
     _random_point,
     _reduction_data,
-    frobenius_class_check,
     frobenius_element,
     load_curve,
     st_check_ideal,
@@ -32,7 +31,7 @@ from cmfields.stverify import (
     st_rhs,
 )
 
-from oracles import _ec_mul, count_points_legendre, count_points_naive_pairs
+from oracles import _ec_mul, count_points_legendre, count_points_naive_pairs, frobenius_class_check
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +176,12 @@ class TestJointMultiplication:
 
 class TestFrobenius:
     def test_curve_validation(self, curve_i, curve_z3):
-        assert curve_i.validate_endo()
-        assert curve_z3.validate_endo()
+        # the unit scaling (x, y) -> (u^-2 x, u^-3 y) is an automorphism of
+        # y^2 = x^3 + a4 x + a6 exactly when u^4 a4 = a4 and u^6 a6 = a6
+        for curve in (curve_i, curve_z3):
+            E = curve.cmfield.field
+            assert curve.tangent**4 * curve.a4 == E.element([curve.a4])
+            assert curve.tangent**6 * curve.a6 == E.element([curve.a6])
 
     def test_p13_gauss(self, curve_i):
         f = frobenius_element(curve_i, 13)
@@ -425,8 +428,8 @@ class TestPrincipalIdealsOfARow:
 class TestModelConsistency:
     def test_mismatched_endo_is_detected(self):
         # claim CM by Q(zeta3) for the curve whose CM field is Q(i): the
-        # scaling map is not an endomorphism, so either the relation check or
-        # point matching must reject it
+        # scaling map is not an endomorphism, so load_curve refuses the record
+        # and point matching rejects a curve built past that check
         from cmfields.cmreflex import cm_check
         from cmfields.numfield import NumberField
         from cmfields.stverify import CMCurveQ
@@ -434,8 +437,11 @@ class TestModelConsistency:
 
         E = NumberField(UniPoly([1, 1, 1]))
         cmf = cm_check(E)
+        record = {"a4": -1, "a6": 0, "cm_disc": -3, "min_poly": (1, 1, 1),
+                  "cm_endo": {"kind": "unit-scaling", "tangent": (0, 1)}}
+        with pytest.raises(BadCorpus, match="is not an automorphism"):
+            load_curve(record)
         fake = CMCurveQ(-1, 0, cmf, E.gen())
-        assert not fake.validate_endo()
         with pytest.raises(IdentificationFailed):
             frobenius_element(fake, 13)
 

@@ -364,10 +364,12 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["--budget", "-5", "st", "default", "5", "40"],
         ["--budget", "100", "st", "default", "200", "300"],
+        ["--budget", "7", "st", "default", "6", "40"],
+        ["st", "default", "24", "28"],
     ])
     def test_st_refuses_a_budget_that_leaves_no_prime(self, capsys, argv):
-        # a budget at or below max(p_min, 5) empties the prime range; it is
-        # refused like p_max < p_min: exit 2, one stderr line, no records
+        # a range with no prime p >= 5 below the budget is refused like
+        # p_max < p_min: exit 2, one stderr line naming --budget, no records
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2
