@@ -6,8 +6,9 @@ identical inputs, seed, and version. Exit codes: 0 success, 1 identity or
 verification failure (an `st` row whose computation raised is a failure: it
 is emitted with status "error" and a witness, and the sweep goes on), 2
 usage/parse error or a refused curve corpus, 3 closure too large, 4 internal
-invariant failed (any other typed cmfields error; one stderr line, after
-whatever records were already written).
+invariant failed (any other typed cmfields error). Every refusal is a typed
+error that `main` maps through REFUSALS to its exit code and one stderr
+line, written after whatever records were already written.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .cmreflex import (
     reflex_field,
     verify_reflex_identities,
 )
-from .errors import BadCorpus, ClosureTooLarge, CMFieldsError, Supersingular
+from .errors import BadCorpus, BadInput, ClosureTooLarge, CMFieldsError, Supersingular
 from .intutil import primes_up_to
 from .stverify import (
     DEFAULT_CORPUS,
@@ -35,6 +36,14 @@ from .stverify import (
 from .wire import dumps, field_to_wire, parse_field
 
 DEFAULT_BUDGET = 10**6
+
+# (error class, exit code, stderr line): the first class that matches decides
+REFUSALS = (
+    (BadCorpus, 2, "corpus refused: {}"),
+    (BadInput, 2, "{}"),
+    (ClosureTooLarge, 3, "closure too large: {}"),
+    (CMFieldsError, 4, "internal invariant failed: {name}: {}"),
+)
 
 
 def _config_header(args, command):
@@ -60,82 +69,60 @@ def _load_json(path):
         with open(path) as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise BadInput(f"cannot read {path}: {exc}") from None
 
 
 def cmd_cm(args):
-    record = _load_json(args.field_file)
-    try:
-        field = parse_field(record)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    field = parse_field(_load_json(args.field_file))
     _emit(args, _config_header(args, "cm"))
-    try:
-        result = cm_check(field)
-        if not isinstance(result, CMField):
-            _emit(
-                args,
-                {"record": "cm", "field": field_to_wire(field), "cm": False,
-                 "reason": result.reason},
-                human=f"not CM: {result.reason}",
-            )
-            return 0
-        types = enumerate_cm_types(result)
-        out = {
-            "record": "cm",
-            "field": field_to_wire(field),
-            "cm": True,
-            "real_subfield": field_to_wire(result.real_subfield),
-            "n_types": len(types),
-        }
-        _emit(args, out, human=f"CM field with {len(types)} CM-types")
-        for idx, cmt in enumerate(types):
-            rd = reflex_field(cmt)
-            _emit(
-                args,
-                {
-                    "record": "cm_type",
-                    "index": idx,
-                    "phi": cmt.indices(),
-                    "reflex_field": field_to_wire(rd.reflex_field),
-                    "reflex_type": rd.reflex_type.indices(),
-                    "closure_degree": rd.closure.degree,
-                },
-            )
-    except ClosureTooLarge as exc:
-        print(f"closure too large: {exc}", file=sys.stderr)
-        return 3
+    result = cm_check(field)
+    if not isinstance(result, CMField):
+        _emit(
+            args,
+            {"record": "cm", "field": field_to_wire(field), "cm": False,
+             "reason": result.reason},
+            human=f"not CM: {result.reason}",
+        )
+        return 0
+    types = enumerate_cm_types(result)
+    out = {
+        "record": "cm",
+        "field": field_to_wire(field),
+        "cm": True,
+        "real_subfield": field_to_wire(result.real_subfield),
+        "n_types": len(types),
+    }
+    _emit(args, out, human=f"CM field with {len(types)} CM-types")
+    for idx, cmt in enumerate(types):
+        rd = reflex_field(cmt)
+        _emit(
+            args,
+            {
+                "record": "cm_type",
+                "index": idx,
+                "phi": cmt.indices(),
+                "reflex_field": field_to_wire(rd.reflex_field),
+                "reflex_type": rd.reflex_type.indices(),
+                "closure_degree": rd.closure.degree,
+            },
+        )
     return 0
 
 
 def cmd_reflex_verify(args):
     if args.samples < 0:
-        print("samples must be >= 0", file=sys.stderr)
-        return 2
-    record = _load_json(args.field_file)
-    try:
-        field = parse_field(record)
-        result = cm_check(field)
-        if not isinstance(result, CMField):
-            print(f"not a CM field: {result.reason}", file=sys.stderr)
-            return 2
-        types = enumerate_cm_types(result)
-        if not 0 <= args.type_index < len(types):
-            print(f"type index out of range (0..{len(types) - 1})", file=sys.stderr)
-            return 2
-        cmt = types[args.type_index]
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        raise BadInput("samples must be >= 0")
+    field = parse_field(_load_json(args.field_file))
+    result = cm_check(field)
+    if not isinstance(result, CMField):
+        raise BadInput(f"not a CM field: {result.reason}")
+    types = enumerate_cm_types(result)
+    if not 0 <= args.type_index < len(types):
+        raise BadInput(f"type index out of range (0..{len(types) - 1})")
+    cmt = types[args.type_index]
     _emit(args, _config_header(args, "reflex-verify"))
-    try:
-        k = splitting_data(field).closure
-        report = verify_reflex_identities(cmt, k, args.samples, args.seed)
-    except ClosureTooLarge as exc:
-        print(f"closure too large: {exc}", file=sys.stderr)
-        return 3
+    k = splitting_data(field).closure
+    report = verify_reflex_identities(cmt, k, args.samples, args.seed)
     for name in sorted(report["identities"]):
         entry = report["identities"][name]
         rec = {"record": "identity", "name": name,
@@ -155,24 +142,18 @@ def cmd_reflex_verify(args):
 
 def cmd_st(args):
     if args.p_max < args.p_min:
-        print("p-max must be >= p-min", file=sys.stderr)
-        return 2
+        raise BadInput("p-max must be >= p-min")
     primes = [p for p in primes_up_to(args.p_max) if max(args.p_min, 5) <= p < args.budget]
     if not primes:
-        print(f"no prime p >= 5 with {args.p_min} <= p <= {args.p_max} and p < --budget "
-              f"{args.budget}", file=sys.stderr)
-        return 2
+        raise BadInput(f"no prime p >= 5 with {args.p_min} <= p <= {args.p_max} and p < "
+                       f"--budget {args.budget}")
     if args.corpus_file == "default":
         corpus = list(DEFAULT_CORPUS)
     else:
         corpus = _load_json(args.corpus_file)
-    try:
-        if not isinstance(corpus, list):
-            raise BadCorpus("a curve corpus is a JSON list of records")
-        curves = [load_curve(rec) for rec in corpus]
-    except BadCorpus as exc:
-        print(f"corpus refused: {exc}", file=sys.stderr)
-        return 2
+    if not isinstance(corpus, list):
+        raise BadCorpus("a curve corpus is a JSON list of records")
+    curves = [load_curve(rec) for rec in corpus]
     _emit(args, _config_header(args, "st"))
     counts = {"ordinary": 0, "supersingular": 0, "error": 0}
     ok = True
@@ -247,13 +228,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CMFieldsError as exc:
-        print(f"internal invariant failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        code, line = next((c, f) for cls, c, f in REFUSALS if isinstance(exc, cls))
+        print(line.format(exc, name=type(exc).__name__), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ tracked roots, which makes the automorphism group a finite search.
 The tracked roots are matched to the canonical complex embeddings of K, so
 complex conjugation is read off the group exactly: it is the automorphism
 that permutes the roots as conjugation permutes the embeddings. The
-conjugation of K itself, when it exists, is then one preimage and n exact
-images in L; no automorphism of K is searched for.
+conjugation of K, or of any subfield of L, is its restriction (one exact
+preimage, restricted_conjugation); no automorphism of K is searched for.
 """
 
 from itertools import zip_longest
@@ -214,6 +214,7 @@ class SplittingData:
       inv:         inverse index per group element
       conjugation: index of complex conjugation (the restriction to L, through
                    canonical embedding #0 of L, of conjugation on C)
+      central:     whether it is central, i.e. whether L has a complex conjugation
     """
 
     def __init__(self, field):
@@ -326,8 +327,8 @@ class SplittingData:
         # every t forces s = t^-1 c t: L has a complex conjugation exactly when
         # c is central. Seed the memo (never over an earlier entry) rather than
         # build the closure of L itself
-        central = all(self.mult[c][t] == self.mult[t][c] for t in range(len(self.autos)))
-        per_field("complex_conjugation", L, lambda: self.autos[c] if central else None)
+        self.central = all(self.mult[c][t] == self.mult[t][c] for t in range(len(self.autos)))
+        per_field("complex_conjugation", L, lambda: self.autos[c] if self.central else None)
 
     def stabilizer_of_point(self, root_index):
         """Indices of automorphisms fixing the given root (i.e. Gal(L/that copy of K))."""
@@ -363,18 +364,22 @@ def complex_conjugation(K):
 
 
 def _complex_conjugation(K):
-    """The automorphism sigma of K with phi_i . sigma = conj . phi_i for every i.
-
-    Let psi_0 be canonical embedding #0 of the closure L, j_i the embedding
-    K -> L realizing canonical embedding phi_i of K (psi_0 . j_i = phi_i) and
-    c the permutation of complex conjugation on the indices. Then
-    phi_i(sigma(theta)) = conj(phi_i(theta)) = psi_0(roots[c(i)]), and psi_0
-    is injective, so the condition is j_i(sigma(theta)) == roots[c(i)] in L,
-    exactly. j_0 fixes the only candidate for sigma(theta).
-    """
+    """K's complex conjugation, restricted from its closure along embedding #0."""
     sd = splitting_data(K)
-    c = sd.perm[sd.conjugation]
-    image = sd.embeddings[0].preimage(sd.roots[c[0]])
-    if image is None or any(e(image) != sd.roots[c[i]] for i, e in enumerate(sd.embeddings)):
+    return restricted_conjugation(sd, sd.embeddings[0])
+
+
+def restricted_conjugation(sd, incl):
+    """The sigma of F with incl . sigma = iota . incl, for incl: F -> sd.closure; or None.
+
+    iota = sd.autos[sd.conjugation] is conjugation on C restricted through
+    psi_0, canonical embedding #0 of L. Every embedding of F is psi_0 . t . incl
+    for an automorphism t, so when iota is central, psi_0 . t . incl . sigma =
+    psi_0 . t . iota . incl = conj . psi_0 . t . incl for every t. A central iota
+    maps each subfield L^H to itself (iota H iota^-1 = H). When iota is not
+    central L is neither CM nor totally real, nor is a field whose closure L is.
+    """
+    if not sd.central:
         return None
-    return FieldMorphism(K, K, image, check=False)
+    pre = incl.preimage(sd.autos[sd.conjugation](incl.image_of_generator))
+    return None if pre is None else FieldMorphism(incl.source, incl.source, pre, check=False)

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 
-from .closure import complex_conjugation, splitting_data
+from .closure import complex_conjugation, restricted_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, InvariantViolated
 from .ideals import FracIdeal, factor_ideal, prime_split, primes_of_norm_below
@@ -157,8 +157,9 @@ def _fixed_cm_field(sd, stab):
 
     w is the first candidate of numfield.primitive_element over the span
     Tr_H(gen), ..., Tr_H(gen^[L:Q]) of L^H (the gen^j are a basis of L and
-    Tr_H maps L onto L^H). The complex conjugation of E* is L's, pulled back
-    through the inclusion, so the closure of E* is never built.
+    Tr_H maps L onto L^H). The complex conjugation of E* is L's, restricted
+    through the inclusion (closure.restricted_conjugation), so the closure of
+    E* is never built; cm_check still runs its exact tests on it.
     """
     L = sd.closure
     powers = [L.gen() ** j for j in range(1, L.degree + 1)]
@@ -166,18 +167,7 @@ def _fixed_cm_field(sd, stab):
     w, mp, _ = primitive_element(span, len(sd.autos) // len(stab))
     E_star = NumberField(mp, check=False)
     inclusion = FieldMorphism(E_star, L, w, check=True)
-
-    # L is CM, so its complex conjugation is central in Gal(L/Q): it maps
-    # E* = L^H to itself, and its restriction commutes with every
-    # embedding of E* (each is psi_0 . t . inclusion for some t). E*
-    # inherits it, and cm_check still runs its exact tests on it
-    iota = complex_conjugation(L)
-    if iota is None:
-        raise InvariantViolated("complex conjugation of the closure is not central")
-    pre = inclusion.preimage(iota(w))
-    if pre is None:
-        raise InvariantViolated("complex conjugation does not preserve the reflex field")
-    per_field("complex_conjugation", E_star, lambda: FieldMorphism(E_star, E_star, pre))
+    per_field("complex_conjugation", E_star, lambda: restricted_conjugation(sd, inclusion))
     rc = cm_check(E_star)
     if not isinstance(rc, CMField):
         raise InvariantViolated(f"reflex field is not CM: {rc.reason}")

@@ -81,13 +81,6 @@ class Ball:
             return -1
         return None
 
-    def re_sign(self):
-        if self.a > self.r:
-            return 1
-        if self.a < -self.r:
-            return -1
-        return None
-
 
 def _root_up(num, den, n):
     """(u, t) with (num/den)^(1/n) <= u/2^t < (num/den)^(1/n)·(1 + 2^-62), num > 0.
@@ -122,16 +115,6 @@ class Embedding:
 
     def __repr__(self):
         return f"Embedding(#{self.root_index} ~ {self.ball!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Embedding)
-            and self.field == other.field
-            and self.root_index == other.root_index
-        )
-
-    def __hash__(self):
-        return hash((self.field.min_poly, self.root_index))
 
     def conj_index(self):
         return _pairing(self.field)[self.root_index]

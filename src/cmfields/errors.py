@@ -53,10 +53,6 @@ class PairMismatch(CMFieldsError):
     pass
 
 
-class SearchExhausted(CMFieldsError):
-    """Bounded sign-correction search failed; bound reported in args."""
-
-
 class UnitSearchInconclusive(CMFieldsError):
     """Equivalence undecided: the unit group is infinite and the generator found is no witness."""
 
@@ -69,8 +65,12 @@ class Supersingular(CMFieldsError):
     """The reduction is supersingular; no commutative CM Frobenius lift."""
 
 
-class BadCorpus(CMFieldsError):
-    """A curve record is refused: its field is not CM, or its discriminant or CM endomorphism data do not fit the field."""
+class BadInput(CMFieldsError):
+    """A CLI input is refused: a usage error, an unreadable file or a field that does not parse."""
+
+
+class BadCorpus(BadInput):
+    """A curve record is refused: its field is not an imaginary quadratic (CM) field, or its discriminant or CM endomorphism data do not fit the field."""
 
 
 class IdentificationFailed(CMFieldsError):

@@ -173,17 +173,6 @@ class FracIdeal:
         return all(self.lattice_coords(col, other.den) is not None
                    for col in other.basis_columns())
 
-    def __add__(self, other):
-        self._check(other)
-        common = math.lcm(self.den, other.den)
-        fa, fb = common // self.den, common // other.den
-        n = self.order.degree
-        mat = [
-            [self.hnf[i][j] * fa for j in range(n)] + [other.hnf[i][j] * fb for j in range(n)]
-            for i in range(n)
-        ]
-        return FracIdeal(self.order, common, hnf_columns(mat))
-
     def is_unit(self):
         """True for the order itself: an integral HNF of determinant 1 is the identity."""
         return self.den == 1 and all(self.hnf[i][i] == 1 for i in range(len(self.hnf)))

@@ -7,25 +7,17 @@ quadruples is decided completely for imaginary quadratic fields (finite unit
 groups) and reported honestly as inconclusive otherwise.
 """
 
-import itertools
+from fractions import Fraction
 
 from .embeddings import certified_embeddings, locate_among
-from .errors import InvariantViolated, PairMismatch, SearchExhausted, UnitSearchInconclusive
+from .errors import InvariantViolated, PairMismatch, UnitSearchInconclusive
 from .principal import is_principal
-
-SIGN_SEARCH_CAP = 60
-
-
-def _certified_im_sign(emb, elem):
-    """Certified sign of Im under an embedding (the value must be nonzero)."""
-    return emb.eval_refining(elem, lambda ball: ball.im_sign())
 
 
 def _imaginary_sign_pattern(cmtype, alpha):
-    """signs[i] = certified sign of Im(phi_i(alpha)) for i in the type."""
-    E = cmtype.cmfield.field
-    embs = certified_embeddings(E)
-    return {i: _certified_im_sign(embs[i], alpha) for i in cmtype.indices()}
+    """signs[i] = certified sign of Im(phi_i(alpha)) for i in the type (alpha nonzero)."""
+    embs = certified_embeddings(cmtype.cmfield.field)
+    return {i: embs[i].eval_refining(alpha, lambda b: b.im_sign()) for i in cmtype.indices()}
 
 
 def is_totally_imaginary_element(cmfield, alpha):
@@ -58,21 +50,36 @@ def _restriction_place(cmtype, i):
     return locate_among(emb_i, E.real_embedding.image_of_generator, E.real_subfield)
 
 
-def _f_sign_vector(cmtype, a_in_F):
-    """Certified signs of a totally real element at the real places of F."""
-    F = cmtype.cmfield.real_subfield
-    embs = certified_embeddings(F)
-    return [
-        e.eval_refining(a_in_F, lambda ball: ball.re_sign()) for e in embs
-    ]
+def _sign_multiplier(F, target):
+    """An element of the totally real field F with sign target[k] at real place k.
+
+    F's certified root disks have disjoint real intervals that increase with
+    the index (embeddings._canonical_order: two real roots in one cluster would
+    need disjoint imaginary intervals, and both contain 0). With r_k a dyadic
+    point in the gap after interval k, gen - r_k is negative at places <= k
+    and positive above, so target[-1] times the product of gen - r_k over the
+    k where target changes sign has sign target[j] at every place j.
+    """
+    balls = [e.ball for e in certified_embeddings(F)]
+    a = F.one() * target[-1]
+    for k, (lo, hi) in enumerate(zip(balls, balls[1:])):
+        if target[k] != target[k + 1]:
+            # r_k = n/2^s of least s strictly inside the gap (x, y)/2^e, which
+            # keeps a small; s = e + 1 (n = 2x + 1, the midpoint) always is
+            x, y, e, s = lo.a + lo.r, hi.a - hi.r, lo.k, 0
+            while ((n := ((x << s) >> e) + 1) << e) >= y << s:
+                s += 1
+            a = a * (F.gen() - Fraction(n, 1 << s))
+    return a
 
 
 def find_riemann_element(cmtype):
     """A deterministic Riemann-form element for the CM-pair.
 
-    Starts from a nonzero solution of conj(x) = -x (the field generator when
-    the minimal polynomial is even), then corrects signs place by place with a
-    totally real multiplier found by expanding-box search in F.
+    Starts from a nonzero solution alpha0 of conj(x) = -x (the field
+    generator when the minimal polynomial is even), then multiplies it by a
+    totally real element with the sign of Im(phi(alpha0)) at the real place
+    below each phi of the type, built by _sign_multiplier, not searched for.
     """
     E = cmtype.cmfield
     K = E.field
@@ -83,31 +90,14 @@ def find_riemann_element(cmtype):
         alpha0 = gen - E.conj(gen)
         if alpha0.is_zero():
             raise InvariantViolated("complex conjugation fixes the field generator")
-    signs = _imaginary_sign_pattern(cmtype, alpha0)
-    if all(s == 1 for s in signs.values()):
-        return RiemannElement(cmtype, alpha0)
-    # need a in F with sign(a at place of phi_i) = signs[i]
     wanted = {}
-    for i, s in signs.items():
+    for i, s in _imaginary_sign_pattern(cmtype, alpha0).items():
         place = _restriction_place(cmtype, i)
         if place in wanted:
             raise InvariantViolated("two embeddings of the type restrict to one real place")
         wanted[place] = s
-    F = E.real_subfield
-    degF = F.degree
-    target = [wanted[r] for r in range(degF)]
-    for radius in range(1, SIGN_SEARCH_CAP + 1):
-        box = range(-radius, radius + 1)
-        for coords in itertools.product(box, repeat=degF):
-            if max((abs(c) for c in coords), default=0) != radius:
-                continue
-            a = F.element(list(coords))
-            if a.is_zero():
-                continue
-            if _f_sign_vector(cmtype, a) == target:
-                alpha = E.real_embedding(a) * alpha0
-                return RiemannElement(cmtype, alpha)
-    raise SearchExhausted(f"no sign-correcting multiplier within box radius {SIGN_SEARCH_CAP}")
+    a = _sign_multiplier(E.real_subfield, [s for _, s in sorted(wanted.items())])
+    return RiemannElement(cmtype, E.real_embedding(a) * alpha0)
 
 
 class TypeQuadruple:

@@ -13,6 +13,7 @@ ray-congruent generators must transport to the trivial class. With m | m',
 beta = 1 (mod m') gives N_Phi(beta) = 1 (mod m O_E), so one pass decides it.
 """
 
+import itertools
 import math
 import random
 from .cmreflex import reflex_field
@@ -93,19 +94,9 @@ class _ResidueGroup:
         return tuple(v)
 
     def _elements(self):
-        n = len(self.diag)
-        idx = [0] * n
-        while True:
-            yield tuple(idx)
-            i = 0
-            while i < n:
-                idx[i] += 1
-                if idx[i] < self.diag[i]:
-                    break
-                idx[i] = 0
-                i += 1
-            if i == n:
-                return
+        """Every residue vector, the first coordinate running fastest."""
+        for idx in itertools.product(*(range(d) for d in reversed(self.diag))):
+            yield idx[::-1]
 
     def _is_unit(self, vec):
         return all(P.lattice_coords(list(vec)) is None for P in self.prime_divisors)

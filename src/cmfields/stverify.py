@@ -27,6 +27,7 @@ from .cmreflex import (
 )
 from .errors import (
     BadCorpus,
+    BadInput,
     IdentificationFailed,
     InvariantViolated,
     RamifiedPrime,
@@ -422,8 +423,11 @@ def load_curve(record):
     try:
         E = parse_field(record)
         tangent = E.element(list(coords))
-    except ValueError as exc:
+    except (BadInput, ValueError) as exc:
         raise BadCorpus(f"min_poly or tangent: {exc}") from None
+    # refused before cm_check, which would build the closure of a larger field
+    if E.degree != 2:
+        raise BadCorpus(f"curve field {list(record['min_poly'])} is not quadratic")
     cmf = cm_check(E)
     if not isinstance(cmf, CMField):
         raise BadCorpus(f"curve field {list(record['min_poly'])} is not CM: {cmf.reason}")

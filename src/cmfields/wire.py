@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+from .errors import BadInput
 from .numfield import NumberField
 from .unipoly import UniPoly
 
@@ -24,11 +25,15 @@ def _frac_out(q):
 
 
 def parse_field(record):
-    """{"min_poly": [c0, c1, ..., cn]} with integer or "p/q" coefficients; else ValueError."""
+    """{"min_poly": [c0, c1, ..., cn]} with integer or "p/q" coefficients; else BadInput,
+    also for a polynomial NumberField refuses (constant, reducible, past the factoring cap)."""
     coeffs = record.get("min_poly") if isinstance(record, dict) else None
     if not isinstance(coeffs, (list, tuple)):
-        raise ValueError('a field is {"min_poly": [c0, c1, ..., cn]}')
-    return NumberField(UniPoly([_coeff(c) for c in coeffs]))
+        raise BadInput('parse error: a field is {"min_poly": [c0, c1, ..., cn]}')
+    try:
+        return NumberField(UniPoly([_coeff(c) for c in coeffs]))
+    except ValueError as exc:
+        raise BadInput(f"parse error: {exc}") from None
 
 
 def field_to_wire(field):

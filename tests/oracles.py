@@ -24,10 +24,10 @@ implementations are checked against something that cannot share their bugs.
 
 The last section holds helpers that only the tests call, moved out of the
 library: `inverse_automorphism` (was FieldMorphism.inverse_automorphism),
-`contains_point` (Ball.contains_point), `conjugate_type`
-(CMType.conjugate_type), `fixing_subgroup_of`
-(SplittingData.fixing_subgroup_of) and `frobenius_class_check` (from
-stverify).
+`contains_point` (Ball.contains_point), `re_sign` (Ball.re_sign),
+`ideal_sum` (FracIdeal.__add__), `conjugate_type` (CMType.conjugate_type),
+`fixing_subgroup_of` (SplittingData.fixing_subgroup_of) and
+`frobenius_class_check` (from stverify).
 """
 
 import math
@@ -877,6 +877,28 @@ def contains_point(ball, re, im):
     x = ball.a * q - (re.numerator * im.denominator << ball.k)
     y = ball.b * q - (im.numerator * re.denominator << ball.k)
     return x * x + y * y <= (ball.r * q) ** 2
+
+
+def re_sign(ball):
+    """+1 / -1 if the sign of the real part of a Ball is certified, else None."""
+    if ball.a > ball.r:
+        return 1
+    if ball.a < -ball.r:
+        return -1
+    return None
+
+
+def ideal_sum(a, b):
+    """The fractional ideal a + b, from the HNF of both bases over a common denominator."""
+    from cmfields.ideals import FracIdeal
+    from cmfields.linalg import hnf_columns
+
+    common = math.lcm(a.den, b.den)
+    fa, fb = common // a.den, common // b.den
+    n = a.order.degree
+    mat = [[a.hnf[i][j] * fa for j in range(n)] + [b.hnf[i][j] * fb for j in range(n)]
+           for i in range(n)]
+    return FracIdeal(a.order, common, hnf_columns(mat))
 
 
 def conjugate_type(cmtype):

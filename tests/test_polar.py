@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from cmfields.cmreflex import enumerate_cm_types
+from cmfields.cmreflex import cm_check, enumerate_cm_types
 from cmfields.embeddings import certified_embeddings
 from cmfields.errors import PairMismatch, UnitSearchInconclusive
 from cmfields.ideals import FracIdeal
+from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.polar import (
     RiemannElement,
@@ -17,6 +18,8 @@ from cmfields.polar import (
     validate_quadruple,
 )
 from cmfields.principal import torsion_units
+from cmfields.unipoly import UniPoly
+from oracles import re_sign
 
 
 class TestFindRiemannElement:
@@ -32,7 +35,11 @@ class TestFindRiemannElement:
         assert a0 in (gauss.gen(), -gauss.gen())
 
     def test_every_corpus_pair(self, gauss_cm, sqrt5_cm, zeta5_cm, quartic_cm):
-        for cmf in (gauss_cm, sqrt5_cm, zeta5_cm, quartic_cm):
+        # Q(zeta7), Q(zeta15) and x^8 + 1 have real subfields of degree 3 and
+        # 4, where the multiplier changes sign between several real places
+        wider = [cm_check(NumberField(UniPoly(c))) for c in (
+            [1, 1, 1, 1, 1, 1, 1], [1, -1, 0, 1, -1, 1, 0, -1, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1])]
+        for cmf in [gauss_cm, sqrt5_cm, zeta5_cm, quartic_cm] + wider:
             for t in enumerate_cm_types(cmf):
                 r = find_riemann_element(t)
                 embs = certified_embeddings(cmf.field)
@@ -77,7 +84,7 @@ class TestValidate:
             if a.is_zero():
                 continue
             embs = certified_embeddings(F)
-            signs = [e.eval_refining(a, lambda b: b.re_sign()) for e in embs]
+            signs = [e.eval_refining(a, re_sign) for e in embs]
             if signs != [1, 1]:
                 continue
             found += 1

@@ -12,6 +12,7 @@ from sympy import Poly, cyclotomic_poly, symbols, totient
 
 from cmfields import cli
 from cmfields.cli import main
+from cmfields.closure import splitting_data
 from cmfields.wire import dumps, field_to_wire, parse_field
 
 
@@ -167,6 +168,24 @@ class TestCLI:
             code = main(argv)
             capsys.readouterr()
             assert code in (0, 2, 3), argv
+        # x^4 + x + 1 is totally imaginary with a closure of degree 24: the
+        # closure is refused as too large before any record
+        code = main(["reflex-verify", "--samples", "0", field_file([1, 1, 0, 0, 1], "big.json")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("closure too large: ")
+
+    @pytest.mark.parametrize("coeffs", [[3, 0, 0, 0, 1], [2, 0, -2, 0, 1]],
+                             ids=["x^4+3", "x^4-2x^2+2"])
+    def test_cm_no_commuting_conjugation(self, field_file, capsys, coeffs):
+        # totally imaginary quartics whose closure has a complex conjugation
+        # that is not central, so no automorphism of the field restricts it
+        code = main(["cm", field_file(coeffs)])
+        cm = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 0
+        assert cm == {"record": "cm", "field": {"min_poly": coeffs}, "cm": False,
+                      "reason": "no automorphism commutes with complex conjugation"}
+        assert not splitting_data(parse_field({"min_poly": coeffs})).central
 
     @pytest.mark.parametrize("m", [16, 24])
     def test_cm_cyclotomic_16_and_24(self, field_file, capsys, m):
@@ -282,11 +301,13 @@ class TestCLI:
             ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 0, 1],
                "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1, 0]}}], "coordinates"),
             (5, "list"),
+            ([{"a4": -1, "a6": 0, "cm_disc": -4, "min_poly": [1, 1, 0, 0, 1],
+               "cm_endo": {"kind": "unit-scaling", "tangent": [0, 1]}}], "quadratic"),
         ],
         ids=["disc-mismatch", "not-cm", "unknown-kind", "tangent-in-q", "singular",
              "corpus-an-object", "record-a4-only", "record-a6-only", "no-cm-endo",
              "a4-not-an-integer", "min-poly-not-a-list", "min-poly-reducible",
-             "tangent-too-long", "corpus-a-number"],
+             "tangent-too-long", "corpus-a-number", "min-poly-quartic"],
     )
     def test_st_refuses_a_bad_corpus_under_optimize(self, tmp_path, corpus, reason):
         # the corpus checks are real checks: under python -O a bad corpus, or
