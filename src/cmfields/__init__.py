@@ -2,7 +2,7 @@
 
 Layers (one module per subsystem):
   unipoly    - rational polynomials (ratfactor, modpoly: factoring over Q, F_p)
-  linalg     - exact linear algebra over Q, F_p and Z (Gauss-Jordan, HNF, SNF)
+  linalg     - exact linear algebra over Q, F_p and Z (Gauss-Jordan, HNF)
   numfield   - number fields, elements, morphisms, the primitive-element search
   closure    - automorphisms and Galois closures
   embeddings - certified complex embeddings

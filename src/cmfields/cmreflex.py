@@ -58,9 +58,6 @@ class CMField:
     def __eq__(self, other):
         return isinstance(other, CMField) and self.field == other.field
 
-    def __hash__(self):
-        return hash(self.field)
-
     @property
     def g(self):
         return self.field.degree // 2
@@ -135,9 +132,6 @@ class CMType:
             and self.cmfield == other.cmfield
             and self.phi == other.phi
         )
-
-    def __hash__(self):
-        return hash((self.cmfield.field, self.phi))
 
     def indices(self):
         return sorted(self.phi)

@@ -43,13 +43,13 @@ from . import modpoly
 from .errors import IndexDivisible, InvariantViolated, OrderMismatch, ZeroIdeal
 from .intutil import factorize, sqrt_mod
 from .linalg import (
-    hnf_columns,
     hnf_with_transform,
     identity_matrix,
     kernel_mod_p,
     lattice_hnf,
     mat_mul,
     mat_vec,
+    reduced_pair,
     transpose,
     triangular_adjugate,
 )
@@ -59,7 +59,8 @@ from .unipoly import UniPoly
 
 
 class FracIdeal:
-    """A nonzero fractional ideal of an order."""
+    """A nonzero fractional ideal of an order; (den, hnf) is a canonical pair
+    (`linalg.lattice_hnf`, `linalg.reduced_pair`)."""
 
     __slots__ = ("order", "den", "hnf", "_norm")
 
@@ -68,20 +69,6 @@ class FracIdeal:
         self.den = den
         self.hnf = hnf
         self._norm = None
-        self._normalize()
-
-    def _normalize(self):
-        g = self.den
-        for row in self.hnf:
-            for x in row:
-                g = math.gcd(g, abs(x))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g > 1:
-            self.hnf = [[x // g for x in row] for row in self.hnf]
-            self.den //= g
 
     @staticmethod
     def from_generators(order, elems):
@@ -188,7 +175,7 @@ class FracIdeal:
         ga, gb = self.generator_columns(), other.generator_columns()
         a, gens = (other, ga) if len(ga) < len(gb) else (self, gb)
         cols = [self.order.mult_coords(x, g) for x in a.basis_columns() for g in gens]
-        return FracIdeal(self.order, self.den * other.den, hnf_columns(transpose(cols)))
+        return FracIdeal(self.order, *lattice_hnf(cols, self.den * other.den))
 
     def __pow__(self, k):
         if k < 0:
@@ -208,7 +195,7 @@ class FracIdeal:
             raise ZeroIdeal("scaling by zero")
         num, den = abs(q.numerator), q.denominator
         hnf = [[x * num for x in row] for row in self.hnf]
-        return FracIdeal(self.order, self.den * den, hnf)
+        return FracIdeal(self.order, *reduced_pair(self.den * den, hnf))
 
     def mult_by_element(self, elem):
         """The ideal elem * a."""

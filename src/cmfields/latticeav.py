@@ -47,9 +47,6 @@ class LatticeAV:
             and self.lattice == other.lattice
         )
 
-    def __hash__(self):
-        return hash((self.cmtype, self.lattice))
-
     @property
     def dim(self):
         return self.cmtype.cmfield.g

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q, F_p and Z: Gauss-Jordan, column HNF, SNF.
+"""Exact linear algebra over Q, F_p and Z: Gauss-Jordan and column HNF.
 
 Matrices are lists of rows. Sizes in this package stay at or below 16x~256.
 Over Q the one elimination is the fraction-free Gauss-Jordan `row_reduce` on
@@ -8,9 +8,12 @@ serves determinants, solving (`linear_solver` reduces once for many
 right-hand sides), kernels, minimal polynomials (`first_dependency`) and
 the element inverses of `numfield`. Dot products are sum(map(mul, ...)).
 `kernel_mod_p` is the one elimination over F_p. Lattices and orders are integer: a rational lattice is a canonical
-(den, integer HNF) pair from `lattice_hnf`, the inverse of a triangular basis
-is its integer adjugate over its determinant (`triangular_adjugate`), and
-HNF and SNF are textbook integer column and row operations.
+(den, integer HNF) pair from `lattice_hnf` (`reduced_pair` divides out the
+content), and the inverse of a triangular basis is its integer adjugate over
+its determinant (`triangular_adjugate`). Over Z the one elimination is the
+textbook column HNF `hnf_with_transform`: a quotient Z^g / H Z^g is worked in
+by `reduce_mod_hnf`, and its `elementary_divisors` come from alternating
+HNFs of H and its transpose, with no Smith-form routine.
 """
 
 import math
@@ -203,14 +206,68 @@ def lattice_hnf(cols, den=1):
     """Canonical (den, H) for the lattice spanned by the integer columns over den.
 
     H is the column HNF of the columns, and the pair is reduced by its
-    content, so two lattices are equal exactly when their pairs are.
+    content (`reduced_pair`), so two lattices are equal exactly when their
+    pairs are.
     """
-    h = hnf_columns(list(zip(*cols)))
-    g = math.gcd(den, *(x for row in h for x in row))
-    if g > 1:
-        h = [[x // g for x in row] for row in h]
-        den //= g
-    return den, h
+    return reduced_pair(den, hnf_with_transform(list(zip(*cols)), want_transform=False)[0])
+
+
+def reduced_pair(den, H):
+    """The lattice H/den as (den, H) divided by the gcd of den and H's entries.
+
+    An HNF divided by a common factor is again an HNF, so this is the one
+    place where a (den, HNF) pair becomes canonical.
+    """
+    if den == 1:
+        return den, H
+    g = math.gcd(den, *(x for row in H for x in row))
+    if g == 1:
+        return den, H
+    return den // g, [[x // g for x in row] for row in H]
+
+
+def reduce_mod_hnf(H, v):
+    """The residue of the integer vector v modulo the columns of H, as a tuple.
+
+    H is a square upper-triangular column HNF with positive diagonal.
+    Back-substitution from the last coordinate gives the one r = v - H z
+    with 0 <= r_i < H_ii, so two vectors are congruent exactly when their
+    residues are equal.
+    """
+    v = list(v)
+    for i in range(len(v) - 1, -1, -1):
+        q = v[i] // H[i][i]
+        if q:
+            for k in range(i + 1):
+                v[k] -= q * H[k][i]
+    return tuple(v)
+
+
+def elementary_divisors(H):
+    """The elementary divisors > 1 of Z^g / H Z^g, ascending, each dividing the next.
+
+    H is a square upper-triangular column HNF with positive diagonal. The
+    column HNF of its transpose (`lattice_hnf` of its rows) is a row HNF of
+    H, so alternating the two changes H by unimodular matrices on either
+    side until it is diagonal; then each pair of diagonal entries becomes
+    their gcd and lcm, which keeps the group. Termination: a pass makes the
+    last pivot the gcd of the current last column, so it never grows. It
+    stays only when it divides that column, whose other entries are reduced
+    into [0, pivot) and hence 0; the next pass then leaves the last row and
+    column cleared for good, and the same argument holds for the leading
+    block. Entries of a reduced HNF stay below its determinant, the group
+    order, so no pass starts from a larger matrix than that.
+    """
+    g = len(H)
+    while any(H[i][j] for i in range(g) for j in range(i + 1, g)):
+        H = lattice_hnf(H)[1]
+    d = [H[i][i] for i in range(g)]
+    for i in range(g):
+        for j in range(i + 1, g):
+            a, b = d[i], d[j]
+            d[i] = math.gcd(a, b)
+            d[j] = a * b // d[i]
+    return [x for x in d if x > 1]
 
 
 def _swap_cols(M, i, j):
@@ -228,18 +285,6 @@ def _addmul_col(M, dst, src, q):
 def _neg_col(M, j):
     for row in M:
         row[j] = -row[j]
-
-
-def hnf_columns(A):
-    """Column HNF of an integer matrix: returns the n x r echelon matrix.
-
-    Columns generate the same lattice as the columns of A. The result is
-    column-permuted upper triangular with positive pivots and entries to the
-    right of each pivot reduced into [0, pivot). For a full-rank square
-    lattice this is the canonical upper-triangular positive-diagonal form.
-    """
-    H, _ = hnf_with_transform(A, want_transform=False)
-    return H
 
 
 def hnf_with_transform(A, want_transform=True):
@@ -286,60 +331,3 @@ def hnf_with_transform(A, want_transform=True):
             _addmul_col(M, k, j, -(M[i][k] // M[i][j]))
     H = [row[last:] for row in M[:n]]
     return H, (M[n:] if want_transform else None)
-
-
-def snf_with_transform(A):
-    """Smith normal form: returns (D, U, V) with U A V = D, U and V unimodular.
-
-    The operations run on the block matrix [[A, I_n], [I_m, 0]]: row
-    operations on its top n rows, column operations on its left m columns,
-    so the blocks end as [[D, U], [V, 0]].
-    """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    M += [[int(i == j) for j in range(m)] + [0] * n for i in range(m)]
-
-    def row_addmul(dst, src, q):
-        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-
-    k = 0
-    while k < min(n, m):
-        piv = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        M[k], M[piv[0]] = M[piv[0]], M[k]
-        _swap_cols(M, k, piv[1])
-        while True:
-            dirty = False
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    q = M[i][k] // M[k][k]
-                    row_addmul(i, k, -q)
-                    if M[i][k] != 0:
-                        M[i], M[k] = M[k], M[i]
-                        dirty = True
-            for j in range(k + 1, m):
-                if M[k][j] != 0:
-                    q = M[k][j] // M[k][k]
-                    _addmul_col(M, j, k, -q)
-                    if M[k][j] != 0:
-                        _swap_cols(M, j, k)
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide every remaining entry; if not, fold the bad row in
-        bad = next(
-            (i for i in range(k + 1, n) if any(M[i][j] % M[k][k] for j in range(k + 1, m))), None
-        )
-        if bad is not None:
-            row_addmul(k, bad, 1)
-            continue
-        if M[k][k] < 0:
-            M[k] = [-a for a in M[k]]
-        k += 1
-    return [row[:m] for row in M[:n]], [row[m:] for row in M[:n]], [row[:m] for row in M[n:]]

@@ -333,9 +333,6 @@ class FieldMorphism:
             and self.image_of_generator == other.image_of_generator
         )
 
-    def __hash__(self):
-        return hash((self.source.min_poly, self.target.min_poly, self.image_of_generator.coords))
-
     def __call__(self, elem):
         if elem.field != self.source:
             raise ValueError("element not in the source field")

@@ -19,11 +19,11 @@ from .ideals import FracIdeal, colon_ideal
 from .intutil import factorize
 from .linalg import (
     det_fraction,
-    hnf_columns,
     kernel_mod_p,
     lattice_hnf,
     mat_mul,
     mat_vec,
+    reduced_pair,
     transpose,
     triangular_adjugate,
 )
@@ -47,9 +47,7 @@ class Order:
             basis[i][j] for i in range(n) for j in range(i)
         ) or not all(basis[i][i] for i in range(n)):
             raise CMFieldsError("order basis is not an upper-triangular full-rank n x n matrix")
-        g = math.gcd(den, *(x for row in basis for x in row))
-        self.den = den // g
-        self.basis = [[x // g for x in row] for row in basis]
+        self.den, self.basis = reduced_pair(den, basis)
         # coordinates of w/d are den adj(basis) w / (det(basis) d); adj is
         # upper triangular, so row i is kept from column i on
         det, adj = triangular_adjugate(self.basis)
@@ -199,7 +197,7 @@ def _p_radical_lattice(order, p):
     # columns p*e_i and the kernel of Frobenius mod p
     gens = [[p * int(i == j) for j in range(n)] for i in range(n)]
     gens.extend(kernel_mod_p(transpose(cols), p))
-    return hnf_columns(transpose(gens))
+    return lattice_hnf(gens)[1]
 
 
 def maximal_order(field):

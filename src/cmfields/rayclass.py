@@ -6,8 +6,9 @@ full discrete-log table (the norm cap keeps it small), the unit image is the
 subgroup generated by the torsion units and any supplied fundamental units,
 and the class part is `principal.class_representatives` with a generator of
 the (cyclic) class group coprime to m, found among the integral ideals in
-order of norm. A Smith normal form of the combined relation matrix gives the
-invariants and discrete logarithms. The reflex-transport check realizes the
+order of norm. A class is its exponent vector reduced modulo the HNF of the
+combined relation rows, which also gives the group order (the product of the
+pivots) and the elementary divisors. The reflex-transport check realizes the
 ideal-norm side of the main theorem: principal reflex-field ideals with
 ray-congruent generators must transport to the trivial class. With m | m',
 beta = 1 (mod m') gives N_Phi(beta) = 1 (mod m O_E), so one pass decides it.
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .ideals import FracIdeal, factor_ideal, integral_ideals_of_norm, prime_split
 from .intutil import primes_up_to
-from .linalg import snf_with_transform
+from .linalg import elementary_divisors, lattice_hnf, reduce_mod_hnf
 from .orders import maximal_order
 from .principal import class_representatives, is_principal, torsion_units
 from .unipoly import UniPoly
@@ -84,14 +85,7 @@ class _ResidueGroup:
 
     def reduce(self, coords):
         """Canonical residue vector of integer order-coordinates mod the modulus."""
-        v = [int(c) for c in coords]
-        n = len(v)
-        for i in range(n - 1, -1, -1):
-            q = v[i] // self.hnf[i][i]
-            if q:
-                for kk in range(i + 1):
-                    v[kk] -= q * self.hnf[kk][i]
-        return tuple(v)
+        return reduce_mod_hnf(self.hnf, map(int, coords))
 
     def _elements(self):
         """Every residue vector, the first coordinate running fastest."""
@@ -102,7 +96,7 @@ class _ResidueGroup:
         return all(P.lattice_coords(list(vec)) is None for P in self.prime_divisors)
 
     def _mul(self, a, b):
-        return self.reduce(self.order.mult_coords(list(a), list(b)))
+        return reduce_mod_hnf(self.hnf, self.order.mult_coords(a, b))
 
     def _build(self):
         one = self.reduce(self.order.one_coords)
@@ -212,7 +206,6 @@ class RayClassGroup:
         self.class_gen = class_gen
 
         offset = 1 if class_gen is not None else 0
-        gens_total = offset + len(self.residues.gens)
         rows = []
         if class_gen is not None:
             # class relation: class_gen^h = (tau)
@@ -223,16 +216,13 @@ class RayClassGroup:
         for u in units:
             dl = self._residue_dlog_of_alpha(u)
             rows.append([0] * offset + list(dl))
-        if not rows:
-            rows = [[0] * gens_total] if gens_total else [[0]]
-        D, U, V = snf_with_transform(rows)
-        self._snf = (D, U, V)
-        self._gens_total = gens_total
-        divisors = [D[i][i] if i < len(D) else 0 for i in range(gens_total)]
-        if 0 in divisors:
+        # the torsion units give a row, so rows is never empty
+        H = lattice_hnf(rows)[1]
+        if any(len(row) != len(H) for row in H):
             raise InvariantViolated("ray class group is not finite (missing relations)")
-        self.elementary_divisors = [d for d in divisors if d > 1]
-        self.order_count = math.prod(divisors)
+        self._relations = H
+        self.elementary_divisors = elementary_divisors(H)
+        self.order_count = math.prod(H[i][i] for i in range(len(H)))
         # exact-sequence invariant
         unit_vecs = {self.residues.reduce(order.coords_of(u)) for u in units}
         img = _subgroup_size(unit_vecs, self.residues)
@@ -240,30 +230,16 @@ class RayClassGroup:
             raise InvariantViolated("exact sequence |C_m| * |im(units)| = |(O/m)x| * h violated")
         self._unit_image_size = img
 
-    def _normalize(self, exponents):
-        D, U, V = self._snf
-        g = self._gens_total
-        y = [sum(exponents[i] * V[i][j] for i in range(g)) for j in range(g)]
-        out = []
-        for j in range(g):
-            d = D[j][j]
-            out.append(y[j] % d if d else y[j])
-        return tuple(out)
-
     def identity(self):
-        return self._normalize([0] * self._gens_total)
+        return reduce_mod_hnf(self._relations, [0] * len(self._relations))
 
     def add(self, c1, c2):
-        """Sum of two normalized classes (the SNF coordinates are diagonal)."""
-        D = self._snf[0]
-        out = []
-        for j, (a, b) in enumerate(zip(c1, c2)):
-            d = D[j][j]
-            out.append((a + b) % d if d else a + b)
-        return tuple(out)
+        """Sum of two classes, reduced modulo the relations."""
+        return reduce_mod_hnf(self._relations, [a + b for a, b in zip(c1, c2)])
 
     def ray_class(self, a):
-        """Discrete log (SNF coordinates) of a fractional ideal coprime to m."""
+        """Class of a fractional ideal coprime to m: its exponent vector reduced
+        modulo the relations."""
         m_norm = int(self.modulus.ideal.norm())
         a_int = a.scaled(a.den)
         if math.gcd(int(a_int.norm()), m_norm) != 1 or math.gcd(a.den, m_norm) != 1:
@@ -294,15 +270,15 @@ class RayClassGroup:
         return self._class_of(0, alpha)
 
     def _class_of(self, k, alpha):
-        """Normalized class of class_gen^k * (alpha), for alpha coprime to m."""
+        """Class of class_gen^k * (alpha), for alpha coprime to m."""
         exps = [k] if self.class_gen is not None else []
-        return self._normalize(exps + list(self._residue_dlog_of_alpha(alpha)))
+        return reduce_mod_hnf(self._relations, exps + list(self._residue_dlog_of_alpha(alpha)))
 
     def _residue_dlog_of_alpha(self, alpha):
         """dlog(num) - dlog(den) for alpha = num/den coprime to m, num integral.
 
         It differs from the table dlog of num * den^-1 by a residue relation,
-        which the SNF normalisation of every caller sends to zero.
+        which the reduction modulo the relations in every caller sends to zero.
         """
         res = self.residues
         v, den = self.order._coords_num(alpha)

@@ -6,7 +6,8 @@ point counts from a double loop and from a Legendre sum, principality from naive
 search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
 search of every automorphism with numeric embedding tests, and embedded element values
 from a Horner pass over Fraction balls, ideal products from every pair of basis columns,
-real-root counts from a Sturm chain over Fractions, prime factorizations from a
+real-root counts from a Sturm chain over Fractions, ray class group invariants
+of Z[i] and Z[zeta3] from k-th powers in (Z[u]/m)^x, prime factorizations from a
 valuation at every prime above the support, trace forms from n^4 Fraction
 products, and determinants, solutions, kernels and first dependencies from a
 Gauss-Jordan over Fractions, field products from Fraction polynomial
@@ -238,6 +239,36 @@ def totient_of_modulus(factored):
     return out
 
 
+def quadratic_ray_class_counts(t, n, m):
+    """(|C|, {k: #{x in C : x^k = 1}}) for C = (Z[u]/m)^x / (roots of unity), u^2 = t u - n.
+
+    When Z[u] is the maximal order of an imaginary quadratic field with class
+    number 1, C is the ray class group mod m. The units of Z[u]/m are the
+    a + b u whose norm a^2 + t a b + n b^2 is prime to m, the roots of unity
+    are the elements of norm 1 (|a|, |b| <= 2 for the forms with n = 1 and
+    |t| <= 1), and x^k = 1 in C when x^k is the image of a root of unity;
+    each count runs over every k dividing |C|.
+    """
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c - n * b * d) % m, (a * d + b * c + t * b * d) % m
+
+    def power(x, k):
+        out = (1 % m, 0)
+        for _ in range(k):
+            out = mul(out, x)
+        return out
+
+    units = [(a, b) for a in range(m) for b in range(m)
+             if math.gcd(a * a + t * a * b + n * b * b, m) == 1]
+    roots = {(a % m, b % m) for a in range(-2, 3) for b in range(-2, 3)
+             if a * a + t * a * b + n * b * b == 1}
+    order = len(units) // len(roots)
+    counts = {k: sum(power(x, k) in roots for x in units) // len(roots)
+              for k in range(1, order + 1) if order % k == 0}
+    return order, counts
+
+
 def reduce_form(a, b, c):
     """Reduced representative of a positive definite binary quadratic form."""
     assert b * b - 4 * a * c < 0 and a > 0
@@ -327,11 +358,11 @@ def ideal_product_by_bases(a, b):
     """a*b as `FracIdeal.__mul__` built it before products by generators: the
     HNF of the n^2 products of a basis column of a with one of b."""
     from cmfields.ideals import FracIdeal
-    from cmfields.linalg import hnf_columns, transpose
+    from cmfields.linalg import lattice_hnf
 
     order = a.order
     cols = [order.mult_coords(x, y) for x in a.basis_columns() for y in b.basis_columns()]
-    return FracIdeal(order, a.den * b.den, hnf_columns(transpose(cols)))
+    return FracIdeal(order, *lattice_hnf(cols, a.den * b.den))
 
 
 def factor_ideal_by_all_valuations(a):
@@ -891,14 +922,13 @@ def re_sign(ball):
 def ideal_sum(a, b):
     """The fractional ideal a + b, from the HNF of both bases over a common denominator."""
     from cmfields.ideals import FracIdeal
-    from cmfields.linalg import hnf_columns
+    from cmfields.linalg import lattice_hnf
 
     common = math.lcm(a.den, b.den)
     fa, fb = common // a.den, common // b.den
-    n = a.order.degree
-    mat = [[a.hnf[i][j] * fa for j in range(n)] + [b.hnf[i][j] * fb for j in range(n)]
-           for i in range(n)]
-    return FracIdeal(a.order, common, hnf_columns(mat))
+    cols = ([[x * fa for x in col] for col in a.basis_columns()]
+            + [[x * fb for x in col] for col in b.basis_columns()])
+    return FracIdeal(a.order, *lattice_hnf(cols, common))
 
 
 def conjugate_type(cmtype):

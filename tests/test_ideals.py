@@ -169,8 +169,9 @@ class TestProducts:
         for _ in range(5):
             products.append(products[-1] * I)
         calls = []
-        real = ideals.hnf_columns
-        monkeypatch.setattr(ideals, "hnf_columns", lambda A: calls.append(1) or real(A))
+        real = ideals.lattice_hnf
+        monkeypatch.setattr(ideals, "lattice_hnf",
+                            lambda cols, den=1: calls.append(1) or real(cols, den))
         counts = []
         for k in range(6):
             calls.clear()

@@ -6,22 +6,25 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, Matrix, Rational
+from sympy import GF, ZZ, Matrix, Rational
+from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
 from cmfields.linalg import (
     det_fraction,
+    elementary_divisors,
     first_dependency,
-    hnf_columns,
     hnf_with_transform,
     integer_row,
     kernel_mod_p,
+    lattice_hnf,
     linear_solver,
     mat_mul,
+    mat_vec,
+    reduce_mod_hnf,
     right_kernel_fraction,
     row_reduce,
-    snf_with_transform,
     triangular_adjugate,
 )
 
@@ -59,28 +62,32 @@ def test_hnf_randomized():
                 q = rng.randint(-3, 3)
                 for i in range(n):
                     B[i][c1] += q * B[i][c2]
-        assert hnf_columns(B) == H
+        assert hnf_with_transform(B, want_transform=False)[0] == H
 
 
-def test_snf_randomized():
-    rng = random.Random(4)
-    for _ in range(200):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        A = [[rng.randint(-8, 8) for _ in range(m)] for _ in range(n)]
-        D, U, V = snf_with_transform(A)
-        assert mat_mul(mat_mul(U, A), V) == D
-        assert abs(det_fraction(U)) == 1 and abs(det_fraction(V)) == 1
-        diag = [D[i][i] for i in range(min(n, m))]
-        for i in range(n):
-            for j in range(m):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-        assert all(d >= 0 for d in diag)
+def _full_rank_relations(rng):
+    """Relation rows as a ray class group has them: g exponents per row, g to
+    g + 4 rows, of rank g."""
+    while True:
+        g = rng.randint(1, 6)
+        rows = [[rng.randint(-20, 20) for _ in range(g)] for _ in range(g + rng.randint(0, 4))]
+        if Matrix(rows).rank() == g:
+            return rows
+
+
+def test_elementary_divisors_against_sympy():
+    rng = random.Random(7)
+    for _ in range(300):
+        rows = _full_rank_relations(rng)
+        H = lattice_hnf(rows)[1]
+        expected = [abs(int(d)) for d in invariant_factors(Matrix(rows), domain=ZZ)]
+        assert elementary_divisors(H) == [d for d in expected if d > 1], rows
+        assert math.prod(H[i][i] for i in range(len(H))) == math.prod(expected)
+    # a naive Smith-form pivoting blew this one up to million-bit entries
+    rows = [[17, 9, -16, -15, -3], [10, -16, -17, -1, 16], [8, -2, 4, 2, -19],
+            [9, 2, -10, 19, -13], [11, -17, -7, -2, -12], [-5, 5, 5, 11, -15],
+            [-10, 8, 5, 15, -3], [-12, 7, 15, -3, 6]]
+    assert elementary_divisors(lattice_hnf(rows)[1]) == []
 
 
 def test_solve_and_inverse():
@@ -204,6 +211,21 @@ def test_triangular_adjugate(H):
     assert det == math.prod(H[i][i] for i in range(n))
     # det != 0, so H adj = det I determines adj
     assert mat_mul(H, adj) == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(upper_triangular_hnfs(), st.data())
+def test_reduce_mod_hnf_is_the_residue(H, data):
+    # v and v + H z have one residue r, with 0 <= r_i < H_ii and v - r in the
+    # lattice (adj(H) (v - r) is divisible by det H)
+    n = len(H)
+    v = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    z = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    r = reduce_mod_hnf(H, v)
+    assert reduce_mod_hnf(H, [a + b for a, b in zip(v, mat_vec(H, z))]) == r
+    assert all(0 <= r[i] < H[i][i] for i in range(n))
+    det, adj = triangular_adjugate(H)
+    assert all(x % det == 0 for x in mat_vec(adj, [a - b for a, b in zip(v, r)]))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from cmfields.cmreflex import cm_check, enumerate_cm_types
 from cmfields.embeddings import certified_embeddings
 from cmfields.errors import PairMismatch, UnitSearchInconclusive
-from cmfields.ideals import FracIdeal
+from cmfields.ideals import FracIdeal, prime_split
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.polar import (
@@ -154,6 +154,17 @@ class TestEquivalence:
         assert quadruples_equivalent(q1, q2) is not None
         assert quadruples_equivalent(q2, q3) is not None
         assert quadruples_equivalent(q1, q3) is not None
+
+    def test_non_principal_quotient(self, sqrt5, sqrt5_cm):
+        # h(-20) = 2 and the prime above 2 is not principal, so (P, t) and
+        # (O, t) differ by no element: no witness, whatever t is
+        t = enumerate_cm_types(sqrt5_cm)[0]
+        O = maximal_order(sqrt5)
+        P = prime_split(2, O)[0]
+        alpha = find_riemann_element(t).alpha
+        q1 = TypeQuadruple(t, FracIdeal.unit_ideal(O), alpha)
+        q2 = TypeQuadruple(t, P, alpha)
+        assert quadruples_equivalent(q1, q2) is None
 
     def test_pair_mismatch(self, gauss, gauss_cm):
         t1, t2 = enumerate_cm_types(gauss_cm)

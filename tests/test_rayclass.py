@@ -19,7 +19,7 @@ from cmfields.rayclass import (
 )
 from cmfields.unipoly import UniPoly
 
-from oracles import totient_of_modulus
+from oracles import quadratic_ray_class_counts, totient_of_modulus
 from test_ideals import random_ideal
 
 
@@ -146,6 +146,27 @@ class TestResidueUnits:
         with pytest.raises(InvariantViolated):
             _ResidueGroup(O, FracIdeal.principal(O, gauss.one() * 2))
         assert len(calls) < 4
+
+
+class TestRayClassInvariants:
+    def test_invariants_against_the_quotient_count(self, gauss, eisenstein):
+        # Z[i] (u^2 = -1) and Z[zeta3] (u^2 = -u - 1) are maximal orders with
+        # basis (1, u) and h = 1, so C_m is (O/m)x modulo the roots of unity;
+        # #{x : x^k = 1} is the product of gcd(k, d) over the divisors d
+        noncyclic = []
+        for field, (t, n) in ((gauss, (0, 1)), (eisenstein, (-1, 1))):
+            O = maximal_order(field)
+            assert O.den == 1 and O.basis == [[1, 0], [0, 1]]
+            cmf = cm_check(field)
+            for m in RAY_MODULI:
+                G = ray_class_group(cmf, Modulus(FracIdeal.principal(O, field.one() * m)))
+                order, counts = quadratic_ray_class_counts(t, n, m)
+                assert G.order_count == order, (field, m)
+                for k, count in counts.items():
+                    assert math.prod(math.gcd(k, d) for d in G.elementary_divisors) == count
+                if len(G.elementary_divisors) > 1:
+                    noncyclic.append(G.elementary_divisors)
+        assert len(noncyclic) == 7
 
 
 class TestRayClassMap:
