@@ -5,10 +5,11 @@ stdout; the human summary goes to stderr. Output is byte-identical for
 identical inputs, seed, and version. Exit codes: 0 success, 1 identity or
 verification failure (an `st` row whose computation raised is a failure: it
 is emitted with status "error" and a witness, and the sweep goes on), 2
-usage/parse error or a refused curve corpus, 3 closure too large, 4 internal
-invariant failed (any other typed cmfields error). Every refusal is a typed
-error that `main` maps through REFUSALS to its exit code and one stderr
-line, written after whatever records were already written.
+usage/parse error or a refused curve corpus, 3 closure too large or a class
+group that is not cyclic, 4 internal invariant failed (any other typed
+cmfields error). Every refusal is a typed error that `main` maps through
+REFUSALS to its exit code and one stderr line, written after whatever
+records were already written.
 """
 
 import argparse
@@ -24,7 +25,14 @@ from .cmreflex import (
     reflex_field,
     verify_reflex_identities,
 )
-from .errors import BadCorpus, BadInput, ClosureTooLarge, CMFieldsError, Supersingular
+from .errors import (
+    BadCorpus,
+    BadInput,
+    ClosureTooLarge,
+    CMFieldsError,
+    NonCyclicClassGroup,
+    Supersingular,
+)
 from .intutil import primes_up_to
 from .stverify import (
     DEFAULT_CORPUS,
@@ -42,6 +50,7 @@ REFUSALS = (
     (BadCorpus, 2, "corpus refused: {}"),
     (BadInput, 2, "{}"),
     (ClosureTooLarge, 3, "closure too large: {}"),
+    (NonCyclicClassGroup, 3, "class group not cyclic: {}"),
     (CMFieldsError, 4, "internal invariant failed: {name}: {}"),
 )
 

@@ -312,13 +312,14 @@ def reflex_norm_elem(cmtype, k, a):
 def _prime_below(P, incl, order_down):
     """(q, f(P / q)) for the prime q of order_down with incl(q) O_L <= P.
 
-    incl(q) O_L lies in P exactly when every generator of q maps into P, so
-    each candidate costs one membership test per generator and no HNF.
-    Memoized per L, keyed by P, the source field and the generator image.
+    incl(q) O_L lies in P exactly when both generators p and second_gen of
+    q map into P, and p is in P always, so each candidate costs one
+    membership test and no HNF. Memoized per L, keyed by P, the source field
+    and the generator image.
     """
     def find():
         for q in prime_split(P.p, order_down):
-            if all(P.contains(incl(g)) for g in q.two_element_like_generators()):
+            if P.contains(incl(q.second_gen)):
                 if P.f % q.f:
                     raise InvariantViolated(f"residue degree {q.f} does not divide {P.f}")
                 return q, P.f // q.f

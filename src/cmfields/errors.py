@@ -89,5 +89,9 @@ class ModulusTooLarge(CMFieldsError):
     pass
 
 
+class NonCyclicClassGroup(CMFieldsError):
+    """The class group is not cyclic: no class has order h, and ray class groups need one that does."""
+
+
 class NotCoprime(CMFieldsError):
     pass

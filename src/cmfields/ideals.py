@@ -19,13 +19,15 @@ for a PrimeIdeal. The factor with fewer generators goes on the right, so a
 product by a prime takes the HNF of 2n columns instead of n^2; the HNF is
 canonical, so the result does not depend on the generators used.
 
-Splitting p (Dedekind, Cohen 1993, §4.8.2) factors g mod p, with a square
-root of the discriminant for a quadratic g. A degree-one prime is the kernel
-of O -> F_p, theta -> r, whose HNF is written down from the values of the
-basis at r; only factors of higher degree build an HNF from generators. The
-split is checked at every p at a cost that does not grow with p: distinct
-primes, sum e f = n, N(P) = p^f and v_P(pO) = e, which by the fundamental
-identity prove that the P^e multiply to pO.
+Splitting p (Dedekind-Kummer, Cohen 1993, §4.8.2 and §6.2) factors g mod p,
+with a square root of the discriminant for a quadratic g, and reads every
+prime off its factor g_i alone, whatever its degree. P is the kernel of
+O -> F_p[x]/(g_i), theta -> x, whose HNF is written down from the images of
+the basis, and its anti-uniformizer is the cofactor h(theta), h = g / g_i
+mod p; no HNF of generators and no kernel of a multiplication is computed.
+The split is checked at every p at a cost that does not grow with p:
+distinct primes, sum e f = n, N(P) = p^f and v_P(pO) = e, which by the
+fundamental identity prove that the P^e multiply to pO.
 
 For p prime to the index the residue degrees above p are the degrees of the
 irreducible factors of g mod p (Dedekind), so every prime above p has norm
@@ -38,6 +40,7 @@ of norm below a bound without splitting them.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import modpoly
 from .errors import IndexDivisible, InvariantViolated, OrderMismatch, ZeroIdeal
@@ -208,14 +211,18 @@ class FracIdeal:
         when beta*x/p is integral, and beta*x/p is again integral with v_P one
         less (Cohen 1993, Alg. 4.8.17). So v_P of the integer lattice is the
         number of times every HNF column c stays integral under c -> B c / p,
-        B the matrix of beta; v_P(den) is e * ord_p(den).
+        B the matrix of beta; v_P(den) is e * ord_p(den). Since N(P)^v divides
+        the lattice's index, the count stops at cap + 1 = ord_p(index) // f + 1,
+        a value no valuation reaches: only a beta in pO gets that far, and
+        `prime_split` refuses such a beta when it checks v_P(pO) = e.
         """
         if prime.order != self.order:
             raise OrderMismatch("prime of a different order")
         p, B = prime.p, prime.beta_matrix
         cols = self.basis_columns()
+        cap = _ord_p(math.prod(self.hnf[i][i] for i in range(len(cols))), p) // prime.f
         v = 0
-        while True:
+        while v <= cap:
             nxt = []
             for c in cols:
                 y = mat_vec(B, c)
@@ -224,6 +231,7 @@ class FracIdeal:
                 nxt.append([x // p for x in y])
             cols = nxt
             v += 1
+        return v - prime.e * _ord_p(self.den, p)
 
     def _check(self, other):
         if not isinstance(other, FracIdeal) or other.order != self.order:
@@ -273,23 +281,23 @@ def colon_ideal(b, a):
 class PrimeIdeal(FracIdeal):
     """A prime P = pO + second_gen*O of the maximal order, with its anti-uniformizer.
 
-    beta is the first vector of the kernel mod p of multiplication by
-    second_gen, so beta*P <= pO while beta is not in pO: beta/p lies in P^{-1}
-    but not in O, so v_P(beta/p) = -1 and beta/p is integral at every other
-    prime. For an inert prime second_gen is in pO and beta is the first basis
-    element. beta_matrix is the integer matrix of multiplication by beta.
+    beta (order coordinates) is any integral element with beta*P <= pO and
+    beta not in pO: then beta/p lies in P^{-1} but not in O, so
+    v_P(beta/p) = -1 and beta/p is integral at every other prime, which is
+    all the valuation needs (Cohen 1993, Alg. 4.8.17). `prime_split` takes
+    the cofactor h(theta), h = g / g_i mod p. beta_matrix is the integer
+    matrix of multiplication by beta.
     """
 
     __slots__ = ("p", "e", "f", "second_gen", "beta_matrix", "_gen_cols")
 
-    def __init__(self, order, den, hnf, p, e, f, second_gen):
+    def __init__(self, order, den, hnf, p, e, f, second_gen, beta):
         super().__init__(order, den, hnf)
         self.p = p
         self.e = e
         self.f = f
         self.second_gen = second_gen
         gen = order.integral_coords(second_gen)
-        beta = kernel_mod_p(order.mult_matrix_coords(gen), p)[0]
         self.beta_matrix = order.mult_matrix_coords(beta)
         self._gen_cols = [[p * x for x in order.one_coords], gen]
 
@@ -328,8 +336,7 @@ def primes_of_norm_below(p, order, bound):
     while p ** (d + 1) < bound:
         d += 1
     if d < order.degree and order.index_in_maximal == 1 and order.equation_index % p:
-        gp = modpoly.trim([int(c) % p for c in order.equation_poly.coeffs])
-        if not modpoly.has_factor_of_degree_at_most(gp, d, p):
+        if not modpoly.has_factor_of_degree_at_most(_g_mod_p(order, p), d, p):
             return []
     return [P for P in prime_split(p, order) if P.norm() < bound]
 
@@ -337,28 +344,28 @@ def primes_of_norm_below(p, order, bound):
 def _prime_split(p, order):
     """Dedekind: a factor g_i^e of g mod p gives P = (p, g_i(theta)) with e(P) = e.
 
-    A degree-one factor x - r gives the kernel of O -> F_p, theta -> r, whose
-    column HNF is written down from the values of the basis at r
-    (`_kernel_hnf`); a factor of higher degree takes the HNF of its two
-    generators. The split is then checked at a cost that does not grow with
-    p: the primes are distinct, sum e f = n, N(P) = p^f, and v_P(pO) = e.
-    By the fundamental identity no other prime lies above p, so these prove
-    that the P^e multiply to pO.
+    Every prime is read off its factor g_i alone: P is the kernel of
+    O -> F_p[x]/(g_i), theta -> x, whose column HNF `_kernel_hnf` writes
+    down, and its anti-uniformizer is the cofactor beta = h(theta),
+    h = g / g_i mod p. h g_i = g = 0 at theta modulo p, so beta*P <= pO, and
+    beta is not in pO because O/pO = F_p[x]/(g) for p prime to the index and
+    h has degree below that of g. No HNF is searched for and no kernel of a
+    multiplication is taken. The split is then checked at a cost that does
+    not grow with p: the primes are distinct, sum e f = n, N(P) = p^f, and
+    v_P(pO) = e. By the fundamental identity no other prime lies above p, so
+    these prove that the P^e multiply to pO.
     """
     if order.equation_index % p == 0:
         raise IndexDivisible(f"{p} divides the equation-order index {order.equation_index}")
     theta = order.equation_gen
-    field = order.field
     n = order.degree
+    gp = _g_mod_p(order, p)
     out = []
-    for gi, e in _factor_mod_p(order.equation_poly, p):
-        if len(gi) == 2:
-            gi_elem = theta + gi[0]
-            hnf = _kernel_hnf(order, -gi[0] % p, p)
-        else:
-            gi_elem = UniPoly(gi)(theta)
-            hnf = FracIdeal.from_generators(order, [field.one() * p, gi_elem]).hnf
-        out.append(PrimeIdeal(order, 1, hnf, p, e, len(gi) - 1, gi_elem))
+    for gi, e in _factor_mod_p(gp, p):
+        gi_elem = theta + gi[0] if len(gi) == 2 else UniPoly(gi)(theta)
+        beta = _theta_coords(order, modpoly.divmod_(gp, gi, p)[0])
+        out.append(PrimeIdeal(order, 1, _kernel_hnf(order, gi, p), p, e, len(gi) - 1,
+                              gi_elem, beta))
     if len(set(out)) != len(out):
         raise InvariantViolated(f"a prime above {p} is listed twice")
     if sum(P.e * P.f for P in out) != n:
@@ -374,13 +381,17 @@ def _prime_split(p, order):
     return out
 
 
-def _factor_mod_p(g, p):
-    """(monic factor of g mod p, multiplicity) pairs, coefficients lowest first.
+def _g_mod_p(order, p):
+    """The equation polynomial g reduced mod p, coefficients lowest first."""
+    return modpoly.trim([int(c) % p for c in order.equation_poly.coeffs])
+
+
+def _factor_mod_p(gp, p):
+    """(monic factor of gp, multiplicity) pairs, coefficients lowest first.
 
     A quadratic at odd p is split by the square root of its discriminant;
     anything else goes to `modpoly.factor`.
     """
-    gp = modpoly.trim([int(c) % p for c in g.coeffs])
     if len(gp) != 3 or p == 2:
         return modpoly.factor(gp, p)
     c, b, _ = gp
@@ -392,27 +403,53 @@ def _factor_mod_p(g, p):
     return [((-r % p, 1), 3 - len(roots)) for r in roots]
 
 
-def _kernel_hnf(order, r, p):
-    """Column HNF of the kernel of O -> F_p, theta -> r, for p prime to the index.
+def _theta_coords(order, u):
+    """Integer order coordinates of u(theta), u an integer polynomial of degree < n.
+
+    With w_j = sum_i T[i][j] theta^i / t (`orders.maximal_order`) the
+    coordinates c solve T c = t u, back-substituted against the upper
+    triangular T; every division is exact because Z[theta] <= O.
+    """
+    t, T = order.equation_basis
+    n = order.degree
+    c = [0] * n
+    for j in range(len(u) - 1, -1, -1):
+        c[j] = (t * u[j] - sum(T[j][k] * c[k] for k in range(j + 1, len(u)))) // T[j][j]
+    return c
+
+
+def _kernel_hnf(order, gi, p):
+    """Column HNF of the kernel of O -> F_p[x]/(g_i), theta -> x, for p prime to the index.
 
     With w_j = sum_i T[i][j] theta^i / t (`orders.maximal_order`), the map
-    sends w_j to lambda_j = w_j(r) mod p, up to the unit t. Its kernel is
-    the identity lattice with column i0, the first with lambda_i0 != 0,
-    replaced by p e_i0, and -lambda_j / lambda_i0 mod p added in row i0 of
-    every later column j.
+    sends w_j to lambda_j = sum_i T[i][j] x^i mod (g_i, p), up to the unit t;
+    x^i mod g_i comes from x^(i-1) mod g_i by one multiplication by x. The
+    echelon form of `linalg.kernel_mod_p` has its pivots leftmost, so the
+    kernel vector of a free column j is 1 at j and nonzero only at pivot
+    columns left of j, in [0, p). The HNF is then written down: p e_j at
+    each of the f pivot columns j and that kernel vector at every other
+    column, which is reduced because the pivot rows take entries in [0, p)
+    and the other rows none.
     """
     _, T = order.equation_basis
     n = order.degree
-    powers = [1]
+    f = len(gi) - 1
+    power = [1] + [0] * (f - 1)  # x^0 mod g_i
+    powers = [power]
     for _ in range(n - 1):
-        powers.append(powers[-1] * r % p)
-    lam = [sum(T[i][j] * powers[i] for i in range(j + 1)) % p for j in range(n)]
-    i0 = next(j for j, x in enumerate(lam) if x)
-    inv = pow(lam[i0], -1, p)
-    hnf = identity_matrix(n)
-    hnf[i0][i0] = p
-    for j in range(i0 + 1, n):
-        hnf[i0][j] = -lam[j] * inv % p
+        top = power[-1]
+        power = [(-top * gi[0]) % p] + [(power[k - 1] - top * gi[k]) % p for k in range(1, f)]
+        powers.append(power)
+    lam = [[sum(map(mul, row, col)) for col in zip(*T)] for row in zip(*powers)]
+    hnf = [[0] * n for _ in range(n)]
+    for j in range(n):
+        hnf[j][j] = p
+    for v in kernel_mod_p(lam, p):
+        j = n - 1
+        while not v[j]:
+            j -= 1
+        for i in range(j + 1):
+            hnf[i][j] = v[i]
     return hnf
 
 

@@ -5,8 +5,10 @@ the last entry is nonzero ([] is the zero polynomial). The arithmetic (add,
 sub, mul, scal, divmod_) works modulo any m > 1; divmod_ needs only the
 divisor's leading coefficient to be a unit mod m, so Hensel lifting runs on
 it modulo p^k. Everything from gcd on needs m prime. Factorization is
-squarefree + distinct-degree + Cantor-Zassenhaus equal-degree splitting with
-a deterministic seeded element sweep, so results are reproducible. Whether
+squarefree + distinct-degree + Cantor-Zassenhaus equal-degree splitting, and
+every p-th power in both passes is one product by the Frobenius matrix of
+the squarefree part (von zur Gathen & Shoup 1992), not a powering. The
+output is sorted, so it does not depend on the seeded elements drawn. Whether
 f has an irreducible factor of degree <= d is the distinct-degree pass alone,
 with no factor built.
 """
@@ -133,8 +135,43 @@ def squarefree_decomposition(f, p):
     return out
 
 
-def distinct_degree(f, p):
-    """Split squarefree monic f into [(product of irreducibles of degree d, d)]."""
+class _Frobenius:
+    """The map a -> a^p on F_p[x]/(f), f squarefree or not.
+
+    a(x)^p = a(x^p) over F_p, so a^p mod f is Q a for the matrix Q whose
+    columns are x^(i p) mod f (von zur Gathen & Shoup 1992; Cohen 1993,
+    §3.4.10): one matrix-vector product in place of a powering. x^p mod f is
+    found by powering once; Q is built from it on the first product asked
+    for, so a pass that needs only x^p builds no matrix.
+    """
+
+    def __init__(self, f, p):
+        self.f = f
+        self.p = p
+        self.xp = powmod([0, 1], p, f, p)
+        self._cols = None
+
+    def __call__(self, a):
+        f, p = self.f, self.p
+        if self._cols is None:
+            cols = [[1], self.xp]
+            for _ in range(len(f) - 3):
+                cols.append(mod(mul(cols[-1], self.xp, p), f, p))
+            self._cols = cols
+        out = [0] * (len(f) - 1)
+        for c, col in zip(a, self._cols):
+            if c:
+                for k, q in enumerate(col):
+                    out[k] += c * q
+        return trim([x % p for x in out])
+
+
+def distinct_degree(f, p, frob):
+    """Split squarefree monic f into [(product of irreducibles of degree d, d)].
+
+    h runs through x^(p^d) mod f, each one frob(h) of the last; the gcd with
+    what is left of f needs it only modulo that divisor of f.
+    """
     out = []
     x = [0, 1]
     h = x
@@ -142,12 +179,11 @@ def distinct_degree(f, p):
     d = 0
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = powmod(h, p, g, p)
+        h = frob.xp if d == 1 else frob(h)
         gd = gcd(sub(h, x, p), g, p)
         if len(gd) > 1:
             out.append((gd, d))
             g = divmod_(g, gd, p)[0]
-            h = mod(h, g, p)
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
@@ -158,56 +194,69 @@ def has_factor_of_degree_at_most(f, d, p):
 
     x^(p^k) - x is the product of the monic irreducibles of degree dividing
     k, so its gcd with f is 1 for every k <= d exactly when f has no such
-    factor (Cohen 1993, §3.4.3). f need not be squarefree.
+    factor (Cohen 1993, §3.4.3). f need not be squarefree; x^(p^k) mod f is
+    the Frobenius map applied k times to x.
     """
+    frob = _Frobenius(f, p)
     x = [0, 1]
     h = x
-    for _ in range(d):
-        h = powmod(h, p, f, p)
+    for k in range(d):
+        h = frob.xp if k == 0 else frob(h)
         if len(gcd(sub(h, x, p), f, p)) > 1:
             return True
     return False
 
 
-def _equal_degree_split(f, d, p, rng):
+def _equal_degree_split(f, d, p, rng, frob):
+    """The monic irreducible factors of f, a product of distinct ones of degree d.
+
+    frob is the Frobenius map modulo a multiple of f. A random a splits f by
+    gcd(a^((p^d - 1)/2) - 1, f) at odd p, and the exponent is
+    (1 + p + ... + p^(d-1)) (p - 1)/2, so a^((p^d - 1)/2) is the product of
+    the conjugates a^(p^i), taken through frob, raised to (p - 1)/2. At
+    p = 2 the trace a + a^2 + ... + a^(2^(d-1)) takes its place.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = trim(a)
+        a = trim([rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
             continue
         g = gcd(a, f, p)
-        if len(g) > 1:
-            pieces = [g, divmod_(f, g, p)[0]]
-        else:
+        if len(g) == 1:
+            conj = a
             if p == 2:
                 t = a
                 for _ in range(d - 1):
-                    t = add(mod(mul(t, t, p), f, p), a, p)
+                    conj = mod(frob(conj), f, p)
+                    t = add(t, conj, p)
                 g = gcd(t, f, p)
             else:
-                e = (p**d - 1) // 2
-                b = powmod(a, e, f, p)
+                b = a
+                for _ in range(d - 1):
+                    conj = mod(frob(conj), f, p)
+                    b = mod(mul(b, conj, p), f, p)
+                b = powmod(b, (p - 1) // 2, f, p)
                 g = gcd(sub(b, [1], p), f, p)
-            if 1 < len(g) < len(f):
-                pieces = [g, divmod_(f, g, p)[0]]
-            else:
+            if not 1 < len(g) < len(f):
                 continue
         out = []
-        for piece in pieces:
-            out.extend(_equal_degree_split(monic(piece, p), d, p, rng))
+        for piece in (g, divmod_(f, g, p)[0]):
+            out.extend(_equal_degree_split(monic(piece, p), d, p, rng, frob))
         return out
 
 
 def factor(f, p):
-    """Full factorization over F_p: returns sorted list of (monic irreducible, mult)."""
+    """Full factorization over F_p: the sorted list of (monic irreducible, multiplicity).
+
+    The list is sorted, so it is the same whatever the random elements drawn.
+    """
     rng = random.Random(0x5EED)
     out = []
     for g, m in squarefree_decomposition(f, p):
-        for h, d in distinct_degree(g, p):
-            for irr in _equal_degree_split(h, d, p, rng):
+        frob = _Frobenius(g, p)
+        for h, d in distinct_degree(g, p, frob):
+            for irr in _equal_degree_split(h, d, p, rng, frob):
                 out.append((tuple(irr), m))
     return sorted(out)
-

@@ -5,13 +5,14 @@ units -> (O/m)x -> C_m -> Cl -> 1: the residue group is enumerated with a
 full discrete-log table (the norm cap keeps it small), the unit image is the
 subgroup generated by the torsion units and any supplied fundamental units,
 and the class part is `principal.class_representatives` with a generator of
-the (cyclic) class group coprime to m, found among the integral ideals in
-order of norm. A class is its exponent vector reduced modulo the HNF of the
-combined relation rows, which also gives the group order (the product of the
-pivots) and the elementary divisors. The reflex-transport check realizes the
-ideal-norm side of the main theorem: principal reflex-field ideals with
-ray-congruent generators must transport to the trivial class. With m | m',
-beta = 1 (mod m') gives N_Phi(beta) = 1 (mod m O_E), so one pass decides it.
+the class group coprime to m, found among the integral ideals in order of
+norm; a class group that is not cyclic is refused. A class is its exponent
+vector reduced modulo the HNF of the combined relation rows, which also gives
+the group order (the product of the pivots) and the elementary divisors.
+The reflex-transport check realizes the ideal-norm side of the main theorem:
+principal reflex-field ideals with ray-congruent generators must transport to
+the trivial class. With m | m', beta = 1 (mod m') gives N_Phi(beta) = 1
+(mod m O_E), so one pass decides it.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from .errors import (
     EnumerationBoundExceeded,
     InvariantViolated,
     ModulusTooLarge,
+    NonCyclicClassGroup,
     NotCoprime,
     UnitsUnavailable,
 )
@@ -154,28 +156,39 @@ class _ResidueGroup:
 def _class_group_cyclic_data(order, modulus_ideal):
     """(h, an integral ideal g coprime to the modulus whose class generates, tau).
 
-    g^h = (tau); g and tau are None when h = 1. Assumes a cyclic class group
-    (true for every corpus field used here). Every class holds ideals of norm
-    coprime to the modulus, but with no effective bound, so the search stops
-    at norm CLASS_GENERATOR_NORM_CAP and raises EnumerationBoundExceeded.
+    g^h = (tau); g and tau are None when h = 1. A cyclic class group has a
+    representative of class order h among `class_representatives`, so a
+    group with none is refused at once with NonCyclicClassGroup. Every class
+    holds ideals of norm coprime to the modulus, but with no effective bound,
+    so the search for g stops at norm CLASS_GENERATOR_NORM_CAP and raises
+    EnumerationBoundExceeded.
     """
-    h = len(class_representatives(order))
+    reps = class_representatives(order)
+    h = len(reps)
     if h == 1:
         return 1, None, None
+    if not any(_class_order(r, h)[0] == h for r in reps):
+        raise NonCyclicClassGroup(f"class number {h}, but no class has order {h}")
     m_norm = int(modulus_ideal.norm())
     for norm in range(2, CLASS_GENERATOR_NORM_CAP + 1):
         if math.gcd(norm, m_norm) != 1:
             continue
         for g in integral_ideals_of_norm(order, norm):
-            power = g
-            for k in range(1, h + 1):
-                tau = is_principal(power)
-                if tau is not None:
-                    break
-                power = power * g
-            if k == h and tau is not None:
+            k, tau = _class_order(g, h)
+            if k == h:
                 return h, g, tau
     raise EnumerationBoundExceeded("no cyclic class-group generator found")
+
+
+def _class_order(a, h):
+    """(k, tau) for the least k <= h with a^k = (tau), or (None, None) when there is none."""
+    power = a
+    for k in range(1, h + 1):
+        tau = is_principal(power)
+        if tau is not None:
+            return k, tau
+        power = power * a
+    return None, None
 
 
 class RayClassGroup:

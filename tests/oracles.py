@@ -330,11 +330,14 @@ def prime_split_by_generators(p, order):
     """The primes above p as `ideals.prime_split` built them before its closed form.
 
     Every factor g_i^e of g mod p from `modpoly.factor` gives the HNF of the
-    ideal generated by p and g_i(theta), and the split is checked by
-    multiplying the P^e out to pO. Returns a list sorted like prime_split's.
+    ideal generated by p and g_i(theta), with the anti-uniformizer taken as
+    the first vector of the kernel mod p of multiplication by g_i(theta), and
+    the split is checked by multiplying the P^e out to pO. Returns a list
+    sorted like prime_split's.
     """
     from cmfields import modpoly
     from cmfields.ideals import FracIdeal, PrimeIdeal
+    from cmfields.linalg import kernel_mod_p
     from cmfields.unipoly import UniPoly
 
     field = order.field
@@ -343,7 +346,8 @@ def prime_split_by_generators(p, order):
     for gi, e in modpoly.factor(gp, p):
         gi_elem = UniPoly(gi)(order.equation_gen)
         ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
-        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, len(gi) - 1, gi_elem))
+        beta = kernel_mod_p(order.mult_matrix_coords(order.integral_coords(gi_elem)), p)[0]
+        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, len(gi) - 1, gi_elem, beta))
     assert sum(P.e * P.f for P in out) == order.degree
     prod = FracIdeal.unit_ideal(order)
     for P in out:

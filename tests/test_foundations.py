@@ -146,6 +146,35 @@ class TestModPoly:
                     any(e <= d for e in degrees)
                 ), (f, p, d)
 
+    def test_factor_against_sympy(self):
+        # the monic irreducible factors with their multiplicities, and the
+        # low-degree test read off them, against sympy's factor_list over
+        # GF(p): seeded f of degree up to 16 at p from 2 to about 1000, half of
+        # them at p < 15, with squares and p-th powers f(x^p) mixed in
+        rng = random.Random(29)
+        x = Symbol("x")
+        primes = primes_up_to(1000)
+        for trial in range(300):
+            p = rng.choice(primes[:6] if trial % 2 else primes)
+            deg = rng.randint(1, 16)
+            f = modpoly.trim([rng.randrange(p) for _ in range(deg)] + [1])
+            if trial % 3 == 1:
+                f = modpoly.mul(f, f, p)
+            elif trial % 3 == 2 and deg * p <= 40:
+                h = [0] * (p * (len(f) - 1) + 1)
+                h[::p] = f
+                f = h
+            _, factors = Poly(list(reversed(f)), x, modulus=p).factor_list()
+            expected = sorted(
+                (tuple(modpoly.monic([int(c) % p for c in reversed(g.all_coeffs())], p)), m)
+                for g, m in factors
+            )
+            assert modpoly.factor(f, p) == expected, (f, p)
+            degrees = [len(g) - 1 for g, _ in expected]
+            for d in range(1, 6):
+                assert modpoly.has_factor_of_degree_at_most(f, d, p) == (min(degrees) <= d), (
+                    f, p, d)
+
 
 class TestFinckePohst:
     def test_against_naive_box(self):

@@ -30,6 +30,7 @@ from cmfields.ideals import (
     primes_of_norm_below,
 )
 from cmfields.intutil import primes_up_to
+from cmfields.linalg import mat_vec
 from cmfields.numfield import NumberField
 from cmfields.orders import (
     Order,
@@ -910,9 +911,10 @@ class TestClosedFormPrimes:
     @pytest.mark.parametrize("build", [b for _, b in CLOSED_FORM_FIELDS],
                              ids=[name for name, _ in CLOSED_FORM_FIELDS])
     def test_prime_split_matches_the_generator_construction(self, build):
-        # every degree-one prime is written down from the values of the basis
-        # at a root mod p; the old construction (HNF of (p, g_i(theta)), then
-        # the product of the P^e checked against pO) must give the same list
+        # every prime is written down from its factor g_i of g mod p alone, as
+        # the kernel of O -> F_p[x]/(g_i); the old construction (HNF of
+        # (p, g_i(theta)), then the product of the P^e checked against pO)
+        # must give the same list
         field = build()
         O = maximal_order(field)
         primes = [p for p in CLOSED_FORM_PRIMES if O.equation_index % p]
@@ -926,6 +928,31 @@ class TestClosedFormPrimes:
             assert sorted((P.e, P.f) for P in ours) == expected_types[p], p
             degree_one += sum(P.f == 1 for P in ours)
         assert len(primes) >= len(CLOSED_FORM_PRIMES) - 3 and degree_one > 0
+
+    @pytest.mark.parametrize("build", [b for _, b in CLOSED_FORM_FIELDS],
+                             ids=[name for name, _ in CLOSED_FORM_FIELDS])
+    def test_the_cofactor_is_an_anti_uniformizer(self, build):
+        # beta = h(theta), h = g / g_i mod p, read off the prime's matrix as
+        # beta * 1: beta * P <= pO on P's basis columns, and beta is not in pO
+        O = maximal_order(build())
+        for p in CLOSED_FORM_PRIMES:
+            if O.equation_index % p == 0:
+                continue
+            for P in prime_split(p, O):
+                beta = mat_vec(P.beta_matrix, O.one_coords)
+                assert any(x % p for x in beta), (p, P)
+                for col in P.basis_columns():
+                    assert all(x % p == 0 for x in mat_vec(P.beta_matrix, col)), (p, P)
+
+    def test_a_beta_in_pO_fails_the_split_check(self, gauss, monkeypatch):
+        # with beta in pO, beta/p is integral and the valuation count runs on
+        # to its cap, ord_5(25) + 1 = 3 for pO in Q(i), not e = 1
+        O = maximal_order(gauss)
+        coords = ideals._theta_coords
+        monkeypatch.setattr(ideals, "_theta_coords",
+                            lambda order, u: [5 * x for x in coords(order, u)])
+        with pytest.raises(InvariantViolated, match=re.escape("v_P(5) is 3, not e = 1")):
+            ideals._prime_split(5, O)
 
     @pytest.mark.parametrize(
         "mutate, message",

@@ -5,8 +5,15 @@ import random
 
 import pytest
 
+from cmfields import cli
 from cmfields.cmreflex import ReflexData, cm_check, enumerate_cm_types
-from cmfields.errors import InvariantViolated, ModulusTooLarge, NotCoprime, UnitsUnavailable
+from cmfields.errors import (
+    InvariantViolated,
+    ModulusTooLarge,
+    NonCyclicClassGroup,
+    NotCoprime,
+    UnitsUnavailable,
+)
 from cmfields.ideals import FracIdeal, coprime_scale, factor_ideal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.numfield import NumberField
@@ -95,6 +102,16 @@ class TestGroupOrders:
         G = ray_class_group(cm_check(field), Modulus(FracIdeal.unit_ideal(O)))
         assert G.class_number == 4 and G.class_gen.norm() != 2
         assert G.order_count == 4 and G.elementary_divisors == [4]
+
+    def test_a_class_group_that_is_not_cyclic_is_refused(self):
+        # Cl(Q(sqrt-21)) = (Z/2)^2: no class representative has order h = 4,
+        # so the group is refused before any generator search, with a typed
+        # error that the CLI maps to exit 3
+        field = NumberField(UniPoly([21, 0, 1]))
+        O = maximal_order(field)
+        with pytest.raises(NonCyclicClassGroup, match="class number 4, but no class has order 4"):
+            ray_class_group(cm_check(field), Modulus(FracIdeal.unit_ideal(O)))
+        assert [code for cls, code, _ in cli.REFUSALS if cls is NonCyclicClassGroup] == [3]
 
     def test_units_unavailable(self, quartic, quartic_cm):
         O = maximal_order(quartic)
