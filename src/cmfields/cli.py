@@ -141,9 +141,7 @@ def cmd_reflex_verify(args):
         _emit(args, rec)
     _emit(
         args,
-        {"record": "summary", "ok": report["ok"],
-         "skipped_index_primes": report["skipped_index_primes"],
-         "prime_count": report["prime_count"]},
+        {"record": "summary", "ok": report["ok"], "prime_count": report["prime_count"]},
         human=f"identity suite: {'PASS' if report['ok'] else 'FAIL'}",
     )
     return 0 if report["ok"] else 1

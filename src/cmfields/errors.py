@@ -21,10 +21,6 @@ class ZeroElement(CMFieldsError):
     pass
 
 
-class IndexDivisible(CMFieldsError):
-    """prime_split refused: p divides the index of the equation order."""
-
-
 class EnumerationBoundExceeded(CMFieldsError):
     """Lattice enumeration exhausted its budget; reported bound in args."""
 

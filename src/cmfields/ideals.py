@@ -3,7 +3,7 @@
 A FracIdeal is (1/den) times the lattice spanned by the columns of an integer
 matrix in column Hermite normal form, coordinates taken in the order basis.
 The HNF with minimal denominator is a canonical representative, so equality
-is matrix equality. Products, sums, colon ideals, Dedekind splitting in the
+is matrix equality. Products, sums, colon ideals, prime splitting in the
 maximal order, valuations, and the coprime-scaling lemma live here.
 
 Both hot paths run on integers only. A colon ideal is a lattice dual taken
@@ -14,36 +14,31 @@ with P, an integral beta with v_P(beta/p) = -1 (Cohen 1993, Alg. 4.8.17),
 so no prime inverse is ever built.
 
 A product a*b is spanned by a's basis columns times b's generators over O
-(Cohen 1993, §4.7): the n basis columns for a FracIdeal, p and second_gen
+(Cohen 1993, §4.7): the n basis columns for a FracIdeal, p and its `gens`
 for a PrimeIdeal. The factor with fewer generators goes on the right, so a
-product by a prime takes the HNF of 2n columns instead of n^2; the HNF is
-canonical, so the result does not depend on the generators used.
+product by a Dedekind prime takes the HNF of 2n columns instead of n^2; the
+HNF is canonical, so the result does not depend on the generators used.
 
-Splitting p (Dedekind-Kummer, Cohen 1993, §4.8.2 and §6.2) factors g mod p,
-with a square root of the discriminant for a quadratic g, and reads every
-prime off its factor g_i alone, whatever its degree. P is the kernel of
-O -> F_p[x]/(g_i), theta -> x, whose HNF is written down from the images of
-the basis, and its anti-uniformizer is the cofactor h(theta), h = g / g_i
-mod p; no HNF of generators and no kernel of a multiplication is computed.
-The split is checked at every p at a cost that does not grow with p:
-distinct primes, sum e f = n, N(P) = p^f and v_P(pO) = e, which by the
-fundamental identity prove that the P^e multiply to pO.
-
-For p prime to the index the residue degrees above p are the degrees of the
-irreducible factors of g mod p (Dedekind), so every prime above p has norm
-at least p^(d+1) when g mod p has no factor of degree <= d. That is one
-distinct-degree pass (`modpoly.has_factor_of_degree_at_most`, Cohen 1993,
-§3.4.3), and `primes_of_norm_below` uses it to skip the p that have no prime
-of norm below a bound without splitting them.
+Every p splits (Cohen 1993, §6.2). For p prime to the index [O : Z[theta]]
+Dedekind-Kummer reads every prime off its factor g_i of g mod p alone: P is
+the kernel of O -> F_p[x]/(g_i), theta -> x, whose HNF is written down, and
+its anti-uniformizer is the cofactor h(theta), h = g / g_i mod p. For p
+dividing the index the primes are the maximal ideals over the p-radical,
+split by elements alpha with alpha^p = alpha (Buchmann-Lenstra). Both routes
+give the same HNFs where both apply, and Dedekind's is the faster there.
+The split is checked at a cost that does not grow with p: distinct primes,
+sum e f = n, N(P) = p^f and, on Dedekind's route, v_P(pO) = e; by the
+fundamental identity these prove that the P^e multiply to pO.
+`primes_of_norm_below` skips, by one distinct-degree pass over g mod p, the
+p prime to the index that have no prime of norm below a bound.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
 
 from . import modpoly
-from .errors import IndexDivisible, InvariantViolated, OrderMismatch, ZeroIdeal
+from .errors import InvariantViolated, OrderMismatch, ZeroIdeal
 from .intutil import factorize, sqrt_mod
 from .linalg import (
     hnf_with_transform,
@@ -52,6 +47,7 @@ from .linalg import (
     lattice_hnf,
     mat_mul,
     mat_vec,
+    reduce_mod_hnf,
     reduced_pair,
     transpose,
     triangular_adjugate,
@@ -279,27 +275,26 @@ def colon_ideal(b, a):
 
 
 class PrimeIdeal(FracIdeal):
-    """A prime P = pO + second_gen*O of the maximal order, with its anti-uniformizer.
+    """A prime P = pO + sum of g*O over the field elements g in gens, with its anti-uniformizer.
 
-    beta (order coordinates) is any integral element with beta*P <= pO and
-    beta not in pO: then beta/p lies in P^{-1} but not in O, so
-    v_P(beta/p) = -1 and beta/p is integral at every other prime, which is
-    all the valuation needs (Cohen 1993, Alg. 4.8.17). `prime_split` takes
-    the cofactor h(theta), h = g / g_i mod p. beta_matrix is the integer
-    matrix of multiplication by beta.
+    A Dedekind prime has one generator, g_i(theta). beta (order coordinates)
+    is any integral element with beta*P <= pO and beta not in pO: then
+    beta/p lies in P^{-1} but not in O, so v_P(beta/p) = -1 and beta/p is
+    integral at every other prime, which is all the valuation needs (Cohen
+    1993, Alg. 4.8.17). beta_matrix is the integer matrix of multiplication
+    by beta.
     """
 
-    __slots__ = ("p", "e", "f", "second_gen", "beta_matrix", "_gen_cols")
+    __slots__ = ("p", "e", "f", "gens", "beta_matrix", "_gen_cols")
 
-    def __init__(self, order, den, hnf, p, e, f, second_gen, beta):
+    def __init__(self, order, den, hnf, p, e, f, gens, beta):
         super().__init__(order, den, hnf)
         self.p = p
         self.e = e
         self.f = f
-        self.second_gen = second_gen
-        gen = order.integral_coords(second_gen)
+        self.gens = gens
         self.beta_matrix = order.mult_matrix_coords(beta)
-        self._gen_cols = [[p * x for x in order.one_coords], gen]
+        self._gen_cols = [[p * x for x in order.one_coords], *map(order.integral_coords, gens)]
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
@@ -308,15 +303,11 @@ class PrimeIdeal(FracIdeal):
         return self._gen_cols
 
     def two_element_like_generators(self):
-        return [self.order.field.one() * self.p, self.second_gen]
+        return [self.order.field.one() * self.p] + self.gens
 
 
 def prime_split(p, order):
-    """Primes of the maximal order above p, by the Dedekind criterion.
-
-    Refuses p dividing the index of the equation order with IndexDivisible.
-    Results are memoized per field and p; there is one maximal order per field.
-    """
+    """Primes of the maximal order above p, memoized per field (one maximal order each) and p."""
     if order.index_in_maximal != 1:
         raise OrderMismatch("prime_split needs the maximal order")
     return per_field("prime_split", order.field, lambda: _prime_split(p, order), p)
@@ -327,10 +318,10 @@ def primes_of_norm_below(p, order, bound):
 
     With d the largest f such that p^f < bound, a prime above p has norm
     below the bound exactly when its residue degree is at most d. For p prime
-    to the index and d < n, Dedekind's theorem makes the residue degrees the
-    degrees of the irreducible factors of g mod p, so when g mod p has none
-    of degree <= d no prime is split or built. Index primes go to
-    prime_split unchanged.
+    to the index and d < n, the residue degrees are the degrees of the
+    irreducible factors of g mod p (Dedekind), so when g mod p has none of
+    degree <= d (`modpoly.has_factor_of_degree_at_most`, Cohen 1993, §3.4.3)
+    no prime is split or built.
     """
     d = 0
     while p ** (d + 1) < bound:
@@ -342,43 +333,129 @@ def primes_of_norm_below(p, order, bound):
 
 
 def _prime_split(p, order):
+    """The primes above p, by Dedekind's route for p prime to the index, else the radical's."""
+    n = order.degree
+    pO = FracIdeal(order, 1, [[p * int(i == j) for j in range(n)] for i in range(n)])
+    out = (_dedekind_primes if order.equation_index % p else _radical_primes)(p, order, pO)
+    if len(set(out)) != len(out):
+        raise InvariantViolated(f"a prime above {p} is listed twice")
+    if sum(P.e * P.f for P in out) != n:
+        raise InvariantViolated(f"Dedekind splitting of {p} incomplete")
+    for P in out:
+        if P.norm() != Fraction(p) ** P.f:
+            raise InvariantViolated(f"a prime above {p} has norm {P.norm()}, not {p}^{P.f}")
+    out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
+    return out
+
+
+def _dedekind_primes(p, order, pO):
     """Dedekind: a factor g_i^e of g mod p gives P = (p, g_i(theta)) with e(P) = e.
 
-    Every prime is read off its factor g_i alone: P is the kernel of
-    O -> F_p[x]/(g_i), theta -> x, whose column HNF `_kernel_hnf` writes
-    down, and its anti-uniformizer is the cofactor beta = h(theta),
-    h = g / g_i mod p. h g_i = g = 0 at theta modulo p, so beta*P <= pO, and
-    beta is not in pO because O/pO = F_p[x]/(g) for p prime to the index and
-    h has degree below that of g. No HNF is searched for and no kernel of a
-    multiplication is taken. The split is then checked at a cost that does
-    not grow with p: the primes are distinct, sum e f = n, N(P) = p^f, and
-    v_P(pO) = e. By the fundamental identity no other prime lies above p, so
-    these prove that the P^e multiply to pO.
+    P is the kernel of O -> F_p[x]/(g_i), theta -> x, whose column HNF
+    `_kernel_hnf` writes down, and beta = h(theta), h = g / g_i mod p:
+    h g_i = g = 0 at theta modulo p, so beta*P <= pO, and beta is not in pO
+    because O/pO = F_p[x]/(g) for p prime to the index and deg h < deg g.
+    v_P(pO) = e is checked with that beta.
     """
-    if order.equation_index % p == 0:
-        raise IndexDivisible(f"{p} divides the equation-order index {order.equation_index}")
     theta = order.equation_gen
-    n = order.degree
     gp = _g_mod_p(order, p)
     out = []
     for gi, e in _factor_mod_p(gp, p):
         gi_elem = theta + gi[0] if len(gi) == 2 else UniPoly(gi)(theta)
         beta = _theta_coords(order, modpoly.divmod_(gp, gi, p)[0])
-        out.append(PrimeIdeal(order, 1, _kernel_hnf(order, gi, p), p, e, len(gi) - 1,
-                              gi_elem, beta))
-    if len(set(out)) != len(out):
-        raise InvariantViolated(f"a prime above {p} is listed twice")
-    if sum(P.e * P.f for P in out) != n:
-        raise InvariantViolated(f"Dedekind splitting of {p} incomplete")
-    pO = FracIdeal(order, 1, [[p * int(i == j) for j in range(n)] for i in range(n)])
-    for P in out:
-        if P.norm() != Fraction(p) ** P.f:
-            raise InvariantViolated(f"a prime above {p} has norm {P.norm()}, not {p}^{P.f}")
+        P = PrimeIdeal(order, 1, _kernel_hnf(order, gi, p), p, e, len(gi) - 1, [gi_elem], beta)
         v = pO.valuation(P)
-        if v != P.e:
-            raise InvariantViolated(f"v_P({p}) is {v}, not e = {P.e}")
-    out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
+        if v != e:
+            raise InvariantViolated(f"v_P({p}) is {v}, not e = {e}")
+        out.append(P)
     return out
+
+
+def _radical_primes(p, order, pO):
+    """The maximal ideals over the p-radical R, split recursively (Buchmann-Lenstra).
+
+    O/R is a product of finite fields; while O/J, J >= R, has more than one,
+    `_splitting_element` splits J into the J + (alpha - r)O. A prime's
+    generators over pO are R's and the alpha - r on its path, and beta is a
+    kernel vector mod p of multiplication by them: beta*P <= pO, beta not in
+    pO. e = v_P(pO), and f is the number of p's on the HNF diagonal.
+    """
+    one = list(order.one_coords)
+    R, rad_gens, frob = p_radical(order, p)
+    out, todo = [], [(R.hnf, rad_gens)]
+    while todo:
+        J, gens = todo.pop()
+        split = _splitting_element(order, J, p, frob)
+        if split is None:
+            rows = [row for g in gens for row in order.mult_matrix_coords(g)]
+            beta = kernel_mod_p(rows, p)[0] if rows else one
+            P = PrimeIdeal(order, 1, J, p, 0, [row[i] for i, row in enumerate(J)].count(p),
+                           [order.element_from_coords(g) for g in gens], beta)
+            P.e = pO.valuation(P)  # the valuation reads P's beta and f, not its e
+            out.append(P)
+            continue
+        alpha, roots = split
+        for r in roots:
+            g = [a - r * u for a, u in zip(alpha, one)]
+            todo.append((lattice_hnf(transpose(J) + transpose(order.mult_matrix_coords(g)))[1],
+                         gens + [g]))
+    return out
+
+
+def _splitting_element(order, J, p, frob):
+    """(alpha, roots) splitting an ideal pO <= J < O, or None when J is maximal.
+
+    J's HNF has p or 1 on its diagonal, so a residue mod J is 0 where it has
+    1 and its coordinates at the p's are coordinates on O/J. There the
+    kernel of x -> x^p - x (frob: x -> x^p on O/pO) is F_p^s, s the number
+    of maximal ideals over J. It holds 1, so at s > 1 one of two independent
+    kernel vectors, alpha, is no multiple of 1: its minimal polynomial mod J
+    has degree >= 2 and divides x^p - x, and alpha - r, r one of its roots,
+    lies in some of those maximal ideals but not all.
+    """
+    n = order.degree
+    free = [i for i in range(n) if J[i][i] != 1]
+
+    def residue(v):
+        r = reduce_mod_hnf(J, v)
+        return [r[i] for i in free]
+
+    images = [residue([frob[k][i] - (k == i) for k in range(n)]) for i in free]
+    kernel = kernel_mod_p(transpose(images), p)
+    if len(kernel) == 1:
+        return None
+    powers = [residue(order.one_coords)]
+    v = kernel[1] if kernel_mod_p(transpose(powers + kernel[:1]), p) else kernel[0]
+    lift = dict(zip(free, v))
+    alpha = power = [lift.get(i, 0) for i in range(n)]
+    while True:
+        powers.append(residue(power))
+        dependency = kernel_mod_p(transpose(powers), p)
+        if dependency:
+            return alpha, [-g[0] % p for g, _ in modpoly.factor(dependency[0], p)]
+        power = reduce_mod_hnf(J, order.mult_coords(power, alpha))
+
+
+def p_radical(order, p):
+    """(R, gens, frob): the p-radical R of an order, its generators over pO, and frob.
+
+    frob is the matrix of the F_p-linear map x -> x^p on O/pO (column i is
+    w_i^p mod p). R/pO is the nilradical of O/pO, the kernel of frob^k for
+    p^k >= n, and gens is an F_p-basis of it in integer order coordinates.
+    """
+    n = order.degree
+
+    def mult(x, y):
+        return [c % p for c in order.mult_coords(x, y)]
+
+    frob = transpose([binary_power([int(i == j) for j in range(n)], p, None, mult)
+                      for i in range(n)])
+    power, q = frob, p
+    while q < n:
+        power, q = mat_mul(power, frob), q * p
+    gens = kernel_mod_p(power, p)
+    cols = [[p * int(i == j) for j in range(n)] for i in range(n)] + gens
+    return FracIdeal(order, *lattice_hnf(cols)), gens, frob
 
 
 def _g_mod_p(order, p):
@@ -441,9 +518,7 @@ def _kernel_hnf(order, gi, p):
         power = [(-top * gi[0]) % p] + [(power[k - 1] - top * gi[k]) % p for k in range(1, f)]
         powers.append(power)
     lam = [[sum(map(mul, row, col)) for col in zip(*T)] for row in zip(*powers)]
-    hnf = [[0] * n for _ in range(n)]
-    for j in range(n):
-        hnf[j][j] = p
+    hnf = [[p * (i == j) for j in range(n)] for i in range(n)]
     for v in kernel_mod_p(lam, p):
         j = n - 1
         while not v[j]:
@@ -456,8 +531,7 @@ def _kernel_hnf(order, gi, p):
 def factor_ideal(a):
     """Factor a fractional ideal into primes: dict {PrimeIdeal: exponent}.
 
-    Support primes are found from the numerator and denominator norms; raises
-    IndexDivisible if a support prime divides the equation-order index. With
+    Support primes are found from the numerator and denominator norms. With
     num = den·a integral, sum v_P(num)·f_P over the primes above p is
     ord_p(N(num)), so once that is reached the other primes above p have
     v_P(num) = 0 and take no valuation; v_P(a) is v_P(num) - e_P·ord_p(den).
@@ -483,35 +557,6 @@ def factor_ideal(a):
             v -= P.e * d
             if v:
                 out[P] = v
-    return out
-
-
-def integral_ideals_of_norm(order, norm):
-    """Every integral ideal of the given norm, sorted by HNF rows.
-
-    The candidates are the upper-triangular column HNFs of determinant norm:
-    a diagonal d_0, ..., d_{n-1} with that product and the entries right of
-    each pivot in [0, d_i), so prod d_i^(n-1-i) matrices per diagonal. A
-    candidate is an ideal exactly when its lattice is closed under
-    multiplication by every order basis element. No prime is split.
-    """
-    n = order.degree
-    mults = [order.mult_matrix_coords([int(i == t) for i in range(n)]) for t in range(n)]
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    divisors = [d for d in range(1, norm + 1) if norm % d == 0]
-    for diag in itertools.product(divisors, repeat=n):
-        if math.prod(diag) != norm:
-            continue
-        for entries in itertools.product(*(range(diag[i]) for i, _ in slots)):
-            H = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            for (i, j), x in zip(slots, entries):
-                H[i][j] = x
-            a = FracIdeal(order, 1, H)
-            if all(a.lattice_coords(mat_vec(M, col)) is not None
-                   for M in mults for col in a.basis_columns()):
-                out.append(a)
-    out.sort(key=lambda a: a.hnf)
     return out
 
 

@@ -162,6 +162,8 @@ def kernel_mod_p(A, p):
     pivots = []
     for c in range(m):
         row = len(pivots)
+        if row == n:  # every row has its pivot: the other columns are free
+            break
         piv = next((r for r in range(row, n) if M[r][c]), None)
         if piv is None:
             continue
@@ -174,8 +176,9 @@ def kernel_mod_p(A, p):
                 M[r] = [(x - f * y) % p for x, y in zip(M[r], M[row])]
         pivots.append(c)
     out = []
+    pivot_set = set(pivots)
     for fc in range(m):
-        if fc in pivots:
+        if fc in pivot_set:
             continue
         v = [0] * m
         v[fc] = 1

@@ -5,9 +5,9 @@ denominator; coordinates come from its integer adjugate, with no Fraction
 elimination. Its multiplication table is built once, so the matrix of
 multiplication by an element is n^2 integer dot products. The maximal order
 p-maximalizes the equation order at every prime whose square divides
-disc(min_poly): the p-radical R of O/pO is the kernel of the iterated
-Frobenius, and the multiplier ring of R, the colon ideal (R : R) of
-`ideals`, strictly contains O exactly when O is not p-maximal.
+disc(min_poly): the multiplier ring of the p-radical R (`ideals.p_radical`),
+the colon ideal (R : R), strictly contains O exactly when O is not
+p-maximal.
 """
 
 import math
@@ -15,11 +15,10 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import CMFieldsError, InvariantViolated
-from .ideals import FracIdeal, colon_ideal
+from .ideals import colon_ideal, p_radical
 from .intutil import factorize
 from .linalg import (
     det_fraction,
-    kernel_mod_p,
     lattice_hnf,
     mat_mul,
     mat_vec,
@@ -28,7 +27,6 @@ from .linalg import (
     triangular_adjugate,
 )
 from .memo import per_field
-from .numfield import binary_power
 from .unipoly import UniPoly
 
 
@@ -175,31 +173,6 @@ def equation_order(field):
     return Order(field, 1, [[D**j if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def _p_radical_lattice(order, p):
-    """Order-coordinate basis columns of the p-radical ideal of the order."""
-    n = order.degree
-    # Frobenius matrix on O/pO: columns = coords of w_i^p
-    k = 1
-    q = p
-    while q < n:
-        q *= p
-        k += 1
-
-    def mult(x, y):
-        return [c % p for c in order.mult_coords(x, y)]
-
-    cols = []
-    for i in range(n):
-        acc = [int(i == j) for j in range(n)]
-        for _ in range(k):
-            acc = binary_power(acc, p, None, mult)  # acc := acc^p mod p
-        cols.append(acc)
-    # columns p*e_i and the kernel of Frobenius mod p
-    gens = [[p * int(i == j) for j in range(n)] for i in range(n)]
-    gens.extend(kernel_mod_p(transpose(cols), p))
-    return lattice_hnf(gens)[1]
-
-
 def maximal_order(field):
     """The maximal order, by p-maximalizing the equation order (memoized)."""
     return per_field("maximal_order", field, lambda: _maximal_order(field))
@@ -219,7 +192,7 @@ def _maximal_order(field):
     bad = [p for p, e in factorize(disc_eq).items() if e >= 2]
     for p in bad:
         while True:
-            rad = FracIdeal(order, 1, _p_radical_lattice(order, p))
+            rad = p_radical(order, p)[0]
             # the multiplier ring contains O, so it is O exactly at norm 1
             ring = colon_ideal(rad, rad)
             if ring.norm() == 1:

@@ -24,9 +24,10 @@ mapped back through U is that first hit. The roots of unity are sorted the
 same way.
 
 `class_representatives` is the one ideal-class computation: every integral
-ideal of norm up to Minkowski's bound, enumerated directly as an HNF, is
-compared with the classes found so far by a principality test. The lattice
-models of `latticeav` and the ray class groups of `rayclass` both use it.
+ideal of norm up to Minkowski's bound, built as a product of powers of the
+primes of that norm, is compared with the classes found so far by a
+principality test. The lattice models of `latticeav` and the ray class
+groups of `rayclass` both use it.
 """
 
 import math
@@ -34,12 +35,14 @@ from fractions import Fraction
 
 from .closure import complex_conjugation
 from .errors import EnumerationBoundExceeded, InvariantViolated, OrderMismatch
-from .ideals import integral_ideals_of_norm
-from .intutil import root_upper
+from .ideals import FracIdeal, primes_of_norm_below
+from .intutil import primes_up_to, root_upper
 from .linalg import identity_matrix, mat_mul, mat_vec, transpose
 from .memo import per_field
 from .numfield import numerator_rows
 from .unipoly import sturm_real_root_count
+
+BUDGET_DOUBLINGS = 10  # doublings of the search bound before is_principal gives up
 
 
 def _gram_schmidt_row(G, d, lam, k):
@@ -212,14 +215,15 @@ def _is_imaginary_quadratic(field):
     return b * b - 4 * a * c < 0
 
 
-def is_principal(a, budget_doublings=10):
+def is_principal(a):
     """A generator of the fractional ideal a, or None.
 
     Complete (None is a proof) for imaginary quadratic fields; for other
-    totally real/imaginary fields an exhausted search raises
-    EnumerationBoundExceeded with the final bound. The generator is the one
-    whose HNF coordinates come first in `_search_order`, among the
-    generators within the first bound that has one.
+    totally real/imaginary fields the search bound doubles BUDGET_DOUBLINGS
+    times, and an exhausted search raises EnumerationBoundExceeded with the
+    final bound. The generator is the one whose HNF coordinates come first
+    in `_search_order`, among the generators within the first bound that
+    has one.
     """
     order = a.order
     field = order.field
@@ -244,7 +248,7 @@ def is_principal(a, budget_doublings=10):
     g_half = n // 2
     floor_bound = 2 * g_half * root_upper(Fraction(target) ** 2, n)
     bound = floor_bound + 1
-    for _ in range(budget_doublings):
+    for _ in range(BUDGET_DOUBLINGS):
         for v in sorted((mat_vec(U, y) for y in fincke_pohst(R, bound)), key=_search_order):
             x = element(v)
             if abs(x.norm()) == target:
@@ -280,10 +284,11 @@ def class_representatives(order):
 
     Every class holds an integral ideal of norm at most Minkowski's bound, so
     the candidates are all integral ideals up to that norm, in (norm, HNF)
-    order; a candidate opens a new class when no earlier representative r
-    makes a * r^-1 principal. The count is the class number, and the
-    principality test is decisive for imaginary quadratic fields. Memoized
-    per field; there is one maximal order per field.
+    order: the products of powers of the primes of such norm, each made once
+    and none past the bound. A candidate opens a new class when no earlier
+    representative r makes a * r^-1 principal. The count is the class
+    number, and the principality test is decisive for imaginary quadratic
+    fields. Memoized per field; there is one maximal order per field.
     """
     if order.index_in_maximal != 1:
         raise OrderMismatch("class_representatives needs the maximal order")
@@ -291,12 +296,20 @@ def class_representatives(order):
 
 
 def _class_representatives(order):
+    cap = _minkowski_cap(order)
+    candidates = [FracIdeal.unit_ideal(order)]
+    for p in primes_up_to(cap):
+        for P in primes_of_norm_below(p, order, cap + 1):
+            for a in list(candidates):
+                while a.norm() * P.norm() <= cap:
+                    a = a * P
+                    candidates.append(a)
+    candidates.sort(key=lambda a: (a.norm(), a.hnf))
     reps, inverses = [], []
-    for norm in range(1, _minkowski_cap(order) + 1):
-        for a in integral_ideals_of_norm(order, norm):
-            if all(is_principal(a * r_inv) is None for r_inv in inverses):
-                reps.append(a)
-                inverses.append(a.inverse())
+    for a in candidates:
+        if all(is_principal(a * r_inv) is None for r_inv in inverses):
+            reps.append(a)
+            inverses.append(a.inverse())
     return reps
 
 

@@ -4,11 +4,13 @@ The group is assembled from the exact sequence
 units -> (O/m)x -> C_m -> Cl -> 1: the residue group is enumerated with a
 full discrete-log table (the norm cap keeps it small), the unit image is the
 subgroup generated by the torsion units and any supplied fundamental units,
-and the class part is `principal.class_representatives` with a generator of
-the class group coprime to m, found among the integral ideals in order of
-norm; a class group that is not cyclic is refused. A class is its exponent
-vector reduced modulo the HNF of the combined relation rows, which also gives
-the group order (the product of the pivots) and the elementary divisors.
+and the class part is `principal.class_representatives`: the first
+representative of class order h generates a cyclic class group, and
+`ideals.coprime_scale` moves it within its class to norm coprime to m; a
+class group with no such representative is not cyclic and is refused. A
+class is its exponent vector reduced modulo the HNF of the combined relation
+rows, which also gives the group order (the product of the pivots) and the
+elementary divisors.
 The reflex-transport check realizes the ideal-norm side of the main theorem:
 principal reflex-field ideals with ray-congruent generators must transport to
 the trivial class. With m | m', beta = 1 (mod m') gives N_Phi(beta) = 1
@@ -20,14 +22,13 @@ import math
 import random
 from .cmreflex import reflex_field
 from .errors import (
-    EnumerationBoundExceeded,
     InvariantViolated,
     ModulusTooLarge,
     NonCyclicClassGroup,
     NotCoprime,
     UnitsUnavailable,
 )
-from .ideals import FracIdeal, factor_ideal, integral_ideals_of_norm, prime_split
+from .ideals import FracIdeal, coprime_scale, factor_ideal, prime_split
 from .intutil import primes_up_to
 from .linalg import elementary_divisors, lattice_hnf, reduce_mod_hnf
 from .orders import maximal_order
@@ -35,7 +36,6 @@ from .principal import class_representatives, is_principal, torsion_units
 from .unipoly import UniPoly
 
 MODULUS_NORM_CAP = 10**4
-CLASS_GENERATOR_NORM_CAP = 200
 
 
 class Modulus:
@@ -158,37 +158,29 @@ def _class_group_cyclic_data(order, modulus_ideal):
 
     g^h = (tau); g and tau are None when h = 1. A cyclic class group has a
     representative of class order h among `class_representatives`, so a
-    group with none is refused at once with NonCyclicClassGroup. Every class
-    holds ideals of norm coprime to the modulus, but with no effective bound,
-    so the search for g stops at norm CLASS_GENERATOR_NORM_CAP and raises
-    EnumerationBoundExceeded.
+    group with none is refused at once with NonCyclicClassGroup; a class
+    order divides h, so each power search ends. The first such
+    representative r is g, unless its norm meets the modulus's: then
+    `ideals.coprime_scale` gives g = c r in the same class with norm coprime
+    to it, and tau becomes c^h tau.
     """
     reps = class_representatives(order)
     h = len(reps)
     if h == 1:
         return 1, None, None
-    if not any(_class_order(r, h)[0] == h for r in reps):
+    for g in reps:
+        k, power = 1, g
+        while (tau := is_principal(power)) is None:
+            k, power = k + 1, power * g
+        if k == h:
+            break
+    else:
         raise NonCyclicClassGroup(f"class number {h}, but no class has order {h}")
     m_norm = int(modulus_ideal.norm())
-    for norm in range(2, CLASS_GENERATOR_NORM_CAP + 1):
-        if math.gcd(norm, m_norm) != 1:
-            continue
-        for g in integral_ideals_of_norm(order, norm):
-            k, tau = _class_order(g, h)
-            if k == h:
-                return h, g, tau
-    raise EnumerationBoundExceeded("no cyclic class-group generator found")
-
-
-def _class_order(a, h):
-    """(k, tau) for the least k <= h with a^k = (tau), or (None, None) when there is none."""
-    power = a
-    for k in range(1, h + 1):
-        tau = is_principal(power)
-        if tau is not None:
-            return k, tau
-        power = power * a
-    return None, None
+    if math.gcd(int(g.norm()), m_norm) != 1:
+        c, g = coprime_scale(g, m_norm)
+        tau = tau * c**h
+    return h, g, tau
 
 
 class RayClassGroup:
@@ -383,11 +375,9 @@ def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed, negative_con
 
     # multiplicativity of the transported ideal classes
     mult_ok = True
-    bad = m * OStar.equation_index * order_E.equation_index
-    bad *= maximal_order(rd.closure).equation_index
     star_primes = []
     for p in primes_up_to(60):
-        if math.gcd(p, bad) != 1:
+        if m % p == 0:
             continue
         star_primes.append(prime_split(p, OStar)[0])
         if len(star_primes) >= 5:

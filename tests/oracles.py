@@ -2,7 +2,10 @@
 
 These deliberately avoid the library's own code paths: class numbers come
 from reduced binary quadratic forms, lattice indexes from coset enumeration,
-point counts from a double loop and from a Legendre sum, principality from naive box
+point counts from a double loop and from a Legendre sum, the primes above an index
+prime from Dedekind's criterion on another generator of the maximal order, integral
+ideals of a given norm and the ideal classes from every candidate HNF of that
+determinant, principality from naive box
 search and from Fincke-Pohst on the unreduced HNF basis, and complex conjugation from a
 search of every automorphism with numeric embedding tests, and embedded element values
 from a Horner pass over Fraction balls, ideal products from every pair of basis columns,
@@ -347,7 +350,7 @@ def prime_split_by_generators(p, order):
         gi_elem = UniPoly(gi)(order.equation_gen)
         ideal = FracIdeal.from_generators(order, [field.one() * p, gi_elem])
         beta = kernel_mod_p(order.mult_matrix_coords(order.integral_coords(gi_elem)), p)[0]
-        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, len(gi) - 1, gi_elem, beta))
+        out.append(PrimeIdeal(order, ideal.den, ideal.hnf, p, e, len(gi) - 1, [gi_elem], beta))
     assert sum(P.e * P.f for P in out) == order.degree
     prod = FracIdeal.unit_ideal(order)
     for P in out:
@@ -356,6 +359,99 @@ def prime_split_by_generators(p, order):
     assert prod == FracIdeal.principal(order, field.one() * p)
     out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
     return out
+
+
+def prime_split_by_dedekind_at(p, order, seed=0):
+    """The primes above p as sorted (hnf, e, f), by Dedekind's criterion on another generator.
+
+    A seeded search draws alpha in O with small coordinates until its
+    characteristic polynomial f (sympy, from the matrix of multiplication by
+    alpha) is separable and p does not divide [O : Z[alpha]], that is,
+    ord_p disc(f) = ord_p disc(O), since disc(f) = [O : Z[alpha]]^2 disc(O).
+    Then a factor h^e of f mod p (sympy's factor_list over GF(p)) gives the
+    prime pO + h(alpha)O with e(P) = e and f(P) = deg h, whose HNF is that
+    of its two generators. Nothing of the equation order or of the library's
+    splitting is used, so an index prime of the equation order is split like
+    any other. None when 200 draws find no such alpha: p may divide the index
+    of every generator (a common index divisor, p < n).
+    """
+    import random
+
+    from sympy import Matrix, Poly, discriminant, multiplicity, symbols
+
+    from cmfields.ideals import FracIdeal
+
+    x = symbols("x")
+    rng = random.Random(seed)
+    field = order.field
+    disc_order = multiplicity(p, order.disc())
+    for _ in range(200):
+        coords = [rng.randint(-3, 3) for _ in range(order.degree)]
+        f = Matrix(order.mult_matrix_coords(coords)).charpoly(x)
+        d = discriminant(f.as_expr(), x)
+        if d != 0 and multiplicity(p, d) == disc_order:
+            break
+    else:
+        return None
+    alpha = order.element_from_coords(coords)
+    out = []
+    for h, e in Poly(f.as_expr(), x, modulus=p).factor_list()[1]:
+        value = field.zero()
+        for c in h.all_coeffs():  # highest first, Horner
+            value = value * alpha + field.one() * int(c)
+        ideal = FracIdeal.from_generators(order, [field.one() * p, value])
+        out.append((ideal.hnf, e, h.degree()))
+    return sorted(out)
+
+
+def integral_ideals_of_norm(order, norm):
+    """Every integral ideal of the given norm, sorted by HNF rows.
+
+    The candidates are the upper-triangular column HNFs of determinant norm:
+    a diagonal d_0, ..., d_{n-1} with that product and the entries right of
+    each pivot in [0, d_i), so prod d_i^(n-1-i) matrices per diagonal. A
+    candidate is an ideal exactly when its lattice is closed under
+    multiplication by every order basis element. No prime is split.
+    """
+    import itertools
+
+    from cmfields.ideals import FracIdeal
+    from cmfields.linalg import mat_vec
+
+    n = order.degree
+    mults = [order.mult_matrix_coords([int(i == t) for i in range(n)]) for t in range(n)]
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    divisors = [d for d in range(1, norm + 1) if norm % d == 0]
+    for diag in itertools.product(divisors, repeat=n):
+        if math.prod(diag) != norm:
+            continue
+        for entries in itertools.product(*(range(diag[i]) for i, _ in slots)):
+            H = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), x in zip(slots, entries):
+                H[i][j] = x
+            a = FracIdeal(order, 1, H)
+            if all(a.lattice_coords(mat_vec(M, col)) is not None
+                   for M in mults for col in a.basis_columns()):
+                out.append(a)
+    out.sort(key=lambda a: a.hnf)
+    return out
+
+
+def class_representatives_by_hnf_enumeration(order, cap):
+    """One integral ideal per class, from every integral ideal of norm <= cap in (norm, HNF) order.
+
+    A candidate from `integral_ideals_of_norm` opens a new class when no
+    earlier representative r makes a * r^-1 principal.
+    """
+    from cmfields.principal import is_principal
+
+    reps = []
+    for norm in range(1, cap + 1):
+        for a in integral_ideals_of_norm(order, norm):
+            if all(is_principal(a * r.inverse()) is None for r in reps):
+                reps.append(a)
+    return reps
 
 
 def ideal_product_by_bases(a, b):

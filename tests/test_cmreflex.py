@@ -297,11 +297,12 @@ class TestIdentitySuite:
         L = splitting_data(quartic).closure
         rep = verify_reflex_identities(t, L, 8, seed=7, norm_bound=40)
         assert rep["ok"], rep
-        assert rep["skipped_index_primes"] == [2, 3, 23]
+        # the primes above the index primes 2, 3 and 23 are among those checked
+        assert (rep["prime_count"], rep["reflex_prime_count"]) == (14, 14)
 
     def test_primes_split_only_where_the_suite_uses_them(self):
         # a fresh process, so no split is in the memo: the suite on
-        # x^4+6x^2+3 at bound 200 splits 48 primes (102 when every p < 200
+        # x^4+6x^2+3 at bound 200 splits 57 primes (102 when every p < 200
         # was split in O_L and in O_E*), and its report does not change
         code = textwrap.dedent("""
             from cmfields import ideals
@@ -322,7 +323,7 @@ class TestIdentitySuite:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=300)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["48", "True", "36", "40"]
+        assert run.stdout.split() == ["57", "True", "46", "46"]
 
 
 class TestPrimeBelow:
@@ -338,7 +339,7 @@ class TestPrimeBelow:
 
     @pytest.mark.parametrize("coeffs", POLYS)
     def test_the_prime_below_lies_below_and_the_degrees_add_up(self, coeffs):
-        # for each inclusion F -> L and each p < 50 prime to the indices:
+        # for each inclusion F -> L and each p < 50, index primes included:
         # incl(q) O_L <= P for the returned q, f(P/q) = f(P)/f(q), every
         # prime of F above p is hit, and sum e(P/q) f(P/q) = [L:F] per q
         L, incls = self._inclusions(cm_check(NumberField(UniPoly(list(coeffs)))))
@@ -347,8 +348,6 @@ class TestPrimeBelow:
         for incl in incls:
             OF = maximal_order(incl.source)
             for p in primes_up_to(49):
-                if OL.equation_index % p == 0 or OF.equation_index % p == 0:
-                    continue
                 degree_sums = {}
                 for P in prime_split(p, OL):
                     q, f = cmreflex._prime_below(P, incl, OF)
@@ -528,12 +527,12 @@ class TestReflexNormOnReflexIdeals:
         t = enumerate_cm_types(quartic_cm)[0]
         L = splitting_data(quartic).closure
         rep = verify_reflex_identities(t, L, 2, seed=1)
-        assert rep["identities"]["reflex_ideal_root"] == {"pass": 40, "fail": 0}
+        assert rep["identities"]["reflex_ideal_root"] == {"pass": 46, "fail": 0}
         monkeypatch.setattr(ReflexData, "reflex_norm_ideal",
                             lambda self, b: FracIdeal.unit_ideal(maximal_order(quartic)))
         rep = verify_reflex_identities(t, L, 2, seed=1)
         assert rep["identities"]["reflex_ideal_root"]["pass"] == 0
-        assert rep["identities"]["reflex_ideal_root"]["fail"] == 40
+        assert rep["identities"]["reflex_ideal_root"]["fail"] == 46
 
     def test_no_prime_of_the_closure_above_q_is_an_invariant_violation(self, quartic_cm, monkeypatch):
         rd = reflex_field(enumerate_cm_types(quartic_cm)[0])

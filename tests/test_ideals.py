@@ -19,13 +19,13 @@ from sympy.polys.numberfields.primes import prime_decomp
 
 from cmfields import ideals, memo, principal
 from cmfields.closure import complex_conjugation, splitting_data
-from cmfields.errors import CMFieldsError, IndexDivisible, InvariantViolated, OrderMismatch
+from cmfields.errors import CMFieldsError, InvariantViolated, OrderMismatch
 from cmfields.ideals import (
     FracIdeal,
     colon_ideal,
     coprime_scale,
     factor_ideal,
-    integral_ideals_of_norm,
+    p_radical,
     prime_split,
     primes_of_norm_below,
 )
@@ -35,25 +35,27 @@ from cmfields.numfield import NumberField
 from cmfields.orders import (
     Order,
     _maximal_order,
-    _p_radical_lattice,
     equation_order,
     integral_presentation,
     maximal_order,
 )
-from cmfields.principal import is_principal, torsion_units
+from cmfields.principal import class_representatives, is_principal, torsion_units
 from cmfields.ratfactor import is_irreducible_over_q
 from cmfields.unipoly import UniPoly
 
 from oracles import (
     bqf_class_number,
+    class_representatives_by_hnf_enumeration,
     colon_ideal_by_adjugate,
     coprime_scale_by_elements,
     factor_ideal_by_all_valuations,
     ideal_product_by_bases,
     ideal_sum,
+    integral_ideals_of_norm,
     lattice_index_by_cosets,
     mult_matrix_by_units,
     poly_discriminant,
+    prime_split_by_dedekind_at,
     prime_split_by_generators,
     principal_by_box_search,
     principal_by_unreduced_search,
@@ -207,7 +209,7 @@ class TestProductsByGenerators:
                   lambda: _quartic_closure()],
         ids=["Q(sqrt-5)", "Q(zeta5)", "closure(x^4+6x^2+3)"])
     def test_products_by_a_prime_equal_the_basis_product(self, build):
-        # a*P spans a's basis times P's two generators p and second_gen; the
+        # a*P spans a's basis times P's two generators p and gens[0]; the
         # HNF is canonical, so each product is the matrix of the old product
         # of every pair of basis columns
         O = maximal_order(build())
@@ -361,7 +363,7 @@ class TestInverse:
         K = NumberField(UniPoly([1, 0, 5, 0, 1]))
         O = equation_order(K)
         theta = K.gen()
-        rad = FracIdeal(O, 1, _p_radical_lattice(O, 2))
+        rad = p_radical(O, 2)[0]
         cases = [
             rad,
             rad * rad,
@@ -551,14 +553,18 @@ class TestPrimeSplit:
                     prod = prod * P**P.e
                 assert prod == FracIdeal.principal(O, field.one() * p)
 
-    def test_index_divisible_refusal(self, quartic):
-        from cmfields.closure import splitting_data
-
-        L = splitting_data(quartic).closure
-        OL = maximal_order(L)
-        assert OL.equation_index % 3 == 0
-        with pytest.raises(IndexDivisible):
-            prime_split(3, OL)
+    def test_index_primes_split(self, quartic):
+        # the closure of x^4+6x^2+3 has equation-order index 2^17 3^8 23:
+        # 2 = P^8, 3 = P^4 with f = 2, and 23 splits completely; x^4+7x^2+1
+        # has index 9, and 3 is two primes of degree 2
+        OL = maximal_order(splitting_data(quartic).closure)
+        assert OL.equation_index % (2 * 3 * 23) == 0
+        assert [(P.e, P.f) for P in prime_split(2, OL)] == [(8, 1)]
+        assert [(P.e, P.f) for P in prime_split(3, OL)] == [(4, 2)]
+        assert [(P.e, P.f) for P in prime_split(23, OL)] == [(1, 1)] * 8
+        O = maximal_order(NumberField(UniPoly([1, 0, 7, 0, 1])))
+        assert O.equation_index % 3 == 0
+        assert [(P.e, P.f) for P in prime_split(3, O)] == [(1, 2), (1, 2)]
 
     def test_valuations_match_containment(self, zeta5, quartic):
         # every prime above p < 30, against the largest k with I X <= P^k
@@ -755,6 +761,19 @@ class TestPrincipality:
                         )
             assert seen > 0, d
 
+    def test_class_representatives_match_the_hnf_enumeration(self, zeta5):
+        # the candidates are products of prime powers up to the Minkowski cap;
+        # every integral HNF of each norm up to it, in (norm, HNF) order, must
+        # give the same representatives, on every -100 < d <= -3, Q(zeta5),
+        # x^2+31 (index 2) and x^2+14 (h = 4)
+        fields = [_quadratic_field(d) for d in _fundamental_discriminants(-100)]
+        fields += [zeta5, NumberField(UniPoly([31, 0, 1])), NumberField(UniPoly([14, 0, 1]))]
+        for field in fields:
+            O = maximal_order(field)
+            expected = class_representatives_by_hnf_enumeration(O, principal._minkowski_cap(O))
+            assert class_representatives(O) == expected, field.min_poly
+        assert [len(class_representatives(maximal_order(f))) for f in fields[-3:]] == [1, 3, 4]
+
     def test_torsion_units(self, gauss, eisenstein, sqrt5, zeta5):
         assert len(torsion_units(maximal_order(gauss))) == 4
         assert len(torsion_units(maximal_order(eisenstein))) == 6
@@ -923,8 +942,8 @@ class TestClosedFormPrimes:
         for p in primes:
             ours = prime_split(p, O)
             old = prime_split_by_generators(p, O)
-            assert [(P.hnf, P.den, P.e, P.f, P.order, P.second_gen) for P in ours] == [
-                (P.hnf, P.den, P.e, P.f, P.order, P.second_gen) for P in old], p
+            assert [(P.hnf, P.den, P.e, P.f, P.order, P.gens) for P in ours] == [
+                (P.hnf, P.den, P.e, P.f, P.order, P.gens) for P in old], p
             assert sorted((P.e, P.f) for P in ours) == expected_types[p], p
             degree_one += sum(P.f == 1 for P in ours)
         assert len(primes) >= len(CLOSED_FORM_PRIMES) - 3 and degree_one > 0
@@ -1008,17 +1027,103 @@ class TestPrimesOfNormBelow:
             assert ours[p] == [P for P in prime_split(p, O) if P.norm() < bound], p
         assert len(split) < len(primes)
 
-    def test_an_index_prime_is_refused_like_prime_split(self):
+    def test_an_index_prime_goes_to_prime_split(self):
         # x^4+5x^2+1 has equation-order index 4; at p = 2 the enumeration
-        # defers to prime_split whatever the bound
+        # filters prime_split's primes, which are two of norm 4
         O = maximal_order(NumberField(UniPoly([1, 0, 5, 0, 1])))
         assert O.equation_index % 2 == 0
-        with pytest.raises(IndexDivisible) as want:
-            prime_split(2, O)
-        for bound in (2, 3, 200):
-            with pytest.raises(IndexDivisible) as got:
-                primes_of_norm_below(2, O, bound)
-            assert str(got.value) == str(want.value)
+        assert [(P.e, P.f) for P in prime_split(2, O)] == [(1, 2), (1, 2)]
+        for bound, count in ((2, 0), (3, 0), (5, 2), (200, 2)):
+            assert primes_of_norm_below(2, O, bound) == prime_split(2, O)[:count], bound
+
+
+def _irreducible_count(p, f):
+    """Monic irreducible polynomials of degree f over F_p: (1/f) sum mu(d) p^(f/d)."""
+    total = 0
+    for d in range(1, f + 1):
+        if f % d == 0:
+            mu = 0 if any(d % (q * q) == 0 for q in range(2, d + 1)) else \
+                (-1) ** len(factorint(d))
+            total += mu * p ** (f // d)
+    return total // f
+
+
+def _check_index_split(O, p):
+    """The split of p against the oracles; False when p is a common index divisor.
+
+    (a) the P^e multiply to pO; (b) some e > 1 exactly when p divides
+    disc(O_K); (c) the primes are Dedekind's on another generator alpha of
+    O with p prime to [O : Z[alpha]]. No such alpha exists exactly when some
+    residue degree f has more primes than F_p has monic irreducibles of
+    degree f (Hensel), and then the oracle finds none.
+    """
+    split = prime_split(p, O)
+    prod = FracIdeal.unit_ideal(O)
+    for P in split:
+        prod = prod * P**P.e
+    assert prod == FracIdeal.principal(O, O.field.one() * p), p
+    assert any(P.e > 1 for P in split) == (O.disc() % p == 0), p
+    oracle = prime_split_by_dedekind_at(p, O)
+    degrees = [P.f for P in split]
+    common = any(degrees.count(f) > _irreducible_count(p, f) for f in set(degrees))
+    assert (oracle is None) == common, p
+    if oracle is not None:
+        assert sorted((P.hnf, P.e, P.f) for P in split) == oracle, p
+    return not common
+
+
+# (name, field, index primes); 2 is a common index divisor of x^4+5x^2+1,
+# which has two primes of degree 2 above it and F_2 one irreducible quadratic
+INDEX_PRIME_FIELDS = [
+    ("x^4+5x^2+1", lambda: NumberField(UniPoly([1, 0, 5, 0, 1])), {2: False}),
+    ("x^4+6x^2+1", lambda: NumberField(UniPoly([1, 0, 6, 0, 1])), {2: True}),
+    ("x^4+7x^2+1", lambda: NumberField(UniPoly([1, 0, 7, 0, 1])), {3: True}),
+    ("x^2+31", lambda: NumberField(UniPoly([31, 0, 1])), {2: True}),
+    ("closure(x^4+6x^2+3)", _quartic_closure, {2: True, 3: True, 23: True}),
+    ("reflex(x^4+6x^2+3)", _quartic_reflex, {2: True, 3: True}),
+]
+
+
+class TestIndexPrimes:
+    # p | [O : Z[theta]] splits over the p-radical; sympy's prime_decomp is
+    # no oracle there (wrong e, exceptions and long runs at index primes),
+    # so the checks are the product, the discriminant and Dedekind's
+    # criterion on another generator of O
+
+    @pytest.mark.parametrize("build, primes", [(b, ps) for _, b, ps in INDEX_PRIME_FIELDS],
+                             ids=[name for name, _, _ in INDEX_PRIME_FIELDS])
+    def test_named_fields_match_the_oracles(self, build, primes):
+        O = maximal_order(build())
+        for p, dedekind in primes.items():
+            assert O.equation_index % p == 0, p
+            assert _check_index_split(O, p) == dedekind, p
+
+    def test_a_seeded_batch_of_fields_matches_the_oracles(self):
+        # monic polynomials of degree 2 to 6 with coefficients in [-9, 9],
+        # every prime of every nontrivial equation-order index
+        rng = random.Random(2024)
+        checked = dedekind = 0
+        while checked < 24:
+            n = rng.randint(2, 6)
+            g = UniPoly([rng.randint(-9, 9) for _ in range(n)] + [1])
+            if g.coeffs[0] == 0 or not is_irreducible_over_q(g):
+                continue
+            O = maximal_order(NumberField(g))
+            for p in factorint(O.equation_index):
+                dedekind += _check_index_split(O, p)
+                checked += 1
+        assert dedekind >= checked // 2
+
+    @pytest.mark.parametrize("build", [_zeta5, _quartic_closure, _quartic_reflex],
+                             ids=["Q(zeta5)", "closure(x^4+6x^2+3)", "reflex(x^4+6x^2+3)"])
+    def test_the_radical_route_gives_the_dedekind_primes(self, build):
+        # at primes prime to the index both routes apply and agree on every HNF
+        O = maximal_order(build())
+        n = O.degree
+        for p in [p for p in primes_up_to(60) if O.equation_index % p]:
+            pO = FracIdeal(O, 1, [[p * int(i == j) for j in range(n)] for i in range(n)])
+            ours = sorted((P.hnf, P.e, P.f) for P in ideals._radical_primes(p, O, pO))
+            assert ours == sorted((P.hnf, P.e, P.f) for P in prime_split(p, O)), p
 
 
 class TestCoprimeScale:

@@ -444,12 +444,14 @@ class TestIntegerMorphisms:
 
 
 class TestPrincipalityBudget:
-    def test_exhausted_budget_is_honest(self, zeta5):
+    def test_exhausted_budget_is_honest(self, zeta5, monkeypatch):
+        from cmfields import principal
         from cmfields.ideals import FracIdeal, prime_split
         from cmfields.orders import maximal_order
         from cmfields.principal import is_principal
 
         O = maximal_order(zeta5)
         P = prime_split(11, O)[0]
+        monkeypatch.setattr(principal, "BUDGET_DOUBLINGS", 0)
         with pytest.raises(EnumerationBoundExceeded):
-            is_principal(P, budget_doublings=0)
+            is_principal(P)

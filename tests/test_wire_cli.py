@@ -125,11 +125,11 @@ class TestCLI:
             ("cm", [[3, 0, 6, 0, 1]], [],
              "31692bdce790a485aa8696e5158381755772d46d77053ef525e24974010929d5"),
             ("reflex-verify", [[1, 0, 1]], ["--samples", "5"],
-             "aee4cf6d669685c61b7ec47819b1870ad950459f1ea890a3ebdb54816b9b80d0"),
+             "0278c5c902b7cf5e7372186576d5519306a0a39b674f25502aa7840ed6466ec0"),
             ("st", None, ["5", "300"],
              "b13e07b774965b62e8a18518160f94bb31d8da7fd0e3e79d05a8dbd2fbddaf31"),
             ("reflex-verify", [[3, 0, 6, 0, 1]], ["--samples", "3"],
-             "844587feb3ea7537c3f2efb27eba81001884b60c5fe6e9b08907f10225528efd"),
+             "879753a27da6530689626ce8f2883af460b801adfc4bd818699745a7310450ce"),
             ("st", None, ["19000", "19200"],
              "58a56f37997180dd33039e84f0c0c7dd788403baa707b2fda6d1a780387d02f3"),
             ("cm", CM_DIGEST_FIELDS, [],
@@ -205,7 +205,7 @@ class TestCLI:
 
         def one_failure(*args):
             return {"identities": {"injected": {"pass": 0, "fail": 1, "witness": "corrupt"}},
-                    "ok": False, "skipped_index_primes": [], "prime_count": 0}
+                    "ok": False, "prime_count": 0}
 
         monkeypatch.setattr(cli, "verify_reflex_identities", one_failure)
         code = main(["reflex-verify", path, "--samples", "5"])
