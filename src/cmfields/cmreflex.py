@@ -21,7 +21,7 @@ from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, InvariantViolated
 from .ideals import FracIdeal, factor_ideal, prime_split, primes_of_norm_below
 from .intutil import primes_up_to
-from .linalg import right_kernel_fraction, transpose
+from .linalg import lattice_hnf, mat_vec, right_kernel_fraction, transpose
 from .memo import per_field
 from .numfield import FieldMorphism, NumberField, primitive_element
 from .orders import maximal_order
@@ -352,11 +352,19 @@ def reflex_norm_ideal(cmtype, k, a):
 
 
 def conjugate_ideal(cmfield, a):
-    """The image of an ideal of O_E under the canonical involution."""
+    """The image of an ideal of O_E under the canonical involution.
+
+    The involution maps O_E onto itself, so it has an integer matrix C on the
+    order basis (memoized per order), and conj(a) is the lattice spanned by C
+    times a's basis columns, over a's denominator.
+    """
     order = a.order
-    return FracIdeal.from_generators(
-        order, [cmfield.conj(g) for g in a.two_element_like_generators()]
-    )
+
+    def matrix():
+        return transpose([order.integral_coords(cmfield.conj(w)) for w in order.elements])
+
+    C = per_field("conjugation_matrix", order.field, matrix, order)
+    return FracIdeal(order, *lattice_hnf([mat_vec(C, col) for col in a.basis_columns()], a.den))
 
 
 def _random_element(field, rng, height=8):

@@ -49,10 +49,6 @@ class PairMismatch(CMFieldsError):
     pass
 
 
-class UnitSearchInconclusive(CMFieldsError):
-    """Equivalence undecided: the unit group is infinite and the generator found is no witness."""
-
-
 class BudgetExceeded(CMFieldsError):
     """A precision budget ran out before a certificate was found."""
 

@@ -39,7 +39,7 @@ from operator import mul
 
 from . import modpoly
 from .errors import InvariantViolated, OrderMismatch, ZeroIdeal
-from .intutil import factorize, sqrt_mod
+from .intutil import binary_power, factorize, quadratic_roots_mod
 from .linalg import (
     hnf_with_transform,
     identity_matrix,
@@ -53,7 +53,6 @@ from .linalg import (
     triangular_adjugate,
 )
 from .memo import per_field
-from .numfield import binary_power
 from .unipoly import UniPoly
 
 
@@ -233,10 +232,6 @@ class FracIdeal:
         if not isinstance(other, FracIdeal) or other.order != self.order:
             raise OrderMismatch("ideals of different orders")
 
-    def two_element_like_generators(self):
-        """A small generating set (all basis elements; primes override with two)."""
-        return self.basis_elements()
-
 
 def _ord_p(n, p):
     v = 0
@@ -303,6 +298,7 @@ class PrimeIdeal(FracIdeal):
         return self._gen_cols
 
     def two_element_like_generators(self):
+        """Field elements that generate P over O: p and gens."""
         return [self.order.field.one() * self.p] + self.gens
 
 
@@ -466,17 +462,14 @@ def _g_mod_p(order, p):
 def _factor_mod_p(gp, p):
     """(monic factor of gp, multiplicity) pairs, coefficients lowest first.
 
-    A quadratic at odd p is split by the square root of its discriminant;
+    A quadratic at odd p is split by its roots (`intutil.quadratic_roots_mod`);
     anything else goes to `modpoly.factor`.
     """
     if len(gp) != 3 or p == 2:
         return modpoly.factor(gp, p)
-    c, b, _ = gp
-    s = sqrt_mod(b * b - 4 * c, p)
-    if s is None:
+    roots = quadratic_roots_mod(gp[0], gp[1], p)
+    if not roots:
         return [(tuple(gp), 1)]
-    half = (p + 1) // 2
-    roots = sorted({(-b + s) * half % p, (-b - s) * half % p})
     return [((-r % p, 1), 3 - len(roots)) for r in roots]
 
 

@@ -1,6 +1,7 @@
-"""Small integer number theory helpers shared across the package."""
+"""Small integer number theory helpers, and the one powering loop, shared across the package."""
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -182,3 +183,27 @@ def sqrt_mod(a, p):
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def quadratic_roots_mod(c, b, p):
+    """The distinct roots of x^2 + b x + c modulo an odd prime p, ascending; [] if none.
+
+    They are (-b +- s)/2 for s a square root of the discriminant b^2 - 4c.
+    """
+    s = sqrt_mod(b * b - 4 * c, p)
+    if s is None:
+        return []
+    half = (p + 1) // 2
+    return sorted({(-b + s) * half % p, (-b - s) * half % p})
+
+
+def binary_power(base, k, one, mul=operator.mul):
+    """base**k for k >= 0: no product with one, no squaring past the top bit."""
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return one if out is None else out

@@ -23,7 +23,7 @@ from .errors import (
     ZeroElement,
 )
 from .ideals import colon_ideal
-from .linalg import mat_vec, row_reduce
+from .linalg import det_fraction, mat_vec
 from .orders import maximal_order
 from .principal import class_representatives
 
@@ -186,7 +186,7 @@ class TorsionModule:
 
     def is_generator(self, v):
         M = self._matrix_of(v)
-        return math.gcd(_det_mod(M, self.m), self.m) == 1
+        return math.gcd(int(det_fraction(M)), self.m) == 1
 
     def _find_generator(self):
         """The first generator in boxes [0, radius]^n of radius 1, 2, ..., m - 1.
@@ -202,12 +202,6 @@ class TorsionModule:
                 if max(coords) == radius and self.is_generator(list(coords)):
                     return list(coords)
         raise InvariantViolated(f"L/{self.m}L has no generator: the lattice is not invertible")
-
-
-def _det_mod(M, m):
-    """det(M) mod m for a square integer matrix, from one reduction of a copy."""
-    pivots, d, sign = row_reduce([list(row) for row in M], len(M))
-    return sign * d % m if len(pivots) == len(M) else 0
 
 
 def induced_torsion_matrix(lam, m):
@@ -226,5 +220,5 @@ def induced_torsion_matrix(lam, m):
             raise InvariantViolated("source not inside target")
         out_cols.append([c % m for c in z])
     M = [[out_cols[j][i] for j in range(n)] for i in range(n)]
-    bijective = math.gcd(_det_mod(M, m), m) == 1
+    bijective = math.gcd(int(det_fraction(M)), m) == 1
     return M, bijective

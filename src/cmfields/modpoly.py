@@ -15,6 +15,8 @@ with no factor built.
 
 import random
 
+from .intutil import binary_power
+
 
 def trim(a):
     while a and a[-1] == 0:
@@ -82,9 +84,7 @@ def mod(a, b, p):
 def gcd(a, b, p):
     while b:
         a, b = b, mod(a, b, p)
-    if a:
-        a = scal(a, pow(a[-1], -1, p), p)
-    return a
+    return monic(a, p)
 
 
 def monic(a, p):
@@ -92,14 +92,7 @@ def monic(a, p):
 
 
 def powmod(a, e, f, p):
-    out = [1]
-    a = mod(a, f, p)
-    while e:
-        if e & 1:
-            out = mod(mul(out, a, p), f, p)
-        a = mod(mul(a, a, p), f, p)
-        e >>= 1
-    return out
+    return binary_power(mod(a, f, p), e, [1], lambda x, y: mod(mul(x, y, p), f, p))
 
 
 def derivative(a, p):

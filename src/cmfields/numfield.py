@@ -5,6 +5,7 @@ import operator
 from fractions import Fraction
 
 from .errors import InvariantViolated
+from .intutil import binary_power
 from .linalg import first_dependency, integer_row, linear_solver, row_reduce, transpose
 from .ratfactor import is_irreducible_over_q
 from .unipoly import UniPoly
@@ -252,18 +253,6 @@ def primitive_element(span, degree, min_poly=NFElement.min_poly_over_q, singles=
         f"no primitive element of degree {degree} among {m} span elements and "
         f"{bound} combinations"
     )
-
-
-def binary_power(base, k, one, mul=operator.mul):
-    """base**k for k >= 0: no product with one, no squaring past the top bit."""
-    out = None
-    while k:
-        if k & 1:
-            out = base if out is None else mul(out, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return one if out is None else out
 
 
 def _from_numerators(field, den, out):

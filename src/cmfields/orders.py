@@ -95,11 +95,6 @@ class Order:
         g = math.gcd(d, *v) if d > 0 else -math.gcd(d, *v)
         return [x // g for x in v], d // g
 
-    def coords_of(self, elem):
-        """Coordinates of a field element in the order basis (rational in general)."""
-        v, d = self._coords_num(elem)
-        return [Fraction(x, d) for x in v]
-
     def integral_coords(self, elem):
         """The integer coordinates of elem, or None when elem is not in the order."""
         v, d = self._coords_num(elem)

@@ -3,15 +3,15 @@
 An element alpha with conj(alpha) = -alpha and Im(phi(alpha)) > 0 on the type
 classifies a rational Riemann form; a quadruple adds the period ideal and the
 polarization element t with the same sign conditions. Equivalence of
-quadruples is decided completely for imaginary quadratic fields (finite unit
-groups) and reported honestly as inconclusive otherwise.
+quadruples is decided by one finite search for the units of a given
+relative norm, so it needs no unit group.
 """
 
 from fractions import Fraction
 
 from .embeddings import certified_embeddings, locate_among
-from .errors import InvariantViolated, PairMismatch, UnitSearchInconclusive
-from .principal import is_principal
+from .errors import InvariantViolated, PairMismatch
+from .principal import is_principal, units_of_relative_norm
 
 
 def _imaginary_sign_pattern(cmtype, alpha):
@@ -139,26 +139,23 @@ def validate_quadruple(q):
 def quadruples_equivalent(q1, q2):
     """A witness a with (a2, t2) = (a*a1, t1/(a*conj(a))), or None.
 
-    Complete for imaginary quadratic fields: every unit u there satisfies
-    u*conj(u) = 1, so the witness is determined by the ideal quotient up to
-    units and a single exact comparison decides. Past degree 2 the unit group
-    is infinite and no unit is searched, so a failed comparison raises
-    UnitSearchInconclusive.
+    The witnesses are the generators g*u of a2/a1 with u a unit and
+    u*conj(u) = e = t1/(t2*g*conj(g)), for g the generator that
+    `is_principal` finds. When e is not a unit there is none; otherwise
+    `units_of_relative_norm` lists every such u, so None is a proof.
     """
     if q1.cmtype != q2.cmtype:
         raise PairMismatch("quadruples live on different CM-pairs")
     E = q1.cmtype.cmfield
-    K = E.field
     quotient = q2.ideal * q1.ideal.inverse()
     g = is_principal(quotient)
     if g is None:
         return None
-    # candidate witnesses: g times a unit; u*conj(u) == 1 for every root of
-    # unity u, so g stands for all of its torsion multiples
     if q1.t / (g * E.conj(g)) == q2.t:
         return g
-    if K.degree == 2:
+    e = q1.t / (q2.t * g * E.conj(g))
+    order = quotient.order
+    if not order.contains(e) or abs(e.norm()) != 1:
         return None
-    raise UnitSearchInconclusive(
-        "no torsion-unit multiple of the generator is a witness; the unit group is infinite"
-    )
+    units = units_of_relative_norm(order, e)
+    return g * units[0] if units else None

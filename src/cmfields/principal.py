@@ -2,9 +2,12 @@
 
 The form Q(x) = Tr(x * conj(x)) is positive definite on a totally imaginary
 or totally real field, and an element generates an integral ideal a exactly
-when it lies in a with |Nm| = N(a). For imaginary quadratics Q = 2*Nm makes
-the search sphere exact and the decision complete; otherwise the radius grows
-from the AM-GM floor 2g * N^(1/g) until the budget is exhausted.
+when it lies in a with |Nm| = N(a). The search radius starts at the AM-GM
+floor 2g * N^(1/g) and doubles until the budget is exhausted; for imaginary
+quadratics Q = 2*Nm, so the first radius holds every generator and the
+decision is complete. The units u with u * conj(u) = e lie on the sphere
+Q(u) = Tr(e), so one finite search lists them all, the roots of unity
+(e = 1) included.
 
 The search runs on integers. On the order basis w the trace form is the
 integer matrix T = Tr(w_i * conj(w_j)), built once per order, and an ideal
@@ -32,6 +35,7 @@ groups of `rayclass` both use it.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .closure import complex_conjugation
 from .errors import EnumerationBoundExceeded, InvariantViolated, OrderMismatch
@@ -165,7 +169,7 @@ def lll_gram(G):
 
 
 def _form(G, v):
-    return sum(G[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+    return sum(map(mul, v, mat_vec(G, v)))
 
 
 def _search_order(v):
@@ -234,31 +238,40 @@ def is_principal(a):
     target = abs(math.prod(H[i][i] for i in range(n)))
     R, U = lll_gram(mat_mul(transpose(H), mat_mul(T, H)))
 
-    def element(v):
-        return order.element_from_coords(mat_vec(H, v))
-
-    if _is_imaginary_quadratic(field):
-        # Q = 2 Nm, and Nm(x) >= N(a) for x in a: the hits are Q(y) = 2 N(a)
-        hits = [mat_vec(U, y) for y in fincke_pohst(R, 2 * target)
-                if _form(R, y) == 2 * target]
-        if not hits:
-            return None
-        return element(min(hits, key=_search_order)) / a.den
-
     g_half = n // 2
     floor_bound = 2 * g_half * root_upper(Fraction(target) ** 2, n)
     bound = floor_bound + 1
     for _ in range(BUDGET_DOUBLINGS):
         for v in sorted((mat_vec(U, y) for y in fincke_pohst(R, bound)), key=_search_order):
-            x = element(v)
+            x = order.element_from_coords(mat_vec(H, v))
             if abs(x.norm()) == target:
                 return x / a.den
+        if _is_imaginary_quadratic(field):
+            # Q = 2 Nm there, so every generator (Q = 2 N(a)) lies within
+            # the first bound, 2 N(a) + 3, and the search is complete
+            return None
         bound *= 2
     raise EnumerationBoundExceeded(f"no generator within trace-form bound {bound}")
 
 
+def units_of_relative_norm(order, e):
+    """Every u in the order with u * conj(u) = e, sorted by `_search_order`.
+
+    Such a u has Q(u) = Tr(u * conj(u)) = Tr(e), so it is among the vectors
+    of value Tr(e) under the trace form, which Fincke-Pohst lists in full on
+    its LLL-reduced Gram matrix: the search is finite and complete.
+    """
+    R, U = lll_gram(_trace_form(order))
+    conj = complex_conjugation(order.field)
+    tr = e.trace()
+    coords = sorted((mat_vec(U, y) for y in fincke_pohst(R, tr) if _form(R, y) == tr),
+                    key=_search_order)
+    candidates = (order.element_from_coords(v) for v in coords)
+    return [u for u in candidates if u * conj(u) == e]
+
+
 def torsion_units(order):
-    """All roots of unity in the maximal order (exact sphere Tr(x conj x) = degree).
+    """All roots of unity in the maximal order: the units with u * conj(u) = 1.
 
     Sorted by `_search_order` of their coordinates. Memoized per field;
     there is one maximal order per field.
@@ -269,11 +282,7 @@ def torsion_units(order):
 
 
 def _torsion_units(order):
-    n = order.degree
-    R, U = lll_gram(_trace_form(order))
-    coords = sorted((mat_vec(U, y) for y in fincke_pohst(R, n) if _form(R, y) == n),
-                    key=_search_order)
-    out = [order.element_from_coords(v) for v in coords]
+    out = units_of_relative_norm(order, order.field.one())
     if order.field.one() not in out:
         raise InvariantViolated("1 is missing from the roots of unity")
     return out

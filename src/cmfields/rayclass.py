@@ -20,7 +20,7 @@ the trivial class. With m | m', beta = 1 (mod m') gives N_Phi(beta) = 1
 import itertools
 import math
 import random
-from .cmreflex import reflex_field
+from .cmreflex import _random_element, reflex_field
 from .errors import (
     InvariantViolated,
     ModulusTooLarge,
@@ -87,7 +87,7 @@ class _ResidueGroup:
 
     def reduce(self, coords):
         """Canonical residue vector of integer order-coordinates mod the modulus."""
-        return reduce_mod_hnf(self.hnf, map(int, coords))
+        return reduce_mod_hnf(self.hnf, coords)
 
     def _elements(self):
         """Every residue vector, the first coordinate running fastest."""
@@ -229,7 +229,7 @@ class RayClassGroup:
         self.elementary_divisors = elementary_divisors(H)
         self.order_count = math.prod(H[i][i] for i in range(len(H)))
         # exact-sequence invariant
-        unit_vecs = {self.residues.reduce(order.coords_of(u)) for u in units}
+        unit_vecs = {self.residues.reduce(order.integral_coords(u)) for u in units}
         img = _subgroup_size(unit_vecs, self.residues)
         if self.order_count * img != self.residues.unit_count * h:
             raise InvariantViolated("exact sequence |C_m| * |im(units)| = |(O/m)x| * h violated")
@@ -246,8 +246,7 @@ class RayClassGroup:
         """Class of a fractional ideal coprime to m: its exponent vector reduced
         modulo the relations."""
         m_norm = int(self.modulus.ideal.norm())
-        a_int = a.scaled(a.den)
-        if math.gcd(int(a_int.norm()), m_norm) != 1 or math.gcd(a.den, m_norm) != 1:
+        if not _coprime_to(a, m_norm):
             raise NotCoprime("ideal is not coprime to the modulus")
         # the first k with a * class_gen^-k = (alpha), so a = class_gen^k * (alpha)
         work = a
@@ -258,11 +257,7 @@ class RayClassGroup:
             if k + 1 == self.class_number:
                 raise InvariantViolated("class decomposition failed")
             work = work * self.class_gen.inverse()
-        alpha_ideal = FracIdeal.principal(self.order, alpha)
-        if (
-            math.gcd(int(alpha_ideal.scaled(alpha_ideal.den).norm()), m_norm) != 1
-            or math.gcd(alpha_ideal.den, m_norm) != 1
-        ):
+        if not _coprime_to(FracIdeal.principal(self.order, alpha), m_norm):
             raise InvariantViolated("decomposition produced a non-coprime generator")
         return self._class_of(k, alpha)
 
@@ -298,6 +293,12 @@ class RayClassGroup:
             f"RayClassGroup(order={self.order_count}, "
             f"divisors={self.elementary_divisors}, modulus_norm={self.modulus.ideal.norm()})"
         )
+
+
+def _coprime_to(a, m_norm):
+    """True when the numerator and denominator ideals of a have norms prime to m_norm."""
+    return (math.gcd(int(a.scaled(a.den).norm()), m_norm) == 1
+            and math.gcd(a.den, m_norm) == 1)
 
 
 def _subgroup_size(gen_vecs, residues):
@@ -396,11 +397,8 @@ def reflex_transport_check(cmtype, m, m_prime_ideal, samples, seed, negative_con
 
 
 def _random_coprime_element(order, m_prime, m, rng):
-    field = order.field
     m_norm = int(m_prime.norm()) * m
     while True:
-        e = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
-        if e.is_zero():
-            continue
+        e = _random_element(order.field, rng, 5)
         if math.gcd(int(abs(e.norm())), m_norm) == 1:
             return e

@@ -34,7 +34,7 @@ from .errors import (
     Supersingular,
 )
 from .ideals import FracIdeal, prime_split
-from .intutil import sqrt_mod
+from .intutil import quadratic_roots_mod, sqrt_mod
 from .orders import maximal_order
 from .principal import is_principal, torsion_units
 from .wire import parse_field
@@ -237,7 +237,7 @@ def _reduction_data(curve, p):
     """(F_{p^2}, (a4, a6) mod p, the tangent root c mod p, (c^-2, c^-3) mod p).
 
     c is the smaller root of the monic tangent minimal polynomial
-    x^2 + b x + e mod p, (-b +- sqrt(b^2 - 4e))/2.
+    x^2 + b x + e mod p.
     """
     if p <= 3:
         raise ValueError("p too small")
@@ -245,11 +245,10 @@ def _reduction_data(curve, p):
     if disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
     e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
-    r = sqrt_mod(b * b - 4 * e, p)
-    if r is None:
+    roots = quadratic_roots_mod(e, b, p)
+    if not roots:
         raise Supersingular(f"tangent field is inert at {p}")
-    half = (p + 1) // 2
-    c = min((-b + r) * half % p, (-b - r) * half % p)
+    c = roots[0]
     ci = pow(c, -1, p)
     return _GF2(p), (curve.a4 % p, curve.a6 % p), c, (ci * ci % p, ci * ci * ci % p)
 

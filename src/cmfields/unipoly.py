@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from .intutil import binary_power
 from .linalg import integer_row
 
 
@@ -115,14 +116,7 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, k):
-        out = UniPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, UniPoly([1]))
 
     def __call__(self, x):
         """Horner evaluation; x may be any element of a commutative Q-algebra."""

@@ -22,8 +22,9 @@ multiples from right-to-left double-and-add, ideal inverses
 from the adjugate of the order's own HNF, coprime scaling from field
 elements and membership tests on them, reflex data from a fixed field
 built afresh for each CM-type, reflex norms on reflex-field ideals from
-an exact ideal root in E, and the canonical embedding order from a
-union-find over overlapping real intervals. They exist so the main
+an exact ideal root in E, conjugate ideals from the conjugates of
+generators, and the canonical embedding order from a union-find over
+overlapping real intervals. They exist so the main
 implementations are checked against something that cannot share their bugs.
 
 The last section holds helpers that only the tests call, moved out of the
@@ -976,7 +977,7 @@ def reflex_norm_ideal_by_root(rd, b):
     from cmfields.orders import maximal_order
 
     OL = maximal_order(rd.closure)
-    gens = b.two_element_like_generators()
+    gens = b.basis_elements()
     extended = FracIdeal.from_generators(OL, [rd.reflex_inclusion(g) for g in gens])
     big = reflex_norm_ideal(rd.cmtype, rd.closure, extended)
     d = rd.closure.degree // rd.reflex_field.degree
@@ -985,6 +986,15 @@ def reflex_norm_ideal_by_root(rd, b):
         assert v % d == 0, f"valuation {v} not divisible by {d}"
         root = root * P ** (v // d)
     return root
+
+
+def conjugate_ideal_by_generators(cmfield, a):
+    """conj(a) as the O-ideal generated by the conjugates of generators of a:
+    p and its gens for a prime, every basis element otherwise."""
+    from cmfields.ideals import FracIdeal, PrimeIdeal
+
+    gens = a.two_element_like_generators() if isinstance(a, PrimeIdeal) else a.basis_elements()
+    return FracIdeal.from_generators(a.order, [cmfield.conj(g) for g in gens])
 
 
 # Helpers that only the tests call, kept here rather than in the library.

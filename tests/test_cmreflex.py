@@ -37,11 +37,13 @@ from cmfields.orders import maximal_order
 from cmfields.unipoly import UniPoly
 from oracles import (
     complex_conjugation_by_search,
+    conjugate_ideal_by_generators,
     conjugate_type,
     fixing_subgroup_of,
     reflex_norm_ideal_by_root,
     reflex_per_type,
 )
+from test_ideals import random_ideal
 
 
 class TestCMCheck:
@@ -201,6 +203,21 @@ class TestReflexNormIdeals:
             lhs = reflex_norm_ideal(t, zeta5, FracIdeal.principal(O, e))
             rhs = FracIdeal.principal(O, reflex_norm_elem(t, zeta5, e))
             assert lhs == rhs
+
+
+class TestConjugateIdeal:
+    def test_matches_the_generator_route(self, zeta5, quartic):
+        # the integer matrix of the involution on the basis columns against
+        # the O-span of the conjugated generators, on the primes above 2, 3
+        # and 23 (the closure's index primes among them) and seeded ideals
+        rng = random.Random(31)
+        for field in (zeta5, quartic, splitting_data(quartic).closure):
+            cmf = cm_check(field)
+            O = maximal_order(field)
+            ideals = [P for p in (2, 3, 23) for P in prime_split(p, O)]
+            ideals += [random_ideal(O, rng) for _ in range(6)]
+            for a in ideals:
+                assert conjugate_ideal(cmf, a) == conjugate_ideal_by_generators(cmf, a), a
 
 
 class TestBeyondTheQuarticCorpus:

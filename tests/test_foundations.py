@@ -16,6 +16,7 @@ from cmfields.intutil import (
     is_prime,
     isqrt_exact,
     primes_up_to,
+    quadratic_roots_mod,
     root_upper,
     sqrt_mod,
     xgcd,
@@ -96,6 +97,13 @@ class TestIntUtil:
                 r = sqrt_mod(a, p)
                 if r is not None:
                     assert r * r % p == a % p
+
+    def test_quadratic_roots_mod_against_brute_force(self):
+        for p in primes_up_to(59)[1:]:
+            for c in range(p):
+                for b in range(p):
+                    roots = [x for x in range(p) if (x * x + b * x + c) % p == 0]
+                    assert quadratic_roots_mod(c, b, p) == roots, (c, b, p)
 
 
 class TestModPoly:

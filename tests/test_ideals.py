@@ -39,7 +39,12 @@ from cmfields.orders import (
     integral_presentation,
     maximal_order,
 )
-from cmfields.principal import class_representatives, is_principal, torsion_units
+from cmfields.principal import (
+    class_representatives,
+    is_principal,
+    torsion_units,
+    units_of_relative_norm,
+)
 from cmfields.ratfactor import is_irreducible_over_q
 from cmfields.unipoly import UniPoly
 
@@ -496,7 +501,7 @@ SURVEY_POLYS = (
 
 class TestOrderCoordinates:
     @pytest.mark.parametrize("coeffs", SURVEY_POLYS + ("closure",), ids=str)
-    def test_coords_of_matches_sympy_solve(self, coeffs, quartic):
+    def test_coords_num_matches_sympy_solve(self, coeffs, quartic):
         field = splitting_data(quartic).closure if coeffs == "closure" else \
             NumberField(UniPoly(list(coeffs)))
         O = maximal_order(field)
@@ -509,7 +514,8 @@ class TestOrderCoordinates:
             e = field.element([Fraction(rng.randint(-height, height), rng.randint(1, 3))
                                for _ in range(n)])
             expected = B.solve(Matrix([Rational(c.numerator, c.denominator) for c in e.coords]))
-            ours = O.coords_of(e)
+            v, d = O._coords_num(e)
+            ours = [Fraction(x, d) for x in v]
             assert [Rational(c.numerator, c.denominator) for c in ours] == list(expected)
             assert O.contains(e) == all(c.is_integer for c in expected)
             assert O.element_from_coords(ours) == e
@@ -782,6 +788,23 @@ class TestPrincipality:
         # memoized per field, so only the maximal order is accepted
         with pytest.raises(OrderMismatch):
             torsion_units(equation_order(zeta5))
+
+    def test_units_of_relative_norm_on_zeta5(self, zeta5):
+        # e = (1 + z)(1 + z^4) is eps * conj(eps) for the unit eps = 1 + z, so
+        # the units of relative norm e^k are the ten eps^k * zeta; -1 and
+        # z + z^4, negative at one real place, are no relative norms
+        O = maximal_order(zeta5)
+        conj = complex_conjugation(zeta5)
+        z = zeta5.gen()
+        eps = zeta5.one() + z
+        roots = torsion_units(O)
+        for k in range(-3, 4):
+            e = (eps * conj(eps)) ** k
+            units = units_of_relative_norm(O, e)
+            assert len(units) == 10
+            assert all(u * conj(u) == e and u / eps**k in roots for u in units)
+        assert units_of_relative_norm(O, -zeta5.one()) == []
+        assert units_of_relative_norm(O, z + z**4) == []
 
     def test_generators_match_the_unreduced_search_on_quadratics(self):
         # the reduced search returns the very element the search on the HNF

@@ -1,6 +1,7 @@
 """Lattice models and the a-multiplication calculus."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.latticeav import (
     AMult,
-    _det_mod,
     LatticeAV,
     TorsionModule,
     amul,
@@ -24,6 +24,7 @@ from cmfields.latticeav import (
     induced_torsion_matrix,
     isogeny_classes,
 )
+from cmfields.linalg import det_fraction
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
 from cmfields.principal import is_principal
@@ -312,9 +313,10 @@ class TestTorsion:
         assert T.is_generator(T.generator)
         assert T.generator == [1, 4]
 
-    def test_det_mod_matches_the_fraction_determinant(self):
-        # the integer determinant mod m against Fraction elimination, on full
-        # and singular integer matrices, and the matrix is left as it was
+    def test_det_fraction_matches_the_fraction_determinant(self):
+        # the determinant behind the bijectivity tests against Fraction
+        # elimination, on full and singular integer matrices: its gcd with m
+        # is that of the determinant mod m, and the matrix is left as it was
         rng = random.Random(40)
         singular = 0
         for _ in range(300):
@@ -328,7 +330,8 @@ class TestTorsion:
             det = fraction_det(M)
             singular += det == 0
             copy = [list(row) for row in M]
-            assert _det_mod(M, m) == int(det) % m
+            assert det_fraction(M) == det
+            assert math.gcd(int(det_fraction(M)), m) == math.gcd(int(det) % m, m)
             assert M == copy
         assert singular >= 50
 

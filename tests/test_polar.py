@@ -6,7 +6,7 @@ import pytest
 
 from cmfields.cmreflex import cm_check, enumerate_cm_types
 from cmfields.embeddings import certified_embeddings
-from cmfields.errors import PairMismatch, UnitSearchInconclusive
+from cmfields.errors import PairMismatch
 from cmfields.ideals import FracIdeal, prime_split
 from cmfields.numfield import NumberField
 from cmfields.orders import maximal_order
@@ -176,20 +176,41 @@ class TestEquivalence:
         with pytest.raises(PairMismatch):
             quadruples_equivalent(q1, q2)
 
-    def test_inconclusive_past_degree_two(self, zeta5, zeta5_cm):
-        # a = 1 + zeta5 is a unit that is not a root of unity, so the
-        # quadruples are equivalent through a; the generator found for the
-        # quotient O is a root of unity g with g*conj(g) = 1 != a*conj(a),
-        # and no other unit is tried
+    def test_round_trips_past_degree_two_find_a_witness(self, zeta5, zeta5_cm):
+        # a = b * (1 + zeta5)^k with 1 + zeta5 a unit of infinite order: the
+        # generator found for the quotient (a) is a witness only up to a unit
+        # of relative norm t1/(t2 g conj(g)), which the unit search finds.
+        # With b = 1 the quotient is O and g a root of unity
         t = enumerate_cm_types(zeta5_cm)[0]
         O = maximal_order(zeta5)
         alpha = find_riemann_element(t).alpha
-        a = zeta5.one() + zeta5.gen()
         q1 = TypeQuadruple(t, FracIdeal.unit_ideal(O), alpha)
-        q2 = TypeQuadruple(t, q1.ideal.mult_by_element(a), alpha / (a * zeta5_cm.conj(a)))
-        assert q2.ideal == q1.ideal
-        with pytest.raises(UnitSearchInconclusive):
-            quadruples_equivalent(q1, q2)
+        eps = zeta5.one() + zeta5.gen()
+        rng = random.Random(5)
+        for k in range(-4, 5):
+            bs = [zeta5.one()]
+            while len(bs) < 4:
+                b = zeta5.element([rng.randint(-2, 2) for _ in range(4)])
+                if not b.is_zero():
+                    bs.append(b)
+            for b in bs:
+                a = b * eps**k
+                q2 = TypeQuadruple(t, q1.ideal.mult_by_element(a), alpha / (a * zeta5_cm.conj(a)))
+                w = quadruples_equivalent(q1, q2)
+                assert w is not None
+                assert q2.ideal == q1.ideal.mult_by_element(w)
+                assert q2.t == q1.t / (w * zeta5_cm.conj(w))
+
+    def test_a_unit_of_no_relative_norm_has_no_witness(self, zeta5, zeta5_cm):
+        # t2 = t1 / e with e = zeta5 + zeta5^4 a unit of the real subfield that
+        # is negative at one real place, so no u has u * conj(u) = e
+        t = enumerate_cm_types(zeta5_cm)[0]
+        O = maximal_order(zeta5)
+        alpha = find_riemann_element(t).alpha
+        z = zeta5.gen()
+        q1 = TypeQuadruple(t, FracIdeal.unit_ideal(O), alpha)
+        q2 = TypeQuadruple(t, q1.ideal, alpha / (z + z**4))
+        assert quadruples_equivalent(q1, q2) is None
 
     def test_riemann_element_validates_as_quadruple(self, zeta5, zeta5_cm):
         O = maximal_order(zeta5)
