@@ -276,6 +276,10 @@ class SplittingData:
         self.roots = roots
         self.embeddings = [FieldMorphism(field, L, r, check=False) for r in roots]
         self._build_group(gen_combo)
+        # the roots in gen_combo generate an order far closer to O_L than
+        # Z[gen]; record them (never over an earlier entry) for maximal_order
+        # to start from, but build no order: most closures never need one
+        per_field("closure_roots", L, lambda: (field, tuple(roots[i] for i, _ in gen_combo)))
 
     def _build_group(self, gen_combo):
         L = self.closure

@@ -529,12 +529,9 @@ def factor_ideal(a):
     ord_p(N(num)), so once that is reached the other primes above p have
     v_P(num) = 0 and take no valuation; v_P(a) is v_P(num) - e_P·ord_p(den).
     """
-    order = a.order
     if isinstance(a, PrimeIdeal):
-        # a prime of prime_split is its own factorization; no valuation needed
-        for P in prime_split(a.p, order):
-            if P == a:
-                return {P: 1}
+        return {a: 1}
+    order = a.order
     num = a.scaled(a.den)
     norm = int(num.norm())
     support = set(factorize(norm).keys()) if norm != 1 else set()

@@ -26,3 +26,8 @@ def per_field(kind, field, build, *extra):
     value = build()
     with _lock:
         return _store.setdefault(key, value)
+
+
+def recorded(kind, field, *extra):
+    """The value stored under (kind, field.min_poly, *extra), or None; builds nothing."""
+    return _store.get((kind, field.min_poly) + extra)

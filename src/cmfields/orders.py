@@ -26,7 +26,8 @@ from .linalg import (
     transpose,
     triangular_adjugate,
 )
-from .memo import per_field
+from .memo import per_field, recorded
+from .numfield import numerator_rows
 from .unipoly import UniPoly
 
 
@@ -173,6 +174,33 @@ def maximal_order(field):
     return per_field("maximal_order", field, lambda: _maximal_order(field))
 
 
+def _start_order(field):
+    """The order generated by Z[D*theta] and the roots recorded for field, if any.
+
+    `closure.SplittingData` records under "closure_roots" the field K whose
+    closure this is and the tracked roots r of K's min_poly that make up the
+    closure's generator. x = D_K*r is a root of K's integer monic polynomial,
+    so R[x] is spanned by R's basis times x^e for e < [K:Q], and each root
+    costs one HNF. With nothing recorded this is Z[D*theta].
+    """
+    order = equation_order(field)
+    record = recorded("closure_roots", field)
+    if record is None:
+        return order
+    K, roots = record
+    D_K = integral_presentation(K)[0]
+    basis = order.elements
+    for r in roots:
+        x = r * D_K
+        powers = [field.one()]
+        while len(powers) < K.degree:
+            powers.append(powers[-1] * x)
+        den, cols = numerator_rows([b * w for b in basis for w in powers])
+        den, H = lattice_hnf(cols, den)
+        basis = [field.element(col) / den for col in zip(*H)]
+    return Order(field, den, H)
+
+
 def _maximal_order(field):
     D, g = integral_presentation(field)
     n = field.degree
@@ -183,7 +211,7 @@ def _maximal_order(field):
     disc_eq = int(disc_eq)
     if disc_eq == 0:
         raise CMFieldsError("degenerate (non-separable) polynomial")
-    order = equation_order(field)
+    order = _start_order(field)
     bad = [p for p, e in factorize(disc_eq).items() if e >= 2]
     for p in bad:
         while True:

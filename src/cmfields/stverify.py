@@ -64,6 +64,12 @@ class CMCurveQ:
         self.tangent_min_poly = mp
         # the roots of unity of O_E, each as its coordinates in 1, u
         self.units = [self.tangent_coords(z) for z in torsion_units(maximal_order(cmfield.field))]
+        # the CM-type {phi} whose embedding realizes the identity E -> E
+        gen = cmfield.field.gen()
+        embeddings = splitting_data(cmfield.field).embeddings
+        self.identity_type = CMType(
+            cmfield, {next(i for i, e in enumerate(embeddings) if e.image_of_generator == gen)}
+        )
 
     def __repr__(self):
         return f"CMCurveQ(a4={self.a4}, a6={self.a6}, disc={maximal_order(self.cmfield.field).disc()})"
@@ -77,13 +83,6 @@ class CMCurveQ:
         if s0.denominator != 1 or s1.denominator != 1:
             raise InvariantViolated(f"{x} is not in Z[u]")
         return int(s0), int(s1)
-
-    def identity_type(self):
-        """The CM-type {phi} whose embedding realizes the identity E -> E."""
-        sd = splitting_data(self.cmfield.field)
-        gen = self.cmfield.field.gen()
-        idx = next(i for i, e in enumerate(sd.embeddings) if e.image_of_generator == gen)
-        return CMType(self.cmfield, {idx})
 
 
 class FrobeniusData:
@@ -325,7 +324,7 @@ def frobenius_element(curve, p, seed=1729):
         raise Supersingular(f"a_p = 0 at {p}")
     if _ec_mul2(F, a4, (p + 1 - a_p) * (p + 1 + a_p), points[0], 0, None) is not None:
         raise InvariantViolated(f"(p + 1)^2 - a_p^2 does not kill a point of C(F_p^2) at {p}")
-    return FrobeniusData(pi, p, a_p, above[0], curve.identity_type())
+    return FrobeniusData(pi, p, a_p, above[0], curve.identity_type)
 
 
 def st_rhs(cmtype, k, prime):

@@ -19,7 +19,8 @@ polynomial gcds from the Euclidean algorithm on Fractions, discriminants
 from the determinant of the Sylvester matrix,
 multiplication matrices from products by unit vectors, curve scalar
 multiples from right-to-left double-and-add, ideal inverses
-from the adjugate of the order's own HNF, coprime scaling from field
+from the adjugate of the order's own HNF, maximal orders from Round 2
+started at Z[D theta] with no closure roots, coprime scaling from field
 elements and membership tests on them, reflex data from a fixed field
 built afresh for each CM-type, reflex norms on reflex-field ideals from
 an exact ideal root in E, conjugate ideals from the conjugates of
@@ -482,6 +483,28 @@ def factor_ideal_by_all_valuations(a):
             if v:
                 out[P] = v
     return out
+
+
+def maximal_order_from_equation_order(field):
+    """O_K as `orders._maximal_order` built it before Round 2 started from a
+    closure's recorded roots: the multiplier ring (R : R) of the p-radical,
+    from Z[D theta] on, at every p whose square divides the Sylvester disc(g)."""
+    from cmfields.ideals import colon_ideal, p_radical
+    from cmfields.intutil import factorize
+    from cmfields.linalg import lattice_hnf, mat_mul, transpose
+    from cmfields.orders import Order, equation_order, integral_presentation
+
+    order = equation_order(field)
+    disc = abs(int(poly_discriminant(integral_presentation(field)[1])))
+    for p in sorted(p for p, e in factorize(disc).items() if e >= 2):
+        while True:
+            rad = p_radical(order, p)[0]
+            ring = colon_ideal(rad, rad)
+            if ring.norm() == 1:
+                break
+            cols = transpose(mat_mul(order.basis, ring.hnf))
+            order = Order(field, *lattice_hnf(cols, order.den * ring.den))
+    return order
 
 
 def trace_form_by_fractions(order, conj):

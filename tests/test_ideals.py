@@ -17,7 +17,7 @@ from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.exceptions import ClosureFailure
 from sympy.polys.numberfields.primes import prime_decomp
 
-from cmfields import ideals, memo, principal
+from cmfields import ideals, memo, orders, principal
 from cmfields.closure import complex_conjugation, splitting_data
 from cmfields.errors import CMFieldsError, InvariantViolated, OrderMismatch
 from cmfields.ideals import (
@@ -58,6 +58,7 @@ from oracles import (
     ideal_sum,
     integral_ideals_of_norm,
     lattice_index_by_cosets,
+    maximal_order_from_equation_order,
     mult_matrix_by_units,
     poly_discriminant,
     prime_split_by_dedekind_at,
@@ -476,6 +477,37 @@ class TestMaximalOrder:
             O = _maximal_order(K)
             assert O.disc() * O.equation_index**2 == poly_discriminant(g), K.min_poly
 
+    # Round 2 from the order of a closure's recorded roots ends at the order
+    # Round 2 from Z[D theta] ends at: the closures of the quartics above, a
+    # rational minimal polynomial (x^4+6x^2+3 at theta/2) and Q(zeta5)
+    def test_start_from_the_closure_roots_matches_the_equation_order_start(self, zeta5):
+        fields = [NumberField(UniPoly([b, 0, a, 0, 1])) for a, b in ROUND_TWO_QUARTICS]
+        fields += [NumberField(UniPoly([Fraction(3, 16), 0, Fraction(3, 2), 0, 1])), zeta5]
+        for K in fields:
+            L = splitting_data(K).closure
+            assert memo.recorded("closure_roots", L) is not None, K.min_poly
+            assert _maximal_order(L) == maximal_order_from_equation_order(L), K.min_poly
+
+    def test_closure_round_two_takes_seven_steps(self, quartic, monkeypatch):
+        # [O_L : Z[gamma]] = 2^17 3^8 23 on the closure of x^4+6x^2+3: 26
+        # enlarging steps and one closing step per prime, 29 colon ideals, from
+        # Z[gamma]; the tracked roots leave 4 enlarging steps and the 3 closing
+        L = splitting_data(quartic).closure
+        expected = maximal_order(L)
+        counted = []
+
+        def colon(a, b):
+            counted.append(a)
+            return colon_ideal(a, b)
+
+        monkeypatch.setattr(orders, "colon_ideal", colon)
+        assert _maximal_order(L) == expected
+        assert len(counted) == 7
+        monkeypatch.setattr(orders, "recorded", lambda *args: None)
+        counted.clear()
+        assert _maximal_order(L) == expected
+        assert len(counted) == 29
+
     def test_order_rejects_a_basis_that_is_not_a_ring(self, gauss):
         # 2Z + Zi misses 1; Z + Z(i/2) is not closed, (i/2)^2 = -1/4
         for den, basis, reason in (
@@ -665,6 +697,22 @@ class TestPrimeSplit:
         assert (a * P2.inverse() ** 5).valuation(P2) == -2
         P3 = prime_split(3, O)[0]
         assert a.valuation(P3) == 0
+
+    def test_a_prime_is_its_own_factorization(self, quartic, monkeypatch):
+        # every prime of the closure of norm below 200, index primes included,
+        # factors as itself with no split rescanned, and the valuation
+        # oracle agrees
+        O = closure_order(quartic)
+        primes = [P for p in primes_up_to(199) for P in primes_of_norm_below(p, O, 200)]
+        assert {2, 3, 23} <= {P.p for P in primes}
+        expected = [factor_ideal_by_all_valuations(P) for P in primes]
+
+        def refuse(*args):
+            raise AssertionError("prime_split was called")
+
+        monkeypatch.setattr(ideals, "prime_split", refuse)
+        for P, oracle in zip(primes, expected):
+            assert factor_ideal(P) == {P: 1} == oracle, P
 
     def test_factor_ideal_roundtrip(self, zeta5):
         O = maximal_order(zeta5)

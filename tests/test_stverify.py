@@ -9,9 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmfields import stverify
 from cmfields.cmreflex import CMType, enumerate_cm_types
 from cmfields.cli import main
-from cmfields.errors import BadCorpus, IdentificationFailed, RamifiedPrime, Supersingular
+from cmfields.errors import (
+    BadCorpus,
+    IdentificationFailed,
+    InvariantViolated,
+    RamifiedPrime,
+    Supersingular,
+)
 from cmfields.ideals import FracIdeal, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.orders import maximal_order
@@ -314,6 +321,17 @@ class TestSTIdentities:
         P2 = prime_split(2, O)[0]
         out2 = st_rhs(t, zeta5, P2)
         assert out2.norm() == 16**2
+
+    def test_st_rhs_sanity_checks_fire(self, zeta5, zeta5_cm, monkeypatch):
+        # g = 2 on Q(zeta5) at 11: a reflex norm of P has norm 11, not 11^2, and
+        # P^2 has the right norm but P^2 conj(P^2) != (11); in a quadratic
+        # field a conj(a) = (N a), so only g >= 2 can reach the second check
+        t = enumerate_cm_types(zeta5_cm)[0]
+        P11 = prime_split(11, maximal_order(zeta5))[0]
+        for wrong, message in ((P11, "norm sanity"), (P11**2, "conjugate sanity")):
+            monkeypatch.setattr(stverify, "reflex_norm_ideal", lambda *args: wrong)
+            with pytest.raises(InvariantViolated, match=f"{message} identity failed"):
+                st_rhs(t, zeta5, P11)
 
     def test_ramified_prime_rejected(self, zeta5, zeta5_cm):
         t = enumerate_cm_types(zeta5_cm)[0]
