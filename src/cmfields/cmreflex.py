@@ -19,7 +19,7 @@ import random
 from .closure import complex_conjugation, restricted_conjugation, splitting_data
 from .embeddings import certified_embeddings, locate_among
 from .errors import ConjugatesMissing, InvariantViolated
-from .ideals import FracIdeal, factor_ideal, prime_split, primes_of_norm_below
+from .ideals import FracIdeal, PrimeIdeal, factor_ideal, prime_split, primes_of_norm_below
 from .intutil import primes_up_to
 from .linalg import lattice_hnf, mat_vec, right_kernel_fraction, transpose
 from .memo import per_field
@@ -311,11 +311,18 @@ def reflex_norm_elem(cmtype, k, a):
 def _prime_below(P, incl, order_down):
     """(q, f(P / q)) for the prime q of order_down with incl(q) O_L <= P.
 
-    incl(q) O_L lies in P exactly when p and every generator of q.gens map
-    into P, and p is in P always, so a candidate costs one membership test
-    per generator and no HNF. Memoized per L, keyed by P, the source field
-    and the generator image.
+    When incl is an automorphism sigma of P's field and order_down is P's
+    order, q is sigma^-1(P) and f(P / q) = 1: the identity returns P, and
+    any other sigma transports P (`_pull_back_prime`), with no search and no
+    memo entry per prime. Otherwise incl(q) O_L lies in P exactly when p and
+    every generator of q.gens map into P, and p is in P always, so a
+    candidate of `prime_split` costs one membership test per generator and
+    no HNF. That search is memoized per L, keyed by P, the source field and
+    the generator image.
     """
+    if incl.source == incl.target == P.order.field and order_down == P.order:
+        return (P if incl.is_identity() else _pull_back_prime(P, incl)), 1
+
     def find():
         for q in prime_split(P.p, order_down):
             if all(P.contains(incl(g)) for g in q.gens):
@@ -324,9 +331,48 @@ def _prime_below(P, incl, order_down):
                 return q, P.f // q.f
         raise InvariantViolated(f"no prime below {P!r} found")
 
-    image = incl.image_of_generator
     return per_field("prime_below", P.order.field, find,
-                     P, incl.source.min_poly, (image.den, tuple(image.num)))
+                     P, incl.source.min_poly, _morphism_key(incl))
+
+
+def _morphism_key(sigma):
+    """The generator image of a morphism as a hashable (den, numerators) pair."""
+    image = sigma.image_of_generator
+    return image.den, tuple(image.num)
+
+
+def _pullback_matrix(order, sigma):
+    """The integer matrix of sigma^-1 on the order basis, sigma an automorphism of its field.
+
+    sigma maps the maximal order onto itself, so column j holds the integer
+    coordinates of sigma^-1(w_j) (`FieldMorphism.preimage`), and the
+    pull-back sigma^-1(a) of an ideal is this matrix times a's basis columns.
+    Memoized per order and automorphism.
+    """
+    def build():
+        return transpose([order.integral_coords(sigma.preimage(w)) for w in order.elements])
+
+    return per_field("pullback_matrix", order.field, build, order, _morphism_key(sigma))
+
+
+def _pull_back(a, M):
+    """sigma^-1(a) for a fractional ideal a, M = `_pullback_matrix` of sigma."""
+    return FracIdeal(a.order, *lattice_hnf([mat_vec(M, col) for col in a.basis_columns()], a.den))
+
+
+def _pull_back_prime(P, sigma):
+    """sigma^-1(P) as a PrimeIdeal, transported with its generators and anti-uniformizer.
+
+    sigma^-1 is a ring automorphism of O, so it keeps p, e and f, takes the
+    generators g to sigma^-1(g), and beta*P <= pO with beta not in pO to the
+    same for beta' = sigma^-1(beta).
+    """
+    order = P.order
+    M = _pullback_matrix(order, sigma)
+    Q = _pull_back(P, M)
+    gens = [order.element_from_coords(mat_vec(M, order.integral_coords(g))) for g in P.gens]
+    beta = mat_vec(M, mat_vec(P.beta_matrix, order.one_coords))
+    return PrimeIdeal(order, Q.den, Q.hnf, P.p, P.e, P.f, gens, beta)
 
 
 def _norm_down(a, incls, order_down):
@@ -354,17 +400,10 @@ def reflex_norm_ideal(cmtype, k, a):
 def conjugate_ideal(cmfield, a):
     """The image of an ideal of O_E under the canonical involution.
 
-    The involution maps O_E onto itself, so it has an integer matrix C on the
-    order basis (memoized per order), and conj(a) is the lattice spanned by C
-    times a's basis columns, over a's denominator.
+    The involution is its own inverse, so the image is the pull-back of a
+    along it (`_pull_back`), on the involution's memoized integer matrix.
     """
-    order = a.order
-
-    def matrix():
-        return transpose([order.integral_coords(cmfield.conj(w)) for w in order.elements])
-
-    C = per_field("conjugation_matrix", order.field, matrix, order)
-    return FracIdeal(order, *lattice_hnf([mat_vec(C, col) for col in a.basis_columns()], a.den))
+    return _pull_back(a, _pullback_matrix(a.order, cmfield.conj))
 
 
 def _random_element(field, rng, height=8):

@@ -340,8 +340,13 @@ def _prime_split(p, order):
     for P in out:
         if P.norm() != Fraction(p) ** P.f:
             raise InvariantViolated(f"a prime above {p} has norm {P.norm()}, not {p}^{P.f}")
-    out.sort(key=lambda P: (P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)))
+    out.sort(key=prime_sort_key)
     return out
+
+
+def prime_sort_key(P):
+    """The order of `prime_split`'s list: by residue degree, then by HNF."""
+    return P.f, P.hnf[0][0], tuple(tuple(r) for r in P.hnf)
 
 
 def _dedekind_primes(p, order, pO):

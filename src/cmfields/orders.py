@@ -152,10 +152,20 @@ class Order:
 
 
 def integral_presentation(field):
-    """(D, g) with g integer monic and g(D*theta) = 0; D = 1 for integral min_poly."""
+    """(D, g) with g integer monic and g(D*theta) = 0, for the least such D > 0.
+
+    With f = x^n + sum c_i x^i, D^n f(x/D) has the coefficients D^(n-i) c_i,
+    which are integers exactly when v_p(D) (n - i) >= v_p(den c_i) for every
+    p and i, so the least D is the product of p^(max_i ceil(v_p(den c_i) /
+    (n - i))); D = 1 for an integral min_poly.
+    """
     f = field.min_poly
-    D = f.denominator_lcm()
     n = f.degree
+    exponents = {}
+    for i, c in enumerate(f.coeffs[:n]):
+        for p, v in factorize(c.denominator).items():
+            exponents[p] = max(exponents.get(p, 0), -(-v // (n - i)))
+    D = math.prod(p**v for p, v in exponents.items())
     g = UniPoly([c * Fraction(D) ** (n - i) for i, c in enumerate(f.coeffs)])
     if any(c.denominator != 1 for c in g.coeffs) or g.lc() != 1:
         raise InvariantViolated(f"D^n f(x/D) is not integer monic for D = {D}")
@@ -163,7 +173,7 @@ def integral_presentation(field):
 
 
 def equation_order(field):
-    """Z[D*theta] as an order, D clearing the min_poly denominators."""
+    """Z[D*theta] as an order, D the least with D*theta integral (`integral_presentation`)."""
     n = field.degree
     D, _ = integral_presentation(field)
     return Order(field, 1, [[D**j if i == j else 0 for j in range(n)] for i in range(n)])

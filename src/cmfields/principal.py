@@ -15,7 +15,9 @@ with integer HNF H has the Gram matrix H^T T H. An integral LLL (Cohen 1993,
 Alg. 2.6.7) turns that into R = U^T (H^T T H) U with U unimodular, and
 Fincke-Pohst, itself on integers, enumerates on R, as Fincke and Pohst
 (1985) prescribe: on the HNF basis the search tree grows with the skew of
-H, on a reduced basis it stays small.
+H, on a reduced basis it stays small. A candidate's norm is the integer
+determinant of its multiplication matrix, and only the generator returned
+is built as a field element.
 
 The generator returned is the one a search on the HNF basis itself finds
 first. That search visits vectors depth first, last coordinate outermost
@@ -41,7 +43,7 @@ from .closure import complex_conjugation
 from .errors import EnumerationBoundExceeded, InvariantViolated, OrderMismatch
 from .ideals import FracIdeal, primes_of_norm_below
 from .intutil import primes_up_to, root_upper
-from .linalg import identity_matrix, mat_mul, mat_vec, transpose
+from .linalg import identity_matrix, mat_mul, mat_vec, row_reduce, transpose
 from .memo import per_field
 from .numfield import numerator_rows
 from .unipoly import sturm_real_root_count
@@ -211,6 +213,14 @@ def _build_trace_form(order):
     return [[t // d for t in row] for row in T]
 
 
+def _norm_coords(order, x):
+    """|Nm(x)| for a nonzero x in order coordinates: |det| of multiplication by x.
+
+    That integer matrix is invertible, so Bareiss' last pivot is +-det.
+    """
+    return abs(row_reduce(order.mult_matrix_coords(x), order.degree)[1])
+
+
 def _is_imaginary_quadratic(field):
     """A quadratic a x^2 + b x + c has no real root exactly when b^2 - 4ac < 0."""
     if field.degree != 2:
@@ -243,9 +253,9 @@ def is_principal(a):
     bound = floor_bound + 1
     for _ in range(BUDGET_DOUBLINGS):
         for v in sorted((mat_vec(U, y) for y in fincke_pohst(R, bound)), key=_search_order):
-            x = order.element_from_coords(mat_vec(H, v))
-            if abs(x.norm()) == target:
-                return x / a.den
+            x = mat_vec(H, v)
+            if _norm_coords(order, x) == target:
+                return order.element_from_coords(x) / a.den
         if _is_imaginary_quadratic(field):
             # Q = 2 Nm there, so every generator (Q = 2 N(a)) lies within
             # the first bound, 2 N(a) + 3, and the search is complete

@@ -11,6 +11,10 @@ s0 + s1 * u, in the basis 1, u of O_E = Z[u] with u the tangent multiplier,
 acts as [s0]P + [s1]endo(P) on one shared doubling chain (Straus-Shamir,
 `_ec_mul2`). The ideal identity, the valuation identities, and the
 reflex-norm form of the Frobenius class are then exact ideal computations.
+A row takes its primes from the tangent root c alone: the tangent prime
+(p, u - c) is written down (`_tangent_prime`) and the other prime above p
+is its transported pull-back along the involution, so a row splits no
+prime and leaves no memo entry behind.
 """
 
 import random
@@ -33,8 +37,9 @@ from .errors import (
     RamifiedPrime,
     Supersingular,
 )
-from .ideals import FracIdeal, prime_split
+from .ideals import FracIdeal, PrimeIdeal, prime_sort_key
 from .intutil import quadratic_roots_mod, sqrt_mod
+from .linalg import lattice_hnf, transpose
 from .orders import maximal_order
 from .principal import is_principal, torsion_units
 from .wire import parse_field
@@ -56,14 +61,17 @@ class CMCurveQ:
         self.cmfield = cmfield
         self.tangent = tangent
         mp = tangent.min_poly_over_q()
+        order = maximal_order(cmfield.field)
         # Z[u] = O_E exactly when disc(min poly of u) = disc(O_E); then every
         # Frobenius candidate is s0 + s1 u with integers s0, s1
-        disc = maximal_order(cmfield.field).disc()
-        if mp.degree != 2 or mp.coeffs[1] ** 2 - 4 * mp.coeffs[0] != disc:
+        if mp.degree != 2 or mp.coeffs[1] ** 2 - 4 * mp.coeffs[0] != order.disc():
             raise BadCorpus("tangent multiplier must generate O_E")
-        self.tangent_min_poly = mp
+        # (e, b): u^2 + b u + e = 0, integers since u is integral
+        self.tangent_poly = (int(mp.coeffs[0]), int(mp.coeffs[1]))
+        # u in the coordinates of the order basis, for the tangent prime
+        self.tangent_order_coords = order.integral_coords(tangent)
         # the roots of unity of O_E, each as its coordinates in 1, u
-        self.units = [self.tangent_coords(z) for z in torsion_units(maximal_order(cmfield.field))]
+        self.units = [self.tangent_coords(z) for z in torsion_units(order)]
         # the CM-type {phi} whose embedding realizes the identity E -> E
         gen = cmfield.field.gen()
         embeddings = splitting_data(cmfield.field).embeddings
@@ -75,14 +83,18 @@ class CMCurveQ:
         return f"CMCurveQ(a4={self.a4}, a6={self.a6}, disc={maximal_order(self.cmfield.field).disc()})"
 
     def tangent_coords(self, x):
-        """The integers (s0, s1) with x = s0 + s1 u, for x in O_E = Z[u]."""
-        u0, u1 = self.tangent.coords
-        r0, r1 = x.coords
-        s1 = r1 / u1
-        s0 = r0 - s1 * u0
-        if s0.denominator != 1 or s1.denominator != 1:
+        """The integers (s0, s1) with x = s0 + s1 u, for x in O_E = Z[u].
+
+        With u = (u0 + u1 theta)/d and x = (r0 + r1 theta)/t on the integer
+        numerators, s1 = r1 d / (t u1) and s0 = (r0 d - s1 u0 t) / (t d).
+        """
+        (u0, u1), d = self.tangent.num, self.tangent.den
+        (r0, r1), t = x.num, x.den
+        s1, rest1 = divmod(r1 * d, t * u1)
+        s0, rest0 = divmod(r0 * d - s1 * u0 * t, t * d)
+        if rest0 or rest1:
             raise InvariantViolated(f"{x} is not in Z[u]")
-        return int(s0), int(s1)
+        return s0, s1
 
 
 class FrobeniusData:
@@ -243,13 +255,38 @@ def _reduction_data(curve, p):
     disc = -16 * (4 * curve.a4**3 + 27 * curve.a6**2)
     if disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
-    e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
-    roots = quadratic_roots_mod(e, b, p)
+    roots = quadratic_roots_mod(*curve.tangent_poly, p)
     if not roots:
         raise Supersingular(f"tangent field is inert at {p}")
     c = roots[0]
     ci = pow(c, -1, p)
     return _GF2(p), (curve.a4 % p, curve.a6 % p), c, (ci * ci % p, ci * ci * ci % p)
+
+
+def _tangent_prime(curve, p, c):
+    """The prime P = (p, u - c) of O_E = Z[u], for a root c of u^2 + b u + e mod p.
+
+    By Dedekind-Kummer (Cohen 1993, §4.8) the factors x - c and x - c' of
+    x^2 + b x + e mod p, c' = -b - c, give the primes (p, u - c) and
+    (p, u - c') above p, each of degree 1; they are one prime with e = 2
+    exactly when c = c' mod p. beta = u - c' is P's anti-uniformizer:
+    (u - c)(u - c') is in pO, and beta is not, since its u-coordinate is 1.
+    The HNF is that of p and u - c over O, so N(P) = p fails exactly when c
+    is no root, and that is checked.
+    """
+    order = maximal_order(curve.cmfield.field)
+    b = curve.tangent_poly[1]
+    n = order.degree
+    one, u = order.one_coords, curve.tangent_order_coords
+    gen = [x - c * y for x, y in zip(u, one)]
+    cols = [[p * (i == j) for i in range(n)] for j in range(n)]
+    den, hnf = lattice_hnf(cols + transpose(order.mult_matrix_coords(gen)))
+    c_conj = (-b - c) % p
+    P = PrimeIdeal(order, den, hnf, p, 1 if c_conj != c else 2, 1,
+                   [curve.tangent - c], [x - c_conj * y for x, y in zip(u, one)])
+    if P.norm() != p:
+        raise InvariantViolated(f"the ideal ({p}, u - {c}) has norm {P.norm()}, not {p}")
+    return P
 
 
 def frobenius_element(curve, p, seed=1729):
@@ -280,18 +317,14 @@ def frobenius_element(curve, p, seed=1729):
     """
     F, red, c, scale = _reduction_data(curve, p)
     cmf = curve.cmfield
-    E = cmf.field
-    order = maximal_order(E)
     # the prime of E above p fixed by the tangent embedding: u = c mod P
-    above = [P for P in prime_split(p, order) if P.contains(curve.tangent - E.element([c]))]
-    if len(above) != 1:
-        raise InvariantViolated(f"{len(above)} primes above {p} contain u - {c}")
-    pi0 = is_principal(above[0])
+    above = _tangent_prime(curve, p, c)
+    pi0 = is_principal(above)
     if pi0 is None:
         raise IdentificationFailed(f"the prime above {p} that contains u - {c} is not principal")
     # candidates as integer pairs (s0, s1) in the basis 1, u of O_E = Z[u],
     # with N(s0 + s1 u) = s0^2 - b s0 s1 + e s1^2
-    e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+    e, b = curve.tangent_poly
     classes = []  # per base pi0, conj(pi0): its pair and its live (unit, candidate)
     for base in (pi0, cmf.conj(pi0)):
         x0, x1 = curve.tangent_coords(base)
@@ -324,7 +357,7 @@ def frobenius_element(curve, p, seed=1729):
         raise Supersingular(f"a_p = 0 at {p}")
     if _ec_mul2(F, a4, (p + 1 - a_p) * (p + 1 + a_p), points[0], 0, None) is not None:
         raise InvariantViolated(f"(p + 1)^2 - a_p^2 does not kill a point of C(F_p^2) at {p}")
-    return FrobeniusData(pi, p, a_p, above[0], curve.identity_type)
+    return FrobeniusData(pi, p, a_p, above, curve.identity_type)
 
 
 def st_rhs(cmtype, k, prime):
@@ -335,9 +368,9 @@ def st_rhs(cmtype, k, prime):
     """
     E = cmtype.cmfield
     order_E = maximal_order(E.field)
-    for P in prime_split(prime.p, order_E):
-        if P.e != 1:
-            raise RamifiedPrime(f"{prime.p} ramifies in E")
+    # p ramifies in E exactly when it divides disc(O_E) (Dedekind)
+    if order_E.disc() % prime.p == 0:
+        raise RamifiedPrime(f"{prime.p} ramifies in E")
     out = reflex_norm_ideal(cmtype, k, prime)
     q = int(prime.norm())
     g = E.g
@@ -361,6 +394,12 @@ def st_check_valuations(pi_ideal, cmtype, k, prime):
     ord_v(pi)/ord_v(q) = |Phi . H_v| / |H_v| (which holds even at ramified p).
     pi_ideal may be a FrobeniusData, the principal ideal (pi), or the st_rhs
     output (symbolic mode).
+
+    The primes v are the distinct pull-backs phi^-1(P) of the row's prime P
+    along the embeddings phi of E into k, in `prime_split`'s order, and
+    they are every prime of E above p: k contains every conjugate of E and
+    Gal(k/Q) is transitive on the primes of k above p, so a prime of k above
+    v is tau(P) for some tau, and v is the pull-back of P along tau^-1 phi.
     """
     E = cmtype.cmfield
     order_E = maximal_order(E.field)
@@ -372,7 +411,7 @@ def st_check_valuations(pi_ideal, cmtype, k, prime):
     report = {"p": p, "primes": [], "ok": True}
     # the prime of E below the row's prime along each embedding, with f(P / phi_i q)
     pulled = [_prime_below(prime, emb, order_E) for emb in sd.embeddings]
-    for v in prime_split(p, order_E):
+    for v in sorted(set(q for q, _ in pulled), key=prime_sort_key):
         ord_v_pi = pi_ideal.valuation(v)
         # H_v: embeddings of E into k pulling P back to v
         H_v = [i for i, (q, _) in enumerate(pulled) if q == v]

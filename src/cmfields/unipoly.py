@@ -139,9 +139,6 @@ class UniPoly:
     def is_even_poly(self):
         return all(c == 0 for c in self.coeffs[1::2])
 
-    def denominator_lcm(self):
-        return math.lcm(*(c.denominator for c in self.coeffs))
-
     def int_coeffs(self):
         """Integer coefficient list after clearing denominators (primitive not enforced)."""
         d, w = integer_row(self.coeffs)

@@ -82,7 +82,6 @@ UNREACHED = {
     ("rayclass", "supplied unit fails the norm check"),
     ("stverify", "(p + 1)^2 - a_p^2 does not kill a point of C(F_p^2) at {p}"),
     ("stverify", "Frobenius candidate {cand} in 1, u has norm != {p}"),
-    ("stverify", "{len(above)} primes above {p} contain u - {c}"),
     ("stverify", "{x} is not in Z[u]"),
 }
 

@@ -24,7 +24,8 @@ started at Z[D theta] with no closure roots, coprime scaling from field
 elements and membership tests on them, reflex data from a fixed field
 built afresh for each CM-type, reflex norms on reflex-field ideals from
 an exact ideal root in E, conjugate ideals from the conjugates of
-generators, and the canonical embedding order from a union-find over
+generators, prime pull-backs by a membership search over the primes
+below, and the canonical embedding order from a union-find over
 overlapping real intervals. They exist so the main
 implementations are checked against something that cannot share their bugs.
 
@@ -1018,6 +1019,21 @@ def conjugate_ideal_by_generators(cmfield, a):
 
     gens = a.two_element_like_generators() if isinstance(a, PrimeIdeal) else a.basis_elements()
     return FracIdeal.from_generators(a.order, [cmfield.conj(g) for g in gens])
+
+
+def prime_below_by_search(P, incl, order_down):
+    """(q, f(P / q)) for the prime q of order_down below P along incl, by search.
+
+    `cmreflex._prime_below` as it was before automorphisms transported P:
+    the prime of `prime_split` whose generators all map into P, with no memo.
+    """
+    from cmfields.ideals import prime_split
+
+    for q in prime_split(P.p, order_down):
+        if all(P.contains(incl(g)) for g in q.gens):
+            assert P.f % q.f == 0
+            return q, P.f // q.f
+    raise AssertionError(f"no prime below {P!r}")
 
 
 # Helpers that only the tests call, kept here rather than in the library.

@@ -40,6 +40,7 @@ from oracles import (
     conjugate_ideal_by_generators,
     conjugate_type,
     fixing_subgroup_of,
+    prime_below_by_search,
     reflex_norm_ideal_by_root,
     reflex_per_type,
 )
@@ -376,6 +377,32 @@ class TestPrimeBelow:
                 assert set(degree_sums) == set(prime_split(p, OF))
                 assert set(degree_sums.values()) == {L.degree // incl.source.degree}
         assert checked > 100
+
+    @pytest.mark.parametrize("name", ["gauss", "zeta5"])
+    def test_an_automorphism_transports_the_prime(self, name, request):
+        # along an automorphism sigma of P's field the prime below is
+        # sigma^-1(P), transported with its generators and anti-uniformizer:
+        # it is the searched prime, its generators lie in it, (p) has
+        # valuation e there and random ideals have the searched prime's
+        # valuations, at every p < 60, the ramified ones included
+        K = request.getfixturevalue(name)
+        O = maximal_order(K)
+        rng = random.Random(33)
+        checked = 0
+        for sigma in splitting_data(K).embeddings:
+            assert sigma.source == sigma.target == K
+            for p in primes_up_to(59):
+                pO = FracIdeal.unit_ideal(O).scaled(p)
+                for P in prime_split(p, O):
+                    q, f = cmreflex._prime_below(P, sigma, O)
+                    oq, of = prime_below_by_search(P, sigma, O)
+                    assert (q, q.e, q.f, f) == (oq, oq.e, oq.f, of), (sigma, P)
+                    assert all(q.contains(g) for g in q.gens)
+                    assert pO.valuation(q) == q.e
+                    a = random_ideal(O, rng)
+                    assert a.valuation(q) == a.valuation(oq), (sigma, P, a)
+                    checked += 1
+        assert checked > 40
 
     @pytest.mark.parametrize("coeffs", POLYS)
     def test_norm_down_of_an_extended_reflex_prime_is_its_power(self, coeffs):

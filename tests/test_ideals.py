@@ -477,6 +477,31 @@ class TestMaximalOrder:
             O = _maximal_order(K)
             assert O.disc() * O.equation_index**2 == poly_discriminant(g), K.min_poly
 
+    # D theta is integral exactly when D^(n-i) c_i is for every coefficient
+    # c_i of the monic min_poly; D is the least such D, not the lcm of the
+    # denominators: y^4 + (3/2) y^2 + 3/16 is x^4 + 6x^2 + 3 at x = 2y, so D = 2
+    # where the lcm is 16, with the maximal order unchanged, and its closure
+    # takes the 7 colon ideals of x^4+6x^2+3's closure (19 at D = 16)
+    def test_the_scaling_is_the_least_that_makes_theta_integral(self, monkeypatch):
+        K = NumberField(UniPoly([Fraction(3, 16), 0, Fraction(3, 2), 0, 1]))
+        assert integral_presentation(K) == (2, UniPoly([3, 0, 6, 0, 1]))
+        O = maximal_order(K)
+        assert (O.den, O.basis) == (1, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
+        L = splitting_data(K).closure
+        expected = maximal_order(L)
+        counted = []
+        monkeypatch.setattr(orders, "colon_ideal", lambda a, b: counted.append(a) or colon_ideal(a, b))
+        assert _maximal_order(L) == expected and len(counted) == 7
+        rng = random.Random(33)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 8, 9, 12, 27, 32)))
+                      for _ in range(n)] + [Fraction(1)]
+            least = 1
+            while any((c * least ** (n - i)).denominator != 1 for i, c in enumerate(coeffs)):
+                least += 1
+            assert integral_presentation(NumberField(UniPoly(coeffs), check=False))[0] == least
+
     # Round 2 from the order of a closure's recorded roots ends at the order
     # Round 2 from Z[D theta] ends at: the closures of the quartics above, a
     # rational minimal polynomial (x^4+6x^2+3 at theta/2) and Q(zeta5)

@@ -4,12 +4,14 @@ F_{p^2} arithmetic, and the ST identities."""
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmfields import stverify
+from cmfields import cmreflex, memo, stverify
+from cmfields.closure import splitting_data
 from cmfields.cmreflex import CMType, enumerate_cm_types
 from cmfields.cli import main
 from cmfields.errors import (
@@ -19,7 +21,7 @@ from cmfields.errors import (
     RamifiedPrime,
     Supersingular,
 )
-from cmfields.ideals import FracIdeal, prime_split
+from cmfields.ideals import FracIdeal, prime_sort_key, prime_split
 from cmfields.intutil import primes_up_to
 from cmfields.orders import maximal_order
 from cmfields.stverify import (
@@ -134,7 +136,7 @@ class TestFieldArithmetic:
 
     def test_tangent_root_is_the_least_root(self, curve_i, curve_z3):
         for curve in (curve_i, curve_z3):
-            e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+            e, b = curve.tangent_poly
             disc = 4 * curve.a4**3 + 27 * curve.a6**2
             for p in primes_up_to(1999):
                 if p < 5 or disc % p == 0:
@@ -248,7 +250,7 @@ class TestElementsOfNormP:
         # (x, y) -> (c^-2 x, c^-3 y) at the least root c of u's polynomial
         for curve, roots_of_unity in ((curve_i, 4), (curve_z3, 6)):
             E = curve.cmfield.field
-            e, b = (int(x) for x in curve.tangent_min_poly.coeffs[:2])
+            e, b = curve.tangent_poly
             ordinary = 0
             for p in primes_up_to(299)[2:]:
                 if (4 * curve.a4**3 + 27 * curve.a6**2) % p == 0:
@@ -308,6 +310,7 @@ class TestSTIdentities:
             f = frobenius_element(curve, p)
             rep = st_check_valuations(f, f.cmtype, curve.cmfield.field, f.prime_above)
             assert rep["ok"]
+            assert len(rep["primes"]) == 2  # both primes above the split p
             total = sum(e["ord_v_pi"] for e in rep["primes"])
             assert total == 1  # split prime, g = 1
 
@@ -352,6 +355,7 @@ class TestSTIdentities:
             rhs = st_rhs(t, zeta5, P)
             rep = st_check_valuations(rhs, t, zeta5, P)
             assert rep["ok"], (p, rep)
+            assert len(rep["primes"]) == len(prime_split(p, O)), p
             checked += 1
             if checked >= 20:
                 break
@@ -378,6 +382,7 @@ class TestSymbolicQuartic:
             assert rhs.norm() == q**2  # q^g with g = 2
             rep = st_check_valuations(rhs, t, L, P)
             assert rep["ok"], (p, rep)
+            assert len(rep["primes"]) == len(prime_split(p, OE)), p
             done += 1
         assert done == 8
 
@@ -441,6 +446,70 @@ class TestPrincipalIdealsOfARow:
                 if rows == 50:
                     break
             assert rows == 50
+
+
+def _ordinary_rows(curve, lo, hi):
+    """(p, FrobeniusData) at every ordinary prime lo <= p < hi of good reduction."""
+    for p in primes_up_to(hi - 1):
+        if p < max(lo, 5) or (4 * curve.a4**3 + 27 * curve.a6**2) % p == 0:
+            continue
+        try:
+            yield p, frobenius_element(curve, p)
+        except Supersingular:
+            continue
+
+
+class TestTangentPrimes:
+    # a row takes its primes from the tangent root c alone: P = (p, u - c),
+    # and its pull-back along the involution, transported
+
+    def test_the_tangent_primes_are_the_split_primes(self, curve_i, curve_z3):
+        for curve in (curve_i, curve_z3):
+            E = curve.cmfield.field
+            O = maximal_order(E)
+            conj, = (emb for emb in splitting_data(E).embeddings if not emb.is_identity())
+            rows = 0
+            for p, frob in _ordinary_rows(curve, 5, 2000):
+                P = frob.prime_above
+                Q, f = cmreflex._prime_below(P, conj, O)
+                ours = sorted([P, Q], key=prime_sort_key)
+                split = prime_split(p, O)
+                assert f == 1 and ours == split, p  # FracIdeal equality is HNF equality
+                pO = FracIdeal.unit_ideal(O).scaled(p)
+                for mine, theirs in zip(ours, split):
+                    assert (mine.e, mine.f) == (theirs.e, theirs.f) == (1, 1), p
+                    assert frob.ideal.valuation(mine) == frob.ideal.valuation(theirs), p
+                    assert pO.valuation(mine) == 1, p
+                rows += 1
+            assert rows > 100
+
+    def test_a_double_root_gives_the_ramified_prime(self, curve_i, curve_z3):
+        # u^2 + 1 = (u - 1)^2 mod 2 and u^2 + u + 1 = (u - 1)^2 mod 3
+        for curve, p in ((curve_i, 2), (curve_z3, 3)):
+            O = maximal_order(curve.cmfield.field)
+            P = stverify._tangent_prime(curve, p, 1)
+            Q, = prime_split(p, O)
+            assert P == Q and (P.e, P.f) == (Q.e, Q.f) == (2, 1)
+            assert FracIdeal.unit_ideal(O).scaled(p).valuation(P) == 2
+
+    def test_a_root_that_is_no_root_is_refused(self, curve_i):
+        # 2^2 + 1 = 5 is not 0 mod 13, so (13, u - 2) is the whole order
+        with pytest.raises(InvariantViolated, match=r"\(13, u - 2\) has norm 1, not 13"):
+            stverify._tangent_prime(curve_i, 13, 2)
+
+    def test_rows_add_no_memo_entry_per_prime(self, curve_i, curve_z3):
+        # the first sweep builds what a field needs once; a longer sweep over
+        # new primes then leaves the same number of memo keys of every kind
+        def sweep(lo, hi):
+            for curve in (curve_i, curve_z3):
+                E = curve.cmfield.field
+                for _, frob in _ordinary_rows(curve, lo, hi):
+                    assert st_check_ideal(frob, frob.cmtype, E, frob.prime_above)
+                    assert st_check_valuations(frob, frob.cmtype, E, frob.prime_above)["ok"]
+            return Counter(key[0] for key in memo._store)
+
+        short = sweep(2000, 2100)
+        assert sweep(2100, 2600) == short
 
 
 class TestModelConsistency:
